@@ -430,3 +430,16 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def spf_table(n: int):
+    """Smallest prime factor of every 0 <= k <= n as a numpy array (spf[k] = k
+    for k < 2 and for primes)."""
+    import numpy as np
+
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            sl = spf[p * p :: p]
+            np.minimum(sl, p, out=sl)
+    return spf

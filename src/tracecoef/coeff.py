@@ -179,7 +179,7 @@ def coeff_sl3(S: PlaceSet, orbit: str = "min", alpha=1, vols: VolumeParams | Non
         k = chi_S_exponent(ch, alpha, S)
         # chi and its inverse together contribute twice the real part
         with mp.workdps(digits + 10):
-            w = mp.e ** (2j * mp.pi * k / 3)
+            w = mp.exp(2j * mp.pi * k / 3)
             contrib = +(2 * mp.re(w * L * Linv))
         terms.append(
             _term(Fraction(1, 3), "vol_m0", vols,

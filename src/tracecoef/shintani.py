@@ -26,7 +26,7 @@ from math import isqrt
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import PlaceSet, SquareClassRep, kronecker, squarefree_kernel
+from .arith import PlaceSet, SquareClassRep, kronecker, spf_table, squarefree_kernel
 from .characters import (
     conductor_outside,
     disc_classes,
@@ -231,15 +231,6 @@ def l1_smoothed(D: int, tol: float = 1e-12) -> float:
 # Bulk term preparation for the discriminant sum
 # ---------------------------------------------------------------------------
 
-def _spf_table(n: int):
-    spf = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
-    return spf
-
-
 def _small_primes_for_l2s(S: PlaceSet):
     from .arith import primes_up_to
 
@@ -270,11 +261,13 @@ def _l2s_values(terms: list[_Term], primes: np.ndarray, two_s: float) -> np.ndar
 def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula",
                 cache=None) -> list[_Term]:
     """All summands of xi^S(.; alpha) with |fundamental discriminant| <= X,
-    ordered by |D|; L(1) values come from the cache when present."""
+    ordered by |D|; L(1) values come from the cache when it holds a record
+    made by the same method, so the two methods never stand in for each
+    other."""
     S.require_2("the Shintani zeta function")
     a_val = alpha.value if isinstance(alpha, SquareClassRep) else squarefree_kernel(alpha)
     ds = disc_classes(S, a_val, X=X, kind="Q_S").entries
-    spf = _spf_table(max((X + isqrt(X // 3) ** 2) // 4 + 2, 100))
+    spf = spf_table(max((X + isqrt(X // 3) ** 2) // 4 + 2, 100))
     primes = _small_primes_for_l2s(S)
     terms = []
     for d in ds:
@@ -283,7 +276,7 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
         L1 = None
         if cache is not None:
             rec = cache.get(D)
-            if rec is not None:
+            if rec is not None and rec.get("method") == method:
                 L1 = rec["L1"]
         if L1 is None:
             if method == "class-number-formula":

@@ -144,16 +144,16 @@ def v_table(group: str, s: str, lam, n, T: TruncParam) -> mpf:
         n12, n13, n14, n24, n23 = n.n12, n.n13, n.n14, n.n24, n.n23
         H = height_S
         if s == "1":
-            return mp.e ** (l1 * T1 + l2 * T2)
+            return mp.exp(l1 * T1 + l2 * T2)
         if s == "s0":
-            return H((1, n12), S) ** (-l2) * mp.e ** (l1 * T1 + l2 * (T1 - T2))
+            return H((1, n12), S) ** (-l2) * mp.exp(l1 * T1 + l2 * (T1 - T2))
         if s == "s2":
-            return H((1, n24), S) ** (-l1) * mp.e ** (-l1 * (T1 - 2 * T2) + l2 * T2)
+            return H((1, n24), S) ** (-l1) * mp.exp(-l1 * (T1 - 2 * T2) + l2 * T2)
         if s == "s0s1":
             return (
                 H((1, n24), S) ** (l1 + l2)
                 * H((1, n23, n24), S) ** (-2 * l1 - l2)
-                * mp.e ** (l1 * (T1 - 2 * T2) + l2 * (T1 - T2))
+                * mp.exp(l1 * (T1 - 2 * T2) + l2 * (T1 - T2))
             )
         if s == "s0s2":
             # the height exponent 2*l1+l2 is forced by wall compatibility
@@ -161,25 +161,25 @@ def v_table(group: str, s: str, lam, n, T: TruncParam) -> mpf:
             return (
                 H((1, n12, n12, n12 * n12, n13 + n12 * n14), S) ** (-l1 - l2)
                 * H((1, n12), S) ** (2 * l1 + l2)
-                * mp.e ** (-l1 * (T1 - 2 * T2) - l2 * (T1 - T2))
+                * mp.exp(-l1 * (T1 - 2 * T2) - l2 * (T1 - T2))
             )
         if s == "s1":
             return (
                 H((1, n12, n12, n12 * n12, n13 + n12 * n14), S) ** l1
                 * H((1, n12, n13, n14), S) ** (-2 * l1 - l2)
-                * mp.e ** (l1 * (T1 - 2 * T2) - l2 * T2)
+                * mp.exp(l1 * (T1 - 2 * T2) - l2 * T2)
             )
         if s == "s0s1s2":
             return (
                 H((1, n23, n23, n24, n13 - n12 * n23, n13 * n24 - n14 * n23), S) ** (-l1 - l2)
                 * H((1, n23, n24), S) ** l2
-                * mp.e ** (-l1 * T1 - l2 * (T1 - T2))
+                * mp.exp(-l1 * T1 - l2 * (T1 - T2))
             )
         if s == "s1s2":
             return (
                 H((1, n23, n23, n24, n13 - n12 * n23, n13 * n24 - n14 * n23), S) ** (-l1)
                 * H((1, n12, n13, n14), S) ** (-l2)
-                * mp.e ** (-l1 * T1 - l2 * T2)
+                * mp.exp(-l1 * T1 - l2 * T2)
             )
         raise ValueError(f"unknown Weyl element {s!r}")
     if group == "gl3":
@@ -187,28 +187,28 @@ def v_table(group: str, s: str, lam, n, T: TruncParam) -> mpf:
         n12, n13, n23 = n.n12, n.n13, n.n23
         H = height_S
         if s == "1":
-            return mp.e ** (l1 * T1 + l2 * T2)
+            return mp.exp(l1 * T1 + l2 * T2)
         if s == "(12)":
-            return H((1, n12), S) ** (-l1) * mp.e ** (l1 * (T2 - T1) + l2 * T2)
+            return H((1, n12), S) ** (-l1) * mp.exp(l1 * (T2 - T1) + l2 * T2)
         if s == "(23)":
-            return H((1, n23), S) ** (-l2) * mp.e ** (l1 * T1 + l2 * (T1 - T2))
+            return H((1, n23), S) ** (-l2) * mp.exp(l1 * T1 + l2 * (T1 - T2))
         if s == "(123)":
             return (
                 H((1, n12), S) ** l2
                 * H((1, n12, n13), S) ** (-l1 - l2)
-                * mp.e ** (-l1 * T2 + l2 * (T1 - T2))
+                * mp.exp(-l1 * T2 + l2 * (T1 - T2))
             )
         if s == "(132)":
             return (
                 H((1, n23), S) ** l1
                 * H((1, n13 - n12 * n23, n23), S) ** (-l1 - l2)
-                * mp.e ** (l1 * (T2 - T1) - l2 * T1)
+                * mp.exp(l1 * (T2 - T1) - l2 * T1)
             )
         if s == "(13)":
             return (
                 H((1, n12, n13), S) ** (-l1)
                 * H((1, n13 - n12 * n23, n23), S) ** (-l2)
-                * mp.e ** (-l1 * T2 - l2 * T1)
+                * mp.exp(-l1 * T2 - l2 * T1)
             )
         raise ValueError(f"unknown Weyl element {s!r}")
     raise ValueError(f"unknown group {group!r}")
@@ -254,29 +254,29 @@ def w_table(group: str, s: str, lam, nu, T: TruncParam) -> mpf:
         a12 = abs_S(nu.n12, nu.S)
         a24 = abs_S(nu.n24, nu.S)
         if s == "1":
-            return mp.e ** (l1 * T1 + l2 * T2)
+            return mp.exp(l1 * T1 + l2 * T2)
         if s == "s0":
-            return a12 ** (-l2) * mp.e ** (l1 * T1 + l2 * (T1 - T2))
+            return a12 ** (-l2) * mp.exp(l1 * T1 + l2 * (T1 - T2))
         if s == "s2":
-            return a24 ** (-l1) * mp.e ** (-l1 * (T1 - 2 * T2) + l2 * T2)
+            return a24 ** (-l1) * mp.exp(-l1 * (T1 - 2 * T2) + l2 * T2)
         if s == "s0s1":
-            return (a12**2 * a24) ** (-l1) * a12 ** (-l2) * mp.e ** (
+            return (a12**2 * a24) ** (-l1) * a12 ** (-l2) * mp.exp(
                 l1 * (T1 - 2 * T2) + l2 * (T1 - T2)
             )
         if s == "s0s2":
-            return a24 ** (-l1) * (a12 * a24) ** (-l2) * mp.e ** (
+            return a24 ** (-l1) * (a12 * a24) ** (-l2) * mp.exp(
                 -l1 * (T1 - 2 * T2) - l2 * (T1 - T2)
             )
         if s == "s1":
-            return (a12**2 * a24) ** (-l1) * (a12**2 * a24) ** (-l2) * mp.e ** (
+            return (a12**2 * a24) ** (-l1) * (a12**2 * a24) ** (-l2) * mp.exp(
                 l1 * (T1 - 2 * T2) - l2 * T2
             )
         if s == "s0s1s2":
-            return (a12**2 * a24**2) ** (-l1) * (a12 * a24) ** (-l2) * mp.e ** (
+            return (a12**2 * a24**2) ** (-l1) * (a12 * a24) ** (-l2) * mp.exp(
                 -l1 * T1 - l2 * (T1 - T2)
             )
         if s == "s1s2":
-            return (a12**2 * a24**2) ** (-l1) * (a12**2 * a24) ** (-l2) * mp.e ** (
+            return (a12**2 * a24**2) ** (-l1) * (a12**2 * a24) ** (-l2) * mp.exp(
                 -l1 * T1 - l2 * T2
             )
         raise ValueError(f"unknown Weyl element {s!r}")
@@ -284,17 +284,17 @@ def w_table(group: str, s: str, lam, nu, T: TruncParam) -> mpf:
         a12 = abs_S(nu.n12, nu.S)
         a23 = abs_S(nu.n23, nu.S)
         if s == "1":
-            return mp.e ** (l1 * T1 + l2 * T2)
+            return mp.exp(l1 * T1 + l2 * T2)
         if s == "(12)":
-            return a12 ** (-l1) * mp.e ** (l1 * (T2 - T1) + l2 * T2)
+            return a12 ** (-l1) * mp.exp(l1 * (T2 - T1) + l2 * T2)
         if s == "(23)":
-            return a23 ** (-l2) * mp.e ** (l1 * T1 + l2 * (T1 - T2))
+            return a23 ** (-l2) * mp.exp(l1 * T1 + l2 * (T1 - T2))
         if s == "(123)":
-            return (a12 * a23) ** (-l1) * a23 ** (-l2) * mp.e ** (-l1 * T2 + l2 * (T1 - T2))
+            return (a12 * a23) ** (-l1) * a23 ** (-l2) * mp.exp(-l1 * T2 + l2 * (T1 - T2))
         if s == "(132)":
-            return a12 ** (-l1) * (a12 * a23) ** (-l2) * mp.e ** (l1 * (T2 - T1) - l2 * T1)
+            return a12 ** (-l1) * (a12 * a23) ** (-l2) * mp.exp(l1 * (T2 - T1) - l2 * T1)
         if s == "(13)":
-            return (a12 * a23) ** (-l1) * (a12 * a23) ** (-l2) * mp.e ** (-l1 * T2 - l2 * T1)
+            return (a12 * a23) ** (-l1) * (a12 * a23) ** (-l2) * mp.exp(-l1 * T2 - l2 * T1)
         raise ValueError(f"unknown Weyl element {s!r}")
     raise ValueError(f"unknown group {group!r}")
 
@@ -442,9 +442,9 @@ def _two_member(Q: mpf, Tproj: mpf):
     """The family {e^{l*T}, Q^{-l} e^{-l*T}} with theta = l, -l (l = lam[0])."""
     lnQ = mp.ln(Q)
     return [
-        ((lambda lam: mp.e ** (lam[0] * Tproj)), (lambda lam: lam[0])),
+        ((lambda lam: mp.exp(lam[0] * Tproj)), (lambda lam: lam[0])),
         (
-            (lambda lam: mp.e ** (-lam[0] * (lnQ + Tproj))),
+            (lambda lam: mp.exp(-lam[0] * (lnQ + Tproj))),
             (lambda lam: -lam[0]),
         ),
     ]
@@ -493,8 +493,8 @@ def family_mp_gl3(nu: Nu3Entries, T: TruncParam, u12=None):
     lnQ = mp.ln(Q)
     T1, T2 = mpf(T.T1), mpf(T.T2)
     return [
-        ((lambda lam: mp.e ** (lam[0] * T2)), (lambda lam: lam[0])),
-        ((lambda lam: mp.e ** (-lam[0] * (lnQ + T1))), (lambda lam: -lam[0])),
+        ((lambda lam: mp.exp(lam[0] * T2)), (lambda lam: lam[0])),
+        ((lambda lam: mp.exp(-lam[0] * (lnQ + T1))), (lambda lam: -lam[0])),
     ]
 
 

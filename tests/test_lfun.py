@@ -4,6 +4,8 @@ Expected values below were frozen from independent oracles: closed forms
 (pi^2/6, pi/4), direct alternating sums (the L(2,chi_-4) constant), and
 published digits of the Euler-Mascheroni and first Stieltjes constants.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -160,3 +162,102 @@ def test_precision_config_validation():
         lfun.PrecisionConfig(working_digits=10)
     cfg = lfun.PrecisionConfig()
     assert cfg.working_digits == 30
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet kernel against mpmath's own L-functions, and its memos
+# ---------------------------------------------------------------------------
+
+def _values_mod_q(chi):
+    """chi(0), ..., chi(q-1) in working precision, q the conductor."""
+    if isinstance(chi, QuadChar):
+        return [chi(k) for k in range(chi.conductor)]
+    return [0 if e is None else mp.exp(2j * mp.pi * e / 3) for e in chi.values]
+
+
+def _mpmath_dirichlet(s, chi, derivative):
+    """mpmath's Hurwitz-zeta route to L(s,chi) or L'(s,chi).  Its s == 1
+    branch raises the precision once per value other than 0 and 1, which
+    exhausts memory beyond tiny conductors, so s = 1 is evaluated at
+    1 + 2^-110 in 400-bit arithmetic instead (the shift moves the value by
+    about 2^-110 |L'|, the cancelling poles cost 220 bits)."""
+    if s == 1:
+        with mp.workprec(400):
+            return mp.dirichlet(1 + mpf(2) ** -110, _values_mod_q(chi), derivative)
+    return mp.dirichlet(s, _values_mod_q(chi), derivative)
+
+
+def _cubic(*primes):
+    return [ch for ch in enum_cubic_chars(PlaceSet.of(*primes))
+            if set(ch.support) == set(primes)][0]
+
+
+ORACLE_CASES = (
+    [(QuadChar(D), s) for D in (-4, 5, -23) for s in (1, mpf(3) / 2, 2, 3)]
+    + [(QuadChar(173), mpf(3) / 2), (QuadChar(-199), 2)]
+    + [(_cubic(p), s) for p in (7, 3) for s in (1, mpf(3) / 2, 2, 3)]
+    + [(_cubic(3, 7), 2), (_cubic(181), 3)]
+)
+
+
+def _case_id(v):
+    if isinstance(v, QuadChar):
+        return f"D={v.D}"
+    return f"cubic-mod-{v.modulus}" if hasattr(v, "modulus") else f"s={float(v)}"
+
+
+@pytest.mark.parametrize("chi,s", ORACLE_CASES, ids=_case_id)
+def test_dirichlet_kernel_vs_mpmath(chi, s):
+    """Value and derivative of the primitive L(s,chi) (S = support of chi, so
+    no Euler factor is removed) against mp.dirichlet, to 1e-30."""
+    S = PlaceSet.of(*chi.support)
+    with mp.workdps(40):
+        for derivative, ours in ((0, lfun.LS(s, chi, S)), (1, lfun.deriv_LS(s, chi, S))):
+            ref = _mpmath_dirichlet(mpf(s), chi, derivative)
+            assert abs(ours - ref) < mpf("1e-30") * max(1, abs(ref)), (chi, s, derivative)
+
+
+def test_clear_cache_empties_every_memo_and_table():
+    lfun.LS(mpf(3) / 2, QuadChar(-4), S2)
+    lfun.laurent_at_1(None, S2)
+    lfun.hurwitz(2, mpf(1) / 3)
+    module_dicts = {id(v) for k, v in vars(lfun).items()
+                    if isinstance(v, dict) and not k.startswith("__")}
+    assert module_dicts == {id(m) for m in lfun._MEMOS}
+    assert all(lfun._MEMOS)
+    lfun.clear_cache()
+    assert not any(lfun._MEMOS)
+
+
+def test_memo_keys_are_exact_in_s():
+    """Two s that print alike to dps digits but differ in the working
+    precision get their own jets.  Near the trivial zero of L(s,chi_-4) at
+    s = -1 the difference of the values is far above their rounding."""
+    chi = QuadChar(-4)
+    with mp.workdps(40):
+        s1 = mpf(-1)
+        s2 = s1 - mpf(2) ** -131
+        assert s1 != s2 and mp.nstr(s1, mp.dps) == mp.nstr(s2, mp.dps)
+        L1, dL1 = lfun._LS_jet(s1, chi, S2)
+        L2, _ = lfun._LS_jet(s2, chi, S2)
+        assert abs(dL1 - 2 * mp.catalan / mp.pi) < mpf("1e-30")
+        assert abs((L2 - L1) - (s2 - s1) * dL1) < abs(s2 - s1) * dL1 / 100
+
+
+def test_small_initial_N_doubles_and_converges(monkeypatch):
+    with mp.workdps(40):
+        N, M = lfun._em_plan(mpf(1), Fraction(1, 4), N=2)
+    assert N > 2 and N & (N - 1) == 0 and M <= lfun._MAX_BERNOULLI_TERMS
+    lfun.clear_cache()
+    monkeypatch.setattr(lfun, "_initial_terms", lambda s: 2)
+    try:
+        with mp.workdps(40):
+            assert abs(lfun.LS(1, QuadChar(-4), S2) - mp.pi / 4) < mpf("1e-38")
+            assert abs(lfun.stieltjes_gamma(0, 35) - mpf(GAMMA0_STR)) < mpf("1e-38")
+    finally:
+        lfun.clear_cache()
+
+
+def test_em_plan_gives_up():
+    with mp.workprec(20_000), pytest.raises(RuntimeError, match="did not converge"):
+        lfun._em_plan(mpf(1), 1, N=1)

@@ -254,27 +254,38 @@ def test_euler_assembly_paths():
     assert euler_assembly_check(-3, 2.0, S2) == (0.0, 0.0)
 
 
+class DictCache:
+    def __init__(self):
+        self.stored = {}
+        self.hits = 0
+
+    def get(self, D):
+        rec = self.stored.get(D)
+        if rec:
+            self.hits += 1
+        return rec
+
+    def put(self, rec):
+        self.stored[rec["D"]] = rec
+
+
 def test_cache_consumed_and_filled():
-    class DictCache:
-        def __init__(self):
-            self.stored = {}
-            self.hits = 0
-
-        def get(self, D):
-            rec = self.stored.get(D)
-            if rec:
-                self.hits += 1
-            return rec
-
-        def put(self, rec):
-            self.stored[rec["D"]] = rec
-
     c = DictCache()
     build_terms(-1, S2, 4000, cache=c)
     assert c.stored and c.hits == 0
     n = len(c.stored)
     build_terms(-1, S2, 4000, cache=c)
     assert c.hits == n
+
+
+def test_cache_record_of_other_method_not_served():
+    """A class-number record must not stand in for the smoothed method."""
+    c = DictCache()
+    c.put({"D": -4, "L1": 123.0, "method": "class-number-formula"})
+    terms = build_terms(-1, S2, 200, method="smoothed-character-sum", cache=c)
+    t = next(t for t in terms if t.D == -4)
+    assert abs(t.L1S - math.pi / 4) < 1e-9
+    assert c.stored[-4]["method"] == "smoothed-character-sum"
 
 
 def test_residue_tail_model_off_diagnostic():

@@ -432,6 +432,17 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
+def legendre_table(p: int):
+    """The Legendre symbol (r/p) for r = 0..p-1, as a numpy int8 array (p odd prime)."""
+    import numpy as np
+
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    r = np.arange(1, p, dtype=np.int64)
+    table[r * r % p] = 1
+    return table
+
+
 def spf_table(n: int):
     """Smallest prime factor of every 0 <= k <= n as a numpy array (spf[k] = k
     for k < 2 and for primes)."""

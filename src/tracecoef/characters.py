@@ -12,6 +12,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
+
+import numpy as np
 
 from .arith import (
     PlaceSet,
@@ -19,6 +22,7 @@ from .arith import (
     factorize,
     is_square_at,
     kronecker,
+    legendre_table,
     squarefree_kernel,
     valuation,
 )
@@ -351,28 +355,39 @@ def disc_classes(S: PlaceSet, d_S, X: int | None = None, kind: str = "Q_S") -> D
         raise ValueError(f"unknown kind {kind!r}")
     if X is None:
         raise ValueError("kind='Q_S' needs a truncation bound X")
-    found = []
-    for m in _squarefree_nonunits(X):
-        if _matches_locally(m, alpha, S):
-            found.append(m)
-    found.sort(key=lambda m: (abs(fundamental_discriminant_of(m)), m))
-    return DiscClassSet("Q_S", tuple(found))
+    return DiscClassSet("Q_S", tuple(_local_class_scan(alpha, S, X).tolist()))
 
 
-def _squarefree_nonunits(X: int):
-    """Squarefree d != 1-class with |fundamental discriminant| <= X."""
-    import numpy as np
+def _local_class_scan(alpha: int, S: PlaceSet, X: int) -> np.ndarray:
+    """The squarefree m != 1 with |fundamental discriminant| <= X and m/alpha
+    a square at every v in S, ordered by (|D|, m).
 
-    n_max = X  # |D| >= |m|, so scanning |m| <= X suffices
-    sq = np.ones(n_max + 1, dtype=bool)
-    for p in range(2, int(n_max**0.5) + 1):
-        sq[p * p :: p * p] = False
-    for m_abs in range(1, n_max + 1):
-        if not sq[m_abs]:
-            continue
-        for m in (m_abs, -m_abs):
-            if m == 1:
-                continue
-            D = m if m % 4 == 1 else 4 * m
-            if abs(D) <= X:
-                yield m
+    For squarefree m and alpha this is a congruence: the signs agree (v = oo);
+    v_p(m) = v_p(alpha) at each p in S; and the product of the unit parts is
+    1 mod 8 at p = 2, a quadratic residue at odd p (units mod 8 are their own
+    inverses, and u and 1/u have the same Legendre symbol).
+    """
+    sign = 1 if alpha > 0 else -1
+    sq = np.ones(X + 1, dtype=bool)  # the candidates |m|, squarefree
+    sq[0] = False
+    for k in range(2, isqrt(X) + 1):
+        sq[k * k :: k * k] = False
+    # |D| <= X: D = m when m = 1 mod 4, else D = 4m
+    one_mod_4 = np.zeros(X + 1, dtype=bool)
+    one_mod_4[sign % 4 :: 4] = True
+    sq[X // 4 + 1 :] &= one_mod_4[X // 4 + 1 :]
+    del one_mod_4
+    sq[1:2] &= sign < 0  # m = 1 is the trivial class
+    m = sign * np.flatnonzero(sq)
+    del sq
+    for p in S.primes:
+        a_div = alpha % p == 0
+        a_unit = alpha // p if a_div else alpha
+        m = m[(m % p == 0) == a_div]
+        u = m // p if a_div else m
+        if p == 2:
+            m = m[u * (a_unit % 8) % 8 == 1]
+        else:
+            m = m[legendre_table(p)[u % p * (a_unit % p) % p] == 1]
+    D = np.where(m % 4 == 1, m, 4 * m)
+    return m[np.lexsort((m, np.abs(D)))]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,10 @@ CACHE_ENV = "TRACECOEF_CACHE"
 # ---------------------------------------------------------------------------
 
 def _plain(obj):
+    if isinstance(obj, (str, int)) or obj is None:  # bool is an int
+        return obj
+    if isinstance(obj, float):
+        return "nan" if obj != obj else obj  # NaN is not valid JSON
     if isinstance(obj, dict):
         return {str(k): _plain(obj[k]) for k in sorted(obj, key=str)}
     if isinstance(obj, (list, tuple)):
@@ -50,10 +55,6 @@ def _plain(obj):
         return _plain(dataclasses.asdict(obj))
     if isinstance(obj, (frozenset, set)):
         return sorted(_plain(x) for x in obj)
-    if isinstance(obj, float) and obj != obj:  # NaN is not valid JSON
-        return "nan"
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
     return str(obj)
 
 
@@ -117,14 +118,22 @@ class JsonlCache:
         return self._mem.get(int(D))
 
     def put(self, rec: dict):
-        D = int(rec["D"])
-        old = self._mem.get(D)
-        if old is not None and old.get("digits", 0) > rec.get("digits", 0):
-            return
-        self._mem[D] = rec
-        if self.path:
+        self.put_many([rec])
+
+    def put_many(self, records):
+        """Store each record unless the one held for its D has more digits,
+        and append the stored ones to the file with a single open."""
+        lines = []
+        for rec in records:
+            D = int(rec["D"])
+            old = self._mem.get(D)
+            if old is not None and old.get("digits", 0) > rec.get("digits", 0):
+                continue
+            self._mem[D] = rec
+            lines.append(json.dumps(_plain(rec), sort_keys=True) + "\n")
+        if self.path and lines:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(_plain(rec), sort_keys=True) + "\n")
+                fh.write("".join(lines))
 
 
 def open_cache(path: str | None) -> JsonlCache:
@@ -470,8 +479,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -5,11 +5,24 @@ Truncated evaluation of xi^S(s; d_S), extraction of the residue at s=3/2
 plus the closed-form unramified local Euler factors and their assembly
 identity.
 
-The L(1,chi_d) values that dominate the sum are computed exactly through
-class numbers: reduced-form counts for imaginary discriminants, reduction
-cycles plus the cycle-product regulator for real ones.  A smoothed
-character-sum evaluation (incomplete-gamma split of the completed
-L-function) is available as an independent method.
+The summands over the discriminant classes are built in one array pass
+(`build_terms` returns one array per quantity).  Their L(1,chi_D) values
+come from the class number formula, for every D at once:
+
+- D < 0: the reduced forms (a,b,c), 0 <= b <= a <= c, of one (a,b) have
+  |D| = 4ac - b^2 in a progression of step 4a, so h(D) for all |D| <= X is
+  a sum of strided adds, weighted 1 when b = 0, b = a or a = c and 2
+  otherwise.
+- D > 0: the reduced indefinite forms are the triples a, b, c > 0 with
+  |a - c| < b and D = b^2 + 4ac (each giving (a,b,-c) and (-a,b,c)).  The
+  product of (b + sqrt D)/(2|a|) around every reduction cycle is the same
+  totally positive unit eps+, so h+ log(eps+) = 2 * sum log((b + sqrt D)/2a)
+  over the triples, with no cycle walk.
+
+The per-discriminant routines (class_number_imag, class_data_real,
+l1_class_number) remain as the independent oracles of that pass.  A
+smoothed character-sum evaluation (incomplete-gamma split of the completed
+L-function) is the second, independent method.
 
 Truncation tails are modeled by the empirical linear growth of the
 weighted discriminant count A(t); this is a documented heuristic with
@@ -26,13 +39,8 @@ from math import isqrt
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import PlaceSet, SquareClassRep, kronecker, spf_table, squarefree_kernel
-from .characters import (
-    conductor_outside,
-    disc_classes,
-    fundamental_discriminant_of,
-    quad_char_of,
-)
+from .arith import PlaceSet, SquareClassRep, kronecker, legendre_table, squarefree_kernel
+from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
 _L2S_PRIME_BOUND = 600  # Euler-product truncation for L^S(2s, chi), 2s >= 3
@@ -228,8 +236,83 @@ def l1_smoothed(D: int, tol: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bulk term preparation for the discriminant sum
+# L(1, chi_D) in bulk: the class number formula over arrays
 # ---------------------------------------------------------------------------
+
+_REAL_CHUNK = 1 << 15  # forms per chunk of the indefinite-form enumeration
+
+
+def _h_imag_bulk(X: int) -> np.ndarray:
+    """h[|D|] = the weighted count of reduced forms of discriminant D < 0 for
+    |D| <= X (see the module docstring); the class number at fundamental D."""
+    h = np.zeros(X + 1, dtype=np.int32)
+    a = 1
+    while 3 * a * a <= X:
+        for b in range(a + 1):
+            start = 4 * a * a - b * b
+            if start > X:
+                continue
+            if b == 0 or b == a:
+                h[start :: 4 * a] += 1
+            else:
+                h[start :: 4 * a] += 2
+                h[start] -= 1
+        a += 1
+    return h
+
+
+def _hlog_real_bulk(D: np.ndarray) -> np.ndarray:
+    """h+ log(eps+) for an array of distinct fundamental discriminants D > 0,
+    as the sum over the reduced triples (see the module docstring),
+    enumerated by a and blocks of b with c in an interval."""
+    X = int(D.max())
+    need = np.zeros(X + 1, dtype=bool)
+    need[D] = True
+    order = np.argsort(D)
+    acc = np.zeros(len(D))
+    a = 1
+    while a * a + 4 * a <= X:
+        # c >= max(a - b + 1, 1) gives D >= (2a - b)^2 + 4a and D >= b^2 + 4a
+        b_hi = isqrt(X - 4 * a)
+        width = max(_REAL_CHUNK // min(2 * b_hi, X // (4 * a)), 1)  # b values per chunk
+        for b0 in range(max(2 * a - b_hi, 1), b_hi + 1, width):
+            b = np.arange(b0, min(b0 + width, b_hi + 1), dtype=np.int32)
+            lo = np.maximum(a - b + 1, 1)
+            cnt = np.maximum(np.minimum(a + b - 1, (X - b * b) // (4 * a)) - lo + 1, 0)
+            disc = np.arange(cnt.sum(), dtype=np.int32)  # disc = b^2 + 4ac, c from lo
+            disc += np.repeat(lo - np.cumsum(cnt, dtype=np.int32) + cnt, cnt)
+            disc *= 4 * a
+            b = np.repeat(b, cnt)
+            disc += b * b
+            hit = need[disc]
+            b, disc = b[hit], disc[hit]
+            k = order[np.searchsorted(D, disc, sorter=order)]
+            acc += np.bincount(k, weights=np.log((b + np.sqrt(disc)) / (2 * a)), minlength=len(D))
+        a += 1
+    return 2 * acc
+
+
+def _l1_class_number_bulk(D: np.ndarray) -> np.ndarray:
+    """L(1, chi_D) for an array of distinct fundamental discriminants D != 1,
+    by the float formulas of l1_class_number."""
+    out = np.empty(len(D))
+    neg = D < 0
+    if neg.any():
+        q = -D[neg]
+        w = np.where(q == 3, 6, np.where(q == 4, 4, 2))
+        out[neg] = 2 * math.pi * _h_imag_bulk(int(q.max()))[q] / (w * np.sqrt(q))
+    if not neg.all():
+        pos = D[~neg]
+        out[~neg] = _hlog_real_bulk(pos) / np.sqrt(pos)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The terms of the discriminant sum, one array per quantity
+# ---------------------------------------------------------------------------
+
+_L2S_ROWS = 512  # terms per block of the L^S(2s) product, bounding its temporaries
+
 
 def _small_primes_for_l2s(S: PlaceSet):
     from .arith import primes_up_to
@@ -238,66 +321,79 @@ def _small_primes_for_l2s(S: PlaceSet):
                     dtype=np.float64)
 
 
+def _kron_at_prime(D: np.ndarray, p: int) -> np.ndarray:
+    """chi_D(p) = (D/p) for an array of discriminants D and a prime p, as int8."""
+    if p == 2:
+        r = D % 8
+        return np.where(r % 2 == 0, 0, np.where((r == 1) | (r == 7), 1, -1)).astype(np.int8)
+    return legendre_table(p)[D % p]
+
+
 @dataclass
-class _Term:
-    d: int
-    D: int
-    N: int          # conductor outside S
-    L1S: float      # L^S(1, chi_d)
-    kron: np.ndarray  # chi_d at the small primes outside S (for L^S(2s))
+class Terms:
+    """The summands of xi^S(.; alpha), ordered by (|D|, d).
+
+    d holds the squarefree class representatives, D their fundamental
+    discriminants, N the conductors outside S and L1S = L^S(1, chi_D); row i
+    of the int8 matrix chi holds chi_D(p) at the small primes outside S
+    (`primes`), from which L^S(2s, chi_D) is assembled.
+    """
+
+    d: np.ndarray
+    D: np.ndarray
+    N: np.ndarray
+    L1S: np.ndarray
+    chi: np.ndarray
+    primes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d)
 
 
-def _l2s_values(terms: list[_Term], primes: np.ndarray, two_s: float) -> np.ndarray:
-    """L^S(2s, chi_d) for every term, by the truncated Euler product over the
-    primes outside S (absolute accuracy ~1e-7 at 2s >= 3; the tail is far
-    below the truncation-model error everywhere this is used)."""
-    pw = primes ** (-two_s)
-    out = np.empty(len(terms))
-    for i, t in enumerate(terms):
-        out[i] = 1.0 / np.prod(1.0 - t.kron * pw)
-    return out
+def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
+    """L(1, chi_D) for every D: a cached record when it was made by the same
+    method, so the two methods never stand in for each other; the misses in
+    one pass, stored with one put_many."""
+    L1 = np.empty(len(D))
+    miss = np.ones(len(D), dtype=bool)
+    if cache is not None:
+        for i, Dk in enumerate(D.tolist()):
+            rec = cache.get(Dk)
+            if rec is not None and rec.get("method") == method:
+                L1[i] = rec["L1"]
+                miss[i] = False
+    if miss.any():
+        Dm = D[miss]
+        if method == "class-number-formula":
+            L1[miss] = _l1_class_number_bulk(Dm)
+        else:
+            L1[miss] = [l1_smoothed(k) for k in Dm.tolist()]
+        if cache is not None:
+            cache.put_many([{"D": k, "L1": v, "method": method, "digits": 15}
+                            for k, v in zip(Dm.tolist(), L1[miss].tolist())])
+    return L1
 
 
 def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula",
-                cache=None) -> list[_Term]:
+                cache=None) -> Terms:
     """All summands of xi^S(.; alpha) with |fundamental discriminant| <= X,
-    ordered by |D|; L(1) values come from the cache when it holds a record
-    made by the same method, so the two methods never stand in for each
-    other."""
+    ordered by |D| then d.  The cache, if given, needs get(D) and put_many."""
     S.require_2("the Shintani zeta function")
     a_val = alpha.value if isinstance(alpha, SquareClassRep) else squarefree_kernel(alpha)
-    ds = disc_classes(S, a_val, X=X, kind="Q_S").entries
-    spf = spf_table(max((X + isqrt(X // 3) ** 2) // 4 + 2, 100))
+    d = np.array(disc_classes(S, a_val, X=X, kind="Q_S").entries, dtype=np.int64)
+    D = np.where(d % 4 == 1, d, 4 * d)
+    # N(f_d^S): d is squarefree, the odd primes of D divide d once, and 2 is in S
+    N = np.abs(d)
+    for p in S.primes:
+        N = np.where(N % p == 0, N // p, N)
+    L1S = _l1_values(D, method, cache)
+    for p in S.primes:  # removed Euler factors (1 for p | D, where chi_D(p) = 0)
+        L1S *= 1.0 - _kron_at_prime(D, p) / p
     primes = _small_primes_for_l2s(S)
-    terms = []
-    for d in ds:
-        D = fundamental_discriminant_of(d)
-        N = conductor_outside(d, S).N_fdS
-        L1 = None
-        if cache is not None:
-            rec = cache.get(D)
-            if rec is not None and rec.get("method") == method:
-                L1 = rec["L1"]
-        if L1 is None:
-            if method == "class-number-formula":
-                if D < 0:
-                    L1 = 2 * math.pi * class_number_imag(D, spf) / (w_disc(D) * math.sqrt(-D))
-                else:
-                    h_plus, log_eps = class_data_real(D, spf)
-                    L1 = h_plus * log_eps / math.sqrt(D)
-            else:
-                L1 = l1_smoothed(D)
-            if cache is not None:
-                cache.put({"D": D, "L1": L1, "method": method, "digits": 15})
-        # removed Euler factors at p in S not dividing D
-        L1S = float(L1)
-        for p in S.primes:
-            if D % p != 0:
-                L1S *= 1.0 - kronecker(D, p) / p
-        kron = np.array([kronecker(D, int(p)) for p in primes], dtype=np.float64)
-        terms.append(_Term(d=d, D=D, N=N, L1S=L1S, kron=kron))
-    terms.sort(key=lambda t: (abs(t.D), t.d))
-    return terms
+    chi = np.empty((len(D), len(primes)), dtype=np.int8)
+    for j, p in enumerate(primes):
+        chi[:, j] = _kron_at_prime(D, int(p))
+    return Terms(d, D, N, L1S, chi, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +408,33 @@ def _prefactor(s: float, S: PlaceSet, digits: int = 30) -> float:
     )
 
 
-def _truncated_sum(terms: list[_Term], primes, s: float) -> float:
-    if not terms:
-        return 0.0
-    l2s = _l2s_values(terms, primes, 2 * s)
-    N = np.array([t.N for t in terms], dtype=np.float64)
-    L1S = np.array([t.L1S for t in terms])
-    vals = L1S / (l2s * N ** (s - 0.5))
-    return float(np.add.reduce(vals))
+def _l2s_values(terms: Terms, two_s: float) -> np.ndarray:
+    """L^S(2s, chi_d) for every term, by the truncated Euler product over the
+    primes outside S (absolute accuracy ~1e-7 at 2s >= 3; the tail is far
+    below the truncation-model error everywhere this is used)."""
+    pw = terms.primes ** (-two_s)
+    out = np.empty(len(terms))
+    for i in range(0, len(terms), _L2S_ROWS):
+        out[i : i + _L2S_ROWS] = 1.0 / np.prod(1.0 - terms.chi[i : i + _L2S_ROWS] * pw, axis=1)
+    return out
+
+
+def _summands(terms: Terms, s: float) -> np.ndarray:
+    return terms.L1S / (_l2s_values(terms, 2 * s) * terms.N ** (s - 0.5))
+
+
+def _truncated_sum(terms: Terms, s: float) -> float:
+    return float(np.add.reduce(_summands(terms, s)))
+
+
+def _grid_sums(terms: Terms, eps_grid) -> dict:
+    """eps -> the truncated sum at s = 3/2 + eps."""
+    return {e: _truncated_sum(terms, 1.5 + e) for e in eps_grid}
 
 
 def xi_partial(s: float, alpha, S: PlaceSet, X: int,
                method: str = "class-number-formula", cache=None,
-               terms: list[_Term] | None = None) -> float:
+               terms: Terms | None = None) -> float:
     """Truncated xi^S(s; alpha): prefactor times the sum over the classes
     with |fundamental discriminant| <= X.  Requires s > 3/2 and 2 in S."""
     if s <= 1.5:
@@ -332,8 +442,7 @@ def xi_partial(s: float, alpha, S: PlaceSet, X: int,
     S.require_2("the Shintani zeta function")
     if terms is None:
         terms = build_terms(alpha, S, X, method, cache)
-    primes = _small_primes_for_l2s(S)
-    return _prefactor(s, S) * _truncated_sum(terms, primes, s)
+    return _prefactor(s, S) * _truncated_sum(terms, s)
 
 
 def residue_exact_value(S: PlaceSet) -> Fraction:
@@ -344,11 +453,11 @@ def residue_exact_value(S: PlaceSet) -> Fraction:
     return out
 
 
-def _fit_tail(terms: list[_Term], primes) -> dict:
+def _fit_tail(terms: Terms) -> dict:
     """Fit A(t) = sum_{N_d <= t} a_d ~ kappa*t + c*sqrt(t) on the top
     three quarters of the data; a_d = L^S(1,chi_d)/L^S(3,chi_d)."""
-    a = np.array([t.L1S for t in terms]) / _l2s_values(terms, primes, 3.0)
-    N = np.array([t.N for t in terms], dtype=np.float64)
+    a = terms.L1S / _l2s_values(terms, 3.0)
+    N = terms.N.astype(np.float64)
     A = np.cumsum(a)
     n_max = N[-1]
     mask = N >= n_max / 4
@@ -401,10 +510,11 @@ def _poly_extrapolate(xs, ys):
 
 
 def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
-                    cache=None, terms=None):
+                    cache=None, terms=None, fit=None, sums=None):
     """Estimate lim eps * xi^S(3/2+eps; alpha) from the truncated sum over
     the eps grid with the fitted tail model; the exact target 2^{-|S|} c_F^S
-    is returned alongside for comparison.
+    is returned alongside for comparison.  `fit` (from _fit_tail) and `sums`
+    (from _grid_sums over config.eps_grid) are computed when not given.
 
     Returns (estimate, exact: Fraction, error_estimate, diagnostics).
     """
@@ -412,22 +522,23 @@ def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     S.require_2("the Shintani residue")
     if terms is None:
         terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    primes = _small_primes_for_l2s(S)
+    if sums is None:
+        sums = _grid_sums(terms, config.eps_grid)
     exact = residue_exact_value(S)
     if not config.tail_model:
-        ys = [e * _prefactor(1.5 + e, S, config.digits) * _truncated_sum(terms, primes, 1.5 + e)
-              for e in config.eps_grid]
+        ys = [e * _prefactor(1.5 + e, S, config.digits) * sums[e] for e in config.eps_grid]
         val, spread = _poly_extrapolate(config.eps_grid, ys)
         diag = {"tail_model": False,
                 "warning": "residue estimate without tail model diverges from the "
                            "pole as eps -> 0; increase X or enable the tail model"}
         return val, exact, abs(val - ys[-1]) + spread, diag
-    fit = _fit_tail(terms, primes)
+    if fit is None:
+        fit = _fit_tail(terms)
     ys = []
     for e in config.eps_grid:
         P = _prefactor(1.5 + e, S, config.digits)
         tail = _tail_integral(e, fit["N_max"], fit["kappa_hat"], fit["c_hat"])
-        ys.append(e * P * (_truncated_sum(terms, primes, 1.5 + e) + tail))
+        ys.append(e * P * (sums[e] + tail))
     val, spread = _poly_extrapolate(config.eps_grid, ys)
     P32 = _prefactor(1.5, S, config.digits)
     err = spread + fit["kappa_stderr"] * P32
@@ -438,13 +549,14 @@ def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
 
 
 def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
-                      cache=None, terms=None):
+                      cache=None, terms=None, fit=None, sums=None):
     """The Laurent constant C_F(S,alpha) of xi^S(s;alpha) at s=3/2.
 
     c(eps) = xi^S(3/2+eps) - R/eps is formed with the EXACT residue R
     (the pole is never fitted); the tail model supplies the truncated part
     of the sum with its leading coefficient pinned to R, and c(eps) is then
-    extrapolated polynomially to eps -> 0.
+    extrapolated polynomially to eps -> 0.  `fit` and `sums` are as in
+    residue_at_pole.
 
     Returns (value, error_estimate, unstable_flag, diagnostics).
     """
@@ -452,8 +564,10 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     S.require_2("the Shintani constant")
     if terms is None:
         terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    primes = _small_primes_for_l2s(S)
-    fit = _fit_tail(terms, primes)
+    if fit is None:
+        fit = _fit_tail(terms)
+    if sums is None:
+        sums = _grid_sums(terms, config.eps_grid)
     R = float(residue_exact_value(S))
     P32 = _prefactor(1.5, S, config.digits)
     kappa_star = R / P32
@@ -466,7 +580,7 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     for e in config.eps_grid:
         P = _prefactor(1.5 + e, S, config.digits)
         tail = _tail_integral(e, fit["N_max"], kappa_star, c_star)
-        xi_model = P * (_truncated_sum(terms, primes, 1.5 + e) + tail)
+        xi_model = P * (sums[e] + tail)
         cs.append(xi_model - R / e)
     val, spread = _poly_extrapolate(config.eps_grid, cs)
     # tail-fluctuation contribution to the error: rms of the pinned fit
@@ -487,16 +601,16 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
 
 def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
                  cache=None) -> ShintaniResult:
-    """Full evaluation: grid values, residue estimate vs exact, constant term."""
+    """Full evaluation: grid values, residue estimate vs exact, constant term.
+    The terms, the tail fit and the grid sums are made once and shared."""
     config = config or ShintaniConfig()
     terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    primes = _small_primes_for_l2s(S)
-    grid = {
-        e: _prefactor(1.5 + e, S, config.digits) * _truncated_sum(terms, primes, 1.5 + e)
-        for e in config.eps_grid
-    }
-    res_est, res_exact, res_err, diag_r = residue_at_pole(alpha, S, config, cache, terms)
-    cf, cf_err, unstable, diag_c = shintani_constant(alpha, S, config, cache, terms)
+    sums = _grid_sums(terms, config.eps_grid)
+    fit = _fit_tail(terms)
+    grid = {e: _prefactor(1.5 + e, S, config.digits) * sums[e] for e in config.eps_grid}
+    shared = {"terms": terms, "fit": fit, "sums": sums}
+    res_est, res_exact, res_err, diag_r = residue_at_pole(alpha, S, config, cache, **shared)
+    cf, cf_err, unstable, diag_c = shintani_constant(alpha, S, config, cache, **shared)
     diag = {"residue": diag_r, "constant": diag_c}
     return ShintaniResult(
         grid_values=grid,
@@ -514,14 +628,12 @@ def tail_block_check(alpha, S: PlaceSet, eps: float, X: int,
                      cache=None) -> dict:
     """Self-check of the tail model: the measured partial sum over
     X/2 < |D| <= X against the fitted-law prediction."""
-    config = ShintaniConfig(X=X)
+    ShintaniConfig(X=X)  # validates X
     terms = build_terms(alpha, S, X, cache=cache)
-    primes = _small_primes_for_l2s(S)
-    fit = _fit_tail(terms, primes)
-    half = [t for t in terms if abs(t.D) > X / 2]
-    rest = [t for t in terms if abs(t.D) <= X / 2]
-    measured = _truncated_sum(terms, primes, 1.5 + eps) - _truncated_sum(rest, primes, 1.5 + eps)
-    N_lo = min(t.N for t in half)
+    fit = _fit_tail(terms)
+    half = np.abs(terms.D) > X / 2
+    measured = float(np.add.reduce(_summands(terms, 1.5 + eps)[half]))
+    N_lo = float(terms.N[half].min())
     N_hi = fit["N_max"]
     predicted = (
         _tail_integral(eps, N_lo, fit["kappa_hat"], fit["c_hat"])

@@ -19,6 +19,10 @@ class MemCache(dict):
     def put(self, rec):
         self[int(rec["D"])] = rec
 
+    def put_many(self, records):
+        for rec in records:
+            self.put(rec)
+
 
 CACHE = MemCache()
 

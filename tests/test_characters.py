@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracecoef.arith import PlaceSet, hilbert, is_square_at, sclass_reps
+from tracecoef.arith import PlaceSet, hilbert, is_square_at, sclass_reps, squarefree_kernel
 from tracecoef.characters import (
     QuadChar,
     chi_S,
@@ -145,6 +145,21 @@ def test_disc_classes_bounded():
     assert Ds == sorted(Ds)
     with pytest.raises(ValueError):
         disc_classes(S2, reps[-1], kind="Q_S")
+
+
+@pytest.mark.parametrize("S", [S2, S23, PlaceSet.of(2, 5)])
+def test_disc_classes_congruence_matches_brute_scan(S):
+    """The congruence mask selects exactly the squarefree d with
+    |D| <= X for which d/alpha is a square at every v in S."""
+    X = 3000
+    candidates = [m for n in range(1, X + 1) for m in (n, -n)
+                  if m != 1 and squarefree_kernel(m) == m
+                  and abs(fundamental_discriminant_of(m)) <= X]
+    for rep in sclass_reps(S):
+        brute = [m for m in candidates
+                 if all(is_square_at(Fraction(m, rep.value), v) for v in S)]
+        brute.sort(key=lambda m: (abs(fundamental_discriminant_of(m)), m))
+        assert disc_classes(S, rep, X=X, kind="Q_S").entries == tuple(brute), rep.value
 
 
 def test_conductor_outside():

@@ -107,6 +107,55 @@ def test_cache_highest_digits_wins(tmp_path):
     assert c.get(-4)["L1"] == 0.785398
 
 
+def test_cache_put_many_same_bytes_as_put(tmp_path):
+    """One batched append writes what the sequential puts write, with the
+    same digits precedence applied to each record."""
+    with open(tmp_path / "seed.jsonl", "w") as fh:
+        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20}) + "\n")
+    recs = [{"D": -4, "L1": 0.7, "method": "m", "digits": 15},      # fewer digits: skipped
+            {"D": 5, "L1": 0.43, "method": "m", "digits": 15},
+            {"D": 8, "L1": 0.62, "method": "m", "digits": 15},
+            {"D": 5, "L1": 0.4304, "method": "m", "digits": 15}]   # tie: written, wins
+    paths = []
+    for name in ("put", "put_many"):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes((tmp_path / "seed.jsonl").read_bytes())
+        c = JsonlCache(str(path))
+        if name == "put":
+            for rec in recs:
+                c.put(rec)
+        else:
+            c.put_many(recs)
+        assert c.get(-4)["L1"] == 0.785398 and c.get(5)["L1"] == 0.4304
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(paths[1].read_text().splitlines()) == 4
+
+
+def test_parser_reused_without_leaking_options(tmp_path, capsys):
+    """main builds its parser once; options of one call do not carry over
+    into the next, across subcommands.  coeff has no --l1-method, so a
+    leaked one would make it fill the cache by the smoothed method."""
+    from tracecoef import cli
+
+    code, out = run_cli(capsys, "shintani", "--alpha", "-1", "--S", "2", "--X", "2000",
+                        "--l1-method", "smoothed-character-sum", "--json")
+    assert code == 0 and json.loads(out)["inputs"]["l1_method"] == "smoothed-character-sum"
+    path = tmp_path / "cache.jsonl"
+    code, out = run_cli(capsys, "coeff", "--group", "sp2", "--orbit", "sub", "--alpha", "-1",
+                        "--S", "2", "--X", "2000", "--cache", str(path))
+    assert code == 0 and "\n" in out.strip()          # pretty: --json did not carry over
+    methods = {json.loads(line)["method"] for line in path.read_text().splitlines()}
+    assert methods == {"class-number-formula"}
+    code, out = run_cli(capsys, "lfun", "--chi", "-4", "--s", "2", "--S", "2", "--deriv",
+                        "--json")
+    assert code == 0 and set(json.loads(out)["result"]) == {"derivative"}
+    code, out = run_cli(capsys, "lfun", "--chi", "-4", "--S", "2", "--json")
+    doc = json.loads(out)
+    assert code == 0 and set(doc["result"]) == {"value"} and doc["inputs"]["s"] == 2.0
+    assert cli._parser() is cli._parser()
+
+
 def test_cache_env_default(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "envcache.jsonl")
     monkeypatch.setenv("TRACECOEF_CACHE", path)

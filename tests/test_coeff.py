@@ -118,6 +118,10 @@ def test_gsp2_sub_derivative_term_presence():
         def put(self, rec):
             self[rec["D"]] = rec
 
+        def put_many(self, records):
+            for rec in records:
+                self.put(rec)
+
     c = C()
     r1 = coeff_gsp2(S2, SymForm2.x_alpha(1), config=CFG, cache=c)
     r3 = coeff_gsp2(S2, SymForm2.x_alpha(3), config=CFG, cache=c)

@@ -11,11 +11,19 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from tracecoef.arith import PlaceSet
-from tracecoef.characters import QuadChar, is_fundamental_discriminant
+from tracecoef.arith import PlaceSet, kronecker, primes_up_to, spf_table
+from tracecoef.characters import (
+    QuadChar,
+    conductor_outside,
+    disc_classes,
+    fundamental_discriminant_of,
+    is_fundamental_discriminant,
+)
 from tracecoef import lfun
 from tracecoef.shintani import (
     ShintaniConfig,
+    _h_imag_bulk,
+    _hlog_real_bulk,
     build_terms,
     class_data_real,
     class_number_imag,
@@ -155,7 +163,7 @@ def test_xi_rejects_bad_inputs():
 
 def test_positivity_of_summands():
     terms = build_terms(-1, S2, 4000)
-    assert all(t.L1S > 0 for t in terms)
+    assert len(terms) and (terms.L1S > 0).all()
 
 
 def test_residue_exact_targets():
@@ -219,6 +227,17 @@ def test_shintani_run_shape():
     assert res.constant_error > 0
 
 
+def test_shintani_run_shares_fit_and_sums():
+    """shintani_run hands its one tail fit and grid sums to the pole-data
+    entry points; called alone, they compute the same values."""
+    cfg = ShintaniConfig(X=10**4)
+    res = shintani_run(-1, S2, cfg)
+    est, exact, err, _ = residue_at_pole(-1, S2, cfg)
+    cf, cf_err, unstable, _ = shintani_constant(-1, S2, cfg)
+    assert (res.residue_estimate, res.residue_error) == (est, err)
+    assert (res.constant_CF, res.constant_error, res.unstable) == (cf, cf_err, unstable)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ShintaniConfig(X=100)
@@ -258,6 +277,7 @@ class DictCache:
     def __init__(self):
         self.stored = {}
         self.hits = 0
+        self.batches = 0
 
     def get(self, D):
         rec = self.stored.get(D)
@@ -268,14 +288,20 @@ class DictCache:
     def put(self, rec):
         self.stored[rec["D"]] = rec
 
+    def put_many(self, records):
+        self.batches += 1
+        for rec in records:
+            self.put(rec)
+
 
 def test_cache_consumed_and_filled():
+    """The misses are stored in one batch; a second pass only reads."""
     c = DictCache()
     build_terms(-1, S2, 4000, cache=c)
-    assert c.stored and c.hits == 0
+    assert c.stored and c.hits == 0 and c.batches == 1
     n = len(c.stored)
     build_terms(-1, S2, 4000, cache=c)
-    assert c.hits == n
+    assert c.hits == n and c.batches == 1
 
 
 def test_cache_record_of_other_method_not_served():
@@ -283,8 +309,8 @@ def test_cache_record_of_other_method_not_served():
     c = DictCache()
     c.put({"D": -4, "L1": 123.0, "method": "class-number-formula"})
     terms = build_terms(-1, S2, 200, method="smoothed-character-sum", cache=c)
-    t = next(t for t in terms if t.D == -4)
-    assert abs(t.L1S - math.pi / 4) < 1e-9
+    (L1S,) = terms.L1S[terms.D == -4]
+    assert abs(L1S - math.pi / 4) < 1e-9
     assert c.stored[-4]["method"] == "smoothed-character-sum"
 
 
@@ -314,8 +340,64 @@ def test_constant_same_for_distinct_squarefree_reps_of_class():
     over {oo,2}; the enumerated class data and the constant coincide."""
     t1 = build_terms(-1, S2, 8000)
     t2 = build_terms(-17, S2, 8000)
-    assert [(t.d, t.N) for t in t1] == [(t.d, t.N) for t in t2]
+    assert t1.d.tolist() == t2.d.tolist() and t1.N.tolist() == t2.N.tolist()
     cfg = ShintaniConfig(X=2 * 10**4)
     v1, *_ = shintani_constant(-1, S2, cfg)
     v2, *_ = shintani_constant(-17, S2, cfg)
     assert v1 == v2
+
+
+def test_bulk_class_numbers_imag():
+    """The strided reduced-form count equals the per-D count at every
+    fundamental D < 0 with |D| <= 2*10^4."""
+    X = 2 * 10**4
+    h = _h_imag_bulk(X)
+    spf = spf_table(X)
+    Ds = [D for D in range(-X, 0) if is_fundamental_discriminant(D)]
+    assert len(Ds) > 6000
+    assert [int(h[-D]) for D in Ds] == [class_number_imag(D, spf) for D in Ds]
+
+
+def test_bulk_regulators_real():
+    """2 * sum over reduced triples of log((b+sqrt D)/2a) equals the cycle
+    count times the cycle-product regulator, for every fundamental
+    0 < D <= 2*10^4."""
+    import numpy as np
+
+    X = 2 * 10**4
+    spf = spf_table(X)
+    Ds = [D for D in range(2, X + 1) if is_fundamental_discriminant(D)]
+    bulk = _hlog_real_bulk(np.array(Ds, dtype=np.int64))
+    for D, got in zip(Ds, bulk):
+        h_plus, log_eps = class_data_real(D, spf)
+        want = h_plus * log_eps
+        assert abs(got - want) <= 1e-13 * want, D
+
+
+def _scalar_terms(alpha, S, X):
+    """The terms one discriminant at a time, as rows (d, D, N, L1S, chi)."""
+    primes = [p for p in primes_up_to(600) if p not in S.primes]
+    rows = []
+    for d in disc_classes(S, alpha, X=X, kind="Q_S").entries:
+        D = fundamental_discriminant_of(d)
+        L1S = l1_class_number(D)
+        for p in S.primes:
+            if D % p:
+                L1S *= 1.0 - kronecker(D, p) / p
+        rows.append((d, D, conductor_outside(d, S).N_fdS, L1S,
+                     [kronecker(D, p) for p in primes]))
+    return rows
+
+
+@pytest.mark.parametrize("alpha,S", [(-1, S2), (2, S2), (-15, PlaceSet.of(2, 3)),
+                                     (5, PlaceSet.of(2, 5))])
+def test_build_terms_matches_scalar_rebuild(alpha, S):
+    terms = build_terms(alpha, S, 4000)
+    rows = _scalar_terms(alpha, S, 4000)
+    assert len(terms) == len(rows) > 20
+    assert terms.d.tolist() == [r[0] for r in rows]
+    assert terms.D.tolist() == [r[1] for r in rows]
+    assert terms.N.tolist() == [r[2] for r in rows]
+    assert terms.chi.tolist() == [r[4] for r in rows]
+    for got, r in zip(terms.L1S.tolist(), rows):
+        assert abs(got - r[3]) <= 1e-13 * r[3], r[1]

@@ -2,8 +2,14 @@
 
 Places of Q, integer factorization, Kronecker and Hilbert symbols, and the
 local/global square- and cube-class bookkeeping that everything else is
-built on.  All computations here are exact (int / Fraction); nothing in
-this module touches floating point.
+built on.  All computations here are exact; nothing in this module touches
+floating point.
+
+The local symbols take an int, a Fraction or anything Fraction() accepts,
+and work on integers only: x = num/den lies in the square class of the
+integer num*den and in the cube class of num*den^2, so every square- and
+cube-class question is answered by p-adic valuations and residues of that
+integer, with no Fraction built per call.
 """
 from __future__ import annotations
 
@@ -56,40 +62,56 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _num_den(x) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational; int and Fraction
+    pass through, anything else goes through Fraction() once."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and p not dividing u, for an integer n != 0."""
+    v = 0
+    q, r = divmod(n, p)
+    while not r:
+        n = q
+        v += 1
+        q, r = divmod(n, p)
+    return v, n
+
+
+def _square_int(x, what: str) -> int:
+    """The integer num*den, in the square class of x = num/den != 0."""
+    num, den = _num_den(x)
+    if num == 0:
+        raise ValueError(f"{what} of 0")
+    return num * den
+
+
+def _cube_int(x, what: str) -> int:
+    """The integer num*den^2, in the cube class of x = num/den != 0."""
+    num, den = _num_den(x)
+    if num == 0:
+        raise ValueError(f"{what} of 0")
+    return num * den * den
+
+
 def valuation(x: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
+    num, den = _num_den(x)
+    if num == 0:
         raise ValueError("valuation of 0")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def unit_part(x: int | Fraction, p: int) -> Fraction:
-    """x / p^{v_p(x)} as an exact rational (a p-adic unit)."""
-    return Fraction(x) / Fraction(p) ** valuation(x, p)
-
-
-def _unit_mod(u: Fraction, modulus: int) -> int:
-    """Reduce a p-adic unit written as a fraction modulo `modulus`."""
-    num = u.numerator % modulus
-    den = u.denominator % modulus
-    return (num * pow(den, -1, modulus)) % modulus
+    if den % p:
+        return _split(num, p)[0]
+    return -_split(den, p)[0]
 
 
 def squarefree_kernel(x: int | Fraction) -> int:
     """The unique squarefree integer in the square class of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("square class of 0")
-    n = x.numerator * x.denominator
+    n = _square_int(x, "square class")
     out = 1 if n > 0 else -1
     for p, e in factorize(n).items():
         if e % 2:
@@ -103,10 +125,7 @@ def cubefree_kernel(x: int | Fraction) -> int:
     -1 is a cube, so every class has a positive representative; x*den^3 =
     num*den^2 shifts into the integers, and exponents are reduced mod 3.
     """
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("cube class of 0")
-    n = abs(x.numerator) * x.denominator**2
+    n = _cube_int(x, "cube class")
     out = 1
     for p, e in factorize(n).items():
         out *= p ** (e % 3)
@@ -156,21 +175,17 @@ def kronecker(a: int, n: int) -> int:
 
 def hilbert(a: int | Fraction, b: int | Fraction, v) -> int:
     """Hilbert symbol (a,b)_v: +1 iff a x^2 + b y^2 = z^2 has a nontrivial
-    solution over the completion at v.  v is OO or a prime."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    # replace by integers in the same square classes
-    ai = a.numerator * a.denominator
-    bi = b.numerator * b.denominator
+    solution over the completion at v.  v is OO or a prime.
+
+    Serre's closed forms (A Course in Arithmetic, III.1.2), applied to
+    integers in the square classes of a and b."""
+    ai = _square_int(a, "hilbert symbol")
+    bi = _square_int(b, "hilbert symbol")
     if v == OO:
         return -1 if (ai < 0 and bi < 0) else 1
     p = v
-    alpha = valuation(ai, p)
-    beta = valuation(bi, p)
-    u = ai // p**alpha
-    w = bi // p**beta
+    alpha, u = _split(ai, p)
+    beta, w = _split(bi, p)
     if p != 2:
         res = 1
         if (alpha * beta) % 2 and p % 4 == 3:
@@ -180,21 +195,16 @@ def hilbert(a: int | Fraction, b: int | Fraction, v) -> int:
         if alpha % 2:
             res *= kronecker(w, p)
         return res
-    # p = 2: (-1)^{eps(u)eps(w) + alpha*omega(w) + beta*omega(u)}
-    def eps(m: int) -> int:  # (m-1)/2 mod 2 for odd m
-        return ((m % 8) - 1) // 2 % 2
-
-    def omega(m: int) -> int:  # (m^2-1)/8 mod 2 for odd m
-        return ((m % 8) ** 2 - 1) // 8 % 2
-
-    e = eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)
+    # p = 2: (-1)^{eps(u)eps(w) + alpha*omega(w) + beta*omega(u)} with
+    # eps(m) = (m-1)/2 and omega(m) = (m^2-1)/8 mod 2 for odd m
+    u8, w8 = u % 8, w % 8
+    e = (u8 % 4 == 3) * (w8 % 4 == 3) + alpha * (w8 in (3, 5)) + beta * (u8 in (3, 5))
     return -1 if e % 2 else 1
 
 
 def hilbert_product_places(a: int | Fraction, b: int | Fraction) -> list:
     """Places where (a,b)_v can be nontrivial: OO and primes dividing 2ab."""
-    a, b = Fraction(a), Fraction(b)
-    n = 2 * a.numerator * a.denominator * b.numerator * b.denominator
+    n = 2 * _square_int(a, "hilbert symbol") * _square_int(b, "hilbert symbol")
     return [OO] + sorted(factorize(n))
 
 
@@ -204,33 +214,28 @@ def hilbert_product_places(a: int | Fraction, b: int | Fraction) -> list:
 
 def is_square_at(x: int | Fraction, v) -> bool:
     """Is x a square in the completion at v?"""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("square test needs nonzero input")
+    n = _square_int(x, "square test")
     if v == OO:
-        return x > 0
+        return n > 0
     p = v
-    if valuation(x, p) % 2:
+    e, u = _split(n, p)
+    if e % 2:
         return False
-    u = unit_part(x, p)
     if p == 2:
-        return _unit_mod(u, 8) == 1
-    return kronecker(_unit_mod(u, p), p) == 1
+        return u % 8 == 1
+    return kronecker(u, p) == 1
 
 
 def local_square_class(x: int | Fraction, v):
     """Canonical label of the coset of x in Q_v^x / (Q_v^x)^2."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("square class of 0")
+    n = _square_int(x, "square class")
     if v == OO:
-        return ("sign", 1 if x > 0 else -1)
+        return ("sign", 1 if n > 0 else -1)
     p = v
-    vp = valuation(x, p) % 2
-    u = unit_part(x, p)
+    e, u = _split(n, p)
     if p == 2:
-        return (vp, _unit_mod(u, 8))
-    return (vp, kronecker(_unit_mod(u, p), p))
+        return (e % 2, u % 8)
+    return (e % 2, kronecker(u, p))
 
 
 def local_square_labels(v) -> list:
@@ -248,42 +253,39 @@ def local_square_labels(v) -> list:
 
 def is_cube_at(x: int | Fraction, v) -> bool:
     """Is x a cube in the completion at v?  (At OO every real is a cube.)"""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("cube test needs nonzero input")
+    n = _cube_int(x, "cube test")
     if v == OO:
         return True
     p = v
-    if valuation(x, p) % 3:
+    e, u = _split(n, p)
+    if e % 3:
         return False
-    u = unit_part(x, p)
     # Hensel: for p != 3 a unit cube mod p lifts (derivative 3t^2 is a unit);
     # for p = 3 solvability mod 27 suffices (v(f') = 1).
     if p == 3:
-        m, um = 27, _unit_mod(u, 27)
-        return any(pow(t, 3, m) == um for t in range(1, m) if t % 3)
-    um = _unit_mod(u, p)
+        um = u % 27
+        return any(pow(t, 3, 27) == um for t in range(1, 27) if t % 3)
+    um = u % p
     return any(pow(t, 3, p) == um for t in range(1, p))
 
 
 def local_cube_class(x: int | Fraction, v):
     """Canonical label of the coset of x in Q_v^x / (Q_v^x)^3."""
-    x = Fraction(x)
+    n = _cube_int(x, "cube class")
     if v == OO:
         return ("real", 0)
     p = v
-    vp = valuation(x, p) % 3
-    u = unit_part(x, p)
+    e, u = _split(n, p)
     if p == 3:
-        um = _unit_mod(u, 9)
+        um = u % 9
         for rep in (1, 2, 4):
             if any((rep * pow(t, 3, 9)) % 9 == um for t in (1, 2, 4, 5, 7, 8)):
-                return (vp, rep)
+                return (e % 3, rep)
         raise AssertionError("unreachable: units mod 9 split into 3 cube cosets")
     if p % 3 == 2:
-        return (vp, 1)
+        return (e % 3, 1)
     # p = 1 mod 3: the cubic-residue power u^{(p-1)/3} mod p labels the coset
-    return (vp, pow(_unit_mod(u, p), (p - 1) // 3, p))
+    return (e % 3, pow(u, (p - 1) // 3, p))
 
 
 def local_cube_labels(v) -> list:
@@ -350,7 +352,8 @@ class SquareClassRep:
     local_labels: dict = field(compare=False, hash=False)
 
     def same_class(self, x: int | Fraction, S: PlaceSet) -> bool:
-        return all(is_square_at(Fraction(x) / self.value, v) for v in S)
+        n = _square_int(x, "square class") * self.value  # x / value up to a square
+        return all(is_square_at(n, v) for v in S)
 
 
 @dataclass(frozen=True)
@@ -361,7 +364,8 @@ class CubeClassRep:
     local_labels: dict = field(compare=False, hash=False)
 
     def same_class(self, x: int | Fraction, S: PlaceSet) -> bool:
-        return all(is_cube_at(Fraction(x) / self.value, v) for v in S)
+        n = _cube_int(x, "cube class") * self.value**2  # x / value up to a cube
+        return all(is_cube_at(n, v) for v in S)
 
 
 def _squarefree_scan(bound: int):

@@ -18,6 +18,7 @@ from .arith import (
     OO,
     PlaceSet,
     ScanBoundError,
+    SquareClassRep,
     cclass_reps,
     hilbert,
     local_square_class,
@@ -68,6 +69,8 @@ def diagonalize(x: SymForm2) -> tuple[Fraction, Fraction]:
     """A rational congruence diagonalization (alpha, beta); alpha*beta and
     det(x) agree up to a square."""
     a, b, c = x.a, x.b, x.c
+    if b == 0:
+        return a, c
     if a != 0:
         return a, c - b * b / a
     if c != 0:
@@ -83,7 +86,11 @@ def diagonalize(x: SymForm2) -> tuple[Fraction, Fraction]:
 def hasse(x: SymForm2, v) -> int:
     """eps_v(x) = (alpha,alpha)_v (alpha,beta)_v (beta,beta)_v; independent of
     the diagonalization choice (proved true, and property-tested)."""
-    alpha, beta = diagonalize(x)
+    return _hasse_diag(*diagonalize(x), v)
+
+
+def _hasse_diag(alpha, beta, v) -> int:
+    """eps_v of diag(alpha, beta)."""
     return hilbert(alpha, alpha, v) * hilbert(alpha, beta, v) * hilbert(beta, beta, v)
 
 
@@ -94,7 +101,8 @@ def hasse_profile(x: SymForm2, S: PlaceSet) -> dict:
 def classify_form(x: SymForm2, S: PlaceSet, rel: str = "det"):
     """Class label of x: for rel="det" the tuple of local square-class labels
     of -det(x) over S; for rel="det+hasse" additionally the Hasse profile."""
-    det_key = tuple(local_square_class(-x.det, v) for v in S)
+    minus_det = -x.det
+    det_key = tuple(local_square_class(minus_det, v) for v in S)
     if rel == "det":
         return det_key
     if rel == "det+hasse":
@@ -136,38 +144,38 @@ def realizable_eps(v, d) -> frozenset:
     hit = _real_eps_cache.get(key)
     if hit is not None:
         return hit
-    found = set()
-    for u in _local_sq_reps(v):
-        f = SymForm2(Fraction(u), Fraction(0), -Fraction(d) / u)
-        found.add(hasse(f, v))
-    out = frozenset(found)
+    out = frozenset(_hasse_diag(u, -Fraction(d) / u, v) for u in _local_sq_reps(v))
     _real_eps_cache[key] = out
     return out
 
 
-def enum_form_classes(S: PlaceSet, rel: str = "det", bound: int = 10**4) -> list[SymForm2]:
+def enum_form_classes(S: PlaceSet, rel: str = "det", bound: int = 10**4,
+                      reps: list[SquareClassRep] | None = None) -> list[SymForm2]:
     """Representatives of V^ss(F)/~ for the chosen relation.
 
     rel="det": one diag(1,-alpha) per S-square class alpha (via -det).
     rel="det+hasse": representatives for every realizable (det class, Hasse
-    tuple), found as diag(u, -alpha*u) with u scanned over small squarefree
-    integers.
+    tuple), found as diag(u, -alpha*u) with u scanned over the same class
+    representatives as alpha.  `reps` is sclass_reps(S, bound), scanned here
+    when not given.
     """
-    alphas = sclass_reps(S, bound=bound)
-    if rel == "det":
-        return [SymForm2.x_alpha(a.value) for a in alphas]
-    if rel != "det+hasse":
+    if rel not in ("det", "det+hasse"):
         raise ValueError(f"unknown relation {rel!r}")
+    if reps is None:
+        reps = sclass_reps(S, bound=bound)
+    if rel == "det":
+        return [SymForm2.x_alpha(a.value) for a in reps]
+    us = [x.value for x in reps]
     out: list[SymForm2] = []
-    for a in alphas:
+    for a in reps:
         targets = set(product(*[sorted(realizable_eps(v, a.value)) for v in S]))
         seen = set()
-        for u in (x.value for x in sclass_reps(S, bound=bound)):
-            f = SymForm2(Fraction(u), Fraction(0), Fraction(-a.value * u))
-            key = tuple(hasse(f, v) for v in S)
+        for u in us:
+            w = -a.value * u
+            key = tuple(_hasse_diag(u, w, v) for v in S)
             if key in targets and key not in seen:
                 seen.add(key)
-                out.append(f)
+                out.append(SymForm2(u, 0, w))
                 if len(seen) == len(targets):
                     break
         if len(seen) != len(targets):
@@ -216,18 +224,20 @@ def unipotent_orbit_set(group: str, S: PlaceSet, bound: int = 10**4) -> list[Orb
         ]
     if g in ("gsp2", "sp2"):
         S.require_2(f"the {group} orbit set")
-        rel = "det" if g == "gsp2" else "det+hasse"
-        x1 = SymForm2.x_alpha(1)
-        orbits = [OrbitClass(g, "tri"), OrbitClass(g, "min")] if g == "gsp2" else (
-            [OrbitClass(g, "tri")] + [OrbitClass(g, "min", a) for a in sclass_reps(S, bound)]
-        )
-        for f in enum_form_classes(S, rel, bound):
-            typ = "sub'" if is_equiv(f, x1, S, rel) else "sub"
+        if g == "gsp2":
+            rel, reps = "det", None
+            orbits = [OrbitClass(g, "tri"), OrbitClass(g, "min")]
+        else:
+            rel, reps = "det+hasse", sclass_reps(S, bound)
+            orbits = [OrbitClass(g, "tri")] + [OrbitClass(g, "min", a) for a in reps]
+        key1 = classify_form(SymForm2.x_alpha(1), S, rel)
+        for f in enum_form_classes(S, rel, bound, reps):
+            typ = "sub'" if classify_form(f, S, rel) == key1 else "sub"
             orbits.append(OrbitClass(g, typ, f))
         if g == "gsp2":
             orbits.append(OrbitClass(g, "reg"))
         else:
-            orbits += [OrbitClass(g, "reg", a) for a in sclass_reps(S, bound)]
+            orbits += [OrbitClass(g, "reg", a) for a in reps]
         return orbits
     raise ValueError(f"unknown group {group!r}")
 

@@ -408,6 +408,11 @@ def _prefactor(s: float, S: PlaceSet, digits: int = 30) -> float:
     )
 
 
+def _prefactors(S: PlaceSet, config: ShintaniConfig) -> dict:
+    """eps -> _prefactor(3/2 + eps) over config.eps_grid, and at eps = 0."""
+    return {e: _prefactor(1.5 + e, S, config.digits) for e in (*config.eps_grid, 0.0)}
+
+
 def _l2s_values(terms: Terms, two_s: float) -> np.ndarray:
     """L^S(2s, chi_d) for every term, by the truncated Euler product over the
     primes outside S (absolute accuracy ~1e-7 at 2s >= 3; the tail is far
@@ -510,11 +515,12 @@ def _poly_extrapolate(xs, ys):
 
 
 def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
-                    cache=None, terms=None, fit=None, sums=None):
+                    cache=None, terms=None, fit=None, sums=None, prefactors=None):
     """Estimate lim eps * xi^S(3/2+eps; alpha) from the truncated sum over
     the eps grid with the fitted tail model; the exact target 2^{-|S|} c_F^S
-    is returned alongside for comparison.  `fit` (from _fit_tail) and `sums`
-    (from _grid_sums over config.eps_grid) are computed when not given.
+    is returned alongside for comparison.  `fit` (from _fit_tail), `sums`
+    (from _grid_sums over config.eps_grid) and `prefactors` (from
+    _prefactors) are computed when not given.
 
     Returns (estimate, exact: Fraction, error_estimate, diagnostics).
     """
@@ -524,9 +530,11 @@ def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
         terms = build_terms(alpha, S, config.X, config.L1_method, cache)
     if sums is None:
         sums = _grid_sums(terms, config.eps_grid)
+    if prefactors is None:
+        prefactors = _prefactors(S, config)
     exact = residue_exact_value(S)
     if not config.tail_model:
-        ys = [e * _prefactor(1.5 + e, S, config.digits) * sums[e] for e in config.eps_grid]
+        ys = [e * prefactors[e] * sums[e] for e in config.eps_grid]
         val, spread = _poly_extrapolate(config.eps_grid, ys)
         diag = {"tail_model": False,
                 "warning": "residue estimate without tail model diverges from the "
@@ -536,12 +544,10 @@ def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
         fit = _fit_tail(terms)
     ys = []
     for e in config.eps_grid:
-        P = _prefactor(1.5 + e, S, config.digits)
         tail = _tail_integral(e, fit["N_max"], fit["kappa_hat"], fit["c_hat"])
-        ys.append(e * P * (sums[e] + tail))
+        ys.append(e * prefactors[e] * (sums[e] + tail))
     val, spread = _poly_extrapolate(config.eps_grid, ys)
-    P32 = _prefactor(1.5, S, config.digits)
-    err = spread + fit["kappa_stderr"] * P32
+    err = spread + fit["kappa_stderr"] * prefactors[0.0]
     diag = {k: fit[k] for k in ("kappa_hat", "c_hat", "kappa_stderr", "fit_rms",
                                 "n_terms", "N_max")}
     diag["grid_residues"] = dict(zip(config.eps_grid, ys))
@@ -549,14 +555,14 @@ def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
 
 
 def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
-                      cache=None, terms=None, fit=None, sums=None):
+                      cache=None, terms=None, fit=None, sums=None, prefactors=None):
     """The Laurent constant C_F(S,alpha) of xi^S(s;alpha) at s=3/2.
 
     c(eps) = xi^S(3/2+eps) - R/eps is formed with the EXACT residue R
     (the pole is never fitted); the tail model supplies the truncated part
     of the sum with its leading coefficient pinned to R, and c(eps) is then
-    extrapolated polynomially to eps -> 0.  `fit` and `sums` are as in
-    residue_at_pole.
+    extrapolated polynomially to eps -> 0.  `fit`, `sums` and `prefactors`
+    are as in residue_at_pole.
 
     Returns (value, error_estimate, unstable_flag, diagnostics).
     """
@@ -568,8 +574,10 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
         fit = _fit_tail(terms)
     if sums is None:
         sums = _grid_sums(terms, config.eps_grid)
+    if prefactors is None:
+        prefactors = _prefactors(S, config)
     R = float(residue_exact_value(S))
-    P32 = _prefactor(1.5, S, config.digits)
+    P32 = prefactors[0.0]
     kappa_star = R / P32
     # refit the sqrt correction with the leading coefficient pinned
     N, A = fit["N"], fit["A"]
@@ -578,9 +586,8 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     c_star = float(np.dot(np.sqrt(t), y) / np.sum(t))
     cs = []
     for e in config.eps_grid:
-        P = _prefactor(1.5 + e, S, config.digits)
         tail = _tail_integral(e, fit["N_max"], kappa_star, c_star)
-        xi_model = P * (sums[e] + tail)
+        xi_model = prefactors[e] * (sums[e] + tail)
         cs.append(xi_model - R / e)
     val, spread = _poly_extrapolate(config.eps_grid, cs)
     # tail-fluctuation contribution to the error: rms of the pinned fit
@@ -602,13 +609,15 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
 def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
                  cache=None) -> ShintaniResult:
     """Full evaluation: grid values, residue estimate vs exact, constant term.
-    The terms, the tail fit and the grid sums are made once and shared."""
+    The terms, the tail fit, the grid sums and the prefactors are made once
+    and shared."""
     config = config or ShintaniConfig()
     terms = build_terms(alpha, S, config.X, config.L1_method, cache)
     sums = _grid_sums(terms, config.eps_grid)
     fit = _fit_tail(terms)
-    grid = {e: _prefactor(1.5 + e, S, config.digits) * sums[e] for e in config.eps_grid}
-    shared = {"terms": terms, "fit": fit, "sums": sums}
+    prefactors = _prefactors(S, config)
+    grid = {e: prefactors[e] * sums[e] for e in config.eps_grid}
+    shared = {"terms": terms, "fit": fit, "sums": sums, "prefactors": prefactors}
     res_est, res_exact, res_err, diag_r = residue_at_pole(alpha, S, config, cache, **shared)
     cf, cf_err, unstable, diag_c = shintani_constant(alpha, S, config, cache, **shared)
     diag = {"residue": diag_r, "constant": diag_c}

@@ -40,15 +40,19 @@ def abs_v(x: Fraction, v) -> Fraction | mpf:
 
 
 def abs_S(x, S: PlaceSet) -> mpf:
-    """|x|_S = prod_{v in S} |x|_v."""
+    """|x|_S = prod_{v in S} |x|_v: the real absolute value of x with the
+    p-parts of numerator and denominator removed for every p in S."""
     x = _frac(x)
     if x == 0:
         raise DegenerateWeightError("entry vanishes inside |.|_S")
-    out = mpf(1)
-    for v in S:
-        a = abs_v(x, v)
-        out *= mpf(a.numerator) / a.denominator
-    return out
+    num, den = abs(x.numerator), x.denominator
+    for p in S.primes:
+        e = valuation(x, p)
+        if e > 0:
+            num //= p**e
+        elif e < 0:
+            den //= p**-e
+    return mpf(num) / den
 
 
 def log_abs_S(x, S: PlaceSet) -> mpf:

@@ -232,3 +232,24 @@ def test_descent_sigma5_uses_unitary_family():
         ld = lfun.laurent_at_1(None, S2)
         expected = (ld.c0 + lfun.LS(1, QuadChar(-4), S2)) / 2
         assert abs(out.value - expected) < mpf("1e-20")
+
+
+def test_one_class_rep_scan_per_orbit_set(monkeypatch):
+    """sp2 scans the S-square class representatives once for its min, sub
+    and reg parameters; enum_form_classes reuses its one scan for the
+    alphas and the u's."""
+    from tracecoef import quadforms
+
+    calls = []
+    real = quadforms.sclass_reps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadforms, "sclass_reps", counting)
+    unipotent_orbit_set("sp2", S23)
+    assert len(calls) == 1
+    calls.clear()
+    enum_form_classes(S23, "det+hasse")
+    assert len(calls) <= 1

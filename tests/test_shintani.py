@@ -238,6 +238,24 @@ def test_shintani_run_shares_fit_and_sums():
     assert (res.constant_CF, res.constant_error, res.unstable) == (cf, cf_err, unstable)
 
 
+def test_shintani_run_computes_each_prefactor_once(monkeypatch):
+    """One zeta^S prefactor per grid point and one at s = 3/2, shared by the
+    residue and the constant."""
+    from tracecoef import shintani
+
+    seen = []
+    real = shintani._prefactor
+
+    def counting(s, S, digits=30):
+        seen.append(s)
+        return real(s, S, digits)
+
+    monkeypatch.setattr(shintani, "_prefactor", counting)
+    cfg = ShintaniConfig(X=10**4)
+    shintani_run(-1, S2, cfg)
+    assert sorted(seen) == sorted([1.5 + e for e in cfg.eps_grid] + [1.5])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ShintaniConfig(X=100)

@@ -1,16 +1,22 @@
-"""Golden outputs: `orbits` for the six groups and `chars --cubic`, each at
-S = {oo,2}, {oo,2,3} and {oo,2,5}, compared byte for byte with stored JSON.
+"""Golden outputs, compared byte for byte with stored JSON.
 
-The stored files were printed by the code before the local symbols moved to
-integer kernels; regenerate one with
-`PYTHONPATH=src python -m tracecoef.cli orbits --group G --S s --json`
-only when a change to that output is intended.
+- `orbits` for the six groups and `chars --cubic`, each at S = {oo,2},
+  {oo,2,3} and {oo,2,5}: one file per command. These were printed by the
+  code before the local symbols moved to integer kernels; regenerate one with
+  `PYTHONPATH=src python -m tracecoef.cli orbits --group G --S s --json`
+  only when a change to that output is intended.
+- `coeff` and `diff`: a matrix of commands whose exit codes and stdout are
+  stored one per line in `golden/coeff-diff.jsonl`. They were printed by the
+  code before the character sums of `coeff` shared one builder; regenerate
+  the file with `PYTHONPATH=src python tests/test_golden.py` only when a
+  change to those outputs is intended.
 """
+import json
 from pathlib import Path
 
 import pytest
 
-from tracecoef.cli import main
+from tracecoef.cli import CACHE_ENV, main
 
 GOLDEN = Path(__file__).parent / "golden"
 S_SETS = ("2", "2,3", "2,5")
@@ -26,3 +32,56 @@ CASES += [(f"chars-cubic-S{s.replace(',', '_')}.json", ["chars", "--S", s, "--cu
 def test_golden_output(capsys, name, argv):
     assert main(argv + ["--json"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+COEFF_DIFF = GOLDEN / "coeff-diff.jsonl"
+ALPHAS = {"2": ("1", "-1", "2"), "2,3": ("1", "-3", "6")}
+SUB_PARAMS = (("--alpha", "-1"), ("--alpha", "2"), ("--alpha", "1"), ("--form", "1,0,-3"))
+
+MATRIX = [["coeff", "--group", g, "--orbit", o, "--S", s, "--alpha", a]
+          for g in GROUPS for o in ("tri", "min", "reg") for s in ALPHAS for a in ALPHAS[s]]
+MATRIX += [["diff", "--orbit", o, "--S", s, "--alpha", a]
+           for o in ("min", "reg") for s in ALPHAS for a in ALPHAS[s]]
+MATRIX += [[*cmd, "--orbit", "sub", "--S", "2", "--X", "10000", *p]
+           for cmd in (["coeff", "--group", "gsp2"], ["coeff", "--group", "sp2"], ["diff"])
+           for p in SUB_PARAMS]
+MATRIX += [
+    ["coeff", "--group", "sp2", "--S", "2", "--X", "10000", "--form", "1,0,-3"],
+    ["coeff", "--group", "sp2", "--orbit", "tri", "--S", "3"],  # 2 not in S: exit 2
+]
+
+
+def _run(capsys, argv):
+    code = main(argv + ["--json"])
+    return code, capsys.readouterr().out
+
+
+def _stored():
+    with COEFF_DIFF.open(encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def test_coeff_diff_matrix_is_stored():
+    assert [rec["argv"] for rec in _stored()] == MATRIX
+
+
+@pytest.mark.parametrize("i", range(len(MATRIX)), ids=[" ".join(a) for a in MATRIX])
+def test_golden_coeff_diff(capsys, monkeypatch, i):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    rec = _stored()[i]
+    assert _run(capsys, rec["argv"]) == (rec["exit"], rec["stdout"])
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import os
+
+    os.environ.pop(CACHE_ENV, None)
+    with COEFF_DIFF.open("w", encoding="utf-8") as out:
+        for argv in MATRIX:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv + ["--json"])
+            out.write(json.dumps({"argv": argv, "exit": code, "stdout": buf.getvalue()},
+                                 sort_keys=True) + "\n")

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 #: marker for the archimedean place of Q
 OO = "oo"
 
@@ -424,22 +426,18 @@ def cclass_reps(S: PlaceSet, bound: int = 10**4) -> list[CubeClassRep]:
     )
 
 
-def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by a plain sieve (small n; use numpy elsewhere for bulk)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
+def primes_up_to(n: int) -> np.ndarray:
+    """The primes <= n as a numpy integer array, by a boolean sieve."""
+    sieve = np.ones(max(n, 1) + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(max(n, 0)) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0]
 
 
 def legendre_table(p: int):
     """The Legendre symbol (r/p) for r = 0..p-1, as a numpy int8 array (p odd prime)."""
-    import numpy as np
-
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
     r = np.arange(1, p, dtype=np.int64)
@@ -450,8 +448,6 @@ def legendre_table(p: int):
 def spf_table(n: int):
     """Smallest prime factor of every 0 <= k <= n as a numpy array (spf[k] = k
     for k < 2 and for primes)."""
-    import numpy as np
-
     spf = np.arange(n + 1, dtype=np.int64)
     for p in range(2, isqrt(n) + 1):
         if spf[p] == p:

@@ -65,11 +65,6 @@ class QuadChar:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(factorize(self.D))) if self.D != 1 else ()
 
-    @property
-    def parity(self) -> int:
-        """chi(-1): +1 (even) for D>0, -1 (odd) for D<0."""
-        return 1 if self.D > 0 else -1
-
     def __call__(self, n: int) -> int:
         return kronecker(self.D, n)
 
@@ -170,10 +165,6 @@ class CubicChar:
 
     def is_unramified_outside(self, S: PlaceSet) -> bool:
         return all(p in S.primes for p in self.support)
-
-
-def trivial_cubic() -> CubicChar:
-    return CubicChar(1, (0,))
 
 
 def _cubic_component(q: int, power: int) -> dict[int, int]:

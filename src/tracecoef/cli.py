@@ -149,14 +149,7 @@ class UsageError(ValueError):
 
 
 def _parse_S(text: str | None) -> PlaceSet:
-    if not text:
-        return PlaceSet.of()
-    primes = [int(p) for p in text.split(",") if p.strip()]
-    return PlaceSet.of(*primes)
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    return PlaceSet.of(*_parse_list(text or "", int))
 
 
 def _parse_list(text: str, conv=float) -> list:
@@ -262,13 +255,15 @@ def _shintani_config(args) -> ShintaniConfig:
     )
 
 
-def _orbit_argument(args, S):
+def _sub_form(args, alpha: Fraction) -> SymForm2 | None:
+    """The subregular form of a coeff/diff command: --form a,b,c, else
+    x_alpha for --orbit sub or sub'; None for the other orbits."""
     if args.form:
-        a, b, c = _parse_list(args.form, _parse_fraction)
+        a, b, c = _parse_list(args.form, Fraction)
         return SymForm2(a, b, c)
     if args.orbit in ("sub", "sub'"):
-        return SymForm2.x_alpha(_parse_fraction(args.alpha))
-    return args.orbit
+        return SymForm2.x_alpha(alpha)
+    return None
 
 
 def cmd_coeff(args) -> dict:
@@ -276,19 +271,17 @@ def cmd_coeff(args) -> dict:
     vols = _vols(args)
     cache = open_cache(args.cache)
     cfg = _shintani_config(args)
-    alpha = _parse_fraction(args.alpha)
+    alpha = Fraction(args.alpha)
     g = args.group
-    orbit_arg = _orbit_argument(args, S)
-    if isinstance(orbit_arg, SymForm2):
-        orbit = OrbitClass(g, "sub", orbit_arg)
+    form = _sub_form(args, alpha)
+    if form is not None:
+        orbit = OrbitClass(g, "sub", form)  # coeff_unipotent rejects the groups without one
+    elif args.orbit in ("tri", "min", "reg"):
+        # the rank-1 groups have a single nontrivial type
+        typ = "reg" if g in ("gl2", "sl2") and args.orbit == "min" else args.orbit
+        orbit = OrbitClass(g, typ, alpha if g in ("sl2", "sl3", "sp2") else None)
     else:
-        typ = {"min": "min", "tri": "tri", "reg": "reg"}.get(args.orbit)
-        if typ is None:
-            raise UsageError(f"unknown orbit {args.orbit!r} for group {g}")
-        param = alpha if g in ("sl2", "sl3", "sp2") else None
-        if g in ("gl2", "sl2") and typ == "min":
-            typ = "reg"  # the rank-1 groups have a single nontrivial type
-        orbit = OrbitClass(g, typ, param)
+        raise UsageError(f"unknown orbit {args.orbit!r} for group {g}")
     res = coeff_unipotent(orbit, S, vols, cfg, cache, args.digits)
     return {
         "command": "coeff",
@@ -303,7 +296,7 @@ def cmd_shintani(args) -> dict:
     S.require_2("the shintani command")
     cache = open_cache(args.cache)
     cfg = _shintani_config(args)
-    alpha = _parse_fraction(args.alpha)
+    alpha = Fraction(args.alpha)
     res = shintani_run(alpha, S, cfg, cache)
     doc = {
         "command": "shintani",
@@ -371,8 +364,8 @@ def cmd_weights(args) -> dict:
     S = _parse_S(args.S)
     T1, T2 = _parse_list(args.T)
     T = wmod.TruncParam(T1, T2)
-    u = _parse_fraction(args.u) if args.u is not None else None
-    entries = _parse_list(args.nu, _parse_fraction)
+    u = Fraction(args.u) if args.u is not None else None
+    entries = _parse_list(args.nu, Fraction)
     if args.which.startswith("gl3"):
         if len(entries) != 3:
             raise UsageError("gl3 weights need nu = n12,n13,n23")
@@ -423,13 +416,8 @@ def cmd_diff(args) -> dict:
     vols = _vols(args)
     cache = open_cache(args.cache)
     cfg = _shintani_config(args)
-    param: object = _parse_fraction(args.alpha)
-    if args.orbit == "sub":
-        if args.form:
-            a, b, c = _parse_list(args.form, _parse_fraction)
-            param = SymForm2(a, b, c)
-        else:
-            param = SymForm2.x_alpha(param)
+    alpha = Fraction(args.alpha)
+    param = _sub_form(args, alpha) if args.orbit == "sub" else alpha
     d = endoscopic_diff(S, args.orbit, param, vols, cfg, cache, args.digits)
     return {
         "command": "diff",
@@ -445,14 +433,25 @@ def cmd_diff(args) -> dict:
     }
 
 
+def _determinism_check(cache, ids=(1, 3, 7, 10)) -> dict:
+    """Criterion 11: two fresh quick runs of some criteria must render to
+    identical bytes."""
+    a, b = [render_json({"criteria": selfcheck.run_criteria(ids, quick=True, cache=cache)},
+                        pretty=False) for _ in range(2)]
+    return {
+        "id": 11,
+        "name": "selftest-determinism",
+        "passed": a == b,
+        "details": {"bytes": len(a), "reran_criteria": list(ids)},
+    }
+
+
 def cmd_selftest(args) -> dict:
     cache = open_cache(args.cache)
-    ids = None
-    if args.criteria:
-        ids = [int(x) for x in args.criteria.split(",") if x.strip()]
+    ids = _parse_list(args.criteria, int) if args.criteria else None
     results = selfcheck.run_criteria(ids, quick=args.quick, cache=cache)
     if ids is None or 11 in (ids or []):
-        results.append(selfcheck.determinism_check(cache=cache))
+        results.append(_determinism_check(cache))
     table = [
         {"id": r["id"], "name": r["name"], "passed": r["passed"], "details": r["details"]}
         for r in results

@@ -22,7 +22,9 @@ from mpmath import mp, mpf
 
 from .arith import PlaceSet, SquareClassRep, squarefree_kernel
 from .characters import (
+    QuadChar,
     chi_S,
+    chi_S_exponent,
     disc_classes,
     enum_cubic_chars,
     enum_quad_chars,
@@ -103,6 +105,62 @@ def _c0(S: PlaceSet, chi=None, digits=30):
 
 
 # ---------------------------------------------------------------------------
+# Sums over the quadratic characters unramified outside S
+# ---------------------------------------------------------------------------
+
+_TRIVIAL = QuadChar(1)
+
+
+def _char_sum(S: PlaceSet, alpha, per_char, nontrivial_only: bool = False) -> list:
+    """The terms of sum_chi chi_S(alpha) T(chi) over the quadratic characters
+    unramified outside S: per_char(ch, sgn) returns the terms of T(ch) with
+    the sign sgn (1 for the trivial character) in their prefactors."""
+    terms = []
+    for ch in enum_quad_chars(S):
+        if not (ch.is_trivial and nontrivial_only):
+            terms += per_char(ch, 1 if ch.is_trivial else chi_S(ch, alpha, S))
+    return terms
+
+
+def _l_name(ch, s: int, trivial: str, prefix: str = "") -> str:
+    return trivial if ch.is_trivial else f"{prefix}L^S({s},chi_{ch.D})"
+
+
+def _l2_terms(S: PlaceSet, vols: VolumeParams, digits: int):
+    """T(chi) = L^S(2,chi) / 2 on vol_M2 (zeta^S(2) for the trivial chi)."""
+    def per_char(ch, sgn):
+        val = lfun.zetaS(2, S, digits) if ch.is_trivial else lfun.LS(2, ch, S, digits)
+        return [_term(Fraction(sgn, 2), "vol_m2", vols, [(_l_name(ch, 2, "zeta^S(2)"), val)])]
+    return per_char
+
+
+def _laurent_terms(S: PlaceSet, vols: VolumeParams, digits: int):
+    """T(chi) from the Laurent data at s = 1 on vol_M0:
+    c0(chi) c0 / 2 + w c1(chi) residue / 4, with w = 3 for the trivial chi
+    and 1 otherwise."""
+    ld0 = _c0(S, None, digits)
+
+    def per_char(ch, sgn):
+        ld = ld0 if ch.is_trivial else _c0(S, ch, digits)
+        w = 3 if ch.is_trivial else 1
+        return [
+            _term(Fraction(sgn, 2), "vol_m0", vols,
+                  [(_l_name(ch, 1, "c0(S)"), ld.c0), ("c0(S)", ld0.c0)]),
+            _term(Fraction(w * sgn, 4), "vol_m0", vols,
+                  [(_l_name(ch, 1, "c1(S)", "d"), ld.c1), ("residue(S)", ld0.residue)]),
+        ]
+    return per_char
+
+
+def _c0_power_terms(S: PlaceSet, vols: VolumeParams, digits: int, k: int, pref: Fraction):
+    """T(chi) = pref * c0(chi)^k on vol_M0."""
+    def per_char(ch, sgn):
+        ld = _c0(S, None if ch.is_trivial else ch, digits)
+        return [_term(pref * sgn, "vol_m0", vols, [(_l_name(ch, 1, "c0(S)"), ld.c0)] * k)]
+    return per_char
+
+
+# ---------------------------------------------------------------------------
 # GL(2) and SL(2)
 # ---------------------------------------------------------------------------
 
@@ -117,16 +175,8 @@ def coeff_gl2(S: PlaceSet, vols: VolumeParams | None = None, digits: int = 30) -
 def coeff_sl2(S: PlaceSet, alpha, vols: VolumeParams | None = None, digits: int = 30) -> CoeffResult:
     """Coefficient of the class u_alpha of SL(2): a finite sum over the
     quadratic characters unramified outside S."""
-    vols = vols or VolumeParams()
-    terms = []
-    for ch in enum_quad_chars(S):
-        ld = _c0(S, None if ch.is_trivial else ch, digits)
-        sgn = chi_S(ch, alpha, S) if not ch.is_trivial else 1
-        name = "c0(S)" if ch.is_trivial else f"L^S(1,chi_{ch.D})"
-        terms.append(
-            _term(Fraction(sgn, 2), "vol_m0", vols, [(name, ld.c0)])
-        )
-    return CoeffResult(terms, "sl2-regular-unipotent")
+    per_char = _c0_power_terms(S, vols or VolumeParams(), digits, 1, Fraction(1, 2))
+    return CoeffResult(_char_sum(S, alpha, per_char), "sl2-regular-unipotent")
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +224,6 @@ def coeff_sl3(S: PlaceSet, orbit: str = "min", alpha=1, vols: VolumeParams | Non
         done.add(key)
         L = lfun.LS(1, ch, S, digits)
         Linv = lfun.LS(1, ch.inverse(), S, digits)
-        from .characters import chi_S_exponent
-
         k = chi_S_exponent(ch, alpha, S)
         # chi and its inverse together contribute twice the real part
         with mp.workdps(digits + 10):
@@ -205,109 +253,85 @@ def _deriv_term(S: PlaceSet, vols: VolumeParams, digits: int) -> CoeffTerm:
     return _term(Fraction(1, 2), "vol_m1", vols, [("dzeta^S(3)/zeta^S(3)", val)])
 
 
+def _hasse_sign(x: SymForm2, S: PlaceSet) -> int:
+    """prod_{v in S} eps_v(x)."""
+    out = 1
+    for v in S:
+        out *= hasse(x, v)
+    return out
+
+
+def _unramified_l1(S: PlaceSet, alpha, digits: int) -> list:
+    """[(name, L^S(1,chi_D))] over the classes D of alpha unramified outside S."""
+    out = []
+    for dv in disc_classes(S, alpha, kind="Q_ur").entries:
+        chd = quad_char_of(dv)
+        out.append((f"L^S(1,chi_{chd.D})", lfun.LS(1, chd, S, digits)))
+    return out
+
+
+def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, config, cache,
+               digits: int) -> CoeffResult:
+    """The subregular class of the form x (or of x_alpha for a rational x):
+    C_F(S,alpha)/2 on vol_M1, for sp2 plus the Hasse-signed sum of the
+    unramified L^S(1,chi_D)/2, plus dzeta^S(3)/zeta^S(3)/2 on the class of x_1
+    (det-class for gsp2, det and Hasse invariants for sp2)."""
+    x = _sub_form(x)
+    alpha = squarefree_kernel(-x.det)
+    cf, cf_err, unstable, _ = shintani_constant(alpha, S, config, cache)
+    terms = [_term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(cf))])]
+    rel = "det"
+    if group == "sp2":
+        rel = "det+hasse"
+        eps = _hasse_sign(x, S)
+        terms += [_term(Fraction(1, 2), "vol_m1", vols, [("prod eps_v(x)", mpf(eps)), factor])
+                  for factor in _unramified_l1(S, alpha, digits)]
+    if is_equiv(x, SymForm2.x_alpha(1), S, rel):
+        terms.append(_deriv_term(S, vols, digits))
+    return CoeffResult(terms, f"{group}-subregular-unipotent",
+                       error=0.5 * vols.vol_m1 * cf_err,
+                       notes={"shintani_unstable": unstable, "alpha": alpha})
+
+
+# the per-character terms of the minimal and regular classes; the GSp(2)
+# coefficient is the term of the trivial character alone
+_SUM_TERMS = {"min": _l2_terms, "reg": _laurent_terms}
+_KIND = {"min": "minimal", "reg": "regular", "sub": "subregular", "sub'": "subregular"}
+
+
 def coeff_gsp2(S: PlaceSet, orbit, vols: VolumeParams | None = None,
                config: ShintaniConfig | None = None, cache=None,
                digits: int = 30) -> CoeffResult:
     """Coefficients for the similitude group: orbit is an OrbitClass or one
-    of "tri"/"min"/"reg", or for subregular classes a SymForm2 (or the value
-    of -det as a shorthand)."""
+    of "min"/"reg", or for subregular classes a SymForm2 (or the value of
+    -det as a shorthand).  The identity class is handled by coeff_unipotent."""
     vols = vols or VolumeParams()
     S.require_2("the rank-2 symplectic coefficients")
     typ, param = _orbit_key(orbit, "gsp2")
-    if typ == "tri":
-        return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], "gsp2-identity")
-    if typ == "min":
-        z2 = lfun.zetaS(2, S, digits)
-        return CoeffResult(
-            [_term(Fraction(1, 2), "vol_m2", vols, [("zeta^S(2)", z2)])],
-            "gsp2-minimal-unipotent",
-        )
-    if typ == "reg":
-        ld = _c0(S, None, digits)
-        terms = [
-            _term(Fraction(1, 2), "vol_m0", vols, [("c0(S)", ld.c0), ("c0(S)", ld.c0)]),
-            _term(Fraction(3, 4), "vol_m0", vols,
-                  [("c1(S)", ld.c1), ("residue(S)", ld.residue)]),
-        ]
-        return CoeffResult(terms, "gsp2-regular-unipotent")
-    if typ not in ("sub", "sub'"):
+    if typ in ("sub", "sub'"):
+        return _coeff_sub("gsp2", S, param, vols, config, cache, digits)
+    if typ not in _SUM_TERMS:
         raise ValueError(f"unknown orbit {orbit!r}")
-    x = _sub_form(param)
-    alpha = squarefree_kernel(-x.det)
-    cf, cf_err, unstable, diag = shintani_constant(alpha, S, config, cache)
-    terms = [
-        _term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(cf))])
-    ]
-    notes = {"shintani_unstable": unstable, "alpha": alpha}
-    if is_equiv(x, SymForm2.x_alpha(1), S, "det"):
-        terms.append(_deriv_term(S, vols, digits))
-    err = 0.5 * vols.vol_m1 * cf_err
-    return CoeffResult(terms, "gsp2-subregular-unipotent", error=err, notes=notes)
+    terms = _SUM_TERMS[typ](S, vols, digits)(_TRIVIAL, 1)
+    return CoeffResult(terms, f"gsp2-{_KIND[typ]}-unipotent")
 
 
 def coeff_sp2(S: PlaceSet, orbit, alpha=None, vols: VolumeParams | None = None,
               config: ShintaniConfig | None = None, cache=None,
               digits: int = 30) -> CoeffResult:
     """Coefficients for the symplectic group.  Minimal and regular classes
-    take the square-class parameter alpha; subregular classes take a form."""
+    take the square-class parameter alpha (by default the orbit's own);
+    subregular classes take a form."""
     vols = vols or VolumeParams()
     S.require_2("the rank-2 symplectic coefficients")
     typ, param = _orbit_key(orbit, "sp2")
-    if alpha is None and not isinstance(param, SymForm2):
-        alpha = param if param is not None else 1
-    if isinstance(alpha, SquareClassRep):
-        alpha = alpha.value
-    if typ == "tri":
-        return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], "sp2-identity")
-    if typ == "min":
-        terms = []
-        for ch in enum_quad_chars(S):
-            sgn = 1 if ch.is_trivial else chi_S(ch, alpha, S)
-            L2 = lfun.zetaS(2, S, digits) if ch.is_trivial else lfun.LS(2, ch, S, digits)
-            name = "zeta^S(2)" if ch.is_trivial else f"L^S(2,chi_{ch.D})"
-            terms.append(_term(Fraction(sgn, 2), "vol_m2", vols, [(name, L2)]))
-        return CoeffResult(terms, "sp2-minimal-unipotent")
-    if typ == "reg":
-        terms = []
-        ld0 = _c0(S, None, digits)
-        for ch in enum_quad_chars(S):
-            sgn = 1 if ch.is_trivial else chi_S(ch, alpha, S)
-            w = 3 if ch.is_trivial else 1
-            ld = ld0 if ch.is_trivial else _c0(S, ch, digits)
-            cname = "c0(S)" if ch.is_trivial else f"L^S(1,chi_{ch.D})"
-            dname = "c1(S)" if ch.is_trivial else f"dL^S(1,chi_{ch.D})"
-            terms.append(
-                _term(Fraction(2 * sgn, 4), "vol_m0", vols,
-                      [(cname, ld.c0), ("c0(S)", ld0.c0)])
-            )
-            terms.append(
-                _term(Fraction(w * sgn, 4), "vol_m0", vols,
-                      [(dname, ld.c1), ("residue(S)", ld0.residue)])
-            )
-        return CoeffResult(terms, "sp2-regular-unipotent")
-    if typ not in ("sub", "sub'"):
+    if typ in ("sub", "sub'"):
+        return _coeff_sub("sp2", S, param, vols, config, cache, digits)
+    if typ not in _SUM_TERMS:
         raise ValueError(f"unknown orbit {orbit!r}")
-    x = _sub_form(param)
-    alpha = squarefree_kernel(-x.det)
-    cf, cf_err, unstable, diag = shintani_constant(alpha, S, config, cache)
-    terms = [
-        _term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(cf))])
-    ]
-    notes = {"shintani_unstable": unstable, "alpha": alpha}
-    eps_prod = 1
-    for v in S:
-        eps_prod *= hasse(x, v)
-    for dv in disc_classes(S, alpha, kind="Q_ur").entries:
-        chd = quad_char_of(dv)
-        L1 = lfun.LS(1, chd, S, digits)
-        terms.append(
-            _term(Fraction(1, 2), "vol_m1", vols,
-                  [("prod eps_v(x)", mpf(eps_prod)), (f"L^S(1,chi_{chd.D})", L1)])
-        )
-    if is_equiv(x, SymForm2.x_alpha(1), S, "det+hasse"):
-        terms.append(_deriv_term(S, vols, digits))
-    err = 0.5 * vols.vol_m1 * cf_err
-    return CoeffResult(terms, "sp2-subregular-unipotent", error=err, notes=notes)
+    alpha = _param_value(param if alpha is None else alpha)
+    terms = _char_sum(S, alpha, _SUM_TERMS[typ](S, vols, digits))
+    return CoeffResult(terms, f"sp2-{_KIND[typ]}-unipotent")
 
 
 def _orbit_key(orbit, group: str):
@@ -320,45 +344,37 @@ def _orbit_key(orbit, group: str):
     return "sub", orbit
 
 
+def _param_value(param):
+    """The rational value of an orbit parameter (1 when there is none)."""
+    return 1 if param is None else getattr(param, "value", param)
+
+
 def coeff_unipotent(orbit: OrbitClass, S: PlaceSet, vols: VolumeParams | None = None,
                     config: ShintaniConfig | None = None, cache=None,
                     digits: int = 30) -> CoeffResult:
-    """Dispatch on the orbit's group."""
-    g = orbit.group
+    """Dispatch on the orbit's group.  The identity class has coefficient
+    vol_G in every group; only GSp(2) and Sp(2) have subregular classes."""
+    g, typ = orbit.group, orbit.type
     vols = vols or VolumeParams()
+    if g in ("gsp2", "sp2"):
+        S.require_2("the rank-2 symplectic coefficients")
+    elif typ in ("sub", "sub'"):
+        raise ValueError(f"{g} has no subregular unipotent class")
+    if g not in ("gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"):
+        raise ValueError(f"unknown group {g!r}")
+    if typ == "tri":
+        return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], f"{g}-identity")
     if g == "gl2":
-        if orbit.type == "tri":
-            return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], "gl2-identity")
         return coeff_gl2(S, vols, digits)
     if g == "sl2":
-        if orbit.type == "tri":
-            return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], "sl2-identity")
         return coeff_sl2(S, _param_value(orbit.param), vols, digits)
     if g == "gl3":
-        if orbit.type == "tri":
-            return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], "gl3-identity")
-        return coeff_gl3(S, "min" if orbit.type == "min" else "reg", vols, digits)
+        return coeff_gl3(S, typ, vols, digits)
     if g == "sl3":
-        if orbit.type == "tri":
-            return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], "sl3-identity")
-        if orbit.type == "min":
-            return coeff_sl3(S, "min", 1, vols, digits)
-        return coeff_sl3(S, "reg", _param_value(orbit.param), vols, digits)
+        return coeff_sl3(S, typ, _param_value(orbit.param), vols, digits)
     if g == "gsp2":
         return coeff_gsp2(S, orbit, vols, config, cache, digits)
-    if g == "sp2":
-        return coeff_sp2(S, orbit, _param_value(orbit.param), vols, config, cache, digits)
-    raise ValueError(f"unknown group {g!r}")
-
-
-def _param_value(param):
-    if param is None:
-        return 1
-    if isinstance(param, (SquareClassRep,)):
-        return param.value
-    if hasattr(param, "value"):
-        return param.value
-    return param
+    return coeff_sp2(S, orbit, None, vols, config, cache, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +430,9 @@ def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
             t = _term(Fraction(1, 2), "vol_m2", vols, [("c0(S)", ld.c0)])
             return CoeffResult([t], "centralizer-gl2pair-second")
         if orbit == "u_{alpha,1}":
-            alpha = params.get("alpha", 1)
-            terms = []
-            for ch in enum_quad_chars(S):
-                ld = _c0(S, None if ch.is_trivial else ch, digits)
-                sgn = 1 if ch.is_trivial else chi_S(ch, alpha, S)
-                name = "c0(S)" if ch.is_trivial else f"L^S(1,chi_{ch.D})"
-                terms.append(
-                    _term(Fraction(sgn, 4), "vol_m0", vols,
-                          [(name, ld.c0), (name, ld.c0)])
-                )
-            return CoeffResult(terms, "centralizer-gl2pair-diagonal")
+            per_char = _c0_power_terms(S, vols, digits, 2, Fraction(1, 4))
+            return CoeffResult(_char_sum(S, params.get("alpha", 1), per_char),
+                               "centralizer-gl2pair-diagonal")
         raise ValueError(f"unknown gl2pair orbit {orbit!r}")
     raise ValueError(f"unsupported centralizer family {family!r}")
 
@@ -446,65 +454,28 @@ def endoscopic_diff(S: PlaceSet, orbit_type: str, param=None,
     """
     vols = vols or VolumeParams()
     S.require_2("the difference report")
-    if orbit_type == "min":
+    if orbit_type in _SUM_TERMS:
         alpha = 1 if param is None else param
-        a_sp = coeff_sp2(S, "min", alpha, vols, digits=digits)
-        a_gsp = coeff_gsp2(S, "min", vols, digits=digits)
-        pred_terms = []
-        for ch in enum_quad_chars(S):
-            if ch.is_trivial:
-                continue
-            sgn = chi_S(ch, alpha, S)
-            L2 = lfun.LS(2, ch, S, digits)
-            pred_terms.append(
-                _term(Fraction(sgn, 2), "vol_m2", vols, [(f"L^S(2,chi_{ch.D})", L2)])
-            )
-        predicted = CoeffResult(pred_terms, "difference-minimal-predicted")
-    elif orbit_type == "reg":
-        alpha = 1 if param is None else param
-        a_sp = coeff_sp2(S, "reg", alpha, vols, digits=digits)
-        a_gsp = coeff_gsp2(S, "reg", vols, digits=digits)
-        ld0 = _c0(S, None, digits)
-        pred_terms = []
-        for ch in enum_quad_chars(S):
-            if ch.is_trivial:
-                continue
-            sgn = chi_S(ch, alpha, S)
-            ld = _c0(S, ch, digits)
-            pred_terms.append(
-                _term(Fraction(2 * sgn, 4), "vol_m0", vols,
-                      [(f"L^S(1,chi_{ch.D})", ld.c0), ("c0(S)", ld0.c0)])
-            )
-            pred_terms.append(
-                _term(Fraction(sgn, 4), "vol_m0", vols,
-                      [(f"dL^S(1,chi_{ch.D})", ld.c1), ("residue(S)", ld0.residue)])
-            )
-        predicted = CoeffResult(pred_terms, "difference-regular-predicted")
+        a_sp = coeff_sp2(S, orbit_type, alpha, vols, digits=digits)
+        a_gsp = coeff_gsp2(S, orbit_type, vols, digits=digits)
+        pred_terms = _char_sum(S, alpha, _SUM_TERMS[orbit_type](S, vols, digits),
+                               nontrivial_only=True)
     elif orbit_type in ("sub", "sub'"):
         x = _sub_form(param if param is not None else 1)
         a_sp = coeff_sp2(S, x, None, vols, config, cache, digits)
         a_gsp = coeff_gsp2(S, x, vols, config, cache, digits)
-        alpha = squarefree_kernel(-x.det)
-        eps_prod = 1
-        for v in S:
-            eps_prod *= hasse(x, v)
-        pred_terms = []
-        for dv in disc_classes(S, alpha, kind="Q_ur").entries:
-            chd = quad_char_of(dv)
-            L1 = lfun.LS(1, chd, S, digits)
-            pred_terms.append(
-                _term(Fraction(eps_prod, 2), "vol_m1", vols,
-                      [(f"L^S(1,chi_{chd.D})", L1)])
-            )
+        eps = _hasse_sign(x, S)
+        pred_terms = [_term(Fraction(eps, 2), "vol_m1", vols, [factor])
+                      for factor in _unramified_l1(S, squarefree_kernel(-x.det), digits)]
         sp_has = is_equiv(x, SymForm2.x_alpha(1), S, "det+hasse")
         gsp_has = is_equiv(x, SymForm2.x_alpha(1), S, "det")
         if sp_has != gsp_has:
             t = _deriv_term(S, vols, digits)
             t.prefactor = t.prefactor * (1 if sp_has else -1)
             pred_terms.append(t)
-        predicted = CoeffResult(pred_terms, "difference-subregular-predicted")
     else:
         raise ValueError(f"unknown orbit type {orbit_type!r}")
+    predicted = CoeffResult(pred_terms, f"difference-{_KIND[orbit_type]}-predicted")
     with mp.workdps(45):
         diff_val = +(a_sp.value - a_gsp.value)
     difference = CoeffResult(

@@ -3,6 +3,7 @@
 Each criterion function returns a dict {id, name, passed, details}; every
 tolerance is pinned here.  All randomness is seeded; nothing here depends on
 wall-clock or environment, so repeated runs serialize identically.
+Criterion 11, the determinism of the rendered payload, is run by the CLI.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .arith import (
     PlaceSet,
     hilbert,
     hilbert_product_places,
+    local_square_class,
     sclass_reps,
     cclass_reps,
 )
@@ -283,8 +285,6 @@ _oracle_realizable_cache: dict = {}
 def _oracle_realizable(v, d) -> frozenset:
     """Realizable Hasse values at v for -det class of d, from a dense scan
     of diagonal forms with entries of height <= 50."""
-    from .arith import local_square_class
-
     target = local_square_class(d, v)
     hit = _oracle_realizable_cache.get((v, target))
     if hit is not None:
@@ -388,18 +388,3 @@ CRITERIA = {
 def run_criteria(ids=None, quick=False, cache=None) -> list[dict]:
     ids = sorted(ids or CRITERIA)
     return [CRITERIA[i](quick=quick, cache=cache) for i in ids]
-
-
-def determinism_check(quick=True, cache=None, ids=(1, 3, 7, 10)) -> dict:
-    """Criterion 11: two fresh runs of the selftest payload must serialize
-    to identical bytes."""
-    from .cli import render_json
-
-    a = render_json({"criteria": run_criteria(ids, quick=quick, cache=cache)}, pretty=False)
-    b = render_json({"criteria": run_criteria(ids, quick=quick, cache=cache)}, pretty=False)
-    return {
-        "id": 11,
-        "name": "selftest-determinism",
-        "passed": a == b,
-        "details": {"bytes": len(a), "reran_criteria": list(ids)},
-    }

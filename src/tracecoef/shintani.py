@@ -39,7 +39,8 @@ from math import isqrt
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import PlaceSet, SquareClassRep, kronecker, legendre_table, squarefree_kernel
+from .arith import (PlaceSet, SquareClassRep, kronecker, legendre_table, primes_up_to,
+                    squarefree_kernel)
 from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
@@ -315,8 +316,6 @@ _L2S_ROWS = 512  # terms per block of the L^S(2s) product, bounding its temporar
 
 
 def _small_primes_for_l2s(S: PlaceSet):
-    from .arith import primes_up_to
-
     return np.array([p for p in primes_up_to(_L2S_PRIME_BOUND) if p not in S.primes],
                     dtype=np.float64)
 
@@ -680,15 +679,6 @@ def local_factor(p: int, s: float, twist: str = "trivial", ramified: bool = Fals
     return base * (1.0 - chi_p * q ** (-2.0 * s))
 
 
-def _prime_array(X: int) -> np.ndarray:
-    sieve = np.ones(X + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(X) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
-
-
 def euler_assembly_check(d, s: float, S: PlaceSet, X: int = 3 * 10**7,
                          twist: str = "chi_d", digits: int = 30):
     """Two routes to the same value, as an internal identity test.
@@ -707,7 +697,7 @@ def euler_assembly_check(d, s: float, S: PlaceSet, X: int = 3 * 10**7,
     if twist == "chi_d" and ram_outside:
         return 0.0, 0.0
     L1S = float(lfun.LS(1, chi, S, digits))
-    primes = _prime_array(X)
+    primes = primes_up_to(X)
     mask = np.ones(len(primes), dtype=bool)
     for p in S.primes:
         mask &= primes != p

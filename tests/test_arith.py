@@ -13,10 +13,12 @@ from tracecoef.arith import (
     hilbert,
     hilbert_product_places,
     is_cube_at,
+    is_prime,
     is_square_at,
     kronecker,
     local_cube_labels,
     local_square_labels,
+    primes_up_to,
     sclass_reps,
     squarefree_kernel,
     cubefree_kernel,
@@ -57,6 +59,11 @@ def hilbert_bruteforce(a, b, v):
             elif val in sq_prim:
                 return 1
     return -1
+
+
+def test_primes_up_to_against_trial_division():
+    for n in (0, 1, 2, 3, 4, 97, 1000):
+        assert primes_up_to(n).tolist() == [p for p in range(n + 1) if is_prime(p)]
 
 
 def test_kronecker_examples():

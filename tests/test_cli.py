@@ -2,6 +2,8 @@
 import json
 import os
 
+import pytest
+
 from tracecoef.cli import JsonlCache, main, render_json
 
 
@@ -193,3 +195,12 @@ def test_coeff_sub_orbit_via_alpha(capsys):
     names = [f["name"] for t in doc["result"]["terms"] for f in t["factors"]]
     assert any("C_F" in n for n in names)
     assert any("chi_-4" in n for n in names)
+
+
+@pytest.mark.parametrize("group", ["gl2", "sl2", "gl3", "sl3"])
+@pytest.mark.parametrize("orbit", [["--orbit", "sub"], ["--orbit", "sub'"],
+                                   ["--form", "1,0,-3"]], ids=["sub", "subp", "form"])
+def test_coeff_sub_rejected_for_groups_without_one(capsys, group, orbit):
+    code, out = run_cli(capsys, "coeff", "--group", group, *orbit, "--S", "2", "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "usage"

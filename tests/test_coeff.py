@@ -25,7 +25,7 @@ from tracecoef.coeff import (
     coeff_unipotent,
     endoscopic_diff,
 )
-from tracecoef.quadforms import SymForm2, hasse, unipotent_orbit_set
+from tracecoef.quadforms import OrbitClass, SymForm2, hasse, unipotent_orbit_set
 from tracecoef.shintani import ShintaniConfig, l1_class_number, shintani_constant
 
 S_OO = PlaceSet.of()
@@ -201,6 +201,13 @@ def test_coeff_unipotent_dispatch():
             assert isinstance(res, CoeffResult)
     tri = unipotent_orbit_set("gl2", S2)[0]
     assert coeff_unipotent(tri, S2).value == 1  # vol_G with vol 1
+
+
+@pytest.mark.parametrize("group", ["gl2", "sl2", "gl3", "sl3"])
+def test_coeff_unipotent_rejects_sub_for_groups_without_one(group):
+    for typ in ("sub", "sub'"):
+        with pytest.raises(ValueError, match="no subregular"):
+            coeff_unipotent(OrbitClass(group, typ, SymForm2.x_alpha(3)), S2)
 
 
 def test_centralizer_families():

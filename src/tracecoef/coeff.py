@@ -280,13 +280,11 @@ def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, config, cache,
     alpha = squarefree_kernel(-x.det)
     cf, cf_err, unstable, _ = shintani_constant(alpha, S, config, cache)
     terms = [_term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(cf))])]
-    rel = "det"
     if group == "sp2":
-        rel = "det+hasse"
         eps = _hasse_sign(x, S)
         terms += [_term(Fraction(1, 2), "vol_m1", vols, [("prod eps_v(x)", mpf(eps)), factor])
                   for factor in _unramified_l1(S, alpha, digits)]
-    if is_equiv(x, SymForm2.x_alpha(1), S, rel):
+    if is_equiv(x, SymForm2.x_alpha(1), S, "det+hasse" if group == "sp2" else "det"):
         terms.append(_deriv_term(S, vols, digits))
     return CoeffResult(terms, f"{group}-subregular-unipotent",
                        error=0.5 * vols.vol_m1 * cf_err,
@@ -356,12 +354,12 @@ def coeff_unipotent(orbit: OrbitClass, S: PlaceSet, vols: VolumeParams | None = 
     vol_G in every group; only GSp(2) and Sp(2) have subregular classes."""
     g, typ = orbit.group, orbit.type
     vols = vols or VolumeParams()
+    if g not in ("gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"):
+        raise ValueError(f"unknown group {g!r}")
     if g in ("gsp2", "sp2"):
         S.require_2("the rank-2 symplectic coefficients")
     elif typ in ("sub", "sub'"):
         raise ValueError(f"{g} has no subregular unipotent class")
-    if g not in ("gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"):
-        raise ValueError(f"unknown group {g!r}")
     if typ == "tri":
         return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], f"{g}-identity")
     if g == "gl2":

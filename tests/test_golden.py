@@ -7,11 +7,19 @@
   only when a change to that output is intended.
 - `coeff` and `diff`: a matrix of commands whose exit codes and stdout are
   stored one per line in `golden/coeff-diff.jsonl`. They were printed by the
-  code before the character sums of `coeff` shared one builder; regenerate
-  the file with `PYTHONPATH=src python tests/test_golden.py` only when a
-  change to those outputs is intended.
+  code before the character sums of `coeff` shared one builder.
+- `lfun`, `weights --engine` and `shintani` at X = 10^4: a second matrix,
+  stored the same way in `golden/lfun-weights-shintani.jsonl`. It was printed
+  by the code before the Shintani pole data had a single entry point.
+
+`PYTHONPATH=src python tests/test_golden.py` regenerates every golden file;
+run it only when a change to those outputs is intended, and check with
+`git diff tests/golden` that nothing else moved.
 """
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -51,18 +59,47 @@ MATRIX += [
 ]
 
 
+LWS = GOLDEN / "lfun-weights-shintani.jsonl"
+LWS_MATRIX = [
+    ["lfun", "--chi", "-4", "--s", "1", "--S", "2"],
+    ["lfun", "--chi", "12", "--s", "1", "--S", "2,3"],
+    ["lfun", "--chi", "-4", "--s", "2", "--deriv", "--S", "2"],
+    ["lfun", "--chi", "1", "--s", "2", "--deriv", "--S", "2,3"],
+    ["lfun", "--laurent", "--S", "2"],
+    ["lfun", "--laurent", "--S", "2,3"],
+    ["weights", "--which", "m0", "--nu", "3,1,1,1", "--T", "0,0", "--S", "2", "--engine"],
+    ["weights", "--which", "m1", "--nu", "0,2,-1/2,3", "--T", "0.5,0", "--S", "2", "--engine"],
+    ["weights", "--which", "m1", "--nu", "1,2,-1,3", "--u", "2", "--T", "0,1", "--S", "2,3",
+     "--engine"],
+    ["weights", "--which", "m2", "--nu", "1,-2,3,0", "--T", "0,0", "--S", "2", "--engine"],
+    ["weights", "--which", "m2", "--nu", "3,1,-2,1", "--u=-1/2", "--T=-0.5,0.5",
+     "--S", "2", "--engine"],
+    ["weights", "--which", "gl3-m0", "--nu", "2,-1,3", "--T", "0,0", "--S", "2", "--engine"],
+    ["weights", "--which", "gl3-mp", "--nu", "0,1,-3", "--T", "1,0", "--S", "2", "--engine"],
+    ["weights", "--which", "gl3-mp", "--nu", "1,2,3", "--u", "3/4", "--T", "0,0", "--S", "2,3",
+     "--engine"],
+]
+LWS_MATRIX += [["shintani", "--alpha", a, "--S", s, "--X", "10000"]
+               for a, s in (("-1", "2"), ("2", "2"), ("6", "2"), ("-1", "2,3"))]
+MATRICES = {COEFF_DIFF: MATRIX, LWS: LWS_MATRIX}
+
+
 def _run(capsys, argv):
     code = main(argv + ["--json"])
     return code, capsys.readouterr().out
 
 
-def _stored():
-    with COEFF_DIFF.open(encoding="utf-8") as fh:
+def _stored(path=COEFF_DIFF):
+    with path.open(encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
 
 
 def test_coeff_diff_matrix_is_stored():
     assert [rec["argv"] for rec in _stored()] == MATRIX
+
+
+def test_lfun_weights_shintani_matrix_is_stored():
+    assert [rec["argv"] for rec in _stored(LWS)] == LWS_MATRIX
 
 
 @pytest.mark.parametrize("i", range(len(MATRIX)), ids=[" ".join(a) for a in MATRIX])
@@ -72,16 +109,29 @@ def test_golden_coeff_diff(capsys, monkeypatch, i):
     assert _run(capsys, rec["argv"]) == (rec["exit"], rec["stdout"])
 
 
-if __name__ == "__main__":
-    import contextlib
-    import io
-    import os
+@pytest.mark.parametrize("i", range(len(LWS_MATRIX)), ids=[" ".join(a) for a in LWS_MATRIX])
+def test_golden_lfun_weights_shintani(capsys, monkeypatch, i):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    rec = _stored(LWS)[i]
+    assert _run(capsys, rec["argv"]) == (rec["exit"], rec["stdout"])
 
+
+def _capture(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--json"])
+    return code, buf.getvalue()
+
+
+if __name__ == "__main__":
     os.environ.pop(CACHE_ENV, None)
-    with COEFF_DIFF.open("w", encoding="utf-8") as out:
-        for argv in MATRIX:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main(argv + ["--json"])
-            out.write(json.dumps({"argv": argv, "exit": code, "stdout": buf.getvalue()},
-                                 sort_keys=True) + "\n")
+    for name, argv in CASES:
+        code, out = _capture(argv)
+        assert code == 0, argv
+        (GOLDEN / name).write_bytes(out.encode())
+    for path, matrix in MATRICES.items():
+        with path.open("w", encoding="utf-8") as fh:
+            for argv in matrix:
+                code, out = _capture(argv)
+                fh.write(json.dumps({"argv": argv, "exit": code, "stdout": out},
+                                    sort_keys=True) + "\n")

@@ -156,26 +156,30 @@ def _parse_list(text: str, conv=float) -> list:
     return [conv(x) for x in text.split(",") if x.strip()]
 
 
+_VOLS = ("vol_m0", "vol_m1", "vol_m2", "vol_mp", "vol_g")
+
+
 def _vols(args) -> VolumeParams:
-    return VolumeParams(
-        vol_m0=args.vol_m0, vol_m1=args.vol_m1, vol_m2=args.vol_m2,
-        vol_mp=args.vol_mp, vol_g=args.vol_g,
-    )
+    return VolumeParams(**{name: getattr(args, name) for name in _VOLS})
 
 
-def _add_common(p):
-    p.add_argument("--S", default="2", help="comma-separated finite primes of S (oo implicit)")
-    p.add_argument("--digits", type=int, default=30, help="working precision in decimal digits")
-    p.add_argument("--cache", default=None, help=f"L-value cache path (default ${CACHE_ENV})")
+def _add_common(p, *, S=True, digits=False, cache=False, X=False, vols=False, seed=False):
+    """--json, and each shared flag on the subcommands that read it."""
     p.add_argument("--json", action="store_true", help="compact single-line JSON output")
-    p.add_argument("--vol-m0", dest="vol_m0", type=float, default=1.0)
-    p.add_argument("--vol-m1", dest="vol_m1", type=float, default=1.0)
-    p.add_argument("--vol-m2", dest="vol_m2", type=float, default=1.0)
-    p.add_argument("--vol-mp", dest="vol_mp", type=float, default=1.0)
-    p.add_argument("--vol-g", dest="vol_g", type=float, default=1.0)
-    p.add_argument("--X", type=int, default=10**5, help="discriminant truncation bound")
-    p.add_argument("--eps", default="0.2,0.15,0.1,0.05", help="epsilon grid, descending")
-    p.add_argument("--seed", type=int, default=selfcheck.SEED)
+    if S:
+        p.add_argument("--S", default="2", help="comma-separated finite primes of S (oo implicit)")
+    if digits:
+        p.add_argument("--digits", type=int, default=30, help="working precision in decimal digits")
+    if cache:
+        p.add_argument("--cache", default=None, help=f"L-value cache path (default ${CACHE_ENV})")
+    if X:
+        p.add_argument("--X", type=int, default=10**5, help="discriminant truncation bound")
+        p.add_argument("--eps", default="0.2,0.15,0.1,0.05", help="epsilon grid, descending")
+    if vols:
+        for name in _VOLS:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=1.0)
+    if seed:
+        p.add_argument("--seed", type=int, default=selfcheck.SEED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="unipotent orbital-integral coefficients")
-    _add_common(p)
+    _add_common(p, digits=True, cache=True, X=True, vols=True)
     p.add_argument("--group", required=True,
                    choices=["gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"])
     p.add_argument("--orbit", default="min", help="tri|min|sub|reg")
@@ -195,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,b,c entries of the symmetric form for subregular orbits")
 
     p = sub.add_parser("shintani", help="Shintani zeta grid, residue and constant term")
-    _add_common(p)
+    _add_common(p, digits=True, cache=True, X=True)
     p.add_argument("--alpha", default="-1")
     p.add_argument("--l1-method", dest="l1_method", default="class-number-formula",
                    choices=["class-number-formula", "smoothed-character-sum"])
 
     p = sub.add_parser("lfun", help="partial L-function values and Laurent data")
-    _add_common(p)
+    _add_common(p, digits=True)
     p.add_argument("--chi", type=int, default=1,
                    help="fundamental discriminant of the character (1 = trivial)")
     p.add_argument("--s", type=float, default=2.0)
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"])
 
     p = sub.add_parser("weights", help="weight factors, closed form and engine")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--which", required=True,
                    choices=["m0", "m1", "m2", "gl3-m0", "gl3-mp"])
     p.add_argument("--nu", required=True, help="entries n12,n13,n14,n24 (gl3: n12,n13,n23)")
@@ -228,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cubic", action="store_true")
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    _add_common(p)
+    _add_common(p, S=False, cache=True)
     p.add_argument("--quick", action="store_true", help="reduced sizes, same checks")
     p.add_argument("--criteria", default=None, help="comma list of criterion ids")
 
     p = sub.add_parser("diff", help="symplectic-vs-similitude coefficient difference")
-    _add_common(p)
+    _add_common(p, digits=True, cache=True, X=True, vols=True)
     p.add_argument("--orbit", default="min", choices=["min", "sub", "reg"])
     p.add_argument("--alpha", default="1")
     p.add_argument("--form", default=None)
@@ -266,6 +270,14 @@ def _sub_form(args, alpha: Fraction) -> SymForm2 | None:
     return None
 
 
+def _param_inputs(args, form: SymForm2 | None, S: PlaceSet, alpha) -> dict:
+    """alpha, or for a --form the form and the S-class of its -det instead."""
+    if not (args.form and form):
+        return {"alpha": alpha}
+    rep = next(r.value for r in sclass_reps(S) if r.same_class(-form.det, S))
+    return {"form": [form.a, form.b, form.c], "minus_det_class": rep}
+
+
 def cmd_coeff(args) -> dict:
     S = _parse_S(args.S)
     vols = _vols(args)
@@ -285,8 +297,8 @@ def cmd_coeff(args) -> dict:
     res = coeff_unipotent(orbit, S, vols, cfg, cache, args.digits)
     return {
         "command": "coeff",
-        "inputs": {"group": g, "orbit": str(orbit), "S": str(S), "alpha": alpha,
-                   "X": args.X, "digits": args.digits},
+        "inputs": {"group": g, "orbit": str(orbit), "S": str(S), "X": args.X,
+                   "digits": args.digits, **_param_inputs(args, form, S, alpha)},
         "result": _coeff_doc(res),
     }
 
@@ -417,11 +429,11 @@ def cmd_diff(args) -> dict:
     cache = open_cache(args.cache)
     cfg = _shintani_config(args)
     alpha = Fraction(args.alpha)
-    param = _sub_form(args, alpha) if args.orbit == "sub" else alpha
-    d = endoscopic_diff(S, args.orbit, param, vols, cfg, cache, args.digits)
+    form = _sub_form(args, alpha) if args.orbit == "sub" else None
+    d = endoscopic_diff(S, args.orbit, form or alpha, vols, cfg, cache, args.digits)
     return {
         "command": "diff",
-        "inputs": {"orbit": args.orbit, "S": str(S), "alpha": args.alpha},
+        "inputs": {"orbit": args.orbit, "S": str(S), **_param_inputs(args, form, S, args.alpha)},
         "result": {
             "two_path_difference": d["difference"].value,
             "predicted": _coeff_doc(d["predicted"]),

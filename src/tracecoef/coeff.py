@@ -32,7 +32,7 @@ from .characters import (
 )
 from . import lfun
 from .quadforms import OrbitClass, SymForm2, hasse, is_equiv
-from .shintani import ShintaniConfig, shintani_constant
+from .shintani import ShintaniConfig, shintani_run
 
 
 @dataclass
@@ -274,21 +274,22 @@ def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, config, cache,
                digits: int) -> CoeffResult:
     """The subregular class of the form x (or of x_alpha for a rational x):
     C_F(S,alpha)/2 on vol_M1, for sp2 plus the Hasse-signed sum of the
-    unramified L^S(1,chi_D)/2, plus dzeta^S(3)/zeta^S(3)/2 on the class of x_1
-    (det-class for gsp2, det and Hasse invariants for sp2)."""
+    unramified L^S(1,chi_D)/2, plus dzeta^S(3)/zeta^S(3)/2 on the class of
+    x_1.  For both groups that is the trivial det-class: a form with -det a
+    square at every v in S is hyperbolic there, with x_1's Hasse invariants."""
     x = _sub_form(x)
     alpha = squarefree_kernel(-x.det)
-    cf, cf_err, unstable, _ = shintani_constant(alpha, S, config, cache)
-    terms = [_term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(cf))])]
+    sh = shintani_run(alpha, S, config, cache)
+    terms = [_term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(sh.constant_CF))])]
     if group == "sp2":
         eps = _hasse_sign(x, S)
         terms += [_term(Fraction(1, 2), "vol_m1", vols, [("prod eps_v(x)", mpf(eps)), factor])
                   for factor in _unramified_l1(S, alpha, digits)]
-    if is_equiv(x, SymForm2.x_alpha(1), S, "det+hasse" if group == "sp2" else "det"):
+    if is_equiv(x, SymForm2.x_alpha(1), S, "det"):
         terms.append(_deriv_term(S, vols, digits))
     return CoeffResult(terms, f"{group}-subregular-unipotent",
-                       error=0.5 * vols.vol_m1 * cf_err,
-                       notes={"shintani_unstable": unstable, "alpha": alpha})
+                       error=0.5 * vols.vol_m1 * sh.constant_error,
+                       notes={"shintani_unstable": sh.unstable, "alpha": alpha})
 
 
 # the per-character terms of the minimal and regular classes; the GSp(2)
@@ -465,12 +466,6 @@ def endoscopic_diff(S: PlaceSet, orbit_type: str, param=None,
         eps = _hasse_sign(x, S)
         pred_terms = [_term(Fraction(eps, 2), "vol_m1", vols, [factor])
                       for factor in _unramified_l1(S, squarefree_kernel(-x.det), digits)]
-        sp_has = is_equiv(x, SymForm2.x_alpha(1), S, "det+hasse")
-        gsp_has = is_equiv(x, SymForm2.x_alpha(1), S, "det")
-        if sp_has != gsp_has:
-            t = _deriv_term(S, vols, digits)
-            t.prefactor = t.prefactor * (1 if sp_has else -1)
-            pred_terms.append(t)
     else:
         raise ValueError(f"unknown orbit type {orbit_type!r}")
     predicted = CoeffResult(pred_terms, f"difference-{_KIND[orbit_type]}-predicted")

@@ -21,6 +21,7 @@ from .arith import (
     SquareClassRep,
     cclass_reps,
     hilbert,
+    is_square_at,
     local_square_class,
     sclass_reps,
     squarefree_kernel,
@@ -230,9 +231,9 @@ def unipotent_orbit_set(group: str, S: PlaceSet, bound: int = 10**4) -> list[Orb
         else:
             rel, reps = "det+hasse", sclass_reps(S, bound)
             orbits = [OrbitClass(g, "tri")] + [OrbitClass(g, "min", a) for a in reps]
-        key1 = classify_form(SymForm2.x_alpha(1), S, rel)
+        # sub' is x_1's class: -det in the trivial S-class (the hyperbolic plane only)
         for f in enum_form_classes(S, rel, bound, reps):
-            typ = "sub'" if classify_form(f, S, rel) == key1 else "sub"
+            typ = "sub'" if all(is_square_at(-f.det, v) for v in S) else "sub"
             orbits.append(OrbitClass(g, typ, f))
         if g == "gsp2":
             orbits.append(OrbitClass(g, "reg"))

@@ -27,7 +27,7 @@ from .shintani import (
     ShintaniConfig,
     euler_assembly_check,
     l1_class_number,
-    residue_at_pole,
+    shintani_run,
 )
 from . import coeff as coeffmod
 from . import weights as wmod
@@ -134,11 +134,11 @@ def crit_4_shintani_residue(quick=False, cache=None):
     out = {}
     ests = []
     for alpha in (-1, 2):
-        est, exact, err, diag = residue_at_pole(alpha, S2, config, cache)
-        rel = abs(est - float(exact)) / float(exact)
+        res = shintani_run(alpha, S2, config, cache)
+        est, exact, err = res.residue_estimate, float(res.residue_exact), res.residue_error
         ests.append((est, err))
-        out[f"alpha={alpha}"] = {"estimate": est, "exact": float(exact),
-                                 "rel_dev": rel, "error": err}
+        out[f"alpha={alpha}"] = {"estimate": est, "exact": exact,
+                                 "rel_dev": abs(est - exact) / exact, "error": err}
     agree = abs(ests[0][0] - ests[1][0]) <= ests[0][1] + ests[1][1]
     passed = all(v["rel_dev"] <= TOL_RESIDUE_REL for v in out.values()) and agree
     out["alphas_agree_within_errors"] = agree

@@ -5,6 +5,10 @@ Truncated evaluation of xi^S(s; d_S), extraction of the residue at s=3/2
 plus the closed-form unramified local Euler factors and their assembly
 identity.
 
+The pole data has one entry point, shintani_run: it makes the terms, the
+eps-grid sums, the tail fit, the prefactors and the exact residue once, and
+residue_at_pole and shintani_constant only combine what they are handed.
+
 The summands over the discriminant classes are built in one array pass
 (`build_terms` returns one array per quantity).  Their L(1,chi_D) values
 come from the class number formula, for every D at once:
@@ -54,7 +58,6 @@ class ShintaniConfig:
     X: int = 10**5
     eps_grid: tuple = (0.2, 0.15, 0.1, 0.05)
     L1_method: str = "class-number-formula"  # or "smoothed-character-sum"
-    tail_model: bool = True
     digits: int = 30
 
     def __post_init__(self):
@@ -431,21 +434,12 @@ def _truncated_sum(terms: Terms, s: float) -> float:
     return float(np.add.reduce(_summands(terms, s)))
 
 
-def _grid_sums(terms: Terms, eps_grid) -> dict:
-    """eps -> the truncated sum at s = 3/2 + eps."""
-    return {e: _truncated_sum(terms, 1.5 + e) for e in eps_grid}
-
-
-def xi_partial(s: float, alpha, S: PlaceSet, X: int,
-               method: str = "class-number-formula", cache=None,
-               terms: Terms | None = None) -> float:
+def xi_partial(s: float, alpha, S: PlaceSet, X: int) -> float:
     """Truncated xi^S(s; alpha): prefactor times the sum over the classes
     with |fundamental discriminant| <= X.  Requires s > 3/2 and 2 in S."""
     if s <= 1.5:
-        raise ValueError("xi^S converges only for s > 3/2; the pole data has its own entry points")
-    S.require_2("the Shintani zeta function")
-    if terms is None:
-        terms = build_terms(alpha, S, X, method, cache)
+        raise ValueError("xi^S converges only for s > 3/2; the pole data comes from shintani_run")
+    terms = build_terms(alpha, S, X)  # requires 2 in S
     return _prefactor(s, S) * _truncated_sum(terms, s)
 
 
@@ -513,69 +507,36 @@ def _poly_extrapolate(xs, ys):
     return full, max(spreads) if spreads else abs(full)
 
 
-def residue_at_pole(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
-                    cache=None, terms=None, fit=None, sums=None, prefactors=None):
-    """Estimate lim eps * xi^S(3/2+eps; alpha) from the truncated sum over
-    the eps grid with the fitted tail model; the exact target 2^{-|S|} c_F^S
-    is returned alongside for comparison.  `fit` (from _fit_tail), `sums`
-    (from _grid_sums over config.eps_grid) and `prefactors` (from
-    _prefactors) are computed when not given.
+def residue_at_pole(fit: dict, sums: dict, prefactors: dict, eps_grid):
+    """Estimate lim eps * xi^S(3/2+eps; alpha) from the truncated sums over
+    eps_grid plus the fitted tail model, extrapolated polynomially to
+    eps -> 0.  fit, sums and prefactors are those of shintani_run.
 
-    Returns (estimate, exact: Fraction, error_estimate, diagnostics).
+    Returns (estimate, error_estimate, diagnostics).
     """
-    config = config or ShintaniConfig()
-    S.require_2("the Shintani residue")
-    if terms is None:
-        terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    if sums is None:
-        sums = _grid_sums(terms, config.eps_grid)
-    if prefactors is None:
-        prefactors = _prefactors(S, config)
-    exact = residue_exact_value(S)
-    if not config.tail_model:
-        ys = [e * prefactors[e] * sums[e] for e in config.eps_grid]
-        val, spread = _poly_extrapolate(config.eps_grid, ys)
-        diag = {"tail_model": False,
-                "warning": "residue estimate without tail model diverges from the "
-                           "pole as eps -> 0; increase X or enable the tail model"}
-        return val, exact, abs(val - ys[-1]) + spread, diag
-    if fit is None:
-        fit = _fit_tail(terms)
     ys = []
-    for e in config.eps_grid:
+    for e in eps_grid:
         tail = _tail_integral(e, fit["N_max"], fit["kappa_hat"], fit["c_hat"])
         ys.append(e * prefactors[e] * (sums[e] + tail))
-    val, spread = _poly_extrapolate(config.eps_grid, ys)
+    val, spread = _poly_extrapolate(eps_grid, ys)
     err = spread + fit["kappa_stderr"] * prefactors[0.0]
     diag = {k: fit[k] for k in ("kappa_hat", "c_hat", "kappa_stderr", "fit_rms",
                                 "n_terms", "N_max")}
-    diag["grid_residues"] = dict(zip(config.eps_grid, ys))
-    return val, exact, err, diag
+    diag["grid_residues"] = dict(zip(eps_grid, ys))
+    return val, err, diag
 
 
-def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
-                      cache=None, terms=None, fit=None, sums=None, prefactors=None):
+def shintani_constant(fit: dict, sums: dict, prefactors: dict, R: float, eps_grid):
     """The Laurent constant C_F(S,alpha) of xi^S(s;alpha) at s=3/2.
 
     c(eps) = xi^S(3/2+eps) - R/eps is formed with the EXACT residue R
     (the pole is never fitted); the tail model supplies the truncated part
     of the sum with its leading coefficient pinned to R, and c(eps) is then
-    extrapolated polynomially to eps -> 0.  `fit`, `sums` and `prefactors`
-    are as in residue_at_pole.
+    extrapolated polynomially to eps -> 0.  fit, sums and prefactors are
+    those of shintani_run.
 
     Returns (value, error_estimate, unstable_flag, diagnostics).
     """
-    config = config or ShintaniConfig()
-    S.require_2("the Shintani constant")
-    if terms is None:
-        terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    if fit is None:
-        fit = _fit_tail(terms)
-    if sums is None:
-        sums = _grid_sums(terms, config.eps_grid)
-    if prefactors is None:
-        prefactors = _prefactors(S, config)
-    R = float(residue_exact_value(S))
     P32 = prefactors[0.0]
     kappa_star = R / P32
     # refit the sqrt correction with the leading coefficient pinned
@@ -584,11 +545,11 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     t, y = N[mask], (A - kappa_star * N)[mask]
     c_star = float(np.dot(np.sqrt(t), y) / np.sum(t))
     cs = []
-    for e in config.eps_grid:
+    for e in eps_grid:
         tail = _tail_integral(e, fit["N_max"], kappa_star, c_star)
         xi_model = prefactors[e] * (sums[e] + tail)
         cs.append(xi_model - R / e)
-    val, spread = _poly_extrapolate(config.eps_grid, cs)
+    val, spread = _poly_extrapolate(eps_grid, cs)
     # tail-fluctuation contribution to the error: rms of the pinned fit
     resid = y - c_star * np.sqrt(t)
     fluct = float(np.sqrt(np.mean(resid**2))) / fit["N_max"] ** 0.5
@@ -600,35 +561,34 @@ def shintani_constant(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
         "kappa_hat": fit["kappa_hat"],
         "n_terms": fit["n_terms"],
         "N_max": fit["N_max"],
-        "grid_constants": dict(zip(config.eps_grid, cs)),
+        "grid_constants": dict(zip(eps_grid, cs)),
     }
     return val, err, unstable, diag
 
 
 def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
                  cache=None) -> ShintaniResult:
-    """Full evaluation: grid values, residue estimate vs exact, constant term.
-    The terms, the tail fit, the grid sums and the prefactors are made once
-    and shared."""
+    """The pole data of xi^S(s; alpha) at s = 3/2, by the one path: grid
+    values, the residue estimate against the exact residue, and the constant
+    term.  The cache, if given, is as in build_terms."""
     config = config or ShintaniConfig()
     terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    sums = _grid_sums(terms, config.eps_grid)
+    sums = {e: _truncated_sum(terms, 1.5 + e) for e in config.eps_grid}
     fit = _fit_tail(terms)
     prefactors = _prefactors(S, config)
-    grid = {e: prefactors[e] * sums[e] for e in config.eps_grid}
-    shared = {"terms": terms, "fit": fit, "sums": sums, "prefactors": prefactors}
-    res_est, res_exact, res_err, diag_r = residue_at_pole(alpha, S, config, cache, **shared)
-    cf, cf_err, unstable, diag_c = shintani_constant(alpha, S, config, cache, **shared)
-    diag = {"residue": diag_r, "constant": diag_c}
+    exact = residue_exact_value(S)
+    res_est, res_err, diag_r = residue_at_pole(fit, sums, prefactors, config.eps_grid)
+    cf, cf_err, unstable, diag_c = shintani_constant(fit, sums, prefactors, float(exact),
+                                                     config.eps_grid)
     return ShintaniResult(
-        grid_values=grid,
+        grid_values={e: prefactors[e] * sums[e] for e in config.eps_grid},
         residue_estimate=res_est,
-        residue_exact=res_exact,
+        residue_exact=exact,
         residue_error=res_err,
         constant_CF=cf,
         constant_error=cf_err,
         unstable=unstable,
-        diagnostics=diag,
+        diagnostics={"residue": diag_r, "constant": diag_c},
     )
 
 

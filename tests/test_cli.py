@@ -204,3 +204,41 @@ def test_coeff_sub_rejected_for_groups_without_one(capsys, group, orbit):
     code, out = run_cli(capsys, "coeff", "--group", group, *orbit, "--S", "2", "--json")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--group", "sp2", "--digits", "40"],
+    ["chars", "--X", "10"],
+    ["lfun", "--cache", "p"],
+    ["selftest", "--S", "2"],
+    ["shintani", "--vol-m1", "2"],
+    ["coeff", "--group", "sp2", "--seed", "1"],
+], ids=lambda a: " ".join(a))
+def test_flag_not_read_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+VOLS = {"--vol-m0", "--vol-m1", "--vol-m2", "--vol-mp", "--vol-g"}
+SHINTANI = {"--S", "--digits", "--cache", "--X", "--eps"}
+OPTIONS = {
+    "coeff": SHINTANI | VOLS | {"--group", "--orbit", "--alpha", "--form"},
+    "diff": SHINTANI | VOLS | {"--orbit", "--alpha", "--form"},
+    "shintani": SHINTANI | {"--alpha", "--l1-method"},
+    "lfun": {"--S", "--digits", "--chi", "--s", "--deriv", "--laurent"},
+    "orbits": {"--S", "--group"},
+    "weights": {"--S", "--seed", "--which", "--nu", "--u", "--T", "--engine"},
+    "chars": {"--S", "--cubic"},
+    "selftest": {"--cache", "--quick", "--criteria"},
+}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    import argparse
+
+    from tracecoef.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == {name: opts | {"--json"} for name, opts in OPTIONS.items()}

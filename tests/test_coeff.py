@@ -26,7 +26,7 @@ from tracecoef.coeff import (
     endoscopic_diff,
 )
 from tracecoef.quadforms import OrbitClass, SymForm2, hasse, unipotent_orbit_set
-from tracecoef.shintani import ShintaniConfig, l1_class_number, shintani_constant
+from tracecoef.shintani import ShintaniConfig, l1_class_number, shintani_run
 
 S_OO = PlaceSet.of()
 S2 = PlaceSet.of(2)
@@ -130,7 +130,7 @@ def test_gsp2_sub_derivative_term_presence():
     assert any("dzeta" in n for n in names1)       # x ~ x_1: derivative term
     assert not any("dzeta" in n for n in names3)   # x not ~ x_1: absent
     # the x_1 class coefficient = C_F(S,1)/2 + derivative/2
-    cf, _, _, _ = shintani_constant(1, S2, CFG, c)
+    cf = shintani_run(1, S2, CFG, c).constant_CF
     deriv = lfun.deriv_LS(3, None, S2) / lfun.zetaS(3, S2)
     assert abs(r1.value - (mpf(cf) / 2 + deriv / 2)) < mpf("1e-12")
 

@@ -5,6 +5,7 @@ num*den^2 (cube classes).  The references below work on the rational itself,
 with Fraction unit parts reduced modulo p^k, Euler's criterion and brute
 cube tables, and share no code with `arith`.
 """
+import math
 from fractions import Fraction
 
 import pytest
@@ -191,3 +192,19 @@ def test_other_input_types_go_through_fraction():
 def test_zero_is_rejected(fn):
     with pytest.raises(ValueError):
         fn()
+
+
+@SETTINGS
+@given(st.sampled_from(((2,), (2, 3), (2, 5))), small.filter(bool), small.filter(bool),
+       small, st.integers(0, 10**4))
+def test_square_minus_det_means_hasse_profile_of_x1(S, a, r, b, k):
+    """A form whose -det is a square at every place of S = {oo} + S is the
+    hyperbolic plane there, so it has the Hasse profile of x_1 = diag(1,-1).
+    -det = t is drawn from the trivial S-class directly: t = r^2 m with
+    m = 1 mod 8 prod(odd p in S), and the form is [[a, b], [b, (b^2 - t)/a]]."""
+    m = 1 + 8 * math.prod(p for p in S if p != 2) * k
+    x = SymForm2(a, b, (b * b - r * r * m) / a)
+    places = (OO,) + S
+    assert all(is_square_at(-x.det, v) for v in places)
+    x1 = SymForm2.x_alpha(1)
+    assert [hasse(x, v) for v in places] == [hasse(x1, v) for v in places]

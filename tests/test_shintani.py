@@ -31,9 +31,7 @@ from tracecoef.shintani import (
     l1_class_number,
     l1_smoothed,
     local_factor,
-    residue_at_pole,
     residue_exact_value,
-    shintani_constant,
     shintani_run,
     tail_block_check,
     w_disc,
@@ -174,8 +172,9 @@ def test_residue_exact_targets():
 
 def test_residue_estimate_and_alpha_independence():
     cfg = ShintaniConfig(X=2 * 10**4)
-    est1, exact, err1, _ = residue_at_pole(-1, S2, cfg)
-    est2, _, err2, _ = residue_at_pole(2, S2, cfg)
+    r1, r2 = shintani_run(-1, S2, cfg), shintani_run(2, S2, cfg)
+    est1, exact, err1 = r1.residue_estimate, r1.residue_exact, r1.residue_error
+    est2, err2 = r2.residue_estimate, r2.residue_error
     assert exact == Fraction(1, 8)
     assert abs(est1 - 0.125) / 0.125 < 0.05
     assert abs(est2 - 0.125) / 0.125 < 0.05
@@ -192,24 +191,25 @@ def test_residue_partial_scaled_increases_toward_target():
 def test_constant_grid_consistency():
     """c(eps) at eps and eps/2 differ by O(eps): the extrapolant is stable."""
     cfg = ShintaniConfig(X=3 * 10**4, eps_grid=(0.2, 0.1, 0.05, 0.025))
-    val, err, unstable, diag = shintani_constant(-1, S2, cfg)
-    assert not unstable
-    grid = diag["grid_constants"]
+    res = shintani_run(-1, S2, cfg)
+    val = res.constant_CF
+    assert not res.unstable
+    grid = res.diagnostics["constant"]["grid_constants"]
     assert abs(grid[0.05] - grid[0.025]) < 3 * abs(grid[0.2] - grid[0.1])
     assert abs(grid[0.025] - val) < 0.05
 
 
 def test_constant_stable_under_X_growth():
     """Tail-model oracle: growing X by 4x moves the estimate by <= 2%."""
-    v1, e1, _, _ = shintani_constant(-1, S2, ShintaniConfig(X=1500 * 10))
-    v2, e2, _, _ = shintani_constant(-1, S2, ShintaniConfig(X=6000 * 10))
+    v1 = shintani_run(-1, S2, ShintaniConfig(X=1500 * 10)).constant_CF
+    v2 = shintani_run(-1, S2, ShintaniConfig(X=6000 * 10)).constant_CF
     assert abs(v1 - v2) <= 0.02 * abs(v2)
 
 
 def test_constant_invariant_under_representative_change():
     cfg = ShintaniConfig(X=2 * 10**4)
-    v1, e1, _, _ = shintani_constant(-1, S2, cfg)
-    v2, e2, _, _ = shintani_constant(Fraction(-9, 49), S2, cfg)  # same class
+    v1 = shintani_run(-1, S2, cfg).constant_CF
+    v2 = shintani_run(Fraction(-9, 49), S2, cfg).constant_CF  # same class
     assert abs(v1 - v2) <= 1e-12  # identical class data, identical sum
 
 
@@ -225,17 +225,6 @@ def test_shintani_run_shape():
     assert res.residue_exact == Fraction(1, 8)
     assert res.residue_estimate > 0
     assert res.constant_error > 0
-
-
-def test_shintani_run_shares_fit_and_sums():
-    """shintani_run hands its one tail fit and grid sums to the pole-data
-    entry points; called alone, they compute the same values."""
-    cfg = ShintaniConfig(X=10**4)
-    res = shintani_run(-1, S2, cfg)
-    est, exact, err, _ = residue_at_pole(-1, S2, cfg)
-    cf, cf_err, unstable, _ = shintani_constant(-1, S2, cfg)
-    assert (res.residue_estimate, res.residue_error) == (est, err)
-    assert (res.constant_CF, res.constant_error, res.unstable) == (cf, cf_err, unstable)
 
 
 def test_shintani_run_computes_each_prefactor_once(monkeypatch):
@@ -332,15 +321,6 @@ def test_cache_record_of_other_method_not_served():
     assert c.stored[-4]["method"] == "smoothed-character-sum"
 
 
-def test_residue_tail_model_off_diagnostic():
-    cfg = ShintaniConfig(X=2000, tail_model=False)
-    est, exact, err, diag = residue_at_pole(-1, S2, cfg)
-    assert diag["tail_model"] is False
-    assert "warning" in diag
-    # without a tail the truncated estimate falls visibly short of the pole
-    assert est < 0.9 * float(exact)
-
-
 def test_residue_alpha_independent_across_all_classes():
     """The pole datum does not depend on the square class (sampled over all
     sixteen classes at a reduced bound)."""
@@ -349,7 +329,7 @@ def test_residue_alpha_independent_across_all_classes():
     cfg = ShintaniConfig(X=10**4)
     exact = float(residue_exact_value(S2))
     for rep in sclass_reps(S2):
-        est, _, err, _ = residue_at_pole(rep.value, S2, cfg)
+        est = shintani_run(rep.value, S2, cfg).residue_estimate
         assert abs(est - exact) < 0.12 * exact, (rep.value, est)
 
 
@@ -360,8 +340,8 @@ def test_constant_same_for_distinct_squarefree_reps_of_class():
     t2 = build_terms(-17, S2, 8000)
     assert t1.d.tolist() == t2.d.tolist() and t1.N.tolist() == t2.N.tolist()
     cfg = ShintaniConfig(X=2 * 10**4)
-    v1, *_ = shintani_constant(-1, S2, cfg)
-    v2, *_ = shintani_constant(-17, S2, cfg)
+    v1 = shintani_run(-1, S2, cfg).constant_CF
+    v2 = shintani_run(-17, S2, cfg).constant_CF
     assert v1 == v2
 
 

@@ -3,8 +3,9 @@
 Subcommands: coeff, shintani, lfun, orbits, weights, chars, selftest.
 Every run prints one JSON document to stdout (pretty by default, compact
 with --json); reruns with identical inputs and a warm cache are
-byte-identical.  Exit codes: 0 success, 2 usage error, 3 numeric
-instability (with a machine-readable error object).
+byte-identical.  Each subcommand takes only the shared flags it reads.
+Exit codes: 0 success, 2 usage error, 3 numeric instability (with a
+machine-readable error object).
 """
 from __future__ import annotations
 

@@ -88,6 +88,9 @@ def _coeff_doc(res: CoeffResult) -> dict:
 # JSON-lines L-value cache
 # ---------------------------------------------------------------------------
 
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 class JsonlCache:
     """Append-only cache of L(1,chi_D) records, one JSON object per line.
 
@@ -123,15 +126,16 @@ class JsonlCache:
 
     def put_many(self, records):
         """Store each record unless the one held for its D has more digits,
-        and append the stored ones to the file with a single open."""
+        and append the stored ones to the file with a single open.  Records
+        hold plain JSON values; a non-finite float raises ValueError."""
         lines = []
         for rec in records:
             D = int(rec["D"])
             old = self._mem.get(D)
             if old is not None and old.get("digits", 0) > rec.get("digits", 0):
                 continue
+            lines.append(_RECORD_ENCODER.encode(rec) + "\n")
             self._mem[D] = rec
-            lines.append(json.dumps(_plain(rec), sort_keys=True) + "\n")
         if self.path and lines:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(lines))

@@ -271,15 +271,17 @@ def _unramified_l1(S: PlaceSet, alpha, digits: int) -> list:
 
 
 def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, config, cache,
-               digits: int) -> CoeffResult:
+               digits: int, sh=None) -> CoeffResult:
     """The subregular class of the form x (or of x_alpha for a rational x):
     C_F(S,alpha)/2 on vol_M1, for sp2 plus the Hasse-signed sum of the
     unramified L^S(1,chi_D)/2, plus dzeta^S(3)/zeta^S(3)/2 on the class of
     x_1.  For both groups that is the trivial det-class: a form with -det a
-    square at every v in S is hyperbolic there, with x_1's Hasse invariants."""
+    square at every v in S is hyperbolic there, with x_1's Hasse invariants.
+    sh, if given, is the shintani_run of alpha, S, config and cache."""
     x = _sub_form(x)
     alpha = squarefree_kernel(-x.det)
-    sh = shintani_run(alpha, S, config, cache)
+    if sh is None:
+        sh = shintani_run(alpha, S, config, cache)
     terms = [_term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(sh.constant_CF))])]
     if group == "sp2":
         eps = _hasse_sign(x, S)
@@ -461,8 +463,10 @@ def endoscopic_diff(S: PlaceSet, orbit_type: str, param=None,
                                nontrivial_only=True)
     elif orbit_type in ("sub", "sub'"):
         x = _sub_form(param if param is not None else 1)
-        a_sp = coeff_sp2(S, x, None, vols, config, cache, digits)
-        a_gsp = coeff_gsp2(S, x, vols, config, cache, digits)
+        # one pole-data run for both groups; its C_F term cancels in the difference
+        sh = shintani_run(squarefree_kernel(-x.det), S, config, cache)
+        a_sp = _coeff_sub("sp2", S, x, vols, config, cache, digits, sh)
+        a_gsp = _coeff_sub("gsp2", S, x, vols, config, cache, digits, sh)
         eps = _hasse_sign(x, S)
         pred_terms = [_term(Fraction(eps, 2), "vol_m1", vols, [factor])
                       for factor in _unramified_l1(S, squarefree_kernel(-x.det), digits)]

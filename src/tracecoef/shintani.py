@@ -10,18 +10,22 @@ eps-grid sums, the tail fit, the prefactors and the exact residue once, and
 residue_at_pole and shintani_constant only combine what they are handed.
 
 The summands over the discriminant classes are built in one array pass
-(`build_terms` returns one array per quantity).  Their L(1,chi_D) values
-come from the class number formula, for every D at once:
+(`build_terms` returns one array per quantity).  Their L(1,chi_D) values come
+from the class number formula, for every D at once, as sums over the reduced
+forms (a,b,c) of discriminant D = b^2 + 4ac (with c -> -c for D < 0):
 
-- D < 0: the reduced forms (a,b,c), 0 <= b <= a <= c, of one (a,b) have
-  |D| = 4ac - b^2 in a progression of step 4a, so h(D) for all |D| <= X is
-  a sum of strided adds, weighted 1 when b = 0, b = a or a = c and 2
-  otherwise.
-- D > 0: the reduced indefinite forms are the triples a, b, c > 0 with
-  |a - c| < b and D = b^2 + 4ac (each giving (a,b,-c) and (-a,b,c)).  The
-  product of (b + sqrt D)/(2|a|) around every reduction cycle is the same
-  totally positive unit eps+, so h+ log(eps+) = 2 * sum log((b + sqrt D)/2a)
-  over the triples, with no cycle walk.
+- D < 0: 0 <= b <= a <= c, weight 1 when b = 0, b = a or a = c and 2
+  otherwise; the sum is h(D).
+- D > 0: a, b, c > 0 with |a - c| < b (each giving (a,b,-c) and (-a,b,c)),
+  weight log((b + sqrt D)/2a).  Their product around every reduction cycle
+  is the same totally positive unit eps+, so h+ log(eps+) is twice the sum.
+
+Only the forms with |D| = r mod M = 2^k for a residue r of the wanted D are
+visited: b = r mod 2, and for fixed (a, b) the c with 4ac = t mod M, t = r +
+b^2 (D < 0) or r - b^2 (D > 0), form one progression of step M/gcd(4a, M), or
+none when gcd(4a, M) does not divide t.  M <= 64 minimises |residues| *
+(pairs (a, b) + forms / M) over the wanted D, and an exact lookup rejects
+every other D, so the values do not depend on M.
 
 The per-discriminant routines (class_number_imag, class_data_real,
 l1_class_number) remain as the independent oracles of that pass.  A
@@ -35,6 +39,7 @@ pole is removed with the exact residue, never by fitting.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -243,71 +248,80 @@ def l1_smoothed(D: int, tol: float = 1e-12) -> float:
 # L(1, chi_D) in bulk: the class number formula over arrays
 # ---------------------------------------------------------------------------
 
-_REAL_CHUNK = 1 << 15  # forms per chunk of the indefinite-form enumeration
+_FORM_CHUNK = 1 << 14  # forms per chunk of the enumeration
+_PAIR_BLOCK = 1 << 11  # (a, b) pairs per block
+_INV64 = np.array([pow(u, -1, 64) if u % 2 else 0 for u in range(64)])  # odd u -> 1/u mod 64
 
 
-def _h_imag_bulk(X: int) -> np.ndarray:
-    """h[|D|] = the weighted count of reduced forms of discriminant D < 0 for
-    |D| <= X (see the module docstring); the class number at fundamental D."""
-    h = np.zeros(X + 1, dtype=np.int32)
-    a = 1
-    while 3 * a * a <= X:
-        for b in range(a + 1):
-            start = 4 * a * a - b * b
-            if start > X:
-                continue
-            if b == 0 or b == a:
-                h[start :: 4 * a] += 1
-            else:
-                h[start :: 4 * a] += 2
-                h[start] -= 1
-        a += 1
-    return h
-
-
-def _hlog_real_bulk(D: np.ndarray) -> np.ndarray:
-    """h+ log(eps+) for an array of distinct fundamental discriminants D > 0,
-    as the sum over the reduced triples (see the module docstring),
-    enumerated by a and blocks of b with c in an interval."""
-    X = int(D.max())
-    need = np.zeros(X + 1, dtype=bool)
-    need[D] = True
-    order = np.argsort(D)
+def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
+    """h(D) (D < 0) or h+ log(eps+) (D > 0) for distinct fundamental
+    discriminants D of one sign, by the strided sums of the module docstring."""
+    q, neg = np.abs(D), bool(D[0] < 0)
+    X = int(q.max())
+    if X >= 1 << 31:
+        raise ValueError("|D| >= 2^31 is out of range of the int32 form enumeration")
+    pairs, forms = (X / 6, 0.07 * X**1.5) if neg else (0.75 * X, 0.23 * X**1.5)
+    res = [np.flatnonzero(np.bincount(q & ((1 << k) - 1), minlength=1 << k)) for k in range(7)]
+    k = min(range(7), key=lambda k: len(res[k]) * (pairs + forms / 2**k))
+    M = 1 << k
+    # D > 0: c >= max(a - b + 1, 1) gives D >= (2a - b)^2 + 4a and D >= b^2 + 4a
+    a_all = np.arange(1, isqrt(X // 3) + 1 if neg else isqrt(X + 4) - 1)
+    b_hi = a_all if neg else np.sqrt(X - 4 * a_all).astype(np.int64)
+    b_lo = 0 * a_all if neg else np.maximum(2 * a_all - b_hi, 1)
+    par = min(M, 2)  # b = |D| mod 2
     acc = np.zeros(len(D))
-    a = 1
-    while a * a + 4 * a <= X:
-        # c >= max(a - b + 1, 1) gives D >= (2a - b)^2 + 4a and D >= b^2 + 4a
-        b_hi = isqrt(X - 4 * a)
-        width = max(_REAL_CHUNK // min(2 * b_hi, X // (4 * a)), 1)  # b values per chunk
-        for b0 in range(max(2 * a - b_hi, 1), b_hi + 1, width):
-            b = np.arange(b0, min(b0 + width, b_hi + 1), dtype=np.int32)
-            lo = np.maximum(a - b + 1, 1)
-            cnt = np.maximum(np.minimum(a + b - 1, (X - b * b) // (4 * a)) - lo + 1, 0)
-            disc = np.arange(cnt.sum(), dtype=np.int32)  # disc = b^2 + 4ac, c from lo
-            disc += np.repeat(lo - np.cumsum(cnt, dtype=np.int32) + cnt, cnt)
-            disc *= 4 * a
-            b = np.repeat(b, cnt)
-            disc += b * b
-            hit = need[disc]
-            b, disc = b[hit], disc[hit]
-            k = order[np.searchsorted(D, disc, sorter=order)]
-            acc += np.bincount(k, weights=np.log((b + np.sqrt(disc)) / (2 * a)), minlength=len(D))
-        a += 1
-    return 2 * acc
+    for r in res[k].tolist():
+        slot = np.full((X >> k) + 1, -1, dtype=np.int32)  # the index of D at |D| >> k
+        sel = np.flatnonzero(q & (M - 1) == r)
+        slot[q[sel] >> k] = sel
+        b_r = b_lo + (b_lo - r) % par  # the least b of each a
+        n_b = np.maximum((b_hi - b_r) // par + 1, 0)
+        cum_b = np.cumsum(n_b)
+        cuts = cum_b[np.searchsorted(cum_b, np.arange(0, cum_b[-1], _PAIR_BLOCK), "right")]
+        for s0, s1 in itertools.pairwise(sorted({0, *cuts.tolist(), int(cum_b[-1])})):
+            pos = np.arange(s0, s1)  # the pairs of whole a's, about _PAIR_BLOCK of them
+            i = np.searchsorted(cum_b, pos, "right")
+            a, b = i + 1, b_r[i] + par * (pos - cum_b[i] + n_b[i])
+            lo, t = (a, r + b * b) if neg else (np.maximum(a - b + 1, 1), r - b * b)  # 4ac = t
+            hi = (X + b * b) // (4 * a) if neg else np.minimum(a + b - 1, (X - b * b) // (4 * a))
+            g = np.gcd(4 * a, M)
+            m = M // g
+            first = lo + ((t // g) * _INV64[(4 * a // g) % 64] - lo) % m
+            cnt = np.where(t % g == 0, np.maximum((hi - first) // m + 1, 0), 0)
+            a, b, m, first, cnt = (x[cnt > 0] for x in (a, b, m, first, cnt))
+            start, step = 4 * a * first + (-b * b if neg else b * b), (4 * a * m).astype(np.int32)
+            p1 = (b == 0) | (b == a) if neg else b.astype(np.int32)  # the weight data
+            p2 = (4 * a * a - b * b if neg else 2 * a).astype(np.int32)
+            excl = np.cumsum(cnt) - cnt
+            for f0 in range(0, int(cnt.sum()), _FORM_CHUNK):
+                i, j = np.searchsorted(excl, (f0 + 1, f0 + _FORM_CHUNK)) - (1, 0)
+                e = np.maximum(excl[i:j], f0)
+                n = np.minimum(excl[i:j] + cnt[i:j], f0 + _FORM_CHUNK) - e
+                v = np.arange(n.sum(), dtype=np.int32)
+                v -= np.repeat((e - f0).astype(np.int32), n)
+                v *= np.repeat(step[i:j], n)
+                v += np.repeat((start[i:j] + (e - excl[i:j]) * step[i:j]).astype(np.int32), n)
+                idx = slot[v >> k]
+                hit = idx >= 0
+                x1, x2 = np.repeat(p1[i:j], n)[hit], np.repeat(p2[i:j], n)[hit]
+                v, idx = v[hit], idx[hit]
+                w = 2 - (x1 | (v == x2)) if neg else np.log((x1 + np.sqrt(v)) / x2)
+                # real: one sum per a, in the order of a, the rounding the golden outputs pin
+                new_a = [] if neg else np.flatnonzero(np.diff(x2)) + 1
+                for ii, ww in zip(np.split(idx, new_a), np.split(w, new_a)):
+                    acc += np.bincount(ii, weights=ww, minlength=len(D))
+    return acc if neg else 2 * acc
 
 
 def _l1_class_number_bulk(D: np.ndarray) -> np.ndarray:
-    """L(1, chi_D) for an array of distinct fundamental discriminants D != 1,
-    by the float formulas of l1_class_number."""
+    """L(1, chi_D) at distinct fundamental discriminants D != 1 by l1_class_number's formulas."""
     out = np.empty(len(D))
     neg = D < 0
     if neg.any():
-        q = -D[neg]
-        w = np.where(q == 3, 6, np.where(q == 4, 4, 2))
-        out[neg] = 2 * math.pi * _h_imag_bulk(int(q.max()))[q] / (w * np.sqrt(q))
+        w = np.where(D[neg] == -3, 6, np.where(D[neg] == -4, 4, 2))
+        out[neg] = 2 * math.pi * _reduced_form_sums(D[neg]) / (w * np.sqrt(-D[neg]))
     if not neg.all():
-        pos = D[~neg]
-        out[~neg] = _hlog_real_bulk(pos) / np.sqrt(pos)
+        out[~neg] = _reduced_form_sums(D[~neg]) / np.sqrt(D[~neg])
     return out
 
 

@@ -134,6 +134,19 @@ def test_cache_put_many_same_bytes_as_put(tmp_path):
     assert len(paths[1].read_text().splitlines()) == 4
 
 
+def test_cache_rejects_non_finite_record(tmp_path):
+    """A record whose L1 is not finite is refused, not stored as a string,
+    and nothing of its batch reaches the file."""
+    path = tmp_path / "cache.jsonl"
+    c = JsonlCache(str(path))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            c.put_many([{"D": 5, "L1": 0.43, "method": "m", "digits": 15},
+                        {"D": 8, "L1": bad, "method": "m", "digits": 15}])
+    assert not path.exists() or path.read_text() == ""
+    assert c.get(8) is None
+
+
 def test_parser_reused_without_leaking_options(tmp_path, capsys):
     """main builds its parser once; options of one call do not carry over
     into the next, across subcommands.  coeff has no --l1-method, so a

@@ -256,3 +256,19 @@ def test_endoscopic_sub_cases():
     d = endoscopic_diff(S2, "sub", SymForm2.x_alpha(-1), config=CFG)
     assert abs(d["difference"].value - d["predicted"].value) <= d["difference"].error + 1e-12
     assert float(d["predicted"].value) > 0
+
+
+def test_endoscopic_sub_runs_pole_data_once(monkeypatch):
+    """Both groups share one Shintani run: one build_terms call per report,
+    and each group's coefficient is what it is on its own."""
+    from tracecoef import shintani
+
+    calls = []
+    build = shintani.build_terms
+    monkeypatch.setattr(shintani, "build_terms", lambda *a, **k: calls.append(a) or build(*a, **k))
+    x = SymForm2.x_alpha(-1)
+    d = endoscopic_diff(S2, "sub", x, config=CFG)
+    assert len(calls) == 1
+    assert d["sp2"].value == coeff_sp2(S2, x, config=CFG).value
+    assert d["gsp2"].value == coeff_gsp2(S2, x, config=CFG).value
+    assert len(calls) == 3

@@ -5,13 +5,19 @@ route; fundamental units are verified in place by their norm equations and
 (for small discriminants) by brute-force Pell search before being compared
 with the cycle-product regulator.
 """
+import functools
 import math
+import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from tracecoef.arith import PlaceSet, kronecker, primes_up_to, spf_table
+from tracecoef.arith import PlaceSet, kronecker, primes_up_to, sclass_reps, spf_table
 from tracecoef.characters import (
     QuadChar,
     conductor_outside,
@@ -20,10 +26,10 @@ from tracecoef.characters import (
     is_fundamental_discriminant,
 )
 from tracecoef import lfun
+from tracecoef import shintani
 from tracecoef.shintani import (
     ShintaniConfig,
-    _h_imag_bulk,
-    _hlog_real_bulk,
+    _reduced_form_sums,
     build_terms,
     class_data_real,
     class_number_imag,
@@ -349,27 +355,117 @@ def test_bulk_class_numbers_imag():
     """The strided reduced-form count equals the per-D count at every
     fundamental D < 0 with |D| <= 2*10^4."""
     X = 2 * 10**4
-    h = _h_imag_bulk(X)
     spf = spf_table(X)
     Ds = [D for D in range(-X, 0) if is_fundamental_discriminant(D)]
+    h = _reduced_form_sums(np.array(Ds, dtype=np.int64))
     assert len(Ds) > 6000
-    assert [int(h[-D]) for D in Ds] == [class_number_imag(D, spf) for D in Ds]
+    assert [int(x) for x in h] == [class_number_imag(D, spf) for D in Ds]
 
 
 def test_bulk_regulators_real():
     """2 * sum over reduced triples of log((b+sqrt D)/2a) equals the cycle
     count times the cycle-product regulator, for every fundamental
     0 < D <= 2*10^4."""
-    import numpy as np
-
     X = 2 * 10**4
     spf = spf_table(X)
     Ds = [D for D in range(2, X + 1) if is_fundamental_discriminant(D)]
-    bulk = _hlog_real_bulk(np.array(Ds, dtype=np.int64))
+    bulk = _reduced_form_sums(np.array(Ds, dtype=np.int64))
     for D, got in zip(Ds, bulk):
         h_plus, log_eps = class_data_real(D, spf)
         want = h_plus * log_eps
         assert abs(got - want) <= 1e-13 * want, D
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_table(X: int) -> dict:
+    """D -> h(D) (D < 0) or h+ log(eps+) (D > 0) for every fundamental
+    discriminant 0 < |D| <= X, one discriminant at a time."""
+    spf = spf_table(X)
+    out = {}
+    for D in range(-X, X + 1):
+        if D < 0 and is_fundamental_discriminant(D):
+            out[D] = class_number_imag(D, spf)
+        elif D > 1 and is_fundamental_discriminant(D):
+            h_plus, log_eps = class_data_real(D, spf)
+            out[D] = h_plus * log_eps
+    return out
+
+
+def _assert_form_sums_match(Ds, X):
+    table = _oracle_table(X)
+    got = _reduced_form_sums(np.array(Ds, dtype=np.int64))
+    for D, g in zip(Ds, got.tolist()):
+        assert (g == table[D]) if D < 0 else abs(g - table[D]) <= 1e-13 * table[D], D
+
+
+@st.composite
+def disc_subsets(draw):
+    """Subsets of the fundamental discriminants of one sign with |D| <= 5000:
+    one residue class, a few, or all of them mod 2^j, thinned at random."""
+    sign, bound = draw(st.sampled_from((-1, 1))), draw(st.integers(50, 5000))
+    pool = [D for D in _oracle_table(5000) if D * sign > 0 and abs(D) <= bound]
+    M = draw(st.sampled_from((2, 4, 8, 16, 32, 64)))
+    present = sorted({abs(D) % M for D in pool})
+    pattern = draw(st.sampled_from(("one", "few", "dense")))
+    if pattern == "one":
+        keep = {draw(st.sampled_from(present))}
+    elif pattern == "few":
+        keep = set(draw(st.lists(st.sampled_from(present), min_size=1, max_size=3)))
+    else:
+        keep = set(present)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    thin = draw(st.sampled_from((1.0, 0.5, 0.05)))
+    sub = [D for D in pool if abs(D) % M in keep and rng.random() < thin]
+    return sub or [pool[-1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(disc_subsets())
+def test_form_sums_on_random_subsets(Ds):
+    """The strided sums equal the per-D oracles on any subset of D values,
+    whatever residue pattern sets the stride."""
+    _assert_form_sums_match(Ds, 5000)
+
+
+@pytest.mark.parametrize("S", [PlaceSet.of(2, 3), PlaceSet.of(2, 5)], ids=["S2_3", "S2_5"])
+def test_form_sums_every_class(S):
+    """The L(1) pass of every square class of either sign, at X = 2*10^4."""
+    X = 2 * 10**4
+    for rep in sclass_reps(S):
+        d = disc_classes(S, rep.value, X=X, kind="Q_S").entries
+        _assert_form_sums_match([fundamental_discriminant_of(x) for x in d], X)
+
+
+def test_form_sums_stride_visits_few_forms(monkeypatch):
+    """alpha = 2 at {oo,2}: every D is 8 mod 64, and the enumeration makes at
+    most 1/20 of the reduced triples with D <= X.  Each chunk of forms starts
+    as one int32 arange, which the counting wrapper below sums."""
+    X = 2 * 10**4
+    Ds = [fundamental_discriminant_of(x) for x in disc_classes(S2, 2, X=X, kind="Q_S").entries]
+    made = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            out = np.arange(*args, **kwargs)
+            if kwargs.get("dtype") is np.int32:
+                made.append(len(out))
+            return out
+
+    monkeypatch.setattr(shintani, "np", CountingNumpy())
+    _assert_form_sums_match(Ds, X)
+    triples = sum(max(min(a + b - 1, (X - b * b) // (4 * a)) - max(a - b + 1, 1) + 1, 0)
+                  for a in range(1, isqrt(X)) for b in range(1, isqrt(X) + 1))
+    assert triples > 10**5 and 0 < sum(made) <= triples / 20
+
+
+def test_form_sums_reject_out_of_int32_range():
+    """|D| >= 2^31 is refused before anything of size |D| is allocated."""
+    for Ds in ([5, 2**31 + 5], [-3, -(2**31 + 4)]):
+        with pytest.raises(ValueError, match="2\\^31"):
+            _reduced_form_sums(np.array(Ds, dtype=np.int64))
 
 
 def _scalar_terms(alpha, S, X):

@@ -13,9 +13,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from mpmath import mpf, mpc
 
@@ -91,6 +93,29 @@ def _coeff_doc(res: CoeffResult) -> dict:
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
+def _record_line(rec: dict) -> str:
+    """rec as _RECORD_ENCODER writes it; an L(1) record with a finite L1 is
+    formatted directly, anything else goes through the encoder."""
+    D, L1, digits, method = (rec.get(k) for k in ("D", "L1", "digits", "method"))
+    if (len(rec) == 4 and type(D) is type(digits) is int and type(method) is str
+            and type(L1) is float and math.isfinite(L1)):
+        return (f'{{"D": {D}, "L1": {L1!r}, "digits": {digits}, '
+                f'"method": {encode_basestring_ascii(method)}}}\n')
+    return _RECORD_ENCODER.encode(rec) + "\n"
+
+
+def _parse_lines(lines) -> list:
+    """(D, record) for each line that holds a record, warning about the rest."""
+    out = []
+    for line in lines:
+        try:
+            rec = json.loads(line)
+            out.append((int(rec["D"]), rec))
+        except (ValueError, KeyError, TypeError):
+            print(f"warning: skipping corrupt cache line: {line[:60]}", file=sys.stderr)
+    return out
+
+
 class JsonlCache:
     """Append-only cache of L(1,chi_D) records, one JSON object per line.
 
@@ -103,20 +128,17 @@ class JsonlCache:
         self._mem: dict[int, dict] = {}
         if path and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        D = int(rec["D"])
-                    except (ValueError, KeyError, TypeError):
-                        print(f"warning: skipping corrupt cache line: {line[:60]}",
-                              file=sys.stderr)
-                        continue
-                    old = self._mem.get(D)
-                    if old is None or rec.get("digits", 0) >= old.get("digits", 0):
-                        self._mem[D] = rec
+                lines = [line for line in map(str.strip, fh) if line]
+            try:  # one parse of the whole file
+                keyed = [(int(rec["D"]), rec) for rec in json.loads("[" + ",".join(lines) + "]")]
+            except (ValueError, KeyError, TypeError):
+                keyed = []
+            if len(keyed) != len(lines):  # not one record per line: parse each line
+                keyed = _parse_lines(lines)
+            for D, rec in keyed:
+                old = self._mem.get(D)
+                if old is None or rec.get("digits", 0) >= old.get("digits", 0):
+                    self._mem[D] = rec
 
     def get(self, D: int):
         return self._mem.get(int(D))
@@ -134,7 +156,7 @@ class JsonlCache:
             old = self._mem.get(D)
             if old is not None and old.get("digits", 0) > rec.get("digits", 0):
                 continue
-            lines.append(_RECORD_ENCODER.encode(rec) + "\n")
+            lines.append(_record_line(rec))
             self._mem[D] = rec
         if self.path and lines:
             with open(self.path, "a", encoding="utf-8") as fh:
@@ -204,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,b,c entries of the symmetric form for subregular orbits")
 
     p = sub.add_parser("shintani", help="Shintani zeta grid, residue and constant term")
-    _add_common(p, digits=True, cache=True, X=True)
+    _add_common(p, cache=True, X=True)
     p.add_argument("--alpha", default="-1")
     p.add_argument("--l1-method", dest="l1_method", default="class-number-formula",
                    choices=["class-number-formula", "smoothed-character-sum"])
@@ -255,13 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _shintani_config(args) -> ShintaniConfig:
-    lfun.PrecisionConfig(working_digits=args.digits)  # validates >= 15
-    return ShintaniConfig(
-        X=args.X,
-        eps_grid=tuple(_parse_list(args.eps)),
-        L1_method=getattr(args, "l1_method", "class-number-formula"),
-        digits=args.digits,
-    )
+    if hasattr(args, "digits"):  # coeff and diff
+        lfun.PrecisionConfig(working_digits=args.digits)  # validates >= 15
+    return ShintaniConfig(X=args.X, eps_grid=tuple(_parse_list(args.eps)),
+                          L1_method=getattr(args, "l1_method", "class-number-formula"))
 
 
 def _sub_form(args, alpha: Fraction) -> SymForm2 | None:
@@ -327,11 +346,8 @@ def cmd_shintani(args) -> dict:
             "constant": res.constant_CF,
             "constant_error": res.constant_error,
             "unstable": res.unstable,
-            "diagnostics": {
-                "n_terms": res.diagnostics["constant"]["n_terms"],
-                "kappa_star": res.diagnostics["constant"]["kappa_star"],
-                "kappa_hat": res.diagnostics["constant"]["kappa_hat"],
-            },
+            "diagnostics": {k: res.diagnostics["constant"][k]
+                            for k in ("n_terms", "kappa_star", "kappa_hat")},
         },
     }
     if res.unstable:

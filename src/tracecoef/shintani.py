@@ -8,6 +8,8 @@ identity.
 The pole data has one entry point, shintani_run: it makes the terms, the
 eps-grid sums, the tail fit, the prefactors and the exact residue once, and
 residue_at_pole and shintani_constant only combine what they are handed.
+It is float64 throughout: one L^S(2s) matrix serves every eps and the tail
+fit, and the zeta^S prefactors come from one Euler-Maclaurin evaluation.
 
 The summands over the discriminant classes are built in one array pass
 (`build_terms` returns one array per quantity).  Their L(1,chi_D) values come
@@ -53,7 +55,7 @@ from .arith import (PlaceSet, SquareClassRep, kronecker, legendre_table, primes_
 from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
-_L2S_PRIME_BOUND = 600  # Euler-product truncation for L^S(2s, chi), 2s >= 3
+_L2S_PRIME_BOUND = 600  # Euler-product truncation for L^S(2s, chi), 2s >= 3 (see _l2s_values)
 
 
 @dataclass
@@ -63,7 +65,6 @@ class ShintaniConfig:
     X: int = 10**5
     eps_grid: tuple = (0.2, 0.15, 0.1, 0.05)
     L1_method: str = "class-number-formula"  # or "smoothed-character-sum"
-    digits: int = 30
 
     def __post_init__(self):
         if self.X < 10**3:
@@ -416,36 +417,52 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
 # xi^S and its pole data
 # ---------------------------------------------------------------------------
 
-def _prefactor(s: float, S: PlaceSet, digits: int = 30) -> float:
-    """zeta^S(2s-1) zeta^S(2s) / zeta^S(2)."""
-    return float(
-        lfun.zetaS(2 * s - 1, S, digits) * lfun.zetaS(2 * s, S, digits)
-        / lfun.zetaS(2, S, digits)
-    )
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-def _prefactors(S: PlaceSet, config: ShintaniConfig) -> dict:
-    """eps -> _prefactor(3/2 + eps) over config.eps_grid, and at eps = 0."""
-    return {e: _prefactor(1.5 + e, S, config.digits) for e in (*config.eps_grid, 0.0)}
-
-
-def _l2s_values(terms: Terms, two_s: float) -> np.ndarray:
-    """L^S(2s, chi_d) for every term, by the truncated Euler product over the
-    primes outside S (absolute accuracy ~1e-7 at 2s >= 3; the tail is far
-    below the truncation-model error everywhere this is used)."""
-    pw = terms.primes ** (-two_s)
-    out = np.empty(len(terms))
-    for i in range(0, len(terms), _L2S_ROWS):
-        out[i : i + _L2S_ROWS] = 1.0 / np.prod(1.0 - terms.chi[i : i + _L2S_ROWS] * pw, axis=1)
+def _zetaS_float(x, S: PlaceSet) -> np.ndarray:
+    """zeta^S(x) in float64 for an array of real x >= 2: zeta(x) by
+    Euler-Maclaurin with the terms n < 10 and B_2..B_16 at N = 10 (remainder
+    below 1e-17), times prod_{p in S}(1 - p^-x).  lfun.zetaS is its check."""
+    x = np.asarray(x, dtype=np.float64)
+    c = x * 10.0 ** (-x - 1) / 2  # x (x+1) ... (x+2k-2) N^(-x-2k+1) / (2k)!
+    out = np.zeros_like(x)
+    for k, b in enumerate(_BERNOULLI_2K, 1):
+        out += b * c
+        c *= (x + 2 * k - 1) * (x + 2 * k) / ((2 * k + 1) * (2 * k + 2) * 100.0)
+    out += 10.0 ** (1 - x) / (x - 1) + 10.0**-x / 2
+    for n in range(9, 0, -1):  # smallest first
+        out += float(n) ** -x
+    for p in S.primes:
+        out *= 1 - float(p) ** -x
     return out
 
 
-def _summands(terms: Terms, s: float) -> np.ndarray:
-    return terms.L1S / (_l2s_values(terms, 2 * s) * terms.N ** (s - 0.5))
+def _prefactors(S: PlaceSet, eps) -> dict:
+    """eps -> zeta^S(2s-1) zeta^S(2s) / zeta^S(2) at s = 3/2 + eps, for each eps."""
+    e = np.asarray(eps, dtype=np.float64)
+    z = _zetaS_float(np.concatenate([2 + 2 * e, 3 + 2 * e, [2.0]]), S)
+    return dict(zip(eps, (z[: len(e)] * z[len(e) : -1] / z[-1]).tolist()))
 
 
-def _truncated_sum(terms: Terms, s: float) -> float:
-    return float(np.add.reduce(_summands(terms, s)))
+def _l2s_values(terms: Terms, two_s) -> np.ndarray:
+    """L^S(2s, chi_d), a row per 2s in two_s and a column per term: the Euler
+    product over the p <= P = _L2S_PRIME_BOUND outside S, summed in logs, so
+    |log L^S - log(product)| <= sum_{n > P} n^-2s/(1 - n^-2s) <= P^(1-2s)/((2s-1)
+    (1 - P^-2s)): 1.4e-6 at 2s = 3, far below the truncation-model error."""
+    pw = terms.primes ** -np.reshape(two_s, (-1, 1))
+    lo, hi = np.log1p(-pw).T, np.log1p(pw).T  # chi_d(p) = 1, -1
+    out = np.empty((len(pw), len(terms)))
+    for i in range(0, len(terms), _L2S_ROWS):
+        chi = terms.chi[i : i + _L2S_ROWS]
+        out[:, i : i + _L2S_ROWS] = ((chi == 1) @ lo + (chi == -1) @ hi).T
+    return np.exp(-out, out=out)
+
+
+def _summands(terms: Terms, L2S: np.ndarray, eps) -> np.ndarray:
+    """L^S(1,chi_d) / (L^S(3+2eps, chi_d) N_d^(1+eps)), a contiguous row per eps
+    (so a sum along it is pairwise), from the rows L^S(3+2eps) of L2S."""
+    return terms.L1S / (L2S * np.exp(np.outer(1 + np.asarray(eps), np.log(terms.N))))
 
 
 def xi_partial(s: float, alpha, S: PlaceSet, X: int) -> float:
@@ -454,7 +471,9 @@ def xi_partial(s: float, alpha, S: PlaceSet, X: int) -> float:
     if s <= 1.5:
         raise ValueError("xi^S converges only for s > 3/2; the pole data comes from shintani_run")
     terms = build_terms(alpha, S, X)  # requires 2 in S
-    return _prefactor(s, S) * _truncated_sum(terms, s)
+    e = s - 1.5
+    (row,) = _summands(terms, _l2s_values(terms, [2 * s]), [e])
+    return _prefactors(S, [e])[e] * float(np.add.reduce(row))
 
 
 def residue_exact_value(S: PlaceSet) -> Fraction:
@@ -465,18 +484,16 @@ def residue_exact_value(S: PlaceSet) -> Fraction:
     return out
 
 
-def _fit_tail(terms: Terms) -> dict:
+def _fit_tail(terms: Terms, L3: np.ndarray) -> dict:
     """Fit A(t) = sum_{N_d <= t} a_d ~ kappa*t + c*sqrt(t) on the top
-    three quarters of the data; a_d = L^S(1,chi_d)/L^S(3,chi_d)."""
-    a = terms.L1S / _l2s_values(terms, 3.0)
+    three quarters of the data; a_d = L^S(1,chi_d)/L^S(3,chi_d), L3 = L^S(3, chi_d)."""
     N = terms.N.astype(np.float64)
-    A = np.cumsum(a)
+    A = np.cumsum(terms.L1S / L3)
     n_max = N[-1]
     mask = N >= n_max / 4
     if mask.sum() < 30:
         raise ValueError("X too small for the truncation-tail model (need more classes)")
-    t = N[mask]
-    y = A[mask]
+    t, y = N[mask], A[mask]
     M = np.column_stack([t, np.sqrt(t)])
     coef, res, *_ = np.linalg.lstsq(M, y, rcond=None)
     kappa_hat, c_hat = float(coef[0]), float(coef[1])
@@ -491,7 +508,6 @@ def _fit_tail(terms: Terms) -> dict:
         "fit_rms": math.sqrt(sigma2),
         "n_terms": len(terms),
         "N_max": float(n_max),
-        "a_weights": a,
         "A": A,
         "N": N,
     }
@@ -508,17 +524,14 @@ def _poly_extrapolate(xs, ys):
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
 
-    def fit(x, y):
-        V = np.vander(x, increasing=True)
-        return float(np.linalg.solve(V, y)[0])
+    def fit(keep):
+        return float(np.linalg.solve(np.vander(xs[keep], increasing=True), ys[keep])[0])
 
-    full = fit(xs, ys)
-    spreads = []
-    if len(xs) > 2:
-        for i in range(len(xs)):
-            keep = [j for j in range(len(xs)) if j != i]
-            spreads.append(abs(fit(xs[keep], ys[keep]) - full))
-    return full, max(spreads) if spreads else abs(full)
+    n = len(xs)
+    full = fit(np.arange(n))
+    if n <= 2:
+        return full, abs(full)
+    return full, max(abs(fit(np.arange(n) != i) - full) for i in range(n))
 
 
 def residue_at_pole(fit: dict, sums: dict, prefactors: dict, eps_grid):
@@ -528,10 +541,8 @@ def residue_at_pole(fit: dict, sums: dict, prefactors: dict, eps_grid):
 
     Returns (estimate, error_estimate, diagnostics).
     """
-    ys = []
-    for e in eps_grid:
-        tail = _tail_integral(e, fit["N_max"], fit["kappa_hat"], fit["c_hat"])
-        ys.append(e * prefactors[e] * (sums[e] + tail))
+    ys = [e * prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], fit["kappa_hat"],
+                                                        fit["c_hat"])) for e in eps_grid]
     val, spread = _poly_extrapolate(eps_grid, ys)
     err = spread + fit["kappa_stderr"] * prefactors[0.0]
     diag = {k: fit[k] for k in ("kappa_hat", "c_hat", "kappa_stderr", "fit_rms",
@@ -558,11 +569,8 @@ def shintani_constant(fit: dict, sums: dict, prefactors: dict, R: float, eps_gri
     mask = N >= fit["N_max"] / 4
     t, y = N[mask], (A - kappa_star * N)[mask]
     c_star = float(np.dot(np.sqrt(t), y) / np.sum(t))
-    cs = []
-    for e in eps_grid:
-        tail = _tail_integral(e, fit["N_max"], kappa_star, c_star)
-        xi_model = prefactors[e] * (sums[e] + tail)
-        cs.append(xi_model - R / e)
+    cs = [prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], kappa_star, c_star)) - R / e
+          for e in eps_grid]
     val, spread = _poly_extrapolate(eps_grid, cs)
     # tail-fluctuation contribution to the error: rms of the pinned fit
     resid = y - c_star * np.sqrt(t)
@@ -587,15 +595,16 @@ def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     term.  The cache, if given, is as in build_terms."""
     config = config or ShintaniConfig()
     terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    sums = {e: _truncated_sum(terms, 1.5 + e) for e in config.eps_grid}
-    fit = _fit_tail(terms)
-    prefactors = _prefactors(S, config)
+    grid = config.eps_grid
+    L2S = _l2s_values(terms, [3 + 2 * e for e in (*grid, 0.0)])
+    sums = dict(zip(grid, np.add.reduce(_summands(terms, L2S[:-1], grid), axis=1).tolist()))
+    fit = _fit_tail(terms, L2S[-1])
+    prefactors = _prefactors(S, (*grid, 0.0))
     exact = residue_exact_value(S)
-    res_est, res_err, diag_r = residue_at_pole(fit, sums, prefactors, config.eps_grid)
-    cf, cf_err, unstable, diag_c = shintani_constant(fit, sums, prefactors, float(exact),
-                                                     config.eps_grid)
+    res_est, res_err, diag_r = residue_at_pole(fit, sums, prefactors, grid)
+    cf, cf_err, unstable, diag_c = shintani_constant(fit, sums, prefactors, float(exact), grid)
     return ShintaniResult(
-        grid_values={e: prefactors[e] * sums[e] for e in config.eps_grid},
+        grid_values={e: prefactors[e] * sums[e] for e in grid},
         residue_estimate=res_est,
         residue_exact=exact,
         residue_error=res_err,
@@ -612,15 +621,13 @@ def tail_block_check(alpha, S: PlaceSet, eps: float, X: int,
     X/2 < |D| <= X against the fitted-law prediction."""
     ShintaniConfig(X=X)  # validates X
     terms = build_terms(alpha, S, X, cache=cache)
-    fit = _fit_tail(terms)
+    L2S = _l2s_values(terms, [3 + 2 * eps, 3.0])
+    fit = _fit_tail(terms, L2S[1])
     half = np.abs(terms.D) > X / 2
-    measured = float(np.add.reduce(_summands(terms, 1.5 + eps)[half]))
+    measured = float(np.add.reduce(_summands(terms, L2S[:1], [eps])[0][half]))
     N_lo = float(terms.N[half].min())
-    N_hi = fit["N_max"]
-    predicted = (
-        _tail_integral(eps, N_lo, fit["kappa_hat"], fit["c_hat"])
-        - _tail_integral(eps, N_hi, fit["kappa_hat"], fit["c_hat"])
-    )
+    predicted = (_tail_integral(eps, N_lo, fit["kappa_hat"], fit["c_hat"])
+                 - _tail_integral(eps, fit["N_max"], fit["kappa_hat"], fit["c_hat"]))
     return {"measured": measured, "predicted": predicted,
             "ratio": measured / predicted if predicted else float("inf")}
 

@@ -1,8 +1,12 @@
 """CLI plumbing: JSON determinism, the cache, exit codes."""
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecoef.cli import JsonlCache, main, render_json
 
@@ -147,6 +151,57 @@ def test_cache_rejects_non_finite_record(tmp_path):
     assert c.get(8) is None
 
 
+RECORDS = st.fixed_dictionaries({
+    "D": st.integers(-10**12, 10**12),
+    "L1": st.floats(allow_nan=False, allow_infinity=False),
+    "method": st.text(max_size=30),
+    "digits": st.integers(-10**6, 10**6),
+})
+OTHER_RECORDS = st.one_of(
+    RECORDS.map(lambda r: {**r, "D": bool(r["D"] % 2)}),
+    RECORDS.map(lambda r: {**r, "L1": r["D"]}),
+    RECORDS.map(lambda r: {**r, "extra": None}),
+    RECORDS.map(lambda r: {k: v for k, v in r.items() if k != "method"}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(RECORDS, OTHER_RECORDS), max_size=8,
+                unique_by=lambda r: int(r["D"])))
+def test_cache_lines_are_the_encoder_bytes(recs):
+    """put_many writes exactly what json.JSONEncoder(sort_keys=True,
+    allow_nan=False) writes, for the L(1) record shape and any other."""
+    enc = json.JSONEncoder(sort_keys=True, allow_nan=False)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cache.jsonl"
+        JsonlCache(str(path)).put_many(recs)
+        got = path.read_text(encoding="utf-8") if recs else ""
+    assert got == "".join(enc.encode(rec) + "\n" for rec in recs)
+
+
+def test_cache_one_parse_keeps_the_digits_rule(tmp_path, capsys):
+    """A file without corrupt lines is read in one parse, with the same
+    precedence as the per-line read: most digits wins, ties go to the last."""
+    path = tmp_path / "cache.jsonl"
+    recs = [{"D": -4, "L1": 0.78, "digits": 10}, {"D": -4, "L1": 0.785398, "digits": 20},
+            {"D": -4, "L1": 0.79, "digits": 10}, {"D": 8, "L1": 1.1}, {"D": 8, "L1": 1.2},
+            {"D": "12", "L1": 0.5}]
+    path.write_text("".join(json.dumps(r) + "\n\n" for r in recs))
+    c = JsonlCache(str(path))
+    assert (c.get(-4)["L1"], c.get(8)["L1"], c.get(12)["L1"]) == (0.785398, 1.2, 0.5)
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_two_records_on_one_line_are_corrupt(tmp_path, capsys):
+    """The whole-file parse must not accept what the per-line parse rejects."""
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps({"D": 5, "L1": 0.4}) + "," + json.dumps({"D": 8, "L1": 0.6})
+                    + "\n" + json.dumps({"D": -4, "L1": 0.78}) + "\n")
+    c = JsonlCache(str(path))
+    assert c.get(5) is None and c.get(8) is None and c.get(-4)["L1"] == 0.78
+    assert "skipping corrupt cache line" in capsys.readouterr().err
+
+
 def test_parser_reused_without_leaking_options(tmp_path, capsys):
     """main builds its parser once; options of one call do not carry over
     into the next, across subcommands.  coeff has no --l1-method, so a
@@ -225,6 +280,7 @@ def test_coeff_sub_rejected_for_groups_without_one(capsys, group, orbit):
     ["lfun", "--cache", "p"],
     ["selftest", "--S", "2"],
     ["shintani", "--vol-m1", "2"],
+    ["shintani", "--digits", "40"],
     ["coeff", "--group", "sp2", "--seed", "1"],
 ], ids=lambda a: " ".join(a))
 def test_flag_not_read_is_a_usage_error(capsys, argv):
@@ -233,10 +289,10 @@ def test_flag_not_read_is_a_usage_error(capsys, argv):
 
 
 VOLS = {"--vol-m0", "--vol-m1", "--vol-m2", "--vol-mp", "--vol-g"}
-SHINTANI = {"--S", "--digits", "--cache", "--X", "--eps"}
+SHINTANI = {"--S", "--cache", "--X", "--eps"}
 OPTIONS = {
-    "coeff": SHINTANI | VOLS | {"--group", "--orbit", "--alpha", "--form"},
-    "diff": SHINTANI | VOLS | {"--orbit", "--alpha", "--form"},
+    "coeff": SHINTANI | VOLS | {"--digits", "--group", "--orbit", "--alpha", "--form"},
+    "diff": SHINTANI | VOLS | {"--digits", "--orbit", "--alpha", "--form"},
     "shintani": SHINTANI | {"--alpha", "--l1-method"},
     "lfun": {"--S", "--digits", "--chi", "--s", "--deriv", "--laurent"},
     "orbits": {"--S", "--group"},

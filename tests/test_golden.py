@@ -11,15 +11,29 @@
 - `lfun`, `weights --engine` and `shintani` at X = 10^4: a second matrix,
   stored the same way in `golden/lfun-weights-shintani.jsonl`. It was printed
   by the code before the Shintani pole data had a single entry point.
+- The 17 records that go through the Shintani pole data (`coeff`/`diff`
+  `--orbit sub`, `--form` and `shintani`) were reprinted with `--drift
+  --write` when that pole data moved to float64; they moved by at most
+  5.3e-14 relative in values and 4.7e-12 in error fields.
 
 `PYTHONPATH=src python tests/test_golden.py` regenerates every golden file;
 run it only when a change to those outputs is intended, and check with
 `git diff tests/golden` that nothing else moved.
+
+`PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
+matrices and prints, for each record whose stdout changed, the largest
+relative change of its value fields and of its error fields (keys naming an
+error) with the field where it occurs.  It exits 1 if an exit code, a
+non-float field or a float beyond `--value-tol` / `--error-tol` changed;
+with `--write` and no such change it rewrites exactly the changed records.
 """
+import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,8 +137,65 @@ def _capture(argv):
     return code, buf.getvalue()
 
 
+def _float_drift(old, new, key=""):
+    """(field, relative change) for each float of old against new; a
+    ValueError at the first difference of anything else."""
+    if isinstance(old, float) and isinstance(new, float):
+        yield key, abs(new - old) / abs(old) if old else (0.0 if new == 0 else math.inf)
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for k in old:
+            yield from _float_drift(old[k], new[k], f"{key}.{k}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _float_drift(a, b, f"{key}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        raise ValueError(f"{key}: {old!r} -> {new!r}")
+
+
+def drift(value_tol: float, error_tol: float, write: bool) -> int:
+    """The --drift report; returns the exit code."""
+    bad, changed = 0, {}
+    for path, matrix in MATRICES.items():
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, (line, argv) in enumerate(zip(lines, matrix)):
+            rec = json.loads(line)
+            code, out = _capture(argv)
+            if (code, out) == (rec["exit"], rec["stdout"]):
+                continue
+            worst = {"value": (0.0, ""), "error": (0.0, "")}
+            try:
+                if code != rec["exit"]:
+                    raise ValueError(f"exit {rec['exit']} -> {code}")
+                for key, rel in _float_drift(json.loads(rec["stdout"]), json.loads(out)):
+                    kind = "error" if "error" in key.rsplit(".", 1)[-1] else "value"
+                    worst[kind] = max(worst[kind], (rel, key))
+                ok = worst["value"][0] <= value_tol and worst["error"][0] <= error_tol
+                note = "  ".join(f"{k} {r:.2e} {f}" for k, (r, f) in worst.items())
+            except ValueError as e:
+                ok, note = False, str(e)
+            bad += not ok
+            print(f"{path.name}:{i + 1} {'ok ' if ok else 'BAD'} {' '.join(argv)}: {note}")
+            lines[i] = json.dumps({"argv": argv, "exit": code, "stdout": out},
+                                  sort_keys=True) + "\n"
+            changed[path] = lines
+    print(f"{sum(len(m) for m in MATRICES.values())} records, "
+          f"{bad} beyond tolerance or not comparable")
+    if write and not bad:
+        for path, lines in changed.items():
+            path.write_text("".join(lines), encoding="utf-8")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
     os.environ.pop(CACHE_ENV, None)
+    ap = argparse.ArgumentParser(description="regenerate the golden files, or report drift")
+    ap.add_argument("--drift", action="store_true")
+    ap.add_argument("--value-tol", type=float, default=1e-12)
+    ap.add_argument("--error-tol", type=float, default=1e-10)
+    ap.add_argument("--write", action="store_true", help="with --drift: rewrite changed records")
+    opts = ap.parse_args()
+    if opts.drift:
+        sys.exit(drift(opts.value_tol, opts.error_tol, opts.write))
     for name, argv in CASES:
         code, out = _capture(argv)
         assert code == 0, argv

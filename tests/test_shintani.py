@@ -7,7 +7,10 @@ with the cycle-product regulator.
 """
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -25,6 +28,7 @@ from tracecoef.characters import (
     fundamental_discriminant_of,
     is_fundamental_discriminant,
 )
+import tracecoef
 from tracecoef import lfun
 from tracecoef import shintani
 from tracecoef.shintani import (
@@ -233,22 +237,59 @@ def test_shintani_run_shape():
     assert res.constant_error > 0
 
 
-def test_shintani_run_computes_each_prefactor_once(monkeypatch):
-    """One zeta^S prefactor per grid point and one at s = 3/2, shared by the
-    residue and the constant."""
-    from tracecoef import shintani
+@pytest.mark.parametrize("S", [S2, PlaceSet.of(2, 3), PlaceSet.of(2, 5)], ids=str)
+def test_zetaS_float_against_lfun(S):
+    """The float64 Euler-Maclaurin zeta^S of the prefactors against the
+    30-digit lfun.zetaS over the arguments the pole data uses."""
+    xs = [2 + k / 10 for k in range(15)]
+    got = shintani._zetaS_float(xs, S)
+    for x, g in zip(xs, got):
+        want = lfun.zetaS(x, S, 30)
+        assert abs(g - want) <= 1e-15 * want, x
 
-    seen = []
-    real = shintani._prefactor
 
-    def counting(s, S, digits=30):
-        seen.append(s)
-        return real(s, S, digits)
+def test_l2s_matrix_against_product():
+    """The log-domain L^S(2s) matrix against the direct product
+    1/prod_p (1 - chi_d(p) p^-2s), one column of 2s at a time."""
+    two_s = [3.4, 3.3, 3.2, 3.1, 3.0]
+    sizes = []
+    for alpha, S in ((-1, S2), (2, S2), (-1, PlaceSet.of(2, 3))):
+        terms = build_terms(alpha, S, 5 * 10**4)
+        got = shintani._l2s_values(terms, two_s)
+        assert got.shape == (len(two_s), len(terms))
+        for row, t in zip(got, two_s):
+            want = 1.0 / np.prod(1.0 - terms.chi * terms.primes ** -t, axis=1)
+            assert np.all(np.abs(row - want) <= 1e-14 * want), (alpha, S, t)
+        sizes.append(len(terms))
+    assert max(sizes) > 2 * shintani._L2S_ROWS  # several row blocks
 
-    monkeypatch.setattr(shintani, "_prefactor", counting)
-    cfg = ShintaniConfig(X=10**4)
-    shintani_run(-1, S2, cfg)
-    assert sorted(seen) == sorted([1.5 + e for e in cfg.eps_grid] + [1.5])
+
+@pytest.mark.parametrize("two_s", [3.0, 3.4])
+def test_l2s_truncation_bound(two_s):
+    """The Euler factors that _l2s_values leaves out, those of the primes
+    P = 600 < p <= 20 000, stay within its stated bound
+    P^(1-2s)/((2s-1)(1-P^-2s)) in logs."""
+    P = shintani._L2S_PRIME_BOUND
+    bound = P ** (1 - two_s) / ((two_s - 1) * (1 - P**-two_s))
+    terms = build_terms(-1, S2, 10**4)
+    assert terms.primes.max() <= P
+    primes = np.array([p for p in primes_up_to(20000) if p > P])
+    chi = np.stack([shintani._kron_at_prime(terms.D, int(p)) for p in primes], axis=1)
+    gap = np.abs(np.log1p(-chi * primes.astype(float) ** -two_s).sum(axis=1))
+    assert gap.max() <= bound
+    assert gap.max() >= bound / 100  # the bound is not vacuous
+
+
+def test_shintani_document_leaves_scipy_unloaded():
+    """The class-number route of a shintani document never imports scipy
+    (scipy.special alone adds about 23 MB of resident memory)."""
+    code = ("import sys, tracecoef.cli as c; c.main(['shintani', '--X', '2000', '--json']); "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(tracecoef.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("TRACECOEF_CACHE", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_config_validation():

@@ -436,13 +436,26 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0]
 
 
+def legendre_tables(primes):
+    """The Legendre symbols (r/p), r = 0..p-1, of odd primes p, one block per p
+    in one int8 table, and the offset of each block: (r/p) is table[off + r].
+    The squares r^2 mod p, 0 < r < p, are marked for every p in one pass."""
+    p = np.asarray(primes, dtype=np.int64)
+    off = np.cumsum(p) - p
+    table = np.full(int(p.sum()), -1, dtype=np.int8)
+    table[off] = 0
+    # r^2 < p^2 in int32 when it fits (its modulo is about 3x faster than int64's)
+    p = p.astype(np.int32 if int(p.max(initial=0)) <= 46340 else np.int64)
+    pr = np.repeat(p, p - 1)  # the prime of each pair (p, r)
+    r = np.arange(1, len(pr) + 1, dtype=p.dtype) - np.repeat(np.cumsum(p - 1) - (p - 1), p - 1)
+    table[np.repeat(off, p - 1) + r * r % pr] = 1
+    return table, off
+
+
 def legendre_table(p: int):
-    """The Legendre symbol (r/p) for r = 0..p-1, as a numpy int8 array (p odd prime)."""
-    table = np.full(p, -1, dtype=np.int8)
-    table[0] = 0
-    r = np.arange(1, p, dtype=np.int64)
-    table[r * r % p] = 1
-    return table
+    """The Legendre symbol (r/p) for r = 0..p-1, as a numpy int8 array (p odd
+    prime): the one block of legendre_tables([p])."""
+    return legendre_tables([p])[0]
 
 
 def spf_table(n: int):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
 from mpmath import mpf, mpc
 
 from .arith import PlaceSet, cclass_reps, sclass_reps
@@ -93,14 +95,21 @@ def _coeff_doc(res: CoeffResult) -> dict:
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
+def _l1_lines(Ds, L1s, digits: int, method: str) -> str:
+    """The L(1) records {"D", "L1", "digits", "method"} of the columns Ds and
+    L1s (ints and finite floats) as _RECORD_ENCODER writes them, one a line."""
+    m = encode_basestring_ascii(method)
+    return "".join([f'{{"D": {D}, "L1": {L1!r}, "digits": {digits}, "method": {m}}}\n'
+                    for D, L1 in zip(Ds, L1s)])
+
+
 def _record_line(rec: dict) -> str:
-    """rec as _RECORD_ENCODER writes it; an L(1) record with a finite L1 is
-    formatted directly, anything else goes through the encoder."""
+    """rec as _RECORD_ENCODER writes it; an L(1) record with a finite L1 goes
+    through _l1_lines, anything else through the encoder."""
     D, L1, digits, method = (rec.get(k) for k in ("D", "L1", "digits", "method"))
     if (len(rec) == 4 and type(D) is type(digits) is int and type(method) is str
             and type(L1) is float and math.isfinite(L1)):
-        return (f'{{"D": {D}, "L1": {L1!r}, "digits": {digits}, '
-                f'"method": {encode_basestring_ascii(method)}}}\n')
+        return _l1_lines((D,), (L1,), digits, method)
     return _RECORD_ENCODER.encode(rec) + "\n"
 
 
@@ -121,6 +130,9 @@ class JsonlCache:
 
     Reads tolerate duplicate keys (the record with the most digits wins,
     ties going to the last one) and skip corrupt lines with a warning.
+    Writes keep the same rule: a record is stored, and appended, unless the
+    one held for its D has more digits.  lookup_l1 and store_l1 are the bulk
+    forms of get and put for the L(1) records of one method.
     """
 
     def __init__(self, path: str | None):
@@ -144,23 +156,53 @@ class JsonlCache:
         return self._mem.get(int(D))
 
     def put(self, rec: dict):
-        self.put_many([rec])
-
-    def put_many(self, records):
-        """Store each record unless the one held for its D has more digits,
-        and append the stored ones to the file with a single open.  Records
-        hold plain JSON values; a non-finite float raises ValueError."""
-        lines = []
-        for rec in records:
-            D = int(rec["D"])
-            old = self._mem.get(D)
-            if old is not None and old.get("digits", 0) > rec.get("digits", 0):
-                continue
-            lines.append(_record_line(rec))
+        """Store rec unless the record held for its D has more digits, and
+        append it to the file.  rec holds plain JSON values; a non-finite
+        float raises ValueError, whether or not rec would be stored."""
+        D, line = int(rec["D"]), _record_line(rec)
+        old = self._mem.get(D)
+        if old is None or old.get("digits", 0) <= rec.get("digits", 0):
             self._mem[D] = rec
-        if self.path and lines:
+            self._append(line)
+
+    def lookup_l1(self, Ds, method: str) -> list:
+        """For each D of Ds, the L1 of the record held for D if `method` made
+        it and it is plausible, a finite float > 0 (L(1, chi_D) > 0 for every
+        real primitive chi_D); nan otherwise.  One warning counts the records
+        of `method` skipped as implausible."""
+        nan, inf = math.nan, math.inf
+        out, bad = [], 0
+        for rec in map(self._mem.get, Ds):
+            L1 = nan
+            if rec is not None and rec.get("method") == method:
+                L1 = rec.get("L1")
+                if type(L1) is not float or not 0.0 < L1 < inf:
+                    L1, bad = nan, bad + 1
+            out.append(L1)
+        if bad:
+            print(f"warning: recomputing {bad} implausible L(1) cache records", file=sys.stderr)
+        return out
+
+    def store_l1(self, Ds, L1s, method: str, digits: int):
+        """put for the L(1) records (D, L1, method, digits) of the columns Ds
+        and L1s, in order, with one append; a non-finite L1 raises ValueError
+        before anything is stored."""
+        L1s = np.asarray(L1s, dtype=np.float64)
+        if not np.isfinite(L1s).all():
+            raise ValueError("a non-finite L1 is not stored")
+        Ds, L1s, mem = np.asarray(Ds, dtype=np.int64).tolist(), L1s.tolist(), self._mem
+        # every record has these digits, so each is kept or not by the record held before
+        keep = [old is None or old.get("digits", 0) <= digits for old in map(mem.get, Ds)]
+        if not all(keep):
+            Ds, L1s = list(itertools.compress(Ds, keep)), list(itertools.compress(L1s, keep))
+        mem.update({D: {"D": D, "L1": L1, "method": method, "digits": digits}
+                    for D, L1 in zip(Ds, L1s)})
+        self._append(_l1_lines(Ds, L1s, digits, method))
+
+    def _append(self, text: str):
+        if self.path and text:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(lines))
+                fh.write(text)
 
 
 def open_cache(path: str | None) -> JsonlCache:

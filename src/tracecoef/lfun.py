@@ -52,7 +52,7 @@ _MEMO_MAX = 200_000
 
 _jet_memo: dict = {}     # (prec, s, chi) -> jet of L(s,chi); chi None for zeta - pole
 _tail_memo: dict = {}    # (prec, s, N, a) -> fixed-point jet of T(s, N + a)
-_bernoulli_memo: dict = {}  # (prec, s) -> [(c_j, c_j')], c_j = B_2j/(2j)! (s)_{2j-1}
+_bernoulli_memo: dict = {}  # (prec, s) -> [[(c_j, c_j')], (s)_{2j-1}, its s-derivative]
 _ln_tables: dict = {}    # prec -> [ln n], fixed point
 _pow_tables: dict = {}   # (prec, s) -> [n^-s], fixed point
 _MEMOS = (_jet_memo, _tail_memo, _bernoulli_memo, _ln_tables, _pow_tables)
@@ -233,21 +233,21 @@ def _em_plan(s, a_min, scale: float = 1.0, N: int | None = None) -> tuple[int, i
 
 
 def _bernoulli_jets(s, M: int) -> list:
-    """[(c_j, d/ds c_j)] for j <= M in fixed point, c_j = B_2j/(2j)! (s)_{2j-1}."""
+    """[(c_j, d/ds c_j)] for j <= M in fixed point, c_j = B_2j/(2j)! (s)_{2j-1};
+    a memoised list shorter than M is extended from where it stopped."""
     key, W = (mp.prec, s), _bits()
-    out = _bernoulli_memo.get(key)
-    if out is not None and len(out) >= M:
-        return out
-    out = []
-    with mp.workprec(W + 20):
-        R, dR = s, mpf(1)                # rising factorial (s)_{2j-1} and its derivative
-        for j in range(1, M + 1):
-            if j > 1:
-                a, b = s + (2 * j - 3), s + (2 * j - 2)
-                R, dR = R * a * b, dR * a * b + R * (a + b)
-            beta = bernoulli(2 * j) / math.factorial(2 * j)
-            out.append((_fix(beta * R, W), _fix(beta * dR, W)))
-    return _remember(_bernoulli_memo, key, out)
+    entry = _bernoulli_memo.get(key) or _remember(_bernoulli_memo, key, [[], s, mpf(1)])
+    out, R, dR = entry              # R, dR: rising factorial (s)_{2j-1} and its derivative
+    if len(out) < M:
+        with mp.workprec(W + 20):
+            for j in range(len(out) + 1, M + 1):
+                if j > 1:
+                    a, b = s + (2 * j - 3), s + (2 * j - 2)
+                    R, dR = R * a * b, dR * a * b + R * (a + b)
+                beta = bernoulli(2 * j) / math.factorial(2 * j)
+                out.append((_fix(beta * R, W), _fix(beta * dR, W)))
+        entry[1:] = R, dR
+    return out
 
 
 def _phi(u, L: int, e: int, W: int):

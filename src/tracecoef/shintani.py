@@ -41,6 +41,7 @@ pole is removed with the exact residue, never by fitting.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,8 +51,8 @@ from math import isqrt
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import (PlaceSet, SquareClassRep, kronecker, legendre_table, primes_up_to,
-                    squarefree_kernel)
+from .arith import (PlaceSet, SquareClassRep, kronecker, legendre_table, legendre_tables,
+                    primes_up_to, squarefree_kernel)
 from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
@@ -254,13 +255,18 @@ _PAIR_BLOCK = 1 << 11  # (a, b) pairs per block
 _INV64 = np.array([pow(u, -1, 64) if u % 2 else 0 for u in range(64)])  # odd u -> 1/u mod 64
 
 
+def _require_int32(q: np.ndarray) -> None:
+    """Refuse |D| = q >= 2^31, out of range of the int32 residues and forms."""
+    if int(q.max(initial=0)) >= 1 << 31:
+        raise ValueError("|D| >= 2^31 is out of range of the int32 form enumeration")
+
+
 def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
     """h(D) (D < 0) or h+ log(eps+) (D > 0) for distinct fundamental
     discriminants D of one sign, by the strided sums of the module docstring."""
     q, neg = np.abs(D), bool(D[0] < 0)
+    _require_int32(q)
     X = int(q.max())
-    if X >= 1 << 31:
-        raise ValueError("|D| >= 2^31 is out of range of the int32 form enumeration")
     pairs, forms = (X / 6, 0.07 * X**1.5) if neg else (0.75 * X, 0.23 * X**1.5)
     res = [np.flatnonzero(np.bincount(q & ((1 << k) - 1), minlength=1 << k)) for k in range(7)]
     k = min(range(7), key=lambda k: len(res[k]) * (pairs + forms / 2**k))
@@ -333,11 +339,6 @@ def _l1_class_number_bulk(D: np.ndarray) -> np.ndarray:
 _L2S_ROWS = 512  # terms per block of the L^S(2s) product, bounding its temporaries
 
 
-def _small_primes_for_l2s(S: PlaceSet):
-    return np.array([p for p in primes_up_to(_L2S_PRIME_BOUND) if p not in S.primes],
-                    dtype=np.float64)
-
-
 def _kron_at_prime(D: np.ndarray, p: int) -> np.ndarray:
     """chi_D(p) = (D/p) for an array of discriminants D and a prime p, as int8."""
     if p == 2:
@@ -368,17 +369,13 @@ class Terms:
 
 
 def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
-    """L(1, chi_D) for every D: a cached record when it was made by the same
-    method, so the two methods never stand in for each other; the misses in
-    one pass, stored with one put_many."""
-    L1 = np.empty(len(D))
-    miss = np.ones(len(D), dtype=bool)
+    """L(1, chi_D) for every D: the value the cache serves for this method,
+    so the two methods never stand in for each other; the misses in one pass,
+    stored with one store_l1."""
+    L1 = np.full(len(D), np.nan)
     if cache is not None:
-        for i, Dk in enumerate(D.tolist()):
-            rec = cache.get(Dk)
-            if rec is not None and rec.get("method") == method:
-                L1[i] = rec["L1"]
-                miss[i] = False
+        L1[:] = cache.lookup_l1(D.tolist(), method)
+    miss = np.isnan(L1)
     if miss.any():
         Dm = D[miss]
         if method == "class-number-formula":
@@ -386,19 +383,47 @@ def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
         else:
             L1[miss] = [l1_smoothed(k) for k in Dm.tolist()]
         if cache is not None:
-            cache.put_many([{"D": k, "L1": v, "method": method, "digits": 15}
-                            for k, v in zip(Dm.tolist(), L1[miss].tolist())])
+            cache.store_l1(Dm.tolist(), L1[miss].tolist(), method, 15)
     return L1
+
+
+@functools.lru_cache(maxsize=16)
+def _chi_table(S_primes: tuple):
+    """The odd primes p <= _L2S_PRIME_BOUND outside S (2 is in S), their
+    Legendre table and the int32 offset of each p's block, read-only."""
+    primes = np.array([p for p in primes_up_to(_L2S_PRIME_BOUND).tolist()
+                       if p not in S_primes], dtype=np.int32)
+    table, off = legendre_tables(primes)
+    out = primes, table, off.astype(np.int32)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _chi_matrix(D: np.ndarray, S: PlaceSet):
+    """The primes of _chi_table as float64 and the int8 matrix of chi_D(p), a
+    row per D, read off the table at the int32 index D mod p + offset of p,
+    _L2S_ROWS rows at a time."""
+    primes, table, off = _chi_table(S.primes)
+    D32 = D.astype(np.int32)  # |D| < 2^31: build_terms checks
+    chi = np.empty((len(D), len(primes)), dtype=np.int8)
+    for i in range(0, len(D), _L2S_ROWS):
+        idx = D32[i : i + _L2S_ROWS, None] % primes
+        idx += off
+        np.take(table, idx, out=chi[i : i + _L2S_ROWS])
+    return primes.astype(np.float64), chi
 
 
 def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula",
                 cache=None) -> Terms:
     """All summands of xi^S(.; alpha) with |fundamental discriminant| <= X,
-    ordered by |D| then d.  The cache, if given, needs get(D) and put_many."""
+    ordered by |D| then d.  The cache, if given, needs lookup_l1(D list,
+    method) and store_l1(D list, L1 list, method, digits) as cli.JsonlCache."""
     S.require_2("the Shintani zeta function")
     a_val = alpha.value if isinstance(alpha, SquareClassRep) else squarefree_kernel(alpha)
     d = np.array(disc_classes(S, a_val, X=X, kind="Q_S").entries, dtype=np.int64)
     D = np.where(d % 4 == 1, d, 4 * d)
+    _require_int32(np.abs(D))
     # N(f_d^S): d is squarefree, the odd primes of D divide d once, and 2 is in S
     N = np.abs(d)
     for p in S.primes:
@@ -406,10 +431,7 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
     L1S = _l1_values(D, method, cache)
     for p in S.primes:  # removed Euler factors (1 for p | D, where chi_D(p) = 0)
         L1S *= 1.0 - _kron_at_prime(D, p) / p
-    primes = _small_primes_for_l2s(S)
-    chi = np.empty((len(D), len(primes)), dtype=np.int8)
-    for j, p in enumerate(primes):
-        chi[:, j] = _kron_at_prime(D, int(p))
+    primes, chi = _chi_matrix(D, S)
     return Terms(d, D, N, L1S, chi, primes)
 
 

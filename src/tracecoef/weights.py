@@ -218,34 +218,36 @@ def v_table(group: str, s: str, lam, n, T: TruncParam) -> mpf:
     raise ValueError(f"unknown group {group!r}")
 
 
+_THETA = {  # group -> Weyl element -> theta_{sP0} as a function of (l1, l2)
+    "gsp2": {
+        "1": lambda l1, l2: l1 * l2,
+        "s0": lambda l1, l2: (l1 + l2) * (-l2),
+        "s2": lambda l1, l2: (-l1) * (2 * l1 + l2),
+        "s0s1": lambda l1, l2: (l1 + l2) * (-2 * l1 - l2),
+        "s0s2": lambda l1, l2: (-l1 - l2) * (2 * l1 + l2),
+        "s1": lambda l1, l2: l1 * (-2 * l1 - l2),
+        "s0s1s2": lambda l1, l2: (-l1 - l2) * l2,
+        "s1s2": lambda l1, l2: l1 * l2,
+    },
+    "gl3": {
+        "1": lambda l1, l2: l1 * l2,
+        "(12)": lambda l1, l2: (-l1) * (l1 + l2),
+        "(23)": lambda l1, l2: (l1 + l2) * (-l2),
+        "(123)": lambda l1, l2: l2 * (-l1 - l2),
+        "(132)": lambda l1, l2: (-l1 - l2) * l1,
+        "(13)": lambda l1, l2: l1 * l2,
+    },
+}
+
+
 def theta(group: str, s: str, lam) -> mpf:
     """theta_{sP0}(lambda) in the fundamental-weight coordinates."""
     l1, l2 = mpf(lam[0]), mpf(lam[1])
-    if group == "gsp2":
-        table = {
-            "1": l1 * l2,
-            "s0": (l1 + l2) * (-l2),
-            "s2": (-l1) * (2 * l1 + l2),
-            "s0s1": (l1 + l2) * (-2 * l1 - l2),
-            "s0s2": (-l1 - l2) * (2 * l1 + l2),
-            "s1": l1 * (-2 * l1 - l2),
-            "s0s1s2": (-l1 - l2) * l2,
-            "s1s2": l1 * l2,
-        }
-    elif group == "gl3":
-        table = {
-            "1": l1 * l2,
-            "(12)": (-l1) * (l1 + l2),
-            "(23)": (l1 + l2) * (-l2),
-            "(123)": l2 * (-l1 - l2),
-            "(132)": (-l1 - l2) * l1,
-            "(13)": l1 * l2,
-        }
-    else:
+    if group not in _THETA:
         raise ValueError(f"unknown group {group!r}")
-    if s not in table:
+    if s not in _THETA[group]:
         raise ValueError(f"unknown Weyl element {s!r}")
-    return table[s]
+    return _THETA[group][s](l1, l2)
 
 
 def w_table(group: str, s: str, lam, nu, T: TruncParam) -> mpf:

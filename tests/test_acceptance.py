@@ -9,22 +9,10 @@ import json
 import time
 
 from tracecoef import selfcheck
-from tracecoef.cli import render_json
+from tracecoef.cli import JsonlCache, render_json
 
 
-class MemCache(dict):
-    def get(self, D):
-        return dict.get(self, int(D))
-
-    def put(self, rec):
-        self[int(rec["D"])] = rec
-
-    def put_many(self, records):
-        for rec in records:
-            self.put(rec)
-
-
-CACHE = MemCache()
+CACHE = JsonlCache(None)  # in memory
 
 
 def _report(result, budget=None):

@@ -16,6 +16,8 @@ from tracecoef.arith import (
     is_prime,
     is_square_at,
     kronecker,
+    legendre_table,
+    legendre_tables,
     local_cube_labels,
     local_square_labels,
     primes_up_to,
@@ -70,6 +72,22 @@ def test_kronecker_examples():
     assert kronecker(-4, 3) == -1
     assert kronecker(5, 5) == 0
     assert kronecker(8, 7) == 1
+
+
+def test_legendre_tables_vs_bruteforce():
+    """Each block of the one concatenated table, and legendre_table(p), is
+    the Legendre symbol mod p; past p = 46340 the squares leave int32."""
+    primes = [p for p in primes_up_to(600).tolist() if p > 2]
+    table, off = legendre_tables(primes)
+    assert table.dtype.name == "int8" and len(table) == sum(primes)
+    for p, o in zip(primes, off.tolist()):
+        assert table[o : o + p].tolist() == [legendre_bruteforce(r, p) for r in range(p)], p
+    assert legendre_table(3).tolist() == [0, 1, -1]
+    for p in (46337, 46349):  # the largest prime with p^2 < 2^31 and the next one
+        assert is_prime(p)
+        got = legendre_table(p)
+        rs = random.Random(p).sample(range(p), 200)
+        assert [int(got[r]) for r in rs] == [kronecker(r, p) for r in rs]
 
 
 def test_kronecker_vs_bruteforce_legendre():

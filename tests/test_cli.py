@@ -1,5 +1,6 @@
 """CLI plumbing: JSON determinism, the cache, exit codes."""
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -113,25 +114,22 @@ def test_cache_highest_digits_wins(tmp_path):
     assert c.get(-4)["L1"] == 0.785398
 
 
-def test_cache_put_many_same_bytes_as_put(tmp_path):
-    """One batched append writes what the sequential puts write, with the
-    same digits precedence applied to each record."""
+def test_cache_store_l1_same_bytes_as_put(tmp_path):
+    """One bulk append writes what the sequential puts write, with the same
+    digits precedence applied to each record."""
     with open(tmp_path / "seed.jsonl", "w") as fh:
         fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20}) + "\n")
-    recs = [{"D": -4, "L1": 0.7, "method": "m", "digits": 15},      # fewer digits: skipped
-            {"D": 5, "L1": 0.43, "method": "m", "digits": 15},
-            {"D": 8, "L1": 0.62, "method": "m", "digits": 15},
-            {"D": 5, "L1": 0.4304, "method": "m", "digits": 15}]   # tie: written, wins
+    Ds, L1s = [-4, 5, 8, 5], [0.7, 0.43, 0.62, 0.4304]  # -4: fewer digits, skipped; 5: tie, wins
     paths = []
-    for name in ("put", "put_many"):
+    for name in ("put", "store_l1"):
         path = tmp_path / f"{name}.jsonl"
         path.write_bytes((tmp_path / "seed.jsonl").read_bytes())
         c = JsonlCache(str(path))
         if name == "put":
-            for rec in recs:
-                c.put(rec)
+            for D, L1 in zip(Ds, L1s):
+                c.put({"D": D, "L1": L1, "method": "m", "digits": 15})
         else:
-            c.put_many(recs)
+            c.store_l1(Ds, L1s, "m", 15)
         assert c.get(-4)["L1"] == 0.785398 and c.get(5)["L1"] == 0.4304
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -139,16 +137,17 @@ def test_cache_put_many_same_bytes_as_put(tmp_path):
 
 
 def test_cache_rejects_non_finite_record(tmp_path):
-    """A record whose L1 is not finite is refused, not stored as a string,
-    and nothing of its batch reaches the file."""
+    """An L1 that is not finite is refused, not stored as a string, and
+    nothing of its batch reaches the file."""
     path = tmp_path / "cache.jsonl"
     c = JsonlCache(str(path))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            c.put_many([{"D": 5, "L1": 0.43, "method": "m", "digits": 15},
-                        {"D": 8, "L1": bad, "method": "m", "digits": 15}])
+            c.store_l1([5, 8], [0.43, bad], "m", 15)
+        with pytest.raises(ValueError):
+            c.put({"D": 8, "L1": bad, "method": "m", "digits": 15})
     assert not path.exists() or path.read_text() == ""
-    assert c.get(8) is None
+    assert c.get(5) is None and c.get(8) is None
 
 
 RECORDS = st.fixed_dictionaries({
@@ -169,14 +168,90 @@ OTHER_RECORDS = st.one_of(
 @given(st.lists(st.one_of(RECORDS, OTHER_RECORDS), max_size=8,
                 unique_by=lambda r: int(r["D"])))
 def test_cache_lines_are_the_encoder_bytes(recs):
-    """put_many writes exactly what json.JSONEncoder(sort_keys=True,
+    """put writes exactly what json.JSONEncoder(sort_keys=True,
     allow_nan=False) writes, for the L(1) record shape and any other."""
     enc = json.JSONEncoder(sort_keys=True, allow_nan=False)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cache.jsonl"
-        JsonlCache(str(path)).put_many(recs)
+        c = JsonlCache(str(path))
+        for rec in recs:
+            c.put(rec)
         got = path.read_text(encoding="utf-8") if recs else ""
     assert got == "".join(enc.encode(rec) + "\n" for rec in recs)
+
+
+METHODS = ("class-number-formula", "smoothed-character-sum")
+HELD = st.fixed_dictionaries({
+    "D": st.integers(-12, 12),
+    "L1": st.one_of(st.floats(), st.integers(-2, 2), st.just("0.5")),
+    "method": st.sampled_from(METHODS),
+    "digits": st.integers(10, 20),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(held=st.lists(HELD, max_size=12),
+       batch=st.lists(st.tuples(st.integers(-12, 12),
+                                st.floats(allow_nan=False, allow_infinity=False)), max_size=12),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       method=st.sampled_from(METHODS), digits=st.integers(12, 18))
+def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, method, digits):
+    """lookup_l1 and store_l1 against get and sequential puts, on files that
+    hold records of the other method, with more digits, with implausible L1s
+    and with duplicate D: the same values served, the same records held, the
+    same file bytes; a batch with a non-finite L1 is refused whole."""
+    Ds, L1s = [D for D, _ in batch], [L1 for _, L1 in batch]
+    if bad is not None:
+        Ds, L1s = Ds + [0], L1s + [bad]
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / "sequential.jsonl", Path(d) / "bulk.jsonl"]
+        for path in paths:
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in held))
+        seq, bulk = (JsonlCache(str(path)) for path in paths)
+
+        def served(rec):
+            if rec is None or rec["method"] != method:
+                return None
+            ok = type(rec["L1"]) is float and 0 < rec["L1"] < math.inf
+            return rec["L1"] if ok else None
+        want = [served(seq.get(D)) for D in Ds]
+        assert [None if x != x else x for x in bulk.lookup_l1(Ds, method)] == want
+        if bad is None:
+            for D, L1 in zip(Ds, L1s):
+                seq.put({"D": D, "L1": L1, "method": method, "digits": digits})
+            bulk.store_l1(Ds, L1s, method, digits)
+        else:
+            with pytest.raises(ValueError):
+                seq.put({"D": 0, "L1": bad, "method": method, "digits": digits})
+            with pytest.raises(ValueError):
+                bulk.store_l1(Ds, L1s, method, digits)
+        assert all(seq.get(D) == bulk.get(D) for D in range(-12, 13))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_implausible_records_are_recomputed(tmp_path, capsys):
+    """A cached L1 that is infinite (1e999 reads as inf), negative or a
+    string is not served: the document prints what a cold run prints, warns
+    once, and appends a record that wins on the next read."""
+    path = tmp_path / "cache.jsonl"
+    argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "10000", "--json"]
+
+    def run(*cache):
+        code = main(argv + list(cache))
+        return code, *capsys.readouterr()
+    code, clean, _ = run()
+    assert code == 0
+    run("--cache", str(path))
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["D"] == -4)
+    for bad in ("1e999", "-0.5", '"0.5"'):
+        edited = lines[:i] + [lines[i].replace(str(json.loads(lines[i])["L1"]), bad)] + lines[i + 1:]
+        path.write_text("\n".join(edited) + "\n")
+        code, out, err = run("--cache", str(path))
+        assert (code, out) == (0, clean) and err.count("recomputing 1 implausible") == 1
+        assert path.read_text().splitlines()[len(edited):] == [lines[i]]
+        assert run("--cache", str(path)) == (0, clean, "")
+        assert len(path.read_text().splitlines()) == len(lines) + 1
 
 
 def test_cache_one_parse_keeps_the_digits_rule(tmp_path, capsys):

@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 
 from tracecoef.arith import PlaceSet, sclass_reps
 from tracecoef.characters import QuadChar
+from tracecoef.cli import JsonlCache
 from tracecoef import lfun
 from tracecoef.coeff import (
     CoeffResult,
@@ -109,20 +110,7 @@ def test_gsp2_examples():
 
 
 def test_gsp2_sub_derivative_term_presence():
-    cache = {}
-
-    class C(dict):
-        def get(self, D):
-            return dict.get(self, D)
-
-        def put(self, rec):
-            self[rec["D"]] = rec
-
-        def put_many(self, records):
-            for rec in records:
-                self.put(rec)
-
-    c = C()
+    c = JsonlCache(None)  # in memory
     r1 = coeff_gsp2(S2, SymForm2.x_alpha(1), config=CFG, cache=c)
     r3 = coeff_gsp2(S2, SymForm2.x_alpha(3), config=CFG, cache=c)
     names1 = [n for t in r1.terms for n, _ in t.factors]

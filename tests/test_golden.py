@@ -11,6 +11,11 @@
 - `lfun`, `weights --engine` and `shintani` at X = 10^4: a second matrix,
   stored the same way in `golden/lfun-weights-shintani.jsonl`. It was printed
   by the code before the Shintani pole data had a single entry point.
+- The L-value cache file that a cold `shintani --X 10000` run writes, for
+  alpha = -1 and 2 at S = {oo,2} and -5 at {oo,2,3}: one file each,
+  `golden/l1cache-shintani-alpha<alpha>-S<S>.jsonl`, printed by the code
+  before the cache was read and written in bulk.  A warm run must leave it
+  as it is.
 - The 17 records that go through the Shintani pole data (`coeff`/`diff`
   `--orbit sub`, `--form` and `shintani`) were reprinted with `--drift
   --write` when that pole data moved to float64; they moved by at most
@@ -98,6 +103,11 @@ LWS_MATRIX += [["shintani", "--alpha", a, "--S", s, "--X", "10000"]
 MATRICES = {COEFF_DIFF: MATRIX, LWS: LWS_MATRIX}
 
 
+L1CACHE = [(f"l1cache-shintani-alpha{a}-S{s.replace(',', '_')}.jsonl",
+            ["shintani", "--alpha", a, "--S", s, "--X", "10000"])
+           for a, s in (("-1", "2"), ("2", "2"), ("-5", "2,3"))]
+
+
 def _run(capsys, argv):
     code = main(argv + ["--json"])
     return code, capsys.readouterr().out
@@ -128,6 +138,17 @@ def test_golden_lfun_weights_shintani(capsys, monkeypatch, i):
     monkeypatch.delenv(CACHE_ENV, raising=False)
     rec = _stored(LWS)[i]
     assert _run(capsys, rec["argv"]) == (rec["exit"], rec["stdout"])
+
+
+@pytest.mark.parametrize("name, argv", L1CACHE, ids=[c[0] for c in L1CACHE])
+def test_golden_l1_cache(capsys, tmp_path, name, argv):
+    """The cache file of a cold run, and of the warm run after it."""
+    path = tmp_path / "cache.jsonl"
+    outs = []
+    for kind in ("cold", "warm"):
+        outs.append(_run(capsys, argv + ["--cache", str(path)]))
+        assert path.read_bytes() == (GOLDEN / name).read_bytes(), kind
+    assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
 def _capture(argv):
@@ -200,6 +221,9 @@ if __name__ == "__main__":
         code, out = _capture(argv)
         assert code == 0, argv
         (GOLDEN / name).write_bytes(out.encode())
+    for name, argv in L1CACHE:
+        (GOLDEN / name).unlink(missing_ok=True)
+        assert _capture(argv + ["--cache", str(GOLDEN / name)])[0] == 0, argv
     for path, matrix in MATRICES.items():
         with path.open("w", encoding="utf-8") as fh:
             for argv in matrix:

@@ -229,6 +229,21 @@ def test_clear_cache_empties_every_memo_and_table():
     assert not any(lfun._MEMOS)
 
 
+def test_bernoulli_jets_extend_bit_identically():
+    """A memoised list shorter than M is extended, and the extension holds
+    the same fixed-point integers as a list built from j = 1."""
+    s = mpf(3) / 2
+    with mp.workdps(40):
+        lfun.clear_cache()
+        fresh = list(lfun._bernoulli_jets(s, 24))
+        lfun.clear_cache()
+        assert len(lfun._bernoulli_jets(s, 5)) == 5
+        grown = lfun._bernoulli_jets(s, 23)
+        assert lfun._bernoulli_jets(s, 24) is grown and lfun._bernoulli_jets(s, 10) is grown
+        lfun.clear_cache()
+    assert grown == fresh
+
+
 def test_memo_keys_are_exact_in_s():
     """Two s that print alike to dps digits but differ in the working
     precision get their own jets.  Near the trivial zero of L(s,chi_-4) at

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from tracecoef.characters import (
 import tracecoef
 from tracecoef import lfun
 from tracecoef import shintani
+from tracecoef.cli import JsonlCache
 from tracecoef.shintani import (
     ShintaniConfig,
     _reduced_form_sums,
@@ -328,24 +330,22 @@ def test_euler_assembly_paths():
 
 
 class DictCache:
+    """The bulk interface of cli.JsonlCache, counting hits and batches."""
+
     def __init__(self):
         self.stored = {}
         self.hits = 0
         self.batches = 0
 
-    def get(self, D):
-        rec = self.stored.get(D)
-        if rec:
-            self.hits += 1
-        return rec
+    def lookup_l1(self, Ds, method):
+        recs = [self.stored.get(D) for D in Ds]
+        self.hits += sum(rec is not None for rec in recs)
+        return [math.nan if rec is None else rec["L1"] for rec in recs]
 
-    def put(self, rec):
-        self.stored[rec["D"]] = rec
-
-    def put_many(self, records):
+    def store_l1(self, Ds, L1s, method, digits):
         self.batches += 1
-        for rec in records:
-            self.put(rec)
+        for D, L1 in zip(Ds, L1s):
+            self.stored[D] = {"D": D, "L1": L1, "method": method, "digits": digits}
 
 
 def test_cache_consumed_and_filled():
@@ -360,12 +360,37 @@ def test_cache_consumed_and_filled():
 
 def test_cache_record_of_other_method_not_served():
     """A class-number record must not stand in for the smoothed method."""
-    c = DictCache()
-    c.put({"D": -4, "L1": 123.0, "method": "class-number-formula"})
+    c = JsonlCache(None)
+    c.put({"D": -4, "L1": 123.0, "method": "class-number-formula", "digits": 15})
     terms = build_terms(-1, S2, 200, method="smoothed-character-sum", cache=c)
     (L1S,) = terms.L1S[terms.D == -4]
     assert abs(L1S - math.pi / 4) < 1e-9
-    assert c.stored[-4]["method"] == "smoothed-character-sum"
+    assert c.get(-4)["method"] == "smoothed-character-sum"
+
+
+def test_chi_matrix_matches_per_prime_columns():
+    """The chi matrix read off the one Legendre table equals the columns
+    chi_D(p) of _kron_at_prime, for D < 0 and D > 0, over several row blocks."""
+    sizes = []
+    for S in (S2, PlaceSet.of(2, 3), PlaceSet.of(2, 5)):
+        primes = [p for p in primes_up_to(600).tolist() if p not in S.primes]
+        for alpha in (-1, 2):
+            terms = build_terms(alpha, S, 5 * 10**4)
+            assert terms.primes.tolist() == primes
+            want = np.stack([shintani._kron_at_prime(terms.D, p) for p in primes], axis=1)
+            assert terms.chi.dtype == np.int8 and np.array_equal(terms.chi, want), (S, alpha)
+            sizes.append(len(terms))
+    assert max(sizes) > 2 * shintani._L2S_ROWS  # several row blocks
+
+
+@pytest.mark.parametrize("method", ["class-number-formula", "smoothed-character-sum"])
+def test_build_terms_rejects_out_of_int32_range(monkeypatch, method):
+    """|D| >= 2^31 is refused on both routes, the smoothed one included,
+    which does not pass through the form enumeration."""
+    big = SimpleNamespace(entries=[-1, -(2**29 + 1)])  # D = 4d = -(2^31 + 4)
+    monkeypatch.setattr(shintani, "disc_classes", lambda *a, **k: big)
+    with pytest.raises(ValueError, match="2\\^31"):
+        build_terms(-1, S2, 10**4, method=method)
 
 
 def test_residue_alpha_independent_across_all_classes():

@@ -45,6 +45,14 @@ def test_theta_tables_cover_chambers():
     assert abs(vals3[0] - vals3[5]) < 1e-15
 
 
+def test_theta_rejects_unknown_group_and_element():
+    with pytest.raises(ValueError, match="group"):
+        w.theta("sp4", "1", (1, 2))
+    with pytest.raises(ValueError, match="Weyl element"):
+        w.theta("gl3", "s0", (1, 2))
+    assert w.theta("gsp2", "s0s1", (1, 2)) == (1 + 2) * (-2 * 1 - 2)
+
+
 def test_w_table_depends_only_on_abs():
     lam = (mpf("0.2"), mpf("0.1"))
     T = w.TruncParam(0.5, -0.3)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
 import sys
+import tempfile
+import zlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -93,6 +94,13 @@ def _coeff_doc(res: CoeffResult) -> dict:
 # ---------------------------------------------------------------------------
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_L1_KEYS = frozenset(("D", "L1", "digits", "method"))
+_I64 = 2**63
+# the columns of the records held, 8 bytes each: D, what each record ranks and
+# is served by, and the index in JsonlCache._recs of one not of the L(1) shape
+_COLS = (("D", "<i8"), ("L1", "<f8"), ("digits", "<i8"), ("method", "<i8"), ("rec", "<i8"))
+_IDX_FORMAT = "tracecoef L(1) index 1"  # D, L1, digits, method, rec columns
+_CORRUPT = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def _l1_lines(Ds, L1s, digits: int, method: str) -> str:
@@ -103,85 +111,196 @@ def _l1_lines(Ds, L1s, digits: int, method: str) -> str:
                     for D, L1 in zip(Ds, L1s)])
 
 
+def _is_l1(rec: dict) -> bool:
+    """rec has the L(1) shape, that of the records _l1_lines writes: int D,
+    a finite float L1, a 64-bit int digits, a str method and no other key."""
+    return (rec.keys() == _L1_KEYS and type(rec["D"]) is type(rec["digits"]) is int
+            and type(rec["method"]) is str and type(rec["L1"]) is float
+            and math.isfinite(rec["L1"]) and -_I64 <= rec["digits"] < _I64)
+
+
 def _record_line(rec: dict) -> str:
-    """rec as _RECORD_ENCODER writes it; an L(1) record with a finite L1 goes
-    through _l1_lines, anything else through the encoder."""
-    D, L1, digits, method = (rec.get(k) for k in ("D", "L1", "digits", "method"))
-    if (len(rec) == 4 and type(D) is type(digits) is int and type(method) is str
-            and type(L1) is float and math.isfinite(L1)):
-        return _l1_lines((D,), (L1,), digits, method)
+    """rec as _RECORD_ENCODER writes it; an L(1) record goes through
+    _l1_lines, anything else through the encoder."""
+    if _is_l1(rec):
+        return _l1_lines((rec["D"],), (rec["L1"],), rec["digits"], rec["method"])
     return _RECORD_ENCODER.encode(rec) + "\n"
 
 
-def _parse_lines(lines) -> list:
-    """(D, record) for each line that holds a record, warning about the rest."""
-    out = []
-    for line in lines:
-        try:
-            rec = json.loads(line)
-            out.append((int(rec["D"]), rec))
-        except (ValueError, KeyError, TypeError):
-            print(f"warning: skipping corrupt cache line: {line[:60]}", file=sys.stderr)
-    return out
+def _checksum(data: bytes) -> str:
+    """The CRC-32 and Adler-32 of data, 16 hex digits.  zlib is loaded with
+    numpy already; hashlib would load OpenSSL, 3.5 MB of resident memory."""
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+
+
+def _key(rec) -> int:
+    D = int(rec["D"])
+    if not -_I64 <= D < _I64:
+        raise ValueError(f"D = {D} does not fit 64 bits")
+    return D
+
+
+def _parse_lines(data: bytes) -> tuple[list, bool]:
+    """(D, record) for each line of data that holds a record, warning about
+    the rest, and whether there were none such."""
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
+    try:  # one parse of the whole file
+        out = [(_key(rec), rec) for rec in json.loads("[" + ",".join(lines) + "]")]
+    except _CORRUPT:
+        out = []
+    if len(out) != len(lines):  # not one record per line: parse each line
+        out = []
+        for line in lines:
+            try:
+                rec = json.loads(line)
+                out.append((_key(rec), rec))
+            except _CORRUPT:
+                print(f"warning: skipping corrupt cache line: {line[:60]}", file=sys.stderr)
+    return out, len(out) == len(lines)
+
+
+def _ranked(cols: dict):
+    """For records in the order they were written: whether each outranks
+    every earlier record of its D, and the index of the record held for each
+    D, by increasing D.  A plausible L1 (a finite float > 0) outranks an
+    implausible one, then the most digits wins, and ties go to the later one."""
+    D, L1 = cols["D"], cols["L1"]
+    keys = (cols["digits"], (L1 > 0) & (L1 < np.inf), D)
+    order = np.lexsort(keys)  # stable: records that tie stay in written order
+    above = np.zeros(len(D), bool)  # order[i] ranks above order[i - 1]
+    for k in keys:
+        above[1:] |= k[order][1:] != k[order][:-1]
+    rank = np.empty(len(D), np.int64)
+    rank[order] = np.cumsum(above)  # increases with D
+    by_D = np.argsort(D, kind="stable")
+    outranks = np.empty(len(D), bool)
+    outranks[by_D] = rank[by_D] == np.maximum.accumulate(rank[by_D])
+    won = by_D[outranks[by_D]]  # the last of each D is the one held
+    return outranks, won[np.append(D[won][1:] != D[won][:-1], True)]
 
 
 class JsonlCache:
     """Append-only cache of L(1,chi_D) records, one JSON object per line.
 
-    Reads tolerate duplicate keys (the record with the most digits wins,
-    ties going to the last one) and skip corrupt lines with a warning.
-    Writes keep the same rule: a record is stored, and appended, unless the
-    one held for its D has more digits.  lookup_l1 and store_l1 are the bulk
-    forms of get and put for the L(1) records of one method.
+    Corrupt lines are skipped with a warning.  Of the records of one D, the
+    one held is the first by the rule of _ranked, on reads and on writes: a
+    record is stored, and appended, only if it outranks the one held.  The
+    records held are numpy columns sorted by D, which `<path>.idx` holds for
+    the file's first bytes.  lookup_l1 and store_l1 are the bulk forms of
+    get and put for the L(1) records of one method.
     """
 
     def __init__(self, path: str | None):
         self.path = path
-        self._mem: dict[int, dict] = {}
+        self._cols = {name: np.empty(0, dt) for name, dt in _COLS}
+        self._codes: dict[str, int] = {}  # method -> its code in the method column
+        self._recs: list[dict] = []
         if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = [line for line in map(str.strip, fh) if line]
-            try:  # one parse of the whole file
-                keyed = [(int(rec["D"]), rec) for rec in json.loads("[" + ",".join(lines) + "]")]
-            except (ValueError, KeyError, TypeError):
-                keyed = []
-            if len(keyed) != len(lines):  # not one record per line: parse each line
-                keyed = _parse_lines(lines)
-            for D, rec in keyed:
-                old = self._mem.get(D)
-                if old is None or rec.get("digits", 0) >= old.get("digits", 0):
-                    self._mem[D] = rec
+            with open(path, "rb") as fh:
+                data = fh.read()
+            n = self._read_index(data)
+            keyed, clean = _parse_lines(data[n:])
+            self._merge(self._cols_of(keyed))
+            # never over a half-written last line, nor a line the index cannot hold
+            if len(data) > n and data.endswith(b"\n") and clean and not self._recs:
+                self._write_index(data)
+
+    def _read_index(self, data: bytes) -> int:
+        """Hold the columns of `<path>.idx` if it indexes the first n bytes of
+        data, and return n; else 0."""
+        try:
+            with open(self.path + ".idx", "rb") as fh:
+                digest, head, body = fh.read().split(b"\n", 2)
+            h = json.loads(head)
+            n = h["n"]
+            if (digest.decode() == _checksum(head + b"\n" + body)
+                    and h["format"] == _IDX_FORMAT and 0 < n <= len(data)
+                    and h["checksum"] == _checksum(data[:n])):
+                cols = np.frombuffer(body, "<i8").reshape(len(_COLS), -1)
+                self._cols = {name: col.view(dt) for (name, dt), col in zip(_COLS, cols)}
+                self._codes = {m: i for i, m in enumerate(h["methods"])}
+                return n
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        return 0
+
+    def _write_index(self, data: bytes):
+        """Write `<path>.idx` for the records held, those of the file's bytes
+        data: atomically, or not at all if the directory refuses it."""
+        head = json.dumps({"format": _IDX_FORMAT, "methods": list(self._codes),
+                           "n": len(data), "checksum": _checksum(data)})
+        rest = head.encode() + b"\n" + b"".join(self._cols[name].tobytes() for name, _ in _COLS)
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_checksum(rest).encode() + b"\n" + rest)
+            os.replace(tmp, self.path + ".idx")
+        except OSError:
+            if tmp:
+                os.unlink(tmp)
+
+    def _cols_of(self, keyed) -> dict:
+        """The columns of the records keyed = [(D, record)].  A record not of
+        the L(1) shape is kept whole; its columns hold its L1 if a float, its
+        digits if a 64-bit int (else 0) and its method if a str."""
+        L1, digits, m = ([rec.get(k) for _, rec in keyed] for k in ("L1", "digits", "method"))
+        r = [-1] * len(keyed)
+        for i, (_, rec) in enumerate(keyed):
+            if not _is_l1(rec):
+                r[i], L1[i], digits[i], m[i] = (
+                    len(self._recs), L1[i] if type(L1[i]) is float else math.nan,
+                    digits[i] if type(digits[i]) is int and -_I64 <= digits[i] < _I64 else 0,
+                    m[i] if type(m[i]) is str else None)
+                self._recs.append(rec)
+        codes = {x: -1 if x is None else self._codes.setdefault(x, len(self._codes))
+                 for x in dict.fromkeys(m)}
+        cols = ([D for D, _ in keyed], L1, digits, [codes[x] for x in m], r)
+        return {name: np.array(col, dt) for (name, dt), col in zip(_COLS, cols)}
+
+    def _merge(self, new: dict) -> np.ndarray:
+        """Hold the winners among the records held and the later new ones;
+        whether each new one outranks those before it."""
+        if not len(new["D"]):
+            return np.zeros(0, bool)
+        cols = {name: np.concatenate((self._cols[name], new[name])) for name, _ in _COLS}
+        outranks, held = _ranked(cols)
+        self._cols = {name: col[held] for name, col in cols.items()}
+        return outranks[len(outranks) - len(new["D"]):]
 
     def get(self, D: int):
-        return self._mem.get(int(D))
+        cols, D = self._cols, int(D)
+        i = np.searchsorted(cols["D"], D)
+        if i < len(cols["D"]) and cols["D"][i] == D:
+            if cols["rec"][i] >= 0:
+                return self._recs[cols["rec"][i]]
+            return {"D": D, "L1": float(cols["L1"][i]), "digits": int(cols["digits"][i]),
+                    "method": list(self._codes)[cols["method"][i]]}
 
     def put(self, rec: dict):
-        """Store rec unless the record held for its D has more digits, and
-        append it to the file.  rec holds plain JSON values; a non-finite
-        float raises ValueError, whether or not rec would be stored."""
-        D, line = int(rec["D"]), _record_line(rec)
-        old = self._mem.get(D)
-        if old is None or old.get("digits", 0) <= rec.get("digits", 0):
-            self._mem[D] = rec
+        """Store rec unless the record held for its D outranks it, and append
+        it to the file.  rec holds plain JSON values; a non-finite float
+        raises ValueError, whether or not rec would be stored."""
+        line = _record_line(rec)
+        if self._merge(self._cols_of([(_key(rec), rec)]))[0]:
             self._append(line)
 
-    def lookup_l1(self, Ds, method: str) -> list:
+    def lookup_l1(self, Ds, method: str) -> np.ndarray:
         """For each D of Ds, the L1 of the record held for D if `method` made
         it and it is plausible, a finite float > 0 (L(1, chi_D) > 0 for every
         real primitive chi_D); nan otherwise.  One warning counts the records
         of `method` skipped as implausible."""
-        nan, inf = math.nan, math.inf
-        out, bad = [], 0
-        for rec in map(self._mem.get, Ds):
-            L1 = nan
-            if rec is not None and rec.get("method") == method:
-                L1 = rec.get("L1")
-                if type(L1) is not float or not 0.0 < L1 < inf:
-                    L1, bad = nan, bad + 1
-            out.append(L1)
-        if bad:
+        Ds, cols = np.asarray(Ds, dtype=np.int64), self._cols
+        if not len(cols["D"]):
+            return np.full(len(Ds), np.nan)
+        i = np.minimum(np.searchsorted(cols["D"], Ds), len(cols["D"]) - 1)
+        L1 = cols["L1"][i]
+        mine = (cols["D"][i] == Ds) & (cols["method"][i] == self._codes.get(method, -2))
+        ok = mine & (L1 > 0) & (L1 < np.inf)
+        if bad := np.count_nonzero(mine & ~ok):
             print(f"warning: recomputing {bad} implausible L(1) cache records", file=sys.stderr)
-        return out
+        return np.where(ok, L1, np.nan)
 
     def store_l1(self, Ds, L1s, method: str, digits: int):
         """put for the L(1) records (D, L1, method, digits) of the columns Ds
@@ -190,14 +309,11 @@ class JsonlCache:
         L1s = np.asarray(L1s, dtype=np.float64)
         if not np.isfinite(L1s).all():
             raise ValueError("a non-finite L1 is not stored")
-        Ds, L1s, mem = np.asarray(Ds, dtype=np.int64).tolist(), L1s.tolist(), self._mem
-        # every record has these digits, so each is kept or not by the record held before
-        keep = [old is None or old.get("digits", 0) <= digits for old in map(mem.get, Ds)]
-        if not all(keep):
-            Ds, L1s = list(itertools.compress(Ds, keep)), list(itertools.compress(L1s, keep))
-        mem.update({D: {"D": D, "L1": L1, "method": method, "digits": digits}
-                    for D, L1 in zip(Ds, L1s)})
-        self._append(_l1_lines(Ds, L1s, digits, method))
+        Ds = np.asarray(Ds, dtype=np.int64)
+        code = self._codes.setdefault(method, len(self._codes))
+        kept = self._merge({"D": Ds, "L1": L1s, "digits": np.full(len(Ds), digits),
+                            "method": np.full(len(Ds), code), "rec": np.full(len(Ds), -1)})
+        self._append(_l1_lines(Ds[kept].tolist(), L1s[kept].tolist(), digits, method))
 
     def _append(self, text: str):
         if self.path and text:

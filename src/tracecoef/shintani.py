@@ -374,7 +374,7 @@ def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
     stored with one store_l1."""
     L1 = np.full(len(D), np.nan)
     if cache is not None:
-        L1[:] = cache.lookup_l1(D.tolist(), method)
+        L1[:] = cache.lookup_l1(D, method)
     miss = np.isnan(L1)
     if miss.any():
         Dm = D[miss]
@@ -383,7 +383,7 @@ def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
         else:
             L1[miss] = [l1_smoothed(k) for k in Dm.tolist()]
         if cache is not None:
-            cache.store_l1(Dm.tolist(), L1[miss].tolist(), method, 15)
+            cache.store_l1(Dm, L1[miss], method, 15)
     return L1
 
 
@@ -417,8 +417,8 @@ def _chi_matrix(D: np.ndarray, S: PlaceSet):
 def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula",
                 cache=None) -> Terms:
     """All summands of xi^S(.; alpha) with |fundamental discriminant| <= X,
-    ordered by |D| then d.  The cache, if given, needs lookup_l1(D list,
-    method) and store_l1(D list, L1 list, method, digits) as cli.JsonlCache."""
+    ordered by |D| then d.  The cache, if given, needs lookup_l1(D array,
+    method) and store_l1(D array, L1 array, method, digits) as cli.JsonlCache."""
     S.require_2("the Shintani zeta function")
     a_val = alpha.value if isinstance(alpha, SquareClassRep) else squarefree_kernel(alpha)
     d = np.array(disc_classes(S, a_val, X=X, kind="Q_S").entries, dtype=np.int64)

@@ -254,6 +254,24 @@ def test_implausible_records_are_recomputed(tmp_path, capsys):
         assert len(path.read_text().splitlines()) == len(lines) + 1
 
 
+def test_plausible_record_outranks_implausible_one_with_more_digits(tmp_path, capsys):
+    """An implausible record with more digits does not block the plausible
+    one recomputed for it: the first run warns and appends, the second reads
+    the new record without a warning."""
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps({"D": -4, "L1": -0.5, "digits": 20,
+                                "method": "class-number-formula"}) + "\n")
+    argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--cache", str(path)]
+
+    def run():
+        code = main(argv)
+        return code, *capsys.readouterr()
+    code, out, err = run()
+    assert code == 0 and err.count("recomputing 1 implausible") == 1
+    assert run() == (0, out, "")
+    assert abs(JsonlCache(str(path)).get(-4)["L1"] - math.pi / 4) < 1e-15
+
+
 def test_cache_one_parse_keeps_the_digits_rule(tmp_path, capsys):
     """A file without corrupt lines is read in one parse, with the same
     precedence as the per-line read: most digits wins, ties go to the last."""

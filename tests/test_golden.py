@@ -14,8 +14,8 @@
 - The L-value cache file that a cold `shintani --X 10000` run writes, for
   alpha = -1 and 2 at S = {oo,2} and -5 at {oo,2,3}: one file each,
   `golden/l1cache-shintani-alpha<alpha>-S<S>.jsonl`, printed by the code
-  before the cache was read and written in bulk.  A warm run must leave it
-  as it is.
+  before the cache was read and written in bulk.  A warm run, and the run
+  after it that the cache index serves, must leave it as it is.
 - The 17 records that go through the Shintani pole data (`coeff`/`diff`
   `--orbit sub`, `--form` and `shintani`) were reprinted with `--drift
   --write` when that pole data moved to float64; they moved by at most
@@ -142,13 +142,15 @@ def test_golden_lfun_weights_shintani(capsys, monkeypatch, i):
 
 @pytest.mark.parametrize("name, argv", L1CACHE, ids=[c[0] for c in L1CACHE])
 def test_golden_l1_cache(capsys, tmp_path, name, argv):
-    """The cache file of a cold run, and of the warm run after it."""
+    """The cache file of a cold run, of the warm run after it (which parses
+    the file and writes its index) and of a run served by that index."""
     path = tmp_path / "cache.jsonl"
     outs = []
-    for kind in ("cold", "warm"):
+    for kind in ("cold", "warm", "indexed"):
+        assert os.path.exists(f"{path}.idx") == (kind == "indexed"), kind
         outs.append(_run(capsys, argv + ["--cache", str(path)]))
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), kind
-    assert outs[0][0] == 0 and outs[0] == outs[1]
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
 
 
 def _capture(argv):

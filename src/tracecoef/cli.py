@@ -22,13 +22,13 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-from mpmath import mpf, mpc
+from mpmath import mp, mpf, mpc
 
 from .arith import PlaceSet, cclass_reps, sclass_reps
 from .characters import enum_cubic_chars, enum_quad_chars, QuadChar
 from . import lfun
 from .coeff import CoeffResult, VolumeParams, coeff_unipotent, endoscopic_diff
-from .quadforms import OrbitClass, SymForm2, hasse_profile, unipotent_orbit_set
+from .quadforms import OrbitClass, SymForm2, unipotent_orbit_set
 from .shintani import ShintaniConfig, shintani_run
 from . import weights as wmod
 from . import selfcheck
@@ -540,7 +540,7 @@ def cmd_orbits(args) -> dict:
         if isinstance(o.param, SymForm2):
             entry["form"] = [o.param.a, o.param.b, o.param.c]
             entry["minus_det"] = -o.param.det
-            entry["hasse"] = {str(v): e for v, e in hasse_profile(o.param, S).items()}
+            entry["hasse"] = {str(v): e for v, e in o.hasse.items()}
         elif o.param is not None:
             entry["param"] = getattr(o.param, "value", o.param)
         items.append(entry)
@@ -561,29 +561,22 @@ def cmd_weights(args) -> dict:
         if len(entries) != 3:
             raise UsageError("gl3 weights need nu = n12,n13,n23")
         nu = wmod.Nu3Entries(*entries, S)
-        if args.which == "gl3-m0":
-            closed, family, dims = wmod.w_M0_gl3(nu, T), wmod.family_m0_gl3(nu, T), 2
-        else:
-            closed = wmod.w_Mp_gl3(nu, T, u12=u)
-            family, dims = wmod.family_mp_gl3(nu, T, u12=u), 1
+        closed, family, dims = ((wmod.w_M0_gl3, wmod.family_m0_gl3, 2) if args.which == "gl3-m0"
+                                else (wmod.w_Mp_gl3, wmod.family_mp_gl3, 1))
     else:
         if len(entries) != 4:
             raise UsageError("symplectic weights need nu = n12,n13,n14,n24")
         nu = wmod.NuEntries(*entries, S)
-        if args.which == "m0":
-            closed, family, dims = wmod.w_M0(nu, T), wmod.family_m0(nu, T), 2
-        elif args.which == "m1":
-            closed = wmod.w_M1(nu, T, u12=u)
-            family, dims = wmod.family_m1(nu, T, u12=u), 1
-        else:
-            closed = wmod.w_M2(nu, T, u24=u)
-            family, dims = wmod.family_m2(nu, T, u24=u), 1
-    result = {"closed_form": closed}
-    if args.engine:
-        lim, err = wmod.gm_family_limit(family, dims=dims, seed=args.seed)
-        result["engine_limit"] = lim
-        result["engine_error"] = err
-        result["deviation"] = abs(lim - closed)
+        closed, family, dims = {"m0": (wmod.w_M0, wmod.family_m0, 2),
+                                "m1": (wmod.w_M1, wmod.family_m1, 1),
+                                "m2": (wmod.w_M2, wmod.family_m2, 1)}[args.which]
+    extra = (u,) if dims == 1 else ()
+    with mp.workdps(wmod.engine_dps(dims)):  # the closed form at the engine's precision
+        result = {"closed_form": closed(nu, T, *extra)}
+        if args.engine:
+            lim, err = wmod.gm_family_limit(family(nu, T, *extra), dims=dims, seed=args.seed)
+            result.update(engine_limit=lim, engine_error=err,
+                          deviation=abs(lim - result["closed_form"]))
     return {
         "command": "weights",
         "inputs": {"which": args.which, "nu": entries, "u": u, "T": [T1, T2], "S": str(S)},

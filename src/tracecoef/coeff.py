@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import mp, mpf
 
@@ -60,14 +61,15 @@ _VALUE_DPS = 45  # term assembly precision, independent of the ambient context
 
 @dataclass
 class CoeffTerm:
-    """prefactor * volume * product of named factors."""
+    """prefactor * volume * product of named factors; terms and factors are
+    never changed after construction, so value is evaluated once."""
 
     prefactor: Fraction
     volume: str
     vol_value: float
     factors: list  # [(name, value)]
 
-    @property
+    @cached_property
     def value(self):
         with mp.workdps(_VALUE_DPS):
             out = mpf(self.prefactor.numerator) / self.prefactor.denominator * self.vol_value
@@ -83,7 +85,7 @@ class CoeffResult:
     error: float = 0.0
     notes: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def value(self):
         with mp.workdps(_VALUE_DPS):
             out = mpf(0)

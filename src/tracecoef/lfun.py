@@ -21,7 +21,9 @@ are shared by every character at the same precision and s.  The number of
 Bernoulli terms comes from the explicit Euler-Maclaurin remainder bound
 (F. Johansson, Numer. Algorithms 2015), checked once at the smallest
 A = N + 1/q, which covers every residue; N doubles when the bound cannot
-reach 2^-prec.  The guard bits absorb the fixed-point rounding.
+reach 2^-prec.  The Bernoulli coefficients are exact, from the integer
+tangent-number recurrence (R. P. Brent and D. Harvey 2013), so each one is a
+single floor division.  The guard bits absorb the fixed-point rounding.
 
 Derivatives are propagated through every formula with first-order jets
 (value, d/ds) rather than finite differences.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from mpmath import mp, mpf, bernoulli
+from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .arith import PlaceSet, spf_table
@@ -52,7 +54,7 @@ _MEMO_MAX = 200_000
 
 _jet_memo: dict = {}     # (prec, s, chi) -> jet of L(s,chi); chi None for zeta - pole
 _tail_memo: dict = {}    # (prec, s, N, a) -> fixed-point jet of T(s, N + a)
-_bernoulli_memo: dict = {}  # (prec, s) -> [[(c_j, c_j')], (s)_{2j-1}, its s-derivative]
+_bernoulli_memo: dict = {}  # "ratios" -> exact B_2j/(2j)!; (prec, s) -> [[(c_j, c_j')], P, Q]
 _ln_tables: dict = {}    # prec -> [ln n], fixed point
 _pow_tables: dict = {}   # (prec, s) -> [n^-s], fixed point
 _MEMOS = (_jet_memo, _tail_memo, _bernoulli_memo, _ln_tables, _pow_tables)
@@ -232,21 +234,43 @@ def _em_plan(s, a_min, scale: float = 1.0, N: int | None = None) -> tuple[int, i
     raise RuntimeError("Euler-Maclaurin did not converge; increase precision")
 
 
+def _bernoulli_ratios(M: int) -> list:
+    """[(a_j, b_j)] for j <= M: B_2j/(2j)! = a_j/(b_j 4^j) = (-1)^(j-1) T_j /
+    ((2j-1)! (4^j - 1) 4^j), T_j the tangent numbers (Brent and Harvey 2013)."""
+    tab = _bernoulli_memo.get("ratios")
+    if tab is not None and len(tab) >= M:
+        return tab
+    T = [0, 1]
+    for k in range(2, M + 1):
+        T.append((k - 1) * T[k - 1])
+    for k in range(2, M + 1):
+        for j in range(k, M + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    tab = [((-1) ** (j - 1) * T[j], math.factorial(2 * j - 1) * (4**j - 1))
+           for j in range(1, M + 1)]
+    return _remember(_bernoulli_memo, "ratios", tab)
+
+
 def _bernoulli_jets(s, M: int) -> list:
-    """[(c_j, d/ds c_j)] for j <= M in fixed point, c_j = B_2j/(2j)! (s)_{2j-1};
-    a memoised list shorter than M is extended from where it stopped."""
+    """[(c_j, d/ds c_j)] for j <= M in fixed point, c_j = B_2j/(2j)! (s)_{2j-1}:
+    floors of exact rationals, as (s)_{2j-1} = P/2^(e(2j-1)) and its derivative
+    is Q/2^(e(2j-2)) with integers P, Q at s = m 2^-e.  A memoised list shorter
+    than M is extended from where it stopped."""
     key, W = (mp.prec, s), _bits()
-    entry = _bernoulli_memo.get(key) or _remember(_bernoulli_memo, key, [[], s, mpf(1)])
-    out, R, dR = entry              # R, dR: rising factorial (s)_{2j-1} and its derivative
+    sign, man, exp, _ = s._mpf_
+    m, e = ((-man if sign else man) << max(exp, 0)), max(-exp, 0)
+    entry = _bernoulli_memo.get(key) or _remember(_bernoulli_memo, key, [[], m, 1])
+    out, P, Q = entry
     if len(out) < M:
-        with mp.workprec(W + 20):
-            for j in range(len(out) + 1, M + 1):
-                if j > 1:
-                    a, b = s + (2 * j - 3), s + (2 * j - 2)
-                    R, dR = R * a * b, dR * a * b + R * (a + b)
-                beta = bernoulli(2 * j) / math.factorial(2 * j)
-                out.append((_fix(beta * R, W), _fix(beta * dR, W)))
-        entry[1:] = R, dR
+        ratios = _bernoulli_ratios(M)
+        for j in range(len(out) + 1, M + 1):
+            if j > 1:
+                a, b = m + ((2 * j - 3) << e), m + ((2 * j - 2) << e)
+                P, Q = P * a * b, Q * a * b + P * (a + b)
+            num, den = ratios[j - 1]
+            D = den << (2 * j + e * (2 * j - 1))     # c_j = num P / D, c_j' = num Q 2^e / D
+            out.append(((num * P << W) // D, (num * Q << W) // (D >> e)))
+        entry[1:] = P, Q
     return out
 
 

@@ -10,7 +10,7 @@ groups, and semisimple-centralizer classification with coefficient descent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -151,8 +151,9 @@ def realizable_eps(v, d) -> frozenset:
 
 
 def enum_form_classes(S: PlaceSet, rel: str = "det", bound: int = 10**4,
-                      reps: list[SquareClassRep] | None = None) -> list[SymForm2]:
-    """Representatives of V^ss(F)/~ for the chosen relation.
+                      reps: list[SquareClassRep] | None = None) -> dict[SymForm2, dict]:
+    """Representatives of V^ss(F)/~ for the chosen relation, each mapped to
+    its Hasse profile {v: eps_v} over S.
 
     rel="det": one diag(1,-alpha) per S-square class alpha (via -det).
     rel="det+hasse": representatives for every realizable (det class, Hasse
@@ -165,9 +166,9 @@ def enum_form_classes(S: PlaceSet, rel: str = "det", bound: int = 10**4,
     if reps is None:
         reps = sclass_reps(S, bound=bound)
     if rel == "det":
-        return [SymForm2.x_alpha(a.value) for a in reps]
+        return {f: hasse_profile(f, S) for f in (SymForm2.x_alpha(a.value) for a in reps)}
     us = [x.value for x in reps]
-    out: list[SymForm2] = []
+    out: dict[SymForm2, dict] = {}
     for a in reps:
         targets = set(product(*[sorted(realizable_eps(v, a.value)) for v in S]))
         seen = set()
@@ -176,7 +177,7 @@ def enum_form_classes(S: PlaceSet, rel: str = "det", bound: int = 10**4,
             key = tuple(_hasse_diag(u, w, v) for v in S)
             if key in targets and key not in seen:
                 seen.add(key)
-                out.append(SymForm2(u, 0, w))
+                out[SymForm2(u, 0, w)] = dict(zip(S, key))
                 if len(seen) == len(targets):
                     break
         if len(seen) != len(targets):
@@ -196,12 +197,14 @@ class OrbitClass:
 
     type: "tri" (identity), "min", "sub", "sub'" (the subregular class of
     diag(1,-1)), "reg".  param is None, a SquareClassRep, a CubeClassRep, or
-    a SymForm2 representative for subregular classes.
+    a SymForm2 representative for subregular classes, whose Hasse profile
+    {v: eps_v} over S the enumeration leaves in hasse.
     """
 
     group: str
     type: str
     param: object = None
+    hasse: dict | None = field(default=None, compare=False)
 
     def __str__(self):
         p = "" if self.param is None else f"({getattr(self.param, 'value', self.param)})"
@@ -232,9 +235,9 @@ def unipotent_orbit_set(group: str, S: PlaceSet, bound: int = 10**4) -> list[Orb
             rel, reps = "det+hasse", sclass_reps(S, bound)
             orbits = [OrbitClass(g, "tri")] + [OrbitClass(g, "min", a) for a in reps]
         # sub' is x_1's class: -det in the trivial S-class (the hyperbolic plane only)
-        for f in enum_form_classes(S, rel, bound, reps):
+        for f, eps in enum_form_classes(S, rel, bound, reps).items():
             typ = "sub'" if all(is_square_at(-f.det, v) for v in S) else "sub"
-            orbits.append(OrbitClass(g, typ, f))
+            orbits.append(OrbitClass(g, typ, f, eps))
         if g == "gsp2":
             orbits.append(OrbitClass(g, "reg"))
         else:

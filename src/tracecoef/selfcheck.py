@@ -174,9 +174,10 @@ def crit_6_weight_factors(quick=False, cache=None):
     S_list = [PlaceSet.of(2), PlaceSet.of(2, 3)]
     worst = {}
 
-    def check(tag, closed, family, dims):
-        lim, err = wmod.gm_family_limit(family, dims=dims, seed=SEED + 60)
-        dev = abs(float(lim - closed))
+    def check(tag, closed, family, dims, nu, *u):
+        with mp.workdps(wmod.engine_dps(dims)):  # the closed form at the engine's precision
+            lim, err = wmod.gm_family_limit(family(nu, T, *u), dims=dims, seed=SEED + 60)
+            dev = abs(float(lim - closed(nu, T, *u)))
         worst[tag] = max(worst.get(tag, 0.0), dev)
         return dev
 
@@ -184,21 +185,21 @@ def crit_6_weight_factors(quick=False, cache=None):
         S = S_list[i % 2]
         T = wmod.TruncParam(float(_rand_frac(rng, nonzero=False)), float(_rand_frac(rng, nonzero=False)))
         nu = wmod.NuEntries(_rand_frac(rng), _rand_frac(rng), _rand_frac(rng), _rand_frac(rng), S)
-        check("m0", wmod.w_M0(nu, T), wmod.family_m0(nu, T), 2)
+        check("m0", wmod.w_M0, wmod.family_m0, 2, nu)
         nur = wmod.NuEntries(0, _rand_frac(rng), _rand_frac(rng), _rand_frac(rng), S)
         if nur.n13 * nur.n24 != nur.n14 * nur.n14:
-            check("m1-radical", wmod.w_M1(nur, T), wmod.family_m1(nur, T), 1)
+            check("m1-radical", wmod.w_M1, wmod.family_m1, 1, nur)
         u12 = _rand_frac(rng)
-        check("m1-levi", wmod.w_M1(nu, T, u12=u12), wmod.family_m1(nu, T, u12=u12), 1)
+        check("m1-levi", wmod.w_M1, wmod.family_m1, 1, nu, u12)
         nu2 = wmod.NuEntries(_rand_frac(rng), _rand_frac(rng), _rand_frac(rng), 0, S)
-        check("m2-radical", wmod.w_M2(nu2, T), wmod.family_m2(nu2, T), 1)
+        check("m2-radical", wmod.w_M2, wmod.family_m2, 1, nu2)
         u24 = _rand_frac(rng)
-        check("m2-levi", wmod.w_M2(nu2, T, u24=u24), wmod.family_m2(nu2, T, u24=u24), 1)
+        check("m2-levi", wmod.w_M2, wmod.family_m2, 1, nu2, u24)
         nu3 = wmod.Nu3Entries(_rand_frac(rng), _rand_frac(rng), _rand_frac(rng), S)
-        check("gl3-m0", wmod.w_M0_gl3(nu3, T), wmod.family_m0_gl3(nu3, T), 2)
+        check("gl3-m0", wmod.w_M0_gl3, wmod.family_m0_gl3, 2, nu3)
         nu3r = wmod.Nu3Entries(0, _rand_frac(rng), _rand_frac(rng), S)
-        check("gl3-mp-radical", wmod.w_Mp_gl3(nu3r, T), wmod.family_mp_gl3(nu3r, T), 1)
-        check("gl3-mp-levi", wmod.w_Mp_gl3(nu3, T, u12=u12), wmod.family_mp_gl3(nu3, T, u12=u12), 1)
+        check("gl3-mp-radical", wmod.w_Mp_gl3, wmod.family_mp_gl3, 1, nu3r)
+        check("gl3-mp-levi", wmod.w_Mp_gl3, wmod.family_mp_gl3, 1, nu3, u12)
     passed = all(v <= TOL_WEIGHTS for v in worst.values())
     return {
         "id": 6,

@@ -5,7 +5,10 @@ w_{sP0}(lambda,1,nu,T) with the theta polynomials, the closed-form weight
 factors w_{M0}, w_{M1}, w_{M2} (and the GL(3) analogues), and a generic
 numeric limit engine for (G,M)-families used to cross-validate the closed
 forms: it evaluates sum_P f_P(t*lambda0)/theta_P(t*lambda0) along a seeded
-generic ray and Richardson-extrapolates t -> 0.
+generic ray and Richardson-extrapolates t -> 0.  Each family member is an
+exponent row, f_P(lambda) = exp(c_P . lambda) with c_P an integer combination
+of T1, T2 and logarithms of S-norms, which the engine takes once per family at
+its own precision: it owns the precision of every constant.
 
 Heights are the S-heights: euclidean norm at the real place, max of the
 p-adic absolute values at finite places, multiplied over v in S.
@@ -239,70 +242,60 @@ _THETA = {  # group -> Weyl element -> theta_{sP0} as a function of (l1, l2)
     },
 }
 
+# The limiting members w_{sP0}(lambda,1,nu,T) = exp(r1.b lam1 + r2.b lam2):
+# group -> Weyl element -> the integer exponent rows (r1, r2) over the basis
+# b = (ln|nu12|_S, ln|nu24|_S (gl3: ln|nu23|_S), T1, T2).
+_W_ROWS = {
+    "gsp2": {
+        "1": ((0, 0, 1, 0), (0, 0, 0, 1)),
+        "s0": ((0, 0, 1, 0), (-1, 0, 1, -1)),
+        "s2": ((0, -1, -1, 2), (0, 0, 0, 1)),
+        "s0s1": ((-2, -1, 1, -2), (-1, 0, 1, -1)),
+        "s0s2": ((0, -1, -1, 2), (-1, -1, -1, 1)),
+        "s1": ((-2, -1, 1, -2), (-2, -1, 0, -1)),
+        "s0s1s2": ((-2, -2, -1, 0), (-1, -1, -1, 1)),
+        "s1s2": ((-2, -2, -1, 0), (-2, -1, 0, -1)),
+    },
+    "gl3": {
+        "1": ((0, 0, 1, 0), (0, 0, 0, 1)),
+        "(12)": ((-1, 0, -1, 1), (0, 0, 0, 1)),
+        "(23)": ((0, 0, 1, 0), (0, -1, 1, -1)),
+        "(123)": ((-1, -1, 0, -1), (0, -1, 1, -1)),
+        "(132)": ((-1, 0, -1, 1), (-1, -1, -1, 0)),
+        "(13)": ((-1, -1, 0, -1), (-1, -1, -1, 0)),
+    },
+}
+
+
+def _lookup(table: dict, group: str, s: str):
+    if group not in table:
+        raise ValueError(f"unknown group {group!r}")
+    if s not in table[group]:
+        raise ValueError(f"unknown Weyl element {s!r}")
+    return table[group][s]
+
 
 def theta(group: str, s: str, lam) -> mpf:
     """theta_{sP0}(lambda) in the fundamental-weight coordinates."""
-    l1, l2 = mpf(lam[0]), mpf(lam[1])
-    if group not in _THETA:
-        raise ValueError(f"unknown group {group!r}")
-    if s not in _THETA[group]:
-        raise ValueError(f"unknown Weyl element {s!r}")
-    return _THETA[group][s](l1, l2)
+    return _lookup(_THETA, group, s)(mpf(lam[0]), mpf(lam[1]))
+
+
+def _dot(row, basis):
+    return sum(k * b for k, b in zip(row, basis) if k)
+
+
+def _w_basis(group: str, nu, T: TruncParam) -> tuple:
+    second = nu.n24 if group == "gsp2" else nu.n23
+    return (log_abs_S(nu.n12, nu.S), log_abs_S(second, nu.S), mpf(T.T1), mpf(T.T2))
 
 
 def w_table(group: str, s: str, lam, nu, T: TruncParam) -> mpf:
     """The limiting unipotent family member w_{sP0}(lambda,1,nu,T); for
     gsp2 it depends on nu only through |nu12|_S and |nu24|_S, for gl3
     through |nu12|_S and |nu23|_S."""
-    l1, l2 = mpf(lam[0]), mpf(lam[1])
-    T1, T2 = mpf(T.T1), mpf(T.T2)
-    if group == "gsp2":
-        a12 = abs_S(nu.n12, nu.S)
-        a24 = abs_S(nu.n24, nu.S)
-        if s == "1":
-            return mp.exp(l1 * T1 + l2 * T2)
-        if s == "s0":
-            return a12 ** (-l2) * mp.exp(l1 * T1 + l2 * (T1 - T2))
-        if s == "s2":
-            return a24 ** (-l1) * mp.exp(-l1 * (T1 - 2 * T2) + l2 * T2)
-        if s == "s0s1":
-            return (a12**2 * a24) ** (-l1) * a12 ** (-l2) * mp.exp(
-                l1 * (T1 - 2 * T2) + l2 * (T1 - T2)
-            )
-        if s == "s0s2":
-            return a24 ** (-l1) * (a12 * a24) ** (-l2) * mp.exp(
-                -l1 * (T1 - 2 * T2) - l2 * (T1 - T2)
-            )
-        if s == "s1":
-            return (a12**2 * a24) ** (-l1) * (a12**2 * a24) ** (-l2) * mp.exp(
-                l1 * (T1 - 2 * T2) - l2 * T2
-            )
-        if s == "s0s1s2":
-            return (a12**2 * a24**2) ** (-l1) * (a12 * a24) ** (-l2) * mp.exp(
-                -l1 * T1 - l2 * (T1 - T2)
-            )
-        if s == "s1s2":
-            return (a12**2 * a24**2) ** (-l1) * (a12**2 * a24) ** (-l2) * mp.exp(
-                -l1 * T1 - l2 * T2
-            )
-        raise ValueError(f"unknown Weyl element {s!r}")
-    if group == "gl3":
-        a12 = abs_S(nu.n12, nu.S)
-        a23 = abs_S(nu.n23, nu.S)
-        if s == "1":
-            return mp.exp(l1 * T1 + l2 * T2)
-        if s == "(12)":
-            return a12 ** (-l1) * mp.exp(l1 * (T2 - T1) + l2 * T2)
-        if s == "(23)":
-            return a23 ** (-l2) * mp.exp(l1 * T1 + l2 * (T1 - T2))
-        if s == "(123)":
-            return (a12 * a23) ** (-l1) * a23 ** (-l2) * mp.exp(-l1 * T2 + l2 * (T1 - T2))
-        if s == "(132)":
-            return a12 ** (-l1) * (a12 * a23) ** (-l2) * mp.exp(l1 * (T2 - T1) - l2 * T1)
-        if s == "(13)":
-            return (a12 * a23) ** (-l1) * (a12 * a23) ** (-l2) * mp.exp(-l1 * T2 - l2 * T1)
-        raise ValueError(f"unknown Weyl element {s!r}")
-    raise ValueError(f"unknown group {group!r}")
+    r1, r2 = _lookup(_W_ROWS, group, s)
+    b = _w_basis(group, nu, T)
+    return mp.exp(mpf(lam[0]) * _dot(r1, b) + mpf(lam[1]) * _dot(r2, b))
 
 
 # ---------------------------------------------------------------------------
@@ -423,85 +416,85 @@ def w_Mp_gl3(nu: Nu3Entries, T: TruncParam, u12=None) -> mpf:
 # (G,M)-family builders for the limit engine
 # ---------------------------------------------------------------------------
 
-def family_m0(nu: NuEntries, T: TruncParam):
+class RowFamily:
+    """Members f_P(lam) = exp(r1.b lam1 + r2.b lam2) over theta_P, with integer
+    rows (r1, r2) over a basis b of logarithms and T1, T2.  Iterating yields
+    (f, theta) callables with b = basis() taken once, at the current precision."""
+
+    def __init__(self, basis, rows):
+        self.basis, self.rows = basis, rows  # basis() -> b; rows: [((r1, r2), theta)]
+
+    def __iter__(self):
+        b = self.basis()
+        for (r1, r2), th in self.rows:
+            c1, c2 = _dot(r1, b), _dot(r2, b)
+            yield (lambda lam, c1=c1, c2=c2: mp.exp(lam[0] * c1 + lam[1] * c2)), th
+
+
+def _w_family(group: str, nu, T: TruncParam) -> RowFamily:
+    return RowFamily(lambda: _w_basis(group, nu, T),
+                     [(rows, lambda lam, th=_THETA[group][s]: th(*lam))
+                      for s, rows in _W_ROWS[group].items()])
+
+
+def family_m0(nu: NuEntries, T: TruncParam) -> RowFamily:
     """The eight-member minimal-Levi family of the rank-2 symplectic group."""
-    return [
-        (
-            (lambda lam, s=s: w_table("gsp2", s, lam, nu, T)),
-            (lambda lam, s=s: theta("gsp2", s, lam)),
-        )
-        for s in GSP2_WEYL
-    ]
+    return _w_family("gsp2", nu, T)
 
 
-def family_m0_gl3(nu: Nu3Entries, T: TruncParam):
-    return [
-        (
-            (lambda lam, s=s: w_table("gl3", s, lam, nu, T)),
-            (lambda lam, s=s: theta("gl3", s, lam)),
-        )
-        for s in GL3_WEYL
-    ]
+def family_m0_gl3(nu: Nu3Entries, T: TruncParam) -> RowFamily:
+    return _w_family("gl3", nu, T)
 
 
-def _two_member(Q: mpf, Tproj: mpf):
-    """The family {e^{l*T}, Q^{-l} e^{-l*T}} with theta = l, -l (l = lam[0])."""
-    lnQ = mp.ln(Q)
-    return [
-        ((lambda lam: mp.exp(lam[0] * Tproj)), (lambda lam: lam[0])),
-        (
-            (lambda lam: mp.exp(-lam[0] * (lnQ + Tproj))),
-            (lambda lam: -lam[0]),
-        ),
-    ]
+def _two_member(log_Q, T: TruncParam, up: tuple, down: tuple) -> RowFamily:
+    """{e^{l T_up}, Q^{-l} e^{-l T_down}} with theta = l, -l (l = lam[0]);
+    up and down are rows over (T1, T2), log_Q() gives ln Q."""
+    zero = (0, 0, 0)
+    return RowFamily(lambda: (log_Q(), mpf(T.T1), mpf(T.T2)),
+                     [(((0, *up), zero), lambda lam: lam[0]),
+                      (((-1, *(-x for x in down)), zero), lambda lam: -lam[0])])
 
 
-def family_m1(nu: NuEntries, T: TruncParam, u12=None):
+def family_m1(nu: NuEntries, T: TruncParam, u12=None) -> RowFamily:
     """Two-member Siegel-Levi family whose limit is w_M1."""
     if u12 is None:
-        detY = nu.n13 * nu.n24 - nu.n14 * nu.n14
         if nu.n12 != 0:
             raise DegenerateWeightError("nu12 must vanish for the radical case")
-        if detY == 0:
+        Q = nu.n13 * nu.n24 - nu.n14 * nu.n14  # det(Y)
+        if Q == 0:
             raise DegenerateWeightError("det(Y) vanishes")
-        Q = abs_S(detY, nu.S)
     else:
         if _frac(u12) == 0 or nu.n24 == 0:
             raise DegenerateWeightError("u12 or nu24 vanishes")
-        Q = abs_S(_frac(u12) ** 2 * nu.n24**2, nu.S)
-    return _two_member(Q, mpf(T.T1))
+        Q = _frac(u12) ** 2 * nu.n24**2
+    return _two_member(lambda: log_abs_S(Q, nu.S), T, (1, 0), (1, 0))
 
 
-def family_m2(nu: NuEntries, T: TruncParam, u24=None):
+def family_m2(nu: NuEntries, T: TruncParam, u24=None) -> RowFamily:
     """Two-member Klingen-Levi family whose limit is w_M2."""
     if u24 is None:
         if nu.n24 != 0:
             raise DegenerateWeightError("nu24 must vanish for the radical case")
-        Q = height_S((nu.n12, nu.n13 / 2, nu.n14), nu.S)
+        log_Q = lambda: mp.ln(height_S((nu.n12, nu.n13 / 2, nu.n14), nu.S))  # noqa: E731
     else:
         if _frac(u24) == 0 or nu.n12 == 0:
             raise DegenerateWeightError("u24 or nu12 vanishes")
-        Q = abs_S(nu.n12**2 * _frac(u24) / 2, nu.S)
-    return _two_member(Q, mpf(T.T2))
+        log_Q = lambda: log_abs_S(nu.n12**2 * _frac(u24) / 2, nu.S)  # noqa: E731
+    return _two_member(log_Q, T, (0, 1), (0, 1))
 
 
-def family_mp_gl3(nu: Nu3Entries, T: TruncParam, u12=None):
+def family_mp_gl3(nu: Nu3Entries, T: TruncParam, u12=None) -> RowFamily:
     """Two-member maximal-Levi family of GL(3); the T-projection is split
     asymmetrically (T2 on one side, T1 on the other)."""
     if u12 is None:
         if nu.n12 != 0:
             raise DegenerateWeightError("nu12 must vanish for the radical case")
-        Q = height_S((nu.n13, nu.n23), nu.S)
+        log_Q = lambda: mp.ln(height_S((nu.n13, nu.n23), nu.S))  # noqa: E731
     else:
         if _frac(u12) == 0 or nu.n23 == 0:
             raise DegenerateWeightError("u12 or nu23 vanishes")
-        Q = abs_S(nu.n23 * _frac(u12), nu.S)
-    lnQ = mp.ln(Q)
-    T1, T2 = mpf(T.T1), mpf(T.T2)
-    return [
-        ((lambda lam: mp.exp(lam[0] * T2)), (lambda lam: lam[0])),
-        ((lambda lam: mp.exp(-lam[0] * (lnQ + T1))), (lambda lam: -lam[0])),
-    ]
+        log_Q = lambda: log_abs_S(nu.n23 * _frac(u12), nu.S)  # noqa: E731
+    return _two_member(log_Q, T, (0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +532,23 @@ def _ray_limit(members, lam0, t0, npts):
     return _richardson(vals)
 
 
+def engine_dps(dims: int) -> int:
+    """The working precision of gm_family_limit for a family in dims variables."""
+    return _ENGINE_DPS + 8 * (dims - 1)
+
+
 def gm_family_limit(members, dims: int = 2, seed: int = 20240801, npts: int = 12):
     """Numeric limit at lambda -> 0 of sum_P f_P(lambda)/theta_P(lambda).
 
-    members: list of (f, theta) callables taking lam = (lam1, lam2).
-    Evaluates along a seeded generic ray with Richardson extrapolation; a
-    second independent ray is a consistency check.  Returns (value, err).
+    members: an iterable of (f, theta) callables taking lam = (lam1, lam2),
+    iterated once at the engine's precision (a RowFamily takes its constants
+    there).  Evaluates along a seeded generic ray with Richardson
+    extrapolation; a second independent ray is a consistency check.
+    Returns (value, err).
     """
     rng = random.Random(seed)
-    with mp.workdps(_ENGINE_DPS + 8 * (dims - 1)):
+    with mp.workdps(engine_dps(dims)):
+        members = list(members)
         results = []
         for _ in range(2):
             # generic direction: irrational-ish slope, away from theta zeros

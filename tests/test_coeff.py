@@ -4,6 +4,8 @@ Oracles: Laurent data and L-values from the lfun kernel (independently
 validated in test_lfun), class-number L-values, and direct re-assembly of
 each displayed formula from its constituents.
 """
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,24 @@ def test_structured_terms_sum_to_value():
         ):
             total = sum((t.value for t in res.terms), mpf(0))
             assert abs(total - res.value) < mpf("1e-40")
+
+
+def test_values_are_evaluated_once_per_object(monkeypatch):
+    """A diff document reads the value of each term and result several
+    times (endoscopic_diff, the term list, the report); each product is
+    evaluated once per object."""
+    from tracecoef import cli, coeff as coeffmod
+
+    evaluated = []  # the objects themselves, so no id is reused
+    for cls in (coeffmod.CoeffTerm, coeffmod.CoeffResult):
+        prop = cls.__dict__["value"]
+        monkeypatch.setattr(prop, "func",
+                            lambda self, real=prop.func: evaluated.append(self) or real(self))
+    for orbit in ("min", "reg"):
+        evaluated.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["diff", f"--orbit={orbit}", "--alpha=3", "--S=2,3", "--json"]) == 0
+        assert evaluated and len({id(x) for x in evaluated}) == len(evaluated)
 
 
 def test_volumes_scale_linearly():

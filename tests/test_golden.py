@@ -20,6 +20,13 @@
   `--orbit sub`, `--form` and `shintani`) were reprinted with `--drift
   --write` when that pole data moved to float64; they moved by at most
   5.3e-14 relative in values and 4.7e-12 in error fields.
+- Six `weights --engine` records were reprinted with `--drift --write
+  --value-tol 1 --error-tol 1e-4` when the closed form and the family
+  constants moved to the engine's precision.  The `deviation` of the two
+  minimal-Levi records fell from the 15-digit closed form's rounding (1.9e-16,
+  4.7e-17) to 8.6e-29 and 3.0e-33; every other move is at the engine's
+  rounding level (at most 5e-37 absolute in `deviation` and `engine_error`);
+  `closed_form` and `engine_limit` kept their bytes.
 
 `PYTHONPATH=src python tests/test_golden.py` regenerates every golden file;
 run it only when a change to those outputs is intended, and check with

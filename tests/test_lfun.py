@@ -4,6 +4,7 @@ Expected values below were frozen from independent oracles: closed forms
 (pi^2/6, pi/4), direct alternating sums (the L(2,chi_-4) constant), and
 published digits of the Euler-Mascheroni and first Stieltjes constants.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,50 @@ def test_bernoulli_jets_extend_bit_identically():
         assert lfun._bernoulli_jets(s, 24) is grown and lfun._bernoulli_jets(s, 10) is grown
         lfun.clear_cache()
     assert grown == fresh
+
+
+def test_bernoulli_ratios_are_exact():
+    """The tangent-number table is B_2j/(2j)! exactly, for every j the
+    Euler-Maclaurin plan may ask for."""
+    M = lfun._MAX_BERNOULLI_TERMS
+    lfun.clear_cache()
+    ratios = lfun._bernoulli_ratios(M)
+    lfun.clear_cache()
+    assert len(ratios) == M
+    for j, (a, b) in enumerate(ratios, 1):
+        assert Fraction(a, b * 4**j) == Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j)
+
+
+JET_POINTS = ["1", "2", "3", "3/2", "25/4", "0.7", "1.0001", "0", "-1/2", "-1", "-1-2^-131"]
+
+
+def _jet_point(text):
+    if text == "-1-2^-131":
+        return mpf(-1) - mpf(2) ** -131
+    num, _, den = text.partition("/")
+    return mpf(num) / int(den or 1)
+
+
+@pytest.mark.parametrize("dps", [20, 40, 60])
+def test_bernoulli_jets_match_mpmath(dps):
+    """(c_j, dc_j/ds) in fixed point against mpmath at three times the
+    working bits: within one unit of 2^-W, negative s included."""
+    M = 30
+    with mp.workdps(dps):
+        W = lfun._bits()
+        for text in JET_POINTS:
+            s = _jet_point(text)
+            lfun.clear_cache()
+            jets = lfun._bernoulli_jets(s, M)
+            with mp.workprec(3 * W):
+                R, dR = s, mpf(1)
+                for j, (c, dc) in enumerate(jets, 1):
+                    if j > 1:
+                        a, b = s + (2 * j - 3), s + (2 * j - 2)
+                        R, dR = R * a * b, dR * a * b + R * (a + b)
+                    beta = mp.bernoulli(2 * j) / math.factorial(2 * j) * mpf(2) ** W
+                    assert abs(c - beta * R) <= 1 and abs(dc - beta * dR) <= 1, (text, j)
+    lfun.clear_cache()
 
 
 def test_memo_keys_are_exact_in_s():

@@ -253,3 +253,24 @@ def test_one_class_rep_scan_per_orbit_set(monkeypatch):
     calls.clear()
     enum_form_classes(S23, "det+hasse")
     assert len(calls) <= 1
+
+
+def test_orbits_command_reuses_the_enumerations_hasse_profiles(monkeypatch):
+    """cmd_orbits prints the Hasse profile that enum_form_classes computed
+    for each subregular form: no Hilbert symbol beyond the enumeration's."""
+    from tracecoef import cli, quadforms
+
+    calls = []
+    real = quadforms.hilbert
+    monkeypatch.setattr(quadforms, "hilbert", lambda a, b, v: calls.append(v) or real(a, b, v))
+    enum_form_classes(S23, "det+hasse")  # fills the realizable_eps cache
+    calls.clear()
+    forms = enum_form_classes(S23, "det+hasse")
+    n_enum = len(calls)
+    calls.clear()
+    doc = cli.cmd_orbits(cli.build_parser().parse_args(["orbits", "--group", "sp2", "--S", "2,3"]))
+    assert len(calls) == n_enum
+    printed = [o for o in doc["result"]["orbits"] if "hasse" in o]
+    assert len(printed) == len(forms)
+    for o, f in zip(printed, forms):
+        assert o["hasse"] == {str(v): e for v, e in hasse_profile(f, S23).items()}

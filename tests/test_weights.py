@@ -253,3 +253,40 @@ def test_v_family_limit_finite_at_generic_entries():
         )
         lim, err = w.gm_family_limit(_v_family("gsp2", nu, T))
         assert err < 1e-10
+
+
+# one document per family shape: weights --which W --nu NU [--u U] --T 1,0 --S S
+ENGINE_CASES = {
+    "m0": ("m0", "-9/4,-1/2,9/4,5/2", None, "2,3"),
+    "m1-radical": ("m1", "0,2,-1/2,3", None, "2"),
+    "m1-levi": ("m1", "-9/4,-1/2,9/4,5/2", "7/5", "2,3"),
+    "m2-radical": ("m2", "1,-2,3,0", None, "2,3"),
+    "m2-levi": ("m2", "3,1,-2,1", "-1/2", "2"),
+    "gl3-m0": ("gl3-m0", "2,-1,3", None, "2,3"),
+    "gl3-mp-radical": ("gl3-mp", "0,1,-3", None, "2"),
+    "gl3-mp-levi": ("gl3-mp", "5/3,2,-7/2", "7/5", "2,3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_engine_error_covers_the_closed_form_at_60_digits(case):
+    """The engine's error bar is honest: |engine_limit - closed form at 60
+    digits| <= engine_error for the weights command, which builds the family
+    at the default 15 digits; the engine takes every constant of the family
+    at its own precision."""
+    from tracecoef.cli import build_parser, cmd_weights
+
+    which, nu, u, S = ENGINE_CASES[case]
+    argv = ["weights", "--which", which, f"--nu={nu}", "--T", "1,0", "--S", S, "--engine"]
+    args = build_parser().parse_args(argv + ([f"--u={u}"] if u else []))
+    res = cmd_weights(args)["result"]
+    entries = [Fraction(x) for x in nu.split(",")]
+    place_set = PlaceSet.of(*map(int, S.split(",")))
+    T = w.TruncParam(1, 0)
+    extra = () if which.endswith("m0") else (Fraction(u) if u else None,)
+    with mp.workdps(60):
+        nu_ = (w.Nu3Entries if which.startswith("gl3") else w.NuEntries)(*entries, place_set)
+        closed = {"m0": w.w_M0, "m1": w.w_M1, "m2": w.w_M2,
+                  "gl3-m0": w.w_M0_gl3, "gl3-mp": w.w_Mp_gl3}[which](nu_, T, *extra)
+        assert abs(res["engine_limit"] - closed) <= res["engine_error"]
+        assert abs(res["closed_form"] - closed) < mpf(10) ** -35

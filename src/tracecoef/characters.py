@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .arith import (
     is_square_at,
     kronecker,
     legendre_table,
+    primes_up_to,
     squarefree_kernel,
     valuation,
 )
@@ -346,6 +348,8 @@ def disc_classes(S: PlaceSet, d_S, X: int | None = None, kind: str = "Q_S") -> D
         raise ValueError(f"unknown kind {kind!r}")
     if X is None:
         raise ValueError("kind='Q_S' needs a truncation bound X")
+    if not isinstance(X, Integral) or X < 0:
+        raise ValueError(f"the truncation bound X must be an integer >= 0, got X={X!r}")
     return DiscClassSet("Q_S", tuple(_local_class_scan(alpha, S, X).tolist()))
 
 
@@ -356,29 +360,23 @@ def _local_class_scan(alpha: int, S: PlaceSet, X: int) -> np.ndarray:
     For squarefree m and alpha this is a congruence: the signs agree (v = oo);
     v_p(m) = v_p(alpha) at each p in S; and the product of the unit parts is
     1 mod 8 at p = 2, a quadratic residue at odd p (units mod 8 are their own
-    inverses, and u and 1/u have the same Legendre symbol).
+    inverses, and u and 1/u have the same Legendre symbol).  As 2 is in S, the
+    |m| form one progression c + k*step with step = 8 * 2^v_2(alpha): 4 never
+    divides m, D/m is the same for every entry (D = m when m = 1 mod 4, else
+    4m), so |D| grows with |m| and the progression is already in order.
     """
     sign = 1 if alpha > 0 else -1
-    sq = np.ones(X + 1, dtype=bool)  # the candidates |m|, squarefree
-    sq[0] = False
-    for k in range(2, isqrt(X) + 1):
-        sq[k * k :: k * k] = False
-    # |D| <= X: D = m when m = 1 mod 4, else D = 4m
-    one_mod_4 = np.zeros(X + 1, dtype=bool)
-    one_mod_4[sign % 4 :: 4] = True
-    sq[X // 4 + 1 :] &= one_mod_4[X // 4 + 1 :]
-    del one_mod_4
-    sq[1:2] &= sign < 0  # m = 1 is the trivial class
-    m = sign * np.flatnonzero(sq)
-    del sq
-    for p in S.primes:
-        a_div = alpha % p == 0
-        a_unit = alpha // p if a_div else alpha
-        m = m[(m % p == 0) == a_div]
-        u = m // p if a_div else m
-        if p == 2:
-            m = m[u * (a_unit % 8) % 8 == 1]
-        else:
-            m = m[legendre_table(p)[u % p * (a_unit % p) % p] == 1]
-    D = np.where(m % 4 == 1, m, 4 * m)
-    return m[np.lexsort((m, np.abs(D)))]
+    step = 16 if alpha % 2 == 0 else 8
+    c = abs(alpha) % step
+    top = X if sign * c % 4 == 1 else X // 4
+    keep = np.ones(max(0, (top - c) // step + 1), dtype=bool)
+    for p in primes_up_to(isqrt(top))[1:].tolist():  # odd p: p^2 | m on one class of k
+        q = p * p
+        keep[-c * pow(step, -1, q) % q :: q] = False
+    for p in S.primes[1:]:  # odd p: m mod p * p^v_p(alpha) decides, a period of k
+        pe = p if alpha % p == 0 else 1  # p^v_p(alpha)
+        r = sign * (c + step * np.arange(min(p * pe, keep.size + 1)))  # m over a period, or all k
+        ok = (r % pe == 0) & (legendre_table(p)[r // pe % p * (alpha // pe % p) % p] == 1)
+        keep &= np.tile(ok, -(-keep.size // ok.size))[: keep.size]
+    m = sign * (c + step * np.flatnonzero(keep))
+    return m[m != 1]  # the trivial class

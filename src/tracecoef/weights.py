@@ -505,16 +505,14 @@ class FamilyLimitError(RuntimeError):
     """Richardson extrapolation diverged: invalid family or precision loss."""
 
 
-def _richardson(values, ratio=2):
-    """Richardson table for f(t_k) with t_k = t0/ratio^k; returns the final
+def _richardson(values):
+    """Richardson table for f(t_k) with t_k = t0/2^k; returns the final
     extrapolant and the last correction size."""
     level = [mpf(v) for v in values]
     corr = mpf("inf")
     for m in range(1, len(values)):
-        nxt = []
-        mult = mpf(ratio) ** m
-        for i in range(len(level) - 1):
-            nxt.append((mult * level[i + 1] - level[i]) / (mult - 1))
+        den = mpf(2**m - 1)  # 2^m * level[i+1] is exact: an ldexp
+        nxt = [(mp.ldexp(level[i + 1], m) - level[i]) / den for i in range(len(level) - 1)]
         corr = abs(nxt[-1] - level[-1]) if nxt else corr
         level = nxt
     return level[0], corr

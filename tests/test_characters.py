@@ -1,9 +1,12 @@
 """Character enumeration, chi_S, and discriminant class sets."""
 import cmath
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecoef.arith import PlaceSet, hilbert, is_square_at, sclass_reps, squarefree_kernel
 from tracecoef.characters import (
@@ -145,21 +148,76 @@ def test_disc_classes_bounded():
     assert Ds == sorted(Ds)
     with pytest.raises(ValueError):
         disc_classes(S2, reps[-1], kind="Q_S")
+    assert disc_classes(S2, reps[-1], X=0, kind="Q_S").entries == ()
+
+
+@functools.lru_cache(maxsize=None)
+def _squarefree_classes():
+    """(|D|, m) for the squarefree m != 1 with |fundamental discriminant| D
+    at most 3000, in order."""
+    pairs = [(abs(fundamental_discriminant_of(m)), m) for n in range(1, 3001) for m in (n, -n)
+             if m != 1 and squarefree_kernel(m) == m]
+    return sorted(pair for pair in pairs if pair[0] <= 3000)
+
+
+def brute_disc_classes(S, alpha, X):
+    """disc_classes(S, alpha, X) by definition, for X <= 3000: the squarefree
+    m != 1 with |D| <= X and m/alpha a square at every v in S, ordered by (|D|, m)."""
+    assert X <= 3000
+    return tuple(m for D, m in _squarefree_classes()
+                 if D <= X and all(is_square_at(Fraction(m, alpha), v) for v in S))
 
 
 @pytest.mark.parametrize("S", [S2, S23, PlaceSet.of(2, 5)])
 def test_disc_classes_congruence_matches_brute_scan(S):
-    """The congruence mask selects exactly the squarefree d with
+    """The progression scan selects exactly the squarefree d with
     |D| <= X for which d/alpha is a square at every v in S."""
-    X = 3000
-    candidates = [m for n in range(1, X + 1) for m in (n, -n)
-                  if m != 1 and squarefree_kernel(m) == m
-                  and abs(fundamental_discriminant_of(m)) <= X]
     for rep in sclass_reps(S):
-        brute = [m for m in candidates
-                 if all(is_square_at(Fraction(m, rep.value), v) for v in S)]
-        brute.sort(key=lambda m: (abs(fundamental_discriminant_of(m)), m))
-        assert disc_classes(S, rep, X=X, kind="Q_S").entries == tuple(brute), rep.value
+        got = disc_classes(S, rep, X=3000, kind="Q_S").entries
+        assert got == brute_disc_classes(S, rep.value, 3000), rep.value
+
+
+# X near the edges of the progression: small X, and X next to a multiple of 4,
+# where the bound X // 4 on the m with D = 4m steps
+_bounds = st.one_of(st.integers(0, 15),
+                    st.builds(lambda k, d: min(max(4 * k + d, 0), 3000),
+                              st.integers(0, 750), st.integers(-4, 4)),
+                    st.integers(0, 3000))
+
+
+@functools.lru_cache(maxsize=None)
+def _rep_values(S):
+    # {oo,2,3,5,7} has 1024 classes, the largest rep |value| is 65310
+    return [r.value for r in sclass_reps(S, bound=10**5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd=st.sets(st.sampled_from([3, 5, 7])), X=_bounds, data=st.data())
+def test_disc_classes_property_matches_definition(odd, X, data):
+    """disc_classes equals its definition for S = {oo, 2} and any odd primes
+    of {3, 5, 7}, every S-class rep alpha, and X up to 3000."""
+    S = PlaceSet.of(2, *odd)
+    alpha = data.draw(st.sampled_from(_rep_values(S)), label="alpha")
+    full = data.draw(st.booleans(), label="X at a class edge") and brute_disc_classes(S, alpha, 3000)
+    if full:
+        # the bound at or just below the |D| of an admissible class
+        X = abs(fundamental_discriminant_of(data.draw(st.sampled_from(full)))) - data.draw(st.integers(0, 1))
+    assert disc_classes(S, alpha, X=X, kind="Q_S").entries == brute_disc_classes(S, alpha, X)
+
+
+def test_disc_classes_odd_prime_of_alpha_beyond_the_bound():
+    """p in S dividing alpha: the mask's period p^2 is longer than the whole
+    progression, so the mask is built for each entry of it instead."""
+    S = PlaceSet.of(2, 1009)
+    for alpha in (1009, -1009, 2018, -3 * 1009):
+        assert disc_classes(S, alpha, X=3000, kind="Q_S").entries == brute_disc_classes(S, alpha, 3000)
+    assert disc_classes(S, 1009, X=3000, kind="Q_S").entries == (1009,)
+
+
+@pytest.mark.parametrize("X", [-1, -2, 2.5])
+def test_disc_classes_rejects_bad_bound(X):
+    with pytest.raises(ValueError, match=f"X={X}"):
+        disc_classes(S2, -1, X=X, kind="Q_S")
 
 
 def test_conductor_outside():

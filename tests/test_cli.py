@@ -2,6 +2,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracecoef
 from tracecoef.cli import JsonlCache, main, render_json
 
 
@@ -404,3 +407,16 @@ def test_each_subcommand_has_only_the_flags_it_reads():
     got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
            for name, p in sub.choices.items()}
     assert got == {name: opts | {"--json"} for name, opts in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("argv, code", [(["chars", "--S", "2", "--json"], 0),
+                                        (["chars", "--S", "4", "--json"], 2)])
+def test_package_runs_as_module(argv, code):
+    """python -m tracecoef prints the bytes and exits with the code of
+    python -m tracecoef.cli, for a document and for a usage error."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracecoef.__file__))}
+    env.pop("TRACECOEF_CACHE", None)
+    package, cli = (subprocess.run([sys.executable, "-m", mod, *argv], env=env, capture_output=True)
+                    for mod in ("tracecoef", "tracecoef.cli"))
+    assert (package.returncode, package.stdout) == (cli.returncode, cli.stdout)
+    assert package.returncode == code and package.stdout

@@ -13,6 +13,7 @@ integer, with no Fraction built per call.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -24,7 +25,7 @@ OO = "oo"
 
 
 class ScanBoundError(RuntimeError):
-    """Representative scan exhausted its bound before covering all classes."""
+    """A scan over class representatives ended before covering every class."""
 
 
 def is_prime(n: int) -> bool:
@@ -370,60 +371,55 @@ class CubeClassRep:
         return all(is_cube_at(n, v) for v in S)
 
 
-def _squarefree_scan(bound: int):
+def _squarefree_scan():
     """Yield squarefree integers ordered by absolute value: 1, -1, 2, -2, ..."""
-    for n in range(1, bound + 1):
+    for n in itertools.count(1):
         if all(e == 1 for e in factorize(n).values()):
             yield n
             yield -n
 
 
-def sclass_reps(S: PlaceSet, bound: int = 10**4) -> list[SquareClassRep]:
+def sclass_reps(S: PlaceSet) -> list[SquareClassRep]:
     """Squarefree representatives in bijection with prod_{v in S} Q_v^x/(Q_v^x)^2.
 
     Found by scanning squarefree integers by increasing |value| until every
-    tuple of local labels is covered; surjectivity holds by weak approximation.
+    tuple of local labels is covered; the scan ends by weak approximation.
     """
     target = 1
     for v in S:
         target *= len(local_square_labels(v))
     seen: dict[tuple, SquareClassRep] = {}
     order: list[tuple] = []
-    for n in _squarefree_scan(bound):
+    for n in _squarefree_scan():
         key = tuple(local_square_class(n, v) for v in S)
         if key not in seen:
             seen[key] = SquareClassRep(n, dict(zip(S.places, key)))
             order.append(key)
             if len(seen) == target:
                 return [seen[k] for k in order]
-    raise ScanBoundError(
-        f"covered {len(seen)}/{target} square classes for S={S} with |value|<={bound}"
-    )
 
 
-def _cubefree_scan(bound: int):
-    for n in range(1, bound + 1):
+def _cubefree_scan():
+    for n in itertools.count(1):
         if all(e <= 2 for e in factorize(n).values()):
             yield n
 
 
-def cclass_reps(S: PlaceSet, bound: int = 10**4) -> list[CubeClassRep]:
-    """Cube-free representatives of Q^x/(Q^x cap (Q_S^x)^3), by brute scan."""
+def cclass_reps(S: PlaceSet) -> list[CubeClassRep]:
+    """Cube-free representatives of Q^x/(Q^x cap (Q_S^x)^3), by brute scan
+    until every class is covered (weak approximation)."""
     target = 1
     for v in S:
         target *= len(local_cube_labels(v))
     seen: dict[tuple, CubeClassRep] = {}
     order: list[tuple] = []
-    for n in _cubefree_scan(bound):
+    for n in _cubefree_scan():
         key = tuple(local_cube_class(n, v) for v in S)
         if key not in seen:
             seen[key] = CubeClassRep(n, dict(zip(S.places, key)))
             order.append(key)
             if len(seen) == target:
                 return [seen[k] for k in order]
-    raise ScanBoundError(
-        f"covered {len(seen)}/{target} cube classes for S={S} with value<={bound}"
-    )
 
 
 def primes_up_to(n: int) -> np.ndarray:

@@ -150,7 +150,7 @@ def realizable_eps(v, d) -> frozenset:
     return out
 
 
-def enum_form_classes(S: PlaceSet, rel: str = "det", bound: int = 10**4,
+def enum_form_classes(S: PlaceSet, rel: str = "det",
                       reps: list[SquareClassRep] | None = None) -> dict[SymForm2, dict]:
     """Representatives of V^ss(F)/~ for the chosen relation, each mapped to
     its Hasse profile {v: eps_v} over S.
@@ -158,13 +158,13 @@ def enum_form_classes(S: PlaceSet, rel: str = "det", bound: int = 10**4,
     rel="det": one diag(1,-alpha) per S-square class alpha (via -det).
     rel="det+hasse": representatives for every realizable (det class, Hasse
     tuple), found as diag(u, -alpha*u) with u scanned over the same class
-    representatives as alpha.  `reps` is sclass_reps(S, bound), scanned here
-    when not given.
+    representatives as alpha.  `reps` is sclass_reps(S), scanned here when
+    not given.
     """
     if rel not in ("det", "det+hasse"):
         raise ValueError(f"unknown relation {rel!r}")
     if reps is None:
-        reps = sclass_reps(S, bound=bound)
+        reps = sclass_reps(S)
     if rel == "det":
         return {f: hasse_profile(f, S) for f in (SymForm2.x_alpha(a.value) for a in reps)}
     us = [x.value for x in reps]
@@ -211,20 +211,20 @@ class OrbitClass:
         return f"{self.group}:{self.type}{p}"
 
 
-def unipotent_orbit_set(group: str, S: PlaceSet, bound: int = 10**4) -> list[OrbitClass]:
+def unipotent_orbit_set(group: str, S: PlaceSet) -> list[OrbitClass]:
     """The unipotent F_S-conjugacy classes meeting G(F), per group."""
     g = group.lower()
     if g == "gl2":
         return [OrbitClass("gl2", "tri"), OrbitClass("gl2", "reg")]
     if g == "sl2":
         return [OrbitClass("sl2", "tri")] + [
-            OrbitClass("sl2", "reg", a) for a in sclass_reps(S, bound)
+            OrbitClass("sl2", "reg", a) for a in sclass_reps(S)
         ]
     if g == "gl3":
         return [OrbitClass("gl3", "tri"), OrbitClass("gl3", "min"), OrbitClass("gl3", "reg")]
     if g == "sl3":
         return [OrbitClass("sl3", "tri"), OrbitClass("sl3", "min")] + [
-            OrbitClass("sl3", "reg", a) for a in cclass_reps(S, bound)
+            OrbitClass("sl3", "reg", a) for a in cclass_reps(S)
         ]
     if g in ("gsp2", "sp2"):
         S.require_2(f"the {group} orbit set")
@@ -232,10 +232,10 @@ def unipotent_orbit_set(group: str, S: PlaceSet, bound: int = 10**4) -> list[Orb
             rel, reps = "det", None
             orbits = [OrbitClass(g, "tri"), OrbitClass(g, "min")]
         else:
-            rel, reps = "det+hasse", sclass_reps(S, bound)
+            rel, reps = "det+hasse", sclass_reps(S)
             orbits = [OrbitClass(g, "tri")] + [OrbitClass(g, "min", a) for a in reps]
         # sub' is x_1's class: -det in the trivial S-class (the hyperbolic plane only)
-        for f, eps in enum_form_classes(S, rel, bound, reps).items():
+        for f, eps in enum_form_classes(S, rel, reps).items():
             typ = "sub'" if all(is_square_at(-f.det, v) for v in S) else "sub"
             orbits.append(OrbitClass(g, typ, f, eps))
         if g == "gsp2":

@@ -18,16 +18,23 @@ forms (a,b,c) of discriminant D = b^2 + 4ac (with c -> -c for D < 0):
 
 - D < 0: 0 <= b <= a <= c, weight 1 when b = 0, b = a or a = c and 2
   otherwise; the sum is h(D).
-- D > 0: a, b, c > 0 with |a - c| < b (each giving (a,b,-c) and (-a,b,c)),
-  weight log((b + sqrt D)/2a).  Their product around every reduction cycle
-  is the same totally positive unit eps+, so h+ log(eps+) is twice the sum.
+- D > 0: a, b, c > 0 with |a - c| < b, each giving (a,b,-c) and (-a,b,c).
+  Around every reduction cycle the product of (b + sqrt D)/2a is the same
+  unit eps+, so h+ log(eps+) is twice the sum of their logs.  The forms of
+  one b come in pairs a <-> c = (D - b^2)/4a whose two terms add up to
+  log((sqrt D + b)/(sqrt D - b)), so a <= c suffices, with weight m
+  log1p(2b (sqrt D + b)/4ac), m = 1 when c = a and 2 otherwise: 4ac = D - b^2
+  is exact, and sqrt D - b never cancels.
 
-Only the forms with |D| = r mod M = 2^k for a residue r of the wanted D are
-visited: b = r mod 2, and for fixed (a, b) the c with 4ac = t mod M, t = r +
-b^2 (D < 0) or r - b^2 (D > 0), form one progression of step M/gcd(4a, M), or
-none when gcd(4a, M) does not divide t.  M <= 64 minimises |residues| *
-(pairs (a, b) + forms / M) over the wanted D, and an exact lookup rejects
-every other D, so the values do not depend on M.
+Both signs run through c >= a by a, then b, then c, and np.add.at adds the
+weights in that order, so each sum is one fixed sequence of float additions
+whatever the block sizes.  Only the forms with |D| = r mod M = 2^k for a
+residue r of the wanted D are visited: b = r mod 2, and for fixed (a, b) the
+c with 4ac = t mod M, t = r + b^2 (D < 0) or r - b^2 (D > 0), form one
+progression of step M/g, g = gcd(4a, M), or none when g does not divide t;
+c = a can only head it.  M <= 64 minimises |residues| * (pairs (a, b) of one
+parity + forms / M) over the wanted D, and an exact lookup rejects every
+other D, so the values do not depend on M.
 
 The per-discriminant routines (class_number_imag, class_data_real,
 l1_class_number) remain as the independent oracles of that pass.  A
@@ -42,7 +49,6 @@ pole is removed with the exact residue, never by fitting.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,11 +102,7 @@ class ShintaniResult:
 
 def w_disc(D: int) -> int:
     """Number of roots of unity in the imaginary quadratic order of disc D."""
-    if D == -3:
-        return 6
-    if D == -4:
-        return 4
-    return 2
+    return {-3: 6, -4: 4}.get(D, 2)
 
 
 def _divisors_from_spf(n: int, spf) -> list[int]:
@@ -190,18 +192,13 @@ def class_data_real(D: int, spf=None, digits: int | None = None):
             f = _rho_step(f, D, sq)
             if f == start:
                 break
-        if log_eps is None:
-            if digits is None:
-                sqf = math.sqrt(D)
-                log_eps = sum(
-                    math.log((b + sqf) / (2 * abs(a))) for a, b, _ in cyc
-                )
-            else:
-                with mp.workdps(digits + 10):
-                    sqf = mp.sqrt(D)
-                    log_eps = +sum(
-                        mp.ln((b + sqf) / (2 * abs(a))) for a, b, _ in cyc
-                    )
+        if log_eps is None and digits is None:
+            sqf = math.sqrt(D)
+            log_eps = sum(math.log((b + sqf) / (2 * abs(a))) for a, b, _ in cyc)
+        elif log_eps is None:
+            with mp.workdps(digits + 10):
+                sqf = mp.sqrt(D)
+                log_eps = +sum(mp.ln((b + sqf) / (2 * abs(a))) for a, b, _ in cyc)
     return h_plus, log_eps
 
 
@@ -217,12 +214,9 @@ def l1_class_number(D: int, digits: int | None = None):
         return h_plus * log_eps / math.sqrt(D)
     with mp.workdps(digits + 10):
         if D < 0:
-            out = 2 * mp.pi * class_number_imag(D) / (w_disc(D) * mp.sqrt(-D))
-        else:
-            h_plus, log_eps = class_data_real(D, digits=digits)
-            out = h_plus * log_eps / mp.sqrt(D)
-        out = +out
-    return out
+            return +(2 * mp.pi * class_number_imag(D) / (w_disc(D) * mp.sqrt(-D)))
+        h_plus, log_eps = class_data_real(D, digits=digits)
+        return +(h_plus * log_eps / mp.sqrt(D))
 
 
 def l1_smoothed(D: int, tol: float = 1e-12) -> float:
@@ -267,14 +261,18 @@ def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
     q, neg = np.abs(D), bool(D[0] < 0)
     _require_int32(q)
     X = int(q.max())
-    pairs, forms = (X / 6, 0.07 * X**1.5) if neg else (0.75 * X, 0.23 * X**1.5)
+    # the (a, b) pairs of one parity of b, and the forms, with c >= a and |D| <= X
+    pairs, forms = (0.069 * X, 0.088 * X**1.5) if neg else (math.pi / 16 * X, 0.115 * X**1.5)
     res = [np.flatnonzero(np.bincount(q & ((1 << k) - 1), minlength=1 << k)) for k in range(7)]
     k = min(range(7), key=lambda k: len(res[k]) * (pairs + forms / 2**k))
     M = 1 << k
-    # D > 0: c >= max(a - b + 1, 1) gives D >= (2a - b)^2 + 4a and D >= b^2 + 4a
-    a_all = np.arange(1, isqrt(X // 3) + 1 if neg else isqrt(X + 4) - 1)
-    b_hi = a_all if neg else np.sqrt(X - 4 * a_all).astype(np.int64)
-    b_lo = 0 * a_all if neg else np.maximum(2 * a_all - b_hi, 1)
+    # c >= a: 3a^2 <= 4a^2 - b^2 <= X (D < 0), 4a^2 + b^2 <= X (D > 0, where b = 0 has no c)
+    a_all = np.arange(1, isqrt(X // 3) + 1 if neg else isqrt((X - 1) // 4) + 1)
+    b_hi = a_all if neg else np.sqrt(X - 4 * a_all * a_all).astype(np.int64)
+    b_lo = np.sqrt(np.maximum(4 * a_all * a_all - X, 0)).astype(np.int64)
+    # per a: gcd(4a, M) = 2^sh, and 1/(4a/2^sh) mod m = M/2^sh
+    sh = np.minimum(np.log2(a_all & -a_all).astype(np.int64) + 2, k)
+    inv_a, mask_a = _INV64[(4 * a_all >> sh) & 63], (M >> sh) - 1
     par = min(M, 2)  # b = |D| mod 2
     acc = np.zeros(len(D))
     for r in res[k].tolist():
@@ -284,21 +282,19 @@ def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
         b_r = b_lo + (b_lo - r) % par  # the least b of each a
         n_b = np.maximum((b_hi - b_r) // par + 1, 0)
         cum_b = np.cumsum(n_b)
-        cuts = cum_b[np.searchsorted(cum_b, np.arange(0, cum_b[-1], _PAIR_BLOCK), "right")]
-        for s0, s1 in itertools.pairwise(sorted({0, *cuts.tolist(), int(cum_b[-1])})):
-            pos = np.arange(s0, s1)  # the pairs of whole a's, about _PAIR_BLOCK of them
+        for s0 in range(0, int(cum_b[-1]), _PAIR_BLOCK):
+            pos = np.arange(s0, min(s0 + _PAIR_BLOCK, int(cum_b[-1])))
             i = np.searchsorted(cum_b, pos, "right")
-            a, b = i + 1, b_r[i] + par * (pos - cum_b[i] + n_b[i])
-            lo, t = (a, r + b * b) if neg else (np.maximum(a - b + 1, 1), r - b * b)  # 4ac = t
+            a, b, s = i + 1, b_r[i] + par * (pos - cum_b[i] + n_b[i]), sh[i]
+            t = r + b * b if neg else r - b * b  # 4ac = t mod M
             hi = (X + b * b) // (4 * a) if neg else np.minimum(a + b - 1, (X - b * b) // (4 * a))
-            g = np.gcd(4 * a, M)
-            m = M // g
-            first = lo + ((t // g) * _INV64[(4 * a // g) % 64] - lo) % m
-            cnt = np.where(t % g == 0, np.maximum((hi - first) // m + 1, 0), 0)
-            a, b, m, first, cnt = (x[cnt > 0] for x in (a, b, m, first, cnt))
-            start, step = 4 * a * first + (-b * b if neg else b * b), (4 * a * m).astype(np.int32)
-            p1 = (b == 0) | (b == a) if neg else b.astype(np.int32)  # the weight data
-            p2 = (4 * a * a - b * b if neg else 2 * a).astype(np.int32)
+            first = a + (((t >> s) * inv_a[i] - a) & mask_a[i])
+            cnt = np.where(t & ((1 << s) - 1) == 0, np.maximum(((hi - first) >> k - s) + 1, 0), 0)
+            a, b, s, first, cnt = (x[cnt > 0] for x in (a, b, s, first, cnt))
+            sq = -b * b if neg else b * b
+            start, step = 4 * a * first + sq, (4 * a << k - s).astype(np.int32)
+            head = (4 * a * a + sq).astype(np.int32)  # |D| at c = a
+            one = ((b == 0) | (b == a)) & neg  # weight 1 at every c
             excl = np.cumsum(cnt) - cnt
             for f0 in range(0, int(cnt.sum()), _FORM_CHUNK):
                 i, j = np.searchsorted(excl, (f0 + 1, f0 + _FORM_CHUNK)) - (1, 0)
@@ -309,15 +305,15 @@ def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
                 v *= np.repeat(step[i:j], n)
                 v += np.repeat((start[i:j] + (e - excl[i:j]) * step[i:j]).astype(np.int32), n)
                 idx = slot[v >> k]
-                hit = idx >= 0
-                x1, x2 = np.repeat(p1[i:j], n)[hit], np.repeat(p2[i:j], n)[hit]
+                hit = np.flatnonzero(idx >= 0)
+                p = np.repeat(np.arange(i, j), n)[hit]  # the pair of each hit
                 v, idx = v[hit], idx[hit]
-                w = 2 - (x1 | (v == x2)) if neg else np.log((x1 + np.sqrt(v)) / x2)
-                # real: one sum per a, in the order of a, the rounding the golden outputs pin
-                new_a = [] if neg else np.flatnonzero(np.diff(x2)) + 1
-                for ii, ww in zip(np.split(idx, new_a), np.split(w, new_a)):
-                    acc += np.bincount(ii, weights=ww, minlength=len(D))
-    return acc if neg else 2 * acc
+                w = (2 - (one[p] | (v == head[p]))).astype(np.float64)
+                if not neg:
+                    bf = b[p].astype(np.float64)
+                    w *= np.log1p(2 * bf * (np.sqrt(v) + bf) / (v - bf * bf))
+                np.add.at(acc, idx, w)
+    return acc
 
 
 def _l1_class_number_bulk(D: np.ndarray) -> np.ndarray:

@@ -194,8 +194,12 @@ def test_sclass_count_formula():
 
 
 def test_scan_bound_error():
-    with pytest.raises(ScanBoundError):
-        sclass_reps(S23, bound=10)
+    """The class representatives are scanned until every class is covered;
+    a form scan over too few of them for u still fails."""
+    from tracecoef.quadforms import enum_form_classes
+
+    with pytest.raises(ScanBoundError, match="Hasse tuples"):
+        enum_form_classes(S23, "det+hasse", reps=sclass_reps(S23)[:8])
 
 
 def test_cclass_reps():

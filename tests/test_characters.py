@@ -188,7 +188,7 @@ _bounds = st.one_of(st.integers(0, 15),
 @functools.lru_cache(maxsize=None)
 def _rep_values(S):
     # {oo,2,3,5,7} has 1024 classes, the largest rep |value| is 65310
-    return [r.value for r in sclass_reps(S, bound=10**5)]
+    return [r.value for r in sclass_reps(S)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -409,6 +409,14 @@ def test_each_subcommand_has_only_the_flags_it_reads():
     assert got == {name: opts | {"--json"} for name, opts in OPTIONS.items()}
 
 
+def test_chars_covers_every_square_class_of_a_large_S(capsys):
+    """{oo,2,3,5,7} has 2 * 8 * 4^3 = 1024 square classes; the largest
+    representative the scan needs is 65310."""
+    code, out = run_cli(capsys, "chars", "--S", "2,3,5,7", "--json")
+    classes = json.loads(out)["result"]["square_classes"]
+    assert code == 0 and len(set(classes)) == 1024 and max(map(abs, classes)) == 65310
+
+
 @pytest.mark.parametrize("argv, code", [(["chars", "--S", "2", "--json"], 0),
                                         (["chars", "--S", "4", "--json"], 2)])
 def test_package_runs_as_module(argv, code):

@@ -32,12 +32,24 @@
 run it only when a change to those outputs is intended, and check with
 `git diff tests/golden` that nothing else moved.
 
+- When the real-quadratic form sums were folded onto a <= c and added in
+  enumeration order, `--drift --write` reprinted the 12 records that read
+  real L(1) values (`coeff --group gsp2|sp2 --orbit sub` and `diff --orbit
+  sub` with `--alpha 2`, `--alpha 1` and `--form 1,0,-3`, `coeff --group sp2
+  --form 1,0,-3`, and `shintani --alpha 2|6`) and
+  `l1cache-shintani-alpha2-S2.jsonl`.  The largest moves were 5.7e-14 in a
+  value (`constant` of `shintani --alpha 6`), 2.4e-13 in an error field
+  (`residue_error` of `shintani --alpha 2`) and 6.4e-16 in a cached L1.
+
 `PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
 matrices and prints, for each record whose stdout changed, the largest
 relative change of its value fields and of its error fields (keys naming an
-error) with the field where it occurs.  It exits 1 if an exit code, a
-non-float field or a float beyond `--value-tol` / `--error-tol` changed;
-with `--write` and no such change it rewrites exactly the changed records.
+error) with the field where it occurs.  It also reruns the cold `shintani`
+runs of the three L-value cache files and prints the largest relative L1
+change of each.  It exits 1 if an exit code, a non-float field (for the
+cache files: a D, digits or method, or the order of the lines) or a float
+beyond `--value-tol` / `--error-tol` changed; with `--write` and no such
+change it rewrites exactly the changed records and cache files.
 """
 import argparse
 import contextlib
@@ -46,6 +58,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -182,6 +195,25 @@ def _float_drift(old, new, key=""):
         raise ValueError(f"{key}: {old!r} -> {new!r}")
 
 
+def _drift_note(old, new, value_tol: float, error_tol: float):
+    """(ok, note): the largest relative change of the value floats and of the
+    error floats of new against old; not ok beyond a tolerance or when
+    anything but a float changed."""
+    worst = {"value": (0.0, ""), "error": (0.0, "")}
+    try:
+        for key, rel in _float_drift(old, new):
+            kind = "error" if "error" in key.rsplit(".", 1)[-1] else "value"
+            worst[kind] = max(worst[kind], (rel, key))
+    except ValueError as e:
+        return False, str(e)
+    ok = worst["value"][0] <= value_tol and worst["error"][0] <= error_tol
+    return ok, "  ".join(f"{k} {r:.2e} {f}" for k, (r, f) in worst.items())
+
+
+def _cache_records(text: str) -> list:
+    return [json.loads(line) for line in text.splitlines()]
+
+
 def drift(value_tol: float, error_tol: float, write: bool) -> int:
     """The --drift report; returns the exit code."""
     bad, changed = 0, {}
@@ -192,27 +224,32 @@ def drift(value_tol: float, error_tol: float, write: bool) -> int:
             code, out = _capture(argv)
             if (code, out) == (rec["exit"], rec["stdout"]):
                 continue
-            worst = {"value": (0.0, ""), "error": (0.0, "")}
-            try:
-                if code != rec["exit"]:
-                    raise ValueError(f"exit {rec['exit']} -> {code}")
-                for key, rel in _float_drift(json.loads(rec["stdout"]), json.loads(out)):
-                    kind = "error" if "error" in key.rsplit(".", 1)[-1] else "value"
-                    worst[kind] = max(worst[kind], (rel, key))
-                ok = worst["value"][0] <= value_tol and worst["error"][0] <= error_tol
-                note = "  ".join(f"{k} {r:.2e} {f}" for k, (r, f) in worst.items())
-            except ValueError as e:
-                ok, note = False, str(e)
+            ok, note = (_drift_note(json.loads(rec["stdout"]), json.loads(out), value_tol,
+                                    error_tol) if code == rec["exit"]
+                        else (False, f"exit {rec['exit']} -> {code}"))
             bad += not ok
             print(f"{path.name}:{i + 1} {'ok ' if ok else 'BAD'} {' '.join(argv)}: {note}")
             lines[i] = json.dumps({"argv": argv, "exit": code, "stdout": out},
                                   sort_keys=True) + "\n"
-            changed[path] = lines
-    print(f"{sum(len(m) for m in MATRICES.values())} records, "
+            changed[path] = "".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in L1CACHE:  # the cold run's cache file, record by record
+            cache = Path(tmp) / name
+            code = _capture(argv + ["--cache", str(cache)])[0]
+            old = (GOLDEN / name).read_text(encoding="utf-8")
+            new = cache.read_text(encoding="utf-8") if cache.exists() else ""
+            ok, note = (_drift_note(_cache_records(old), _cache_records(new), value_tol, error_tol)
+                        if code == 0 else (False, f"exit 0 -> {code}"))
+            bad += not ok
+            print(f"{name} {'ok ' if ok else 'BAD'} {' '.join(argv)}: "
+                  f"{note if new != old else 'unchanged'}")
+            if new != old:
+                changed[GOLDEN / name] = new
+    print(f"{sum(len(m) for m in MATRICES.values())} records and {len(L1CACHE)} cache files, "
           f"{bad} beyond tolerance or not comparable")
     if write and not bad:
-        for path, lines in changed.items():
-            path.write_text("".join(lines), encoding="utf-8")
+        for path, text in changed.items():
+            path.write_text(text, encoding="utf-8")
     return 1 if bad else 0
 
 

@@ -504,8 +504,9 @@ def test_form_sums_every_class(S):
 
 def test_form_sums_stride_visits_few_forms(monkeypatch):
     """alpha = 2 at {oo,2}: every D is 8 mod 64, and the enumeration makes at
-    most 1/20 of the reduced triples with D <= X.  Each chunk of forms starts
-    as one int32 arange, which the counting wrapper below sums."""
+    most 1/60 of the reduced triples with D <= X (it makes only those with
+    a <= c).  Each chunk of forms starts as one int32 arange, which the
+    counting wrapper below sums."""
     X = 2 * 10**4
     Ds = [fundamental_discriminant_of(x) for x in disc_classes(S2, 2, X=X, kind="Q_S").entries]
     made = []
@@ -524,7 +525,26 @@ def test_form_sums_stride_visits_few_forms(monkeypatch):
     _assert_form_sums_match(Ds, X)
     triples = sum(max(min(a + b - 1, (X - b * b) // (4 * a)) - max(a - b + 1, 1) + 1, 0)
                   for a in range(1, isqrt(X)) for b in range(1, isqrt(X) + 1))
-    assert triples > 10**5 and 0 < sum(made) <= triples / 20
+    assert triples > 10**5 and 0 < sum(made) <= triples / 60
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["imag", "real"])
+def test_form_sums_do_not_depend_on_block_sizes(monkeypatch, sign):
+    """Each sum is one sequence of float additions in enumeration order, so
+    the pair block and the form chunk sizes change no bit of it: for one
+    S-class (alpha = -1 or 2 at {oo,2}, one residue mod 32 or 64) and for
+    every fundamental D of the sign, X = 2*10^4."""
+    X = 2 * 10**4
+    one_class = disc_classes(S2, -1 if sign < 0 else 2, X=X, kind="Q_S").entries
+    dense = [D for D in range(1, X + 1) if is_fundamental_discriminant(sign * D)]
+    sizes = [(1 << 5, 1 << 7), (shintani._PAIR_BLOCK, shintani._FORM_CHUNK), (1 << 16, 1 << 20)]
+    for Ds in ([fundamental_discriminant_of(x) for x in one_class], [sign * D for D in dense]):
+        outs = []
+        for pair_block, form_chunk in sizes:
+            monkeypatch.setattr(shintani, "_PAIR_BLOCK", pair_block)
+            monkeypatch.setattr(shintani, "_FORM_CHUNK", form_chunk)
+            outs.append(_reduced_form_sums(np.array(Ds, dtype=np.int64)))
+        assert all(np.array_equal(out, outs[1]) for out in outs), (sign, len(Ds))
 
 
 def test_form_sums_reject_out_of_int32_range():

@@ -348,13 +348,36 @@ def _vols(args) -> VolumeParams:
     return VolumeParams(**{name: getattr(args, name) for name in _VOLS})
 
 
+def _digits_arg(text: str) -> int:
+    """--digits: an integer of at least PrecisionConfig's floor."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < lfun.MIN_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {lfun.MIN_DIGITS}, got {text!r}")
+    return n
+
+
+def _finite_arg(text: str) -> float:
+    """A finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return x
+
+
 def _add_common(p, *, S=True, digits=False, cache=False, X=False, vols=False, seed=False):
     """--json, and each shared flag on the subcommands that read it."""
     p.add_argument("--json", action="store_true", help="compact single-line JSON output")
     if S:
         p.add_argument("--S", default="2", help="comma-separated finite primes of S (oo implicit)")
     if digits:
-        p.add_argument("--digits", type=int, default=30, help="working precision in decimal digits")
+        p.add_argument("--digits", type=_digits_arg, default=30,
+                       help=f"working precision in decimal digits (at least {lfun.MIN_DIGITS})")
     if cache:
         p.add_argument("--cache", default=None, help=f"L-value cache path (default ${CACHE_ENV})")
     if X:
@@ -393,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, digits=True)
     p.add_argument("--chi", type=int, default=1,
                    help="fundamental discriminant of the character (1 = trivial)")
-    p.add_argument("--s", type=float, default=2.0)
+    p.add_argument("--s", type=_finite_arg, default=2.0)
     p.add_argument("--deriv", action="store_true")
     p.add_argument("--laurent", action="store_true")
 
@@ -435,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _shintani_config(args) -> ShintaniConfig:
-    if hasattr(args, "digits"):  # coeff and diff
-        lfun.PrecisionConfig(working_digits=args.digits)  # validates >= 15
     return ShintaniConfig(X=args.X, eps_grid=tuple(_parse_list(args.eps)),
                           L1_method=getattr(args, "l1_method", "class-number-formula"))
 

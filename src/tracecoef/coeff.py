@@ -155,10 +155,11 @@ def _laurent_terms(S: PlaceSet, vols: VolumeParams, digits: int):
 
 
 def _c0_power_terms(S: PlaceSet, vols: VolumeParams, digits: int, k: int, pref: Fraction):
-    """T(chi) = pref * c0(chi)^k on vol_M0."""
+    """T(chi) = pref * c0(chi)^k on vol_M0; c0(chi) = L^S(1,chi), a value
+    request, for nontrivial chi."""
     def per_char(ch, sgn):
-        ld = _c0(S, None if ch.is_trivial else ch, digits)
-        return [_term(pref * sgn, "vol_m0", vols, [(_l_name(ch, 1, "c0(S)"), ld.c0)] * k)]
+        c0 = _c0(S, None, digits).c0 if ch.is_trivial else lfun.LS(1, ch, S, digits)
+        return [_term(pref * sgn, "vol_m0", vols, [(_l_name(ch, 1, "c0(S)"), c0)] * k)]
     return per_char
 
 

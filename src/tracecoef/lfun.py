@@ -23,13 +23,27 @@ Bernoulli terms comes from the explicit Euler-Maclaurin remainder bound
 A = N + 1/q, which covers every residue; N doubles when the bound cannot
 reach 2^-prec.  The Bernoulli coefficients are exact, from the integer
 tangent-number recurrence (R. P. Brent and D. Harvey 2013), so each one is a
-single floor division.  The guard bits absorb the fixed-point rounding.
+single floor division.  The guard bits absorb the fixed-point rounding.  The
+fixed point is absolute, so at s < 0, where the terms grow like (Nq)^-s and
+cancel, the kernel adds ceil(-s log2(Nq + q)) + 8 bits (Hurwitz: N + a).
 
 Derivatives are propagated through every formula with first-order jets
-(value, d/ds) rather than finite differences.
+(value, d/ds) rather than finite differences.  A value request (LS, zetaS)
+switches the derivative off: it skips the sums of chi(n) n^-s ln n and the
+derivative halves of the tail, and reads ln n only where the value needs
+it: the whole table where n^-s needs ln p (s not a non-negative integer),
+and at s = 1, where the tails' pole term is -ln A, only the ln(Nq + r) and
+ln q that the table's recursion reaches (about a sixth of the table at
+q = 199).  A value at s = 2 or 3 takes no logarithm.  The value is the same
+integer sequence either way, so it has the bits of the full jet.
 
-Memos have exact keys (precision and the exact mpf s): Dirichlet jets by
-(prec, s, character), tails by (prec, s, N, a/q).  They are plain dicts
+The q tails of a character mod q are one pass over the units r mod q,
+shared by every character mod q (chi_D and chi_-D, the cubic characters).
+
+Memos have exact keys (precision and the exact mpf s), ending in the
+derivative switch: Dirichlet jets by (prec, s, character, deriv), tail
+passes by (prec, s, N, q, M, deriv).  A full entry serves a value request;
+a value-only entry never serves a derivative.  They are plain dicts
 written by single assignments, so concurrent readers only ever see complete
 entries; clear_cache() empties them and the tables.
 """
@@ -47,17 +61,18 @@ from .arith import PlaceSet, spf_table
 from .characters import QuadChar
 
 DEFAULT_DIGITS = 30
+MIN_DIGITS = 15
 _GUARD = 10
 _GUARD_BITS = 30
 _MAX_BERNOULLI_TERMS = 100
 _MEMO_MAX = 200_000
 
-_jet_memo: dict = {}     # (prec, s, chi) -> jet of L(s,chi); chi None for zeta - pole
-_tail_memo: dict = {}    # (prec, s, N, a) -> fixed-point jet of T(s, N + a)
+_jet_memo: dict = {}     # (prec, s, chi, deriv) -> jet of L(s,chi); chi None for zeta - pole
+_tails_memo: dict = {}   # (prec, s, N, q, M, deriv) -> fixed-point T(s, N + r/q), r mod q
 _bernoulli_memo: dict = {}  # "ratios" -> exact B_2j/(2j)!; (prec, s) -> [[(c_j, c_j')], P, Q]
 _ln_tables: dict = {}    # prec -> [ln n], fixed point
 _pow_tables: dict = {}   # (prec, s) -> [n^-s], fixed point
-_MEMOS = (_jet_memo, _tail_memo, _bernoulli_memo, _ln_tables, _pow_tables)
+_MEMOS = (_jet_memo, _tails_memo, _bernoulli_memo, _ln_tables, _pow_tables)
 
 
 class PoleError(ZeroDivisionError):
@@ -71,8 +86,8 @@ class PrecisionConfig:
     working_digits: int = DEFAULT_DIGITS
 
     def __post_init__(self):
-        if self.working_digits < 15:
-            raise ValueError("working_digits must be >= 15")
+        if self.working_digits < MIN_DIGITS:
+            raise ValueError(f"working_digits must be >= {MIN_DIGITS}")
 
 
 @dataclass
@@ -92,6 +107,13 @@ def clear_cache():
         memo.clear()
 
 
+def _memo_get(memo: dict, key, deriv: bool):
+    """The entry of key + (True,), which holds the derivative, or for a
+    value request (deriv False) also the value-only entry key + (False,)."""
+    hit = memo.get(key + (True,))
+    return memo.get(key + (False,)) if hit is None and not deriv else hit
+
+
 def _remember(memo: dict, key, value):
     if len(memo) >= _MEMO_MAX:
         memo.clear()
@@ -104,7 +126,10 @@ def _remember(memo: dict, key, value):
 # ---------------------------------------------------------------------------
 
 def _jmul(a, b):
-    return (a[0] * b[0], a[0] * b[1] + a[1] * b[0])
+    """Product of jets; a value-only jet (d/ds None) makes a value-only one."""
+    if a[1] is None or b[1] is None:
+        return a[0] * b[0], None
+    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
 
 
 def _to_mpf(x):
@@ -130,39 +155,68 @@ def _unfix(n: int, W: int):
 # tables of ln n and n^-s from the smallest-prime-factor sieve
 # ---------------------------------------------------------------------------
 
-def _sieve_table(memo: dict, key, X: int, unit: int, at_prime, combine) -> list:
-    """[f(n) for n <= X] (index 0 unused), extending the memoised table, for a
-    completely additive or multiplicative f with f(1) = unit:
-    at_prime(p, table) at primes and combine(f(p), f(n/p)) elsewhere, p the
-    smallest prime factor of n."""
+def _sieve_table(memo: dict, key, X: int, unit: int, at_prime, shift=None) -> list:
+    """[f(n) for n <= X] (index 0 unused), extending the memoised table, for f
+    with f(1) = unit: at_prime(p, table) at primes, and elsewhere f(p) + f(n/p)
+    (completely additive f, shift None) or f(p) f(n/p) >> shift (completely
+    multiplicative f in fixed point), p the smallest prime factor of n."""
     tab = list(memo.get(key) or (0, unit))
     spf = spf_table(X).tolist()
-    for n in range(len(tab), X + 1):
-        p = spf[n]
-        tab.append(at_prime(p, tab) if p == n else combine(tab[p], tab[n // p]))
+    if shift is None:
+        for n in range(len(tab), X + 1):
+            p = spf[n]
+            tab.append(at_prime(p, tab) if p == n else tab[p] + tab[n // p])
+    else:
+        for n in range(len(tab), X + 1):
+            p = spf[n]
+            tab.append(at_prime(p, tab) if p == n else (tab[p] * tab[n // p]) >> shift)
     return _remember(memo, key, tab)
 
 
+def _ln_prime(p: int, ln_before: int, W: int) -> int:
+    """ln p in fixed point from ln_before = ln(p-1): ln p = ln(p-1) +
+    2 atanh(1/(2p-1)), and ln 2 directly."""
+    if p == 2:
+        with mp.workprec(W + 10):
+            return _fix(mp.ln2, W)
+    d = 2 * p - 1
+    t, acc, k = (1 << W) // d, 0, 1
+    while t:
+        acc += t // k
+        t //= d * d
+        k += 2
+    return ln_before + 2 * acc
+
+
 def _ln_table(X: int) -> list:
-    """[ln n] for n <= X in fixed point; ln p = ln(p-1) + 2 atanh(1/(2p-1))."""
+    """[ln n] for n <= X in fixed point."""
     tab = _ln_tables.get(mp.prec)
     if tab is not None and len(tab) > X:
         return tab
     W = _bits()
+    return _sieve_table(_ln_tables, mp.prec, X, 0, lambda p, tab: _ln_prime(p, tab[p - 1], W))
 
-    def at_prime(p, tab):
-        if p == 2:
-            with mp.workprec(W + 10):
-                return _fix(mp.ln2, W)
-        d = 2 * p - 1
-        t, acc, k = (1 << W) // d, 0, 1
-        while t:
-            acc += t // k
-            t //= d * d
-            k += 2
-        return tab[p - 1] + 2 * acc
 
-    return _sieve_table(_ln_tables, mp.prec, X, 0, at_prime, int.__add__)
+def _ln_entries(ns, X: int):
+    """ln n for the n in ns (all <= X), indexable by n: the memoised table if
+    it reaches X, else a dict of only the entries that the table's recursion
+    reaches from ns (ln p from ln(p-1), ln n = ln p + ln(n/p) for p the
+    smallest prime factor of n), with the table's integers."""
+    tab = _ln_tables.get(mp.prec)
+    if tab is not None and len(tab) > X:
+        return tab
+    W, spf, out = _bits(), spf_table(X).tolist(), {1: 0}
+
+    def ln(n):
+        v = out.get(n)
+        if v is None:
+            p = spf[n]
+            v = out[n] = _ln_prime(p, ln(p - 1), W) if p == n else ln(p) + ln(n // p)
+        return v
+
+    for n in ns:
+        ln(n)
+    return out
 
 
 def _pow_table(s, X: int) -> list:
@@ -184,8 +238,7 @@ def _pow_table(s, X: int) -> list:
             with mp.workprec(W + 10):
                 return _fix(mp.exp(-s * _unfix(ln[p], W)), W)
 
-    return _sieve_table(_pow_tables, (mp.prec, s), X, one, at_prime,
-                        lambda x, y: (x * y) >> W)
+    return _sieve_table(_pow_tables, (mp.prec, s), X, one, at_prime, W)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +327,15 @@ def _bernoulli_jets(s, M: int) -> list:
     return out
 
 
-def _phi(u, L: int, e: int, W: int):
-    """(A^-u - 1)/u and its u-derivative in fixed point, from L = ln A and
-    e = A^-u; closed form at u = 0, power series for small |u| ln A."""
+def _phi(U, L, e: int, W: int, deriv: bool):
+    """(A^-u - 1)/u and, when deriv, its u-derivative (else None) in fixed
+    point, from U = u in fixed point (None for u = 0), L = ln A and e = A^-u;
+    closed form at u = 0, power series for small |u| ln A.  L may be None for
+    |u| >= 1, as A >= 12 keeps the series off there."""
     one = 1 << W
-    if u == 0:
+    if U is None:
         return -L, (L * L) >> (W + 1)
-    U = _fix(u, W)
-    if 2 * abs(U) * L < one * one:
+    if L is not None and 2 * abs(U) * L < one * one:
         # phi = sum_{k>=1} (-L)^k u^(k-1)/k!, dphi = sum_{k>=2} (k-1) (-L)^k u^(k-2)/k!
         phi = dphi = 0
         t, upow, uprev = one, one, 0     # (-L)^k/k!, u^(k-1), u^(k-2)
@@ -289,50 +343,78 @@ def _phi(u, L: int, e: int, W: int):
         while True:
             t = ((t * -L) >> W) // k
             if t == 0:
-                return phi, dphi
+                return phi, (dphi if deriv else None)
             phi += (t * upow) >> W
             dphi += (k - 1) * ((t * uprev) >> W)
             uprev, upow = upow, (upow * U) >> W
             k += 1
     phi = ((e - one) << W) // U
-    return phi, ((-((L * e) >> W) - phi) << W) // U
+    return phi, (((-((L * e) >> W) - phi) << W) // U if deriv else None)
 
 
-def _tail(s, N: int, a, M: int):
-    """Fixed-point jet of the regularized Euler-Maclaurin tail T(s, A), A = N + a:
+def _tail(U, L, w: int, Ainv: int, rev: list, W: int, deriv: bool):
+    """Fixed-point regularized Euler-Maclaurin tail T(s, A) and, when deriv,
+    its s-derivative (else None):
 
-        (A^{1-s} - 1)/(s-1) + A^-s/2 + sum_{j<=M} c_j A^{-s-2j+1}.
+        (A^{1-s} - 1)/(s-1) + A^-s/2 + sum_{j<=M} c_j A^{-s-2j+1},
 
-    A rational a = r/q reads ln A and A^-s off the tables at n = Nq + r;
-    any other a > 0 evaluates them directly.
+    from U = s - 1 as for _phi, L = ln A (None where the value needs none),
+    w = A^-s, Ainv = 1/A and rev = the Bernoulli jets (c_j, c_j') for j = M
+    down to 1.
     """
-    key = (mp.prec, s, N, a)
-    hit = _tail_memo.get(key)
+    x = (Ainv * Ainv) >> W
+    h = 0                                # Horner in x = A^-2 over the Bernoulli terms
+    for c, _ in rev:
+        h = ((h * x) >> W) + c
+    wa = (w * Ainv) >> W                 # A^{-s-1}
+    phi, dphi = _phi(U, L, (w << W) // Ainv, W, deriv)
+    val = phi + (w >> 1) + ((wa * h) >> W)
+    if not deriv:
+        return val, None
+    dh = 0
+    for _, dc in rev:
+        dh = ((dh * x) >> W) + dc
+    return val, dphi - ((L * w) >> (W + 1)) + ((wa * (dh - ((L * h) >> W))) >> W)
+
+
+def _extra_bits(s, A) -> int:
+    """Bits beyond _bits() for a kernel whose terms reach A^-s: at s < 0 they
+    grow like A^|s| and cancel, and the fixed point is absolute."""
+    return 0 if s >= 0 else math.ceil(-float(s) * math.log2(A)) + 8
+
+
+def _tails(s, N: int, q: int, M: int, deriv: bool):
+    """([T(s, N + r/q)], [d/ds] or None) in fixed point, indexed by the units
+    r mod q (0 elsewhere): one pass over the residues, shared by every
+    character mod q.  ln A and A^-s are read off the tables at n = Nq + r.
+    ln A enters the derivative, the value at s = 1 (the pole term -ln A) and
+    the value where n^-s needs the whole ln table (s not a non-negative
+    integer); at s = 1 the value reads only the ln n it needs."""
+    key = (mp.prec, s, N, q, M)
+    hit = _memo_get(_tails_memo, key, deriv)
     if hit is not None:
         return hit
-    W = _bits()
-    if isinstance(a, Fraction):
-        q = a.denominator
-        n = N * q + a.numerator
-        ln, pw = _ln_table(n), _pow_table(s, n)
-        lnA = ln[n] - ln[q]
-        w = (pw[n] << W) // pw[q]
-        Ainv = (q << W) // n
+    W, X = _bits(), N * q
+    units = [r for r in range(1, q + 1) if math.gcd(r, q) == 1]
+    pw = _pow_table(s, X + q)
+    if deriv or not (s >= 0 and s == int(s)):
+        ln = _ln_table(X + q)
     else:
-        with mp.workprec(W + 10):
-            A = N + a
-            lnA_mpf = mp.ln(A)
-            lnA, w, Ainv = _fix(lnA_mpf, W), _fix(mp.exp(-s * lnA_mpf), W), _fix(1 / A, W)
-    x = (Ainv * Ainv) >> W
-    h = dh = 0                           # Horner in x = A^-2 over the Bernoulli terms
-    for c, dc in reversed(_bernoulli_jets(s, M)[:M]):
-        h = ((h * x) >> W) + c
-        dh = ((dh * x) >> W) + dc
-    wa = (w * Ainv) >> W                 # A^{-s-1}
-    phi, dphi = _phi(s - 1, lnA, (w << W) // Ainv, W)
-    val = phi + (w >> 1) + ((wa * h) >> W)
-    der = dphi - ((lnA * w) >> (W + 1)) + ((wa * (dh - ((lnA * h) >> W))) >> W)
-    return _remember(_tail_memo, key, (val, der))
+        ln = _ln_entries([q] + [X + r for r in units], X + q) if s == 1 else None
+    rev = _bernoulli_jets(s, M)[M - 1::-1]
+    U = None if s == 1 else _fix(s - 1, W)
+    pq = pw[q]
+    lnq = ln[q] if ln else 0
+    vals = [0] * (q + 1)
+    ders = [0] * (q + 1) if deriv else None
+    for r in units:
+        n = X + r
+        t, dt = _tail(U, ln[n] - lnq if ln else None, (pw[n] << W) // pq, (q << W) // n,
+                      rev, W, deriv)
+        vals[r] = t
+        if deriv:
+            ders[r] = dt
+    return _remember(_tails_memo, key + (deriv,), (vals, ders))
 
 
 def _hurwitz_jet(s, a):
@@ -340,17 +422,22 @@ def _hurwitz_jet(s, a):
     if a <= 0:
         raise ValueError("need a > 0")
     N, M = _em_plan(s, a)
-    W = _bits()
-    val = der = mpf(0)
-    with mp.workprec(W + 10):
-        for k in range(N):
-            L = mp.ln(k + a)
-            w = mp.exp(-s * L)
-            val += w
-            der -= L * w
-        val, der = _fix(val, W), _fix(der, W)
-    t, dt = _tail(s, N, a, M)
-    return _unfix(val + t, W), _unfix(der + dt, W)
+    with mp.workprec(mp.prec + _extra_bits(s, N + a)):
+        W = _bits()
+        val = der = mpf(0)
+        with mp.workprec(W + 10):
+            for k in range(N):
+                L = mp.ln(k + a)
+                w = mp.exp(-s * L)
+                val += w
+                der -= L * w
+            val, der = _fix(val, W), _fix(der, W)
+            A = N + a
+            lnA = mp.ln(A)
+            lnA, w, Ainv = _fix(lnA, W), _fix(mp.exp(-s * lnA), W), _fix(1 / A, W)
+        U = None if s == 1 else _fix(s - 1, W)
+        t, dt = _tail(U, lnA, w, Ainv, _bernoulli_jets(s, M)[M - 1::-1], W, True)
+        return _unfix(val + t, W), _unfix(der + dt, W)
 
 
 def _with_pole(jet, s):
@@ -358,7 +445,7 @@ def _with_pole(jet, s):
     u = s - 1
     if u == 0:
         raise PoleError("zeta(s,a) has a pole at s=1")
-    return jet[0] + 1 / u, jet[1] - 1 / (u * u)
+    return jet[0] + 1 / u, None if jet[1] is None else jet[1] - 1 / (u * u)
 
 
 def hurwitz(s, a=1, derivative=0, regularized=False, digits=None):
@@ -407,42 +494,49 @@ def _combine(parts: list, W: int):
     return _unfix(parts[0] - sum(parts[1:]), W)
 
 
-def _dirichlet_jet(s, chi):
+def _dirichlet_jet(s, chi, deriv: bool = True):
     """Jet of the primitive L(s,chi) for nontrivial chi, valid at s=1 too;
-    chi None gives zeta(s) - 1/(s-1).  s is an mpf."""
+    chi None gives zeta(s) - 1/(s-1).  s is an mpf.  deriv False gives
+    (value, None), with the value's bits of the full jet."""
     key = (mp.prec, s, chi)
-    hit = _jet_memo.get(key)
+    hit = _memo_get(_jet_memo, key, deriv)
     if hit is not None:
         return hit
     q, classes, m = _char_classes(chi)
     N, M = _em_plan(s, Fraction(1, q), q ** (1 - float(s)) * (1 + math.log(q)))
-    W = _bits()
-    X = N * q
-    ln, pw = _ln_table(X + q), _pow_table(s, X + q)
-    sums = [[0, 0, 0, 0] for _ in range(m)]  # per class: partial sum jet, tail jet
-    for r in range(1, q + 1):
-        k = classes[r % q]
-        if k is None:
-            continue
-        col = slice(r, X + 1, q)         # n = r, r + q, ..., r + (N-1) q
-        v = pw[col]
-        t, dt = _tail(s, N, Fraction(r, q), M)
-        acc = sums[k]
-        acc[0] += sum(v)
-        acc[1] -= sum(map(mul, v, ln[col])) >> W
-        acc[2] += t
-        acc[3] += dt
-    # each class: partial sum plus q^-s times the tails, as a jet
-    qs, lnq = pw[q], ln[q]
-    val = [p + ((qs * t) >> W) for p, _, t, _ in sums]
-    der = [dp + ((qs * (dt - ((lnq * t) >> W))) >> W) for _, dp, t, dt in sums]
-    return _remember(_jet_memo, key, (_combine(val, W), _combine(der, W)))
+    with mp.workprec(mp.prec + _extra_bits(s, (N + 1) * q)):
+        W, X = _bits(), N * q
+        pw = _pow_table(s, X + q)
+        ln = _ln_table(X + q) if deriv else None
+        tails, dtails = _tails(s, N, q, M, deriv)
+        sums = [[0, 0, 0, 0] for _ in range(m)]  # per class: partial sum jet, tail jet
+        for r in range(1, q + 1):
+            k = classes[r % q]
+            if k is None:
+                continue
+            col = slice(r, X + 1, q)         # n = r, r + q, ..., r + (N-1) q
+            acc = sums[k]
+            acc[0] += sum(pw[col])
+            acc[2] += tails[r]
+            if deriv:
+                acc[1] -= sum(map(mul, pw[col], ln[col])) >> W
+                acc[3] += dtails[r]
+        # each class: partial sum plus q^-s times the tails, as a jet
+        qs = pw[q]
+        val = _combine([p + ((qs * t) >> W) for p, _, t, _ in sums], W)
+        der = None
+        if deriv:
+            lnq = ln[q]
+            der = _combine([dp + ((qs * (dt - ((lnq * t) >> W))) >> W)
+                            for _, dp, t, dt in sums], W)
+    return _remember(_jet_memo, key + (deriv,), (val, der))
 
 
-def _euler_removed_jet(s, chi, S: PlaceSet):
-    """Jet of prod_{p in S_fin, p not dividing cond} (1 - chi(p) p^{-s})."""
+def _euler_removed_jet(s, chi, S: PlaceSet, deriv: bool = True):
+    """Jet of prod_{p in S_fin, p not dividing cond} (1 - chi(p) p^{-s});
+    deriv False gives (value, None)."""
     s = _to_mpf(s)
-    out = (mp.mpf(1), mp.mpf(0))
+    out = (mp.mpf(1), mp.mpf(0) if deriv else None)
     for p in S.primes:
         if isinstance(chi, QuadChar):
             c = chi(p)  # 0 at ramified p, where the local factor is already 1
@@ -453,7 +547,7 @@ def _euler_removed_jet(s, chi, S: PlaceSet):
             continue
         lnp = mp.ln(p)
         w = mp.exp(-s * lnp)
-        out = _jmul(out, (1 - c * w, c * lnp * w))
+        out = _jmul(out, (1 - c * w, c * lnp * w if deriv else None))
     return out
 
 
@@ -461,24 +555,25 @@ def _trivial_char_mark(chi) -> bool:
     return chi is None or chi.is_trivial
 
 
-def _LS_jet(s, chi, S: PlaceSet):
+def _LS_jet(s, chi, S: PlaceSet, deriv: bool = True):
+    """Jet of L^S(s,chi); deriv False gives (value, None)."""
     s = _to_mpf(s)
     if _trivial_char_mark(chi):
         if s == 1:
             raise PoleError("zeta^S(s) has a pole at s=1; use laurent_at_1")
-        z = _with_pole(_dirichlet_jet(s, None), s)
-        return _jmul(z, _euler_removed_jet(s, QuadChar(1), S))
+        z = _with_pole(_dirichlet_jet(s, None, deriv), s)
+        return _jmul(z, _euler_removed_jet(s, QuadChar(1), S, deriv))
     if not chi.is_unramified_outside(S):
         bad = [p for p in chi.support if p not in S.primes]
         raise ValueError(f"character ramified outside S at {bad}")
-    L = _dirichlet_jet(s, chi)
-    return _jmul(L, _euler_removed_jet(s, chi, S))
+    L = _dirichlet_jet(s, chi, deriv)
+    return _jmul(L, _euler_removed_jet(s, chi, S, deriv))
 
 
 def zetaS(s, S: PlaceSet, digits=None):
     """zeta^S(s) = zeta(s) * prod_{p in S_fin} (1 - p^{-s}), real s != 1."""
     with mp.workdps((digits or DEFAULT_DIGITS) + _GUARD):
-        out = +(_LS_jet(s, None, S)[0])
+        out = +(_LS_jet(s, None, S, deriv=False)[0])
     return out
 
 
@@ -488,7 +583,7 @@ def LS(s, chi, S: PlaceSet, digits=None):
     Real for trivial/quadratic characters, complex for cubic ones.
     """
     with mp.workdps((digits or DEFAULT_DIGITS) + _GUARD):
-        out = +(_LS_jet(s, chi, S)[0])
+        out = +(_LS_jet(s, chi, S, deriv=False)[0])
     return out
 
 

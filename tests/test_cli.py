@@ -384,6 +384,40 @@ def test_flag_not_read_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["lfun", "--chi=-4", "--s=1", "--digits=-3"], "--digits"),
+    (["lfun", "--chi=-4", "--s=1", "--digits=0"], "--digits"),
+    (["lfun", "--chi=-4", "--s=1", "--digits=14"], "--digits"),
+    (["coeff", "--group=sp2", "--orbit=min", "--digits=14"], "--digits"),
+    (["diff", "--orbit=min", "--digits=3"], "--digits"),
+    (["lfun", "--chi=-4", "--s=inf"], "--s"),
+    (["lfun", "--chi=-4", "--s=-inf"], "--s"),
+    (["lfun", "--chi=-4", "--s=nan"], "--s"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_bad_precision_or_point_is_a_usage_error(capsys, argv, flag):
+    """--digits below PrecisionConfig's floor and a non-finite --s exit 2
+    with a message that names the flag, and compute nothing."""
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag}:" in captured.err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--chi=-4", "--s=-30", "--S=2"], -2.2077194662451156e26),   # E_30 / 2
+    (["--chi=5", "--s=-20", "--S=5"], 0.0),                       # trivial zeros
+    (["--chi=1", "--s=-30", "--S=2"], 0.0),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_lfun_at_negative_s(capsys, argv, expected):
+    code, out = run_cli(capsys, "lfun", *argv, "--json")
+    value = json.loads(out)["result"]["value"]
+    assert code == 0 and abs(value - expected) <= 1e-15 * max(1.0, abs(expected))
+
+
+def test_digits_at_the_floor_is_accepted(capsys):
+    code, out = run_cli(capsys, "lfun", "--chi=-4", "--s=1", "--S=2", "--digits=15", "--json")
+    assert code == 0 and abs(json.loads(out)["result"]["value"] - math.pi / 4) < 1e-15
+
+
 VOLS = {"--vol-m0", "--vol-m1", "--vol-m2", "--vol-mp", "--vol-g"}
 SHINTANI = {"--S", "--cache", "--X", "--eps"}
 OPTIONS = {

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from tracecoef.arith import PlaceSet
@@ -219,13 +221,17 @@ def test_dirichlet_kernel_vs_mpmath(chi, s):
 
 
 def test_clear_cache_empties_every_memo_and_table():
-    lfun.LS(mpf(3) / 2, QuadChar(-4), S2)
+    """Value-only and full entries alike."""
+    for fn in (lfun.LS, lfun.deriv_LS):
+        fn(mpf(3) / 2, QuadChar(-4), S2)
     lfun.laurent_at_1(None, S2)
     lfun.hurwitz(2, mpf(1) / 3)
     module_dicts = {id(v) for k, v in vars(lfun).items()
                     if isinstance(v, dict) and not k.startswith("__")}
     assert module_dicts == {id(m) for m in lfun._MEMOS}
     assert all(lfun._MEMOS)
+    for memo in (lfun._jet_memo, lfun._tails_memo):
+        assert {key[-1] for key in memo} == {False, True}
     lfun.clear_cache()
     assert not any(lfun._MEMOS)
 
@@ -321,3 +327,161 @@ def test_small_initial_N_doubles_and_converges(monkeypatch):
 def test_em_plan_gives_up():
     with mp.workprec(20_000), pytest.raises(RuntimeError, match="did not converge"):
         lfun._em_plan(mpf(1), 1, N=1)
+
+
+# ---------------------------------------------------------------------------
+# value-only requests, the per-modulus tail pass, and negative s
+# ---------------------------------------------------------------------------
+
+VALUE_POINTS = [mpf(1), mpf(2), mpf(3), mpf(3) / 2, mpf(25) / 4, mpf("0.7"), mpf(-1) / 2]
+VALUE_CHARS = [QuadChar(-4), QuadChar(8), QuadChar(-8), QuadChar(-23), _cubic(7), _cubic(3)]
+
+
+def _bits_of(x):
+    """The exact binary representation of an mpf or mpc."""
+    return (x.real._mpf_, x.imag._mpf_) if isinstance(x, mp.mpc) else x._mpf_
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60])
+def test_value_only_equals_jet_value(digits):
+    """The value-only kernel gives the bits of the full jet's value, with and
+    without the other value-only and full entries in the memos."""
+    with mp.workdps(digits + lfun._GUARD):
+        for chi in VALUE_CHARS + [None]:
+            S = PlaceSet.of(*(chi.support if chi else ()), 2)
+            for s in VALUE_POINTS:
+                lfun.clear_cache()
+                val, none = lfun._dirichlet_jet(s, chi, deriv=False)
+                lfun.clear_cache()
+                full = lfun._dirichlet_jet(s, chi)
+                assert none is None and _bits_of(val) == _bits_of(full[0]), (chi, s)
+                if chi is None and s == 1:
+                    continue
+                lfun.clear_cache()
+                assert _bits_of(lfun._LS_jet(s, chi, S, deriv=False)[0]) == \
+                    _bits_of(lfun._LS_jet(s, chi, S)[0]), (chi, s)
+    lfun.clear_cache()
+
+
+@pytest.mark.parametrize("chi,s", [(QuadChar(-4), 1), (QuadChar(-4), mpf(3) / 2),
+                                   (QuadChar(173), 2), (None, 2), (None, mpf("0.7")),
+                                   (_cubic(7), 2), (_cubic(3, 7), 1)],
+                         ids=lambda v: _case_id(v) if v is not None else "zeta")
+def test_value_derivative_value_same_bits_as_fresh(chi, s):
+    """LS, then deriv_LS, then LS on one key: each answer has the bits of the
+    same call on empty memos, whichever entry serves it."""
+    S = PlaceSet.of(*(chi.support if chi else ()), 2)
+    fresh = []
+    for fn in (lfun.LS, lfun.deriv_LS):
+        lfun.clear_cache()
+        fresh.append(_bits_of(fn(s, chi, S)))
+    lfun.clear_cache()
+    seq = [_bits_of(fn(s, chi, S)) for fn in (lfun.LS, lfun.deriv_LS, lfun.LS)]
+    lfun.clear_cache()
+    assert seq == [fresh[0], fresh[1], fresh[0]]
+
+
+def test_tail_pass_shared_by_characters_of_one_modulus():
+    """chi_8 and chi_-8 read one tail pass.  A value at s = 2 builds no ln
+    table and a value at s = 1 none of its own; a derivative builds it."""
+    with mp.workdps(40):
+        lfun.clear_cache()
+        lfun.LS(2, QuadChar(8), S2)
+        assert len(lfun._tails_memo) == 1 and not lfun._ln_tables
+        (entry,) = lfun._tails_memo.values()
+        lfun.LS(2, QuadChar(-8), S2)
+        assert list(lfun._tails_memo.values()) == [entry] and not lfun._ln_tables
+        lfun.LS(1, QuadChar(8), S2)
+        assert not lfun._ln_tables
+        lfun.deriv_LS(1, QuadChar(8), S2)
+        assert lfun._ln_tables
+    lfun.clear_cache()
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_ln_entries_are_the_table_entries(dps):
+    """The entries reached from a few n have the sieve table's integers."""
+    X = 199 * 23
+    ns = [199] + list(range(199 * 22 + 1, X + 1, 7))
+    with mp.workdps(dps):
+        lfun.clear_cache()
+        part = lfun._ln_entries(ns, X)
+        assert isinstance(part, dict) and len(part) < X // 3
+        table = lfun._ln_table(X)
+        assert all(table[n] == v for n, v in part.items()) and lfun._ln_entries(ns, X) is table
+    lfun.clear_cache()
+
+
+NEGATIVE_S = [mpf(-30), mpf(-20), mpf("-11.5"), mpf("-5.5")]
+
+
+@pytest.mark.parametrize("s", NEGATIVE_S, ids=lambda s: f"s={float(s)}")
+def test_negative_s_keeps_its_digits(s):
+    """At s < 0 the terms grow like (Nq)^-s and cancel; the kernel's extra
+    bits keep L(s,chi), zeta(s) and zeta(s,a) within 1e-38 (relative, or
+    absolute at the trivial zeros) of mpmath at 60 digits."""
+    def close(ours, ref):
+        return abs(ours - ref) <= mpf("1e-38") * max(1, abs(ref))
+
+    for D in (-4, -3, 5):
+        chi = QuadChar(D)
+        ours = lfun.LS(s, chi, PlaceSet.of(*chi.support), digits=40)
+        with mp.workdps(60):
+            assert close(ours, mp.dirichlet(s, _values_mod_q(chi))), (D, s)
+    for S in (S_OO, S2):
+        ours = lfun.zetaS(s, S, digits=40)
+        with mp.workdps(60):
+            assert close(ours, mp.zeta(s) * (1 - mpf(2) ** -s if S == S2 else 1)), (s, S)
+    for a in (mpf(1), mpf(1) / 3, mpf(5) / 2):
+        ours = lfun.hurwitz(s, a, digits=40)
+        with mp.workdps(60):
+            assert close(ours, mp.zeta(s, a)), (s, a)
+    lfun.clear_cache()
+
+
+# ---------------------------------------------------------------------------
+# L^S(s, chi_D) for s >= 3 against a truncated Euler product
+# ---------------------------------------------------------------------------
+
+EULER_P = 1000
+EULER_PRIMES = [p for p in range(2, EULER_P + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def _squarefree(n):
+    return all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+
+FUNDAMENTAL = [1] + [D for D in range(-200, 201) if D not in (0, 1) and (
+    (D % 4 == 1 and _squarefree(abs(D)))
+    or (D % 4 == 0 and (D // 4) % 4 in (2, 3) and _squarefree(abs(D) // 4)))]
+
+
+def _kronecker_at_prime(D, p):
+    """chi_D(p) from Euler's criterion at odd p and D mod 8 at p = 2."""
+    if D % p == 0:
+        return 0
+    if p == 2:
+        return 1 if D % 8 in (1, 7) else -1
+    return 1 if pow(D % p, (p - 1) // 2, p) == 1 else -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FUNDAMENTAL), st.sets(st.sampled_from((2, 3, 5, 7, 11, 13))),
+       st.integers(12, 32).map(lambda k: Fraction(k, 4)))
+def test_LS_matches_truncated_euler_product(D, extra, s):
+    """L^S(s, chi_D) = prod_{p not in S} (1 - chi_D(p) p^-s)^-1 for s >= 3.
+    Truncated at p <= P, |log of the rest| <= sum_{p>P} -log(1 - p^-s) <=
+    B = P^(1-s) / ((s-1)(1 - P^-s)), so the ratio is within e^B - 1 of 1."""
+    support = {p for p in EULER_PRIMES if D % p == 0}
+    S = PlaceSet.of(*(support | extra))
+    chi = None if D == 1 else QuadChar(D)
+    with mp.workdps(30):
+        ours = lfun.LS(s, chi, S)
+        sm = mpf(s.numerator) / s.denominator
+        prod = mpf(1)
+        for p in EULER_PRIMES:
+            if p not in S.primes:
+                prod /= 1 - _kronecker_at_prime(D, p) * mpf(p) ** -sm
+        B = mpf(EULER_P) ** (1 - sm) / ((sm - 1) * (1 - mpf(EULER_P) ** -sm))
+        assert abs(ours / prod - 1) <= mp.expm1(B), (D, sorted(S.primes), s)
+    lfun.clear_cache()

@@ -20,6 +20,7 @@ import tempfile
 import zlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 from mpmath import mp, mpf, mpc
@@ -93,38 +94,31 @@ def _coeff_doc(res: CoeffResult) -> dict:
 # JSON-lines L-value cache
 # ---------------------------------------------------------------------------
 
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
-_L1_KEYS = frozenset(("D", "L1", "digits", "method"))
-_I64 = 2**63
-# the columns of the records held, 8 bytes each: D, what each record ranks and
-# is served by, and the index in JsonlCache._recs of one not of the L(1) shape
-_COLS = (("D", "<i8"), ("L1", "<f8"), ("digits", "<i8"), ("method", "<i8"), ("rec", "<i8"))
-_IDX_FORMAT = "tracecoef L(1) index 1"  # D, L1, digits, method, rec columns
+# the columns of the records held, 8 bytes each; method holds JsonlCache._codes
+_COLS = (("D", "<i8"), ("L1", "<f8"), ("digits", "<i8"), ("method", "<i8"))
+_IDX_FORMAT = "tracecoef L(1) index 2"  # D, L1, digits, method columns
 _CORRUPT = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def _l1_lines(Ds, L1s, digits: int, method: str) -> str:
-    """The L(1) records {"D", "L1", "digits", "method"} of the columns Ds and
-    L1s (ints and finite floats) as _RECORD_ENCODER writes them, one a line."""
+    """The L(1) records of the columns Ds and L1s (ints and finite floats), one
+    a line, as json.JSONEncoder(sort_keys=True, allow_nan=False) writes them."""
     m = encode_basestring_ascii(method)
     return "".join([f'{{"D": {D}, "L1": {L1!r}, "digits": {digits}, "method": {m}}}\n'
                     for D, L1 in zip(Ds, L1s)])
 
 
-def _is_l1(rec: dict) -> bool:
-    """rec has the L(1) shape, that of the records _l1_lines writes: int D,
-    a finite float L1, a 64-bit int digits, a str method and no other key."""
-    return (rec.keys() == _L1_KEYS and type(rec["D"]) is type(rec["digits"]) is int
-            and type(rec["method"]) is str and type(rec["L1"]) is float
-            and math.isfinite(rec["L1"]) and -_I64 <= rec["digits"] < _I64)
-
-
-def _record_line(rec: dict) -> str:
-    """rec as _RECORD_ENCODER writes it; an L(1) record goes through
-    _l1_lines, anything else through the encoder."""
-    if _is_l1(rec):
-        return _l1_lines((rec["D"],), (rec["L1"],), rec["digits"], rec["method"])
-    return _RECORD_ENCODER.encode(rec) + "\n"
+def _l1_columns(recs: list) -> tuple:
+    """The columns of _COLS of recs, with a list of the methods: each record
+    has the keys D, L1, digits and method only, D and digits ints of 64 bits,
+    L1 a float and method a str; for any other, an exception of _CORRUPT."""
+    if not set(map(len, recs)) <= {4}:  # then itemgetter finds the four keys, or raises
+        raise ValueError("not an L(1) record")
+    cols = [list(map(itemgetter(name), recs)) for name, _ in _COLS]
+    for col, kind in zip(cols, (int, float, int, str)):
+        if not set(map(type, col)) <= {kind}:  # bool is not int here
+            raise ValueError("not an L(1) record")
+    return *(np.array(col, dt) for col, (_, dt) in zip(cols[:3], _COLS)), cols[3]
 
 
 def _checksum(data: bytes) -> str:
@@ -133,77 +127,72 @@ def _checksum(data: bytes) -> str:
     return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
 
 
-def _key(rec) -> int:
-    D = int(rec["D"])
-    if not -_I64 <= D < _I64:
-        raise ValueError(f"D = {D} does not fit 64 bits")
-    return D
-
-
-def _parse_lines(data: bytes) -> tuple[list, bool]:
-    """(D, record) for each line of data that holds a record, warning about
-    the rest, and whether there were none such."""
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+def _parse_lines(data: bytes) -> tuple[tuple, bool]:
+    """The _l1_columns of the L(1) records of data, one a line, warning about
+    each other line, and whether there were none such."""
+    text = data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
     lines = [line for line in map(str.strip, text.split("\n")) if line]
     try:  # one parse of the whole file
-        out = [(_key(rec), rec) for rec in json.loads("[" + ",".join(lines) + "]")]
+        recs = json.loads("[" + ",".join(lines) + "]")
+        if len(recs) == len(lines):  # else not one record per line
+            return _l1_columns(recs), True
     except _CORRUPT:
-        out = []
-    if len(out) != len(lines):  # not one record per line: parse each line
-        out = []
-        for line in lines:
-            try:
-                rec = json.loads(line)
-                out.append((_key(rec), rec))
-            except _CORRUPT:
-                print(f"warning: skipping corrupt cache line: {line[:60]}", file=sys.stderr)
-    return out, len(out) == len(lines)
+        pass
+    recs = []
+    for line in lines:  # parse each line
+        try:
+            rec = json.loads(line)
+            _l1_columns([rec])
+            recs.append(rec)
+        except _CORRUPT:
+            print(f"warning: skipping corrupt cache line: {line[:60]}", file=sys.stderr)
+    return _l1_columns(recs), len(recs) == len(lines)
 
 
 def _ranked(cols: dict):
-    """For records in the order they were written: whether each outranks
-    every earlier record of its D, and the index of the record held for each
-    D, by increasing D.  A plausible L1 (a finite float > 0) outranks an
-    implausible one, then the most digits wins, and ties go to the later one."""
-    D, L1 = cols["D"], cols["L1"]
-    keys = (cols["digits"], (L1 > 0) & (L1 < np.inf), D)
-    order = np.lexsort(keys)  # stable: records that tie stay in written order
-    above = np.zeros(len(D), bool)  # order[i] ranks above order[i - 1]
-    for k in keys:
+    """For records in the order they were written: whether each outranks every
+    earlier record of its key (method, D), and the index of the record held for
+    each key, by increasing key.  A plausible L1 (a finite float > 0) outranks
+    an implausible one, then the most digits wins, and ties go to the later one."""
+    L1, key = cols["L1"], (cols["D"], cols["method"])  # lexsort: the last key first
+    ranks = (cols["digits"], (L1 > 0) & (L1 < np.inf), *key)
+    order = np.lexsort(ranks)  # stable: records that tie stay in written order
+    above = np.zeros(len(L1), bool)  # order[i] ranks above order[i - 1]
+    for k in ranks:
         above[1:] |= k[order][1:] != k[order][:-1]
-    rank = np.empty(len(D), np.int64)
-    rank[order] = np.cumsum(above)  # increases with D
-    by_D = np.argsort(D, kind="stable")
-    outranks = np.empty(len(D), bool)
-    outranks[by_D] = rank[by_D] == np.maximum.accumulate(rank[by_D])
-    won = by_D[outranks[by_D]]  # the last of each D is the one held
-    return outranks, won[np.append(D[won][1:] != D[won][:-1], True)]
+    rank = np.empty(len(L1), np.int64)
+    rank[order] = np.cumsum(above)  # increases with the key
+    by_key = np.lexsort(key)
+    outranks = np.empty(len(L1), bool)
+    outranks[by_key] = rank[by_key] == np.maximum.accumulate(rank[by_key])
+    won = by_key[outranks[by_key]]  # the last of each key is the one held
+    same = [k[won][1:] == k[won][:-1] for k in key]  # won[i], won[i + 1]: one key
+    return outranks, won[np.append(~(same[0] & same[1]), True)]
 
 
 class JsonlCache:
-    """Append-only cache of L(1,chi_D) records, one JSON object per line.
+    """Append-only cache of L(1,chi_D) records, one JSON object per line; a
+    line that is not an L(1) record is corrupt, and skipped with a warning.
 
-    Corrupt lines are skipped with a warning.  Of the records of one D, the
-    one held is the first by the rule of _ranked, on reads and on writes: a
-    record is stored, and appended, only if it outranks the one held.  The
-    records held are numpy columns sorted by D, which `<path>.idx` holds for
-    the file's first bytes.  lookup_l1 and store_l1 are the bulk forms of
-    get and put for the L(1) records of one method.
-    """
+    Of the records of one key (method, D), the one held is the first by the
+    rule of _ranked, on reads and on writes: a record is stored, and appended,
+    only if it outranks the one held.  The records held are numpy columns
+    sorted by (method, D), which `<path>.idx` holds for the file's first
+    bytes.  lookup_l1 and store_l1 are the bulk forms of get and put."""
 
     def __init__(self, path: str | None):
         self.path = path
         self._cols = {name: np.empty(0, dt) for name, dt in _COLS}
         self._codes: dict[str, int] = {}  # method -> its code in the method column
-        self._recs: list[dict] = []
         if path and os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
             n = self._read_index(data)
-            keyed, clean = _parse_lines(data[n:])
-            self._merge(self._cols_of(keyed))
-            # never over a half-written last line, nor a line the index cannot hold
-            if len(data) > n and data.endswith(b"\n") and clean and not self._recs:
+            (D, L1, digits, methods), clean = _parse_lines(data[n:])
+            codes = {m: self._codes.setdefault(m, len(self._codes)) for m in dict.fromkeys(methods)}
+            self._merge(D, L1, digits, np.array(list(map(codes.__getitem__, methods)), "<i8"))
+            # never over a half-written last line, nor over a corrupt line
+            if len(data) > n and data.endswith(b"\n") and clean:
                 self._write_index(data)
 
     def _read_index(self, data: bytes) -> int:
@@ -241,78 +230,64 @@ class JsonlCache:
             if tmp:
                 os.unlink(tmp)
 
-    def _cols_of(self, keyed) -> dict:
-        """The columns of the records keyed = [(D, record)].  A record not of
-        the L(1) shape is kept whole; its columns hold its L1 if a float, its
-        digits if a 64-bit int (else 0) and its method if a str."""
-        L1, digits, m = ([rec.get(k) for _, rec in keyed] for k in ("L1", "digits", "method"))
-        r = [-1] * len(keyed)
-        for i, (_, rec) in enumerate(keyed):
-            if not _is_l1(rec):
-                r[i], L1[i], digits[i], m[i] = (
-                    len(self._recs), L1[i] if type(L1[i]) is float else math.nan,
-                    digits[i] if type(digits[i]) is int and -_I64 <= digits[i] < _I64 else 0,
-                    m[i] if type(m[i]) is str else None)
-                self._recs.append(rec)
-        codes = {x: -1 if x is None else self._codes.setdefault(x, len(self._codes))
-                 for x in dict.fromkeys(m)}
-        cols = ([D for D, _ in keyed], L1, digits, [codes[x] for x in m], r)
-        return {name: np.array(col, dt) for (name, dt), col in zip(_COLS, cols)}
+    def _rows(self, method: str) -> slice:
+        """The rows held of the records of method."""
+        code = self._codes.get(method, -1)
+        return slice(*np.searchsorted(self._cols["method"], (code, code + 1)).tolist())
 
-    def _merge(self, new: dict) -> np.ndarray:
-        """Hold the winners among the records held and the later new ones;
-        whether each new one outranks those before it."""
-        if not len(new["D"]):
+    def _merge(self, D, L1, digits, method) -> np.ndarray:
+        """Hold the winners among the records held and the later new ones, the
+        columns of _COLS; whether each new one outranks those before it."""
+        if not len(D):
             return np.zeros(0, bool)
-        cols = {name: np.concatenate((self._cols[name], new[name])) for name, _ in _COLS}
+        cols = {name: np.concatenate((self._cols[name], col))
+                for (name, _), col in zip(_COLS, (D, L1, digits, method))}
         outranks, held = _ranked(cols)
         self._cols = {name: col[held] for name, col in cols.items()}
-        return outranks[len(outranks) - len(new["D"]):]
+        return outranks[len(outranks) - len(D):]
 
-    def get(self, D: int):
-        cols, D = self._cols, int(D)
-        i = np.searchsorted(cols["D"], D)
-        if i < len(cols["D"]) and cols["D"][i] == D:
-            if cols["rec"][i] >= 0:
-                return self._recs[cols["rec"][i]]
-            return {"D": D, "L1": float(cols["L1"][i]), "digits": int(cols["digits"][i]),
-                    "method": list(self._codes)[cols["method"][i]]}
+    def get(self, D: int, method: str):
+        """The record held for (method, D), or None."""
+        rows, D = self._rows(method), int(D)
+        i = rows.start + int(np.searchsorted(self._cols["D"][rows], D))
+        if i < rows.stop and self._cols["D"][i] == D:
+            L1, digits = self._cols["L1"][i].item(), self._cols["digits"][i].item()
+            return {"D": D, "L1": L1, "digits": digits, "method": method}
 
     def put(self, rec: dict):
-        """Store rec unless the record held for its D outranks it, and append
-        it to the file.  rec holds plain JSON values; a non-finite float
-        raises ValueError, whether or not rec would be stored."""
-        line = _record_line(rec)
-        if self._merge(self._cols_of([(_key(rec), rec)]))[0]:
-            self._append(line)
+        """store_l1 of the one L(1) record rec; ValueError for any other."""
+        try:
+            D, L1, (digits,), (method,) = _l1_columns([rec])
+        except _CORRUPT as e:
+            raise ValueError(f"not an L(1) record: {rec!r}") from e
+        self.store_l1(D, L1, method, int(digits))
 
     def lookup_l1(self, Ds, method: str) -> np.ndarray:
-        """For each D of Ds, the L1 of the record held for D if `method` made
-        it and it is plausible, a finite float > 0 (L(1, chi_D) > 0 for every
-        real primitive chi_D); nan otherwise.  One warning counts the records
-        of `method` skipped as implausible."""
-        Ds, cols = np.asarray(Ds, dtype=np.int64), self._cols
-        if not len(cols["D"]):
+        """For each D of Ds, the L1 of the record held for (method, D) if it is
+        plausible, a finite float > 0 (L(1, chi_D) > 0 for every real primitive
+        chi_D); nan otherwise.  One warning counts those skipped as implausible."""
+        Ds, rows = np.asarray(Ds, dtype=np.int64), self._rows(method)
+        held = self._cols["D"][rows]
+        if not len(held):
             return np.full(len(Ds), np.nan)
-        i = np.minimum(np.searchsorted(cols["D"], Ds), len(cols["D"]) - 1)
-        L1 = cols["L1"][i]
-        mine = (cols["D"][i] == Ds) & (cols["method"][i] == self._codes.get(method, -2))
+        i = np.minimum(np.searchsorted(held, Ds), len(held) - 1)
+        L1 = self._cols["L1"][rows][i]
+        mine = held[i] == Ds
         ok = mine & (L1 > 0) & (L1 < np.inf)
         if bad := np.count_nonzero(mine & ~ok):
             print(f"warning: recomputing {bad} implausible L(1) cache records", file=sys.stderr)
         return np.where(ok, L1, np.nan)
 
     def store_l1(self, Ds, L1s, method: str, digits: int):
-        """put for the L(1) records (D, L1, method, digits) of the columns Ds
-        and L1s, in order, with one append; a non-finite L1 raises ValueError
-        before anything is stored."""
+        """Store the L(1) records (D, L1, method, digits) of the columns Ds and
+        L1s in order, each unless the one held for its key outranks it, with one
+        append; a non-finite L1 raises ValueError before anything is stored."""
         L1s = np.asarray(L1s, dtype=np.float64)
         if not np.isfinite(L1s).all():
             raise ValueError("a non-finite L1 is not stored")
         Ds = np.asarray(Ds, dtype=np.int64)
         code = self._codes.setdefault(method, len(self._codes))
-        kept = self._merge({"D": Ds, "L1": L1s, "digits": np.full(len(Ds), digits),
-                            "method": np.full(len(Ds), code), "rec": np.full(len(Ds), -1)})
+        kept = self._merge(Ds, L1s, np.full(len(Ds), digits), np.full(len(Ds), code))
         self._append(_l1_lines(Ds[kept].tolist(), L1s[kept].tolist(), digits, method))
 
     def _append(self, text: str):
@@ -359,14 +334,14 @@ def _digits_arg(text: str) -> int:
     return n
 
 
-def _finite_arg(text: str) -> float:
-    """A finite float."""
+def _point_arg(text: str) -> float:
+    """--s: a float of absolute value at most lfun.MAX_ABS_S."""
     try:
         x = float(text)
     except ValueError:
         x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    if not abs(x) <= lfun.MAX_ABS_S:  # nan too
+        raise argparse.ArgumentTypeError(f"must be a number, |s| <= {lfun.MAX_ABS_S}, got {text!r}")
     return x
 
 
@@ -416,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, digits=True)
     p.add_argument("--chi", type=int, default=1,
                    help="fundamental discriminant of the character (1 = trivial)")
-    p.add_argument("--s", type=_finite_arg, default=2.0)
+    p.add_argument("--s", type=_point_arg, default=2.0)
     p.add_argument("--deriv", action="store_true")
     p.add_argument("--laurent", action="store_true")
 
@@ -545,10 +520,10 @@ def cmd_lfun(args) -> dict:
         ld = lfun.laurent_at_1(chi, S, args.digits)
         out["result"] = {"center": 1.0, "residue": ld.residue, "c0": ld.c0, "c1": ld.c1}
         return out
-    if args.deriv:
-        out["result"] = {"derivative": lfun.deriv_LS(args.s, chi, S, args.digits)}
-        return out
-    out["result"] = {"value": lfun.LS(args.s, chi, S, args.digits)}
+    key, fn = ("derivative", lfun.deriv_LS) if args.deriv else ("value", lfun.LS)
+    out["result"] = {key: fn(args.s, chi, S, args.digits)}
+    if not math.isfinite(out["result"][key]):
+        raise UsageError(f"--s {args.s}: the {key} is beyond the float64 range of the output")
     return out
 
 

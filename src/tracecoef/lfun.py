@@ -25,7 +25,9 @@ reach 2^-prec.  The Bernoulli coefficients are exact, from the integer
 tangent-number recurrence (R. P. Brent and D. Harvey 2013), so each one is a
 single floor division.  The guard bits absorb the fixed-point rounding.  The
 fixed point is absolute, so at s < 0, where the terms grow like (Nq)^-s and
-cancel, the kernel adds ceil(-s log2(Nq + q)) + 8 bits (Hurwitz: N + a).
+cancel, the kernel adds ceil(-s log2(Nq + q)) + 8 bits (Hurwitz: N + a); at
+s > 0, where the tails divide by q^-s, it adds ceil(s log2 q) - 30 bits when
+that is positive, so that q^-s keeps the working precision.
 
 Derivatives are propagated through every formula with first-order jets
 (value, d/ds) rather than finite differences.  A value request (LS, zetaS)
@@ -65,6 +67,9 @@ MIN_DIGITS = 15
 _GUARD = 10
 _GUARD_BITS = 30
 _MAX_BERNOULLI_TERMS = 100
+# the largest |s| the command line takes: at s < 3 - 2 _MAX_BERNOULLI_TERMS no
+# plan has c = s + 2M > 1, and at s > 0 the tables grow like s^2 q log2 q bits
+MAX_ABS_S = 2 * _MAX_BERNOULLI_TERMS
 _MEMO_MAX = 200_000
 
 _jet_memo: dict = {}     # (prec, s, chi, deriv) -> jet of L(s,chi); chi None for zeta - pole
@@ -249,10 +254,10 @@ def _initial_terms(s) -> int:
     return max(12, int(0.5 * mp.dps) + 2, int(2 * abs(s)))
 
 
-def _em_plan(s, a_min, scale: float = 1.0, N: int | None = None) -> tuple[int, int]:
+def _em_plan(s, a_min, log_scale: float = 0.0, N: int | None = None) -> tuple[int, int]:
     """(N, M): summed terms N and Bernoulli terms M such that the remainder
-    bound at A = N + a_min, times scale, is at most 2^-prec for the value and
-    the s-derivative together.
+    bound at A = N + a_min, times e^log_scale, is at most 2^-prec for the
+    value and the s-derivative together.
 
     The remainder after M terms is bounded by 4 |(s)_2M| A^{1-c} /
     ((2 pi)^2M (c-1)) with c = s + 2M, and its s-derivative by the same times
@@ -262,7 +267,7 @@ def _em_plan(s, a_min, scale: float = 1.0, N: int | None = None) -> tuple[int, i
     """
     sig = float(s)
     N = N or _initial_terms(sig)
-    log_tol = -mp.prec * math.log(2) - math.log(scale)
+    log_tol = -mp.prec * math.log(2) - log_scale
     log_4, log_2pi = math.log(4), math.log(2 * math.pi)
     for _attempt in range(6):
         lnA = math.log(N + float(a_min))
@@ -377,10 +382,14 @@ def _tail(U, L, w: int, Ainv: int, rev: list, W: int, deriv: bool):
     return val, dphi - ((L * w) >> (W + 1)) + ((wa * (dh - ((L * h) >> W))) >> W)
 
 
-def _extra_bits(s, A) -> int:
-    """Bits beyond _bits() for a kernel whose terms reach A^-s: at s < 0 they
-    grow like A^|s| and cancel, and the fixed point is absolute."""
-    return 0 if s >= 0 else math.ceil(-float(s) * math.log2(A)) + 8
+def _extra_bits(s, A, q: int = 1) -> int:
+    """Bits beyond _bits() for a kernel whose terms reach A^-s and whose tails
+    are scaled by q^-s; the fixed point is absolute.  At s < 0 the terms grow
+    like A^|s| and cancel.  At s > 0 q^-s keeps the working precision: the
+    tails divide by it, and it would be 0 at s log2 q > _bits()."""
+    if s < 0:
+        return math.ceil(-float(s) * math.log2(A)) + 8
+    return max(0, math.ceil(float(s) * math.log2(q)) - _GUARD_BITS)
 
 
 def _tails(s, N: int, q: int, M: int, deriv: bool):
@@ -503,8 +512,8 @@ def _dirichlet_jet(s, chi, deriv: bool = True):
     if hit is not None:
         return hit
     q, classes, m = _char_classes(chi)
-    N, M = _em_plan(s, Fraction(1, q), q ** (1 - float(s)) * (1 + math.log(q)))
-    with mp.workprec(mp.prec + _extra_bits(s, (N + 1) * q)):
+    N, M = _em_plan(s, Fraction(1, q), (1 - float(s)) * math.log(q) + math.log1p(math.log(q)))
+    with mp.workprec(mp.prec + _extra_bits(s, (N + 1) * q, q)):
         W, X = _bits(), N * q
         pw = _pow_table(s, X + q)
         ln = _ln_table(X + q) if deriv else None

@@ -63,6 +63,10 @@ from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
 _L2S_PRIME_BOUND = 600  # Euler-product truncation for L^S(2s, chi), 2s >= 3 (see _l2s_values)
+_SMOOTHED_TOL = 1e-12  # of l1_smoothed
+# the digits stored with an L(1) cache record of each method
+_L1_DIGITS = {"class-number-formula": 15,
+              "smoothed-character-sum": round(-math.log10(_SMOOTHED_TOL))}
 
 
 @dataclass
@@ -219,7 +223,7 @@ def l1_class_number(D: int, digits: int | None = None):
         return +(h_plus * log_eps / mp.sqrt(D))
 
 
-def l1_smoothed(D: int, tol: float = 1e-12) -> float:
+def l1_smoothed(D: int, tol: float = _SMOOTHED_TOL) -> float:
     """L(1, chi_D) by the incomplete-gamma split of the completed L-function.
 
     Even case (D>0):  L = sum chi(n) [ erfc(n r)/n + E1(pi n^2/q)/sqrt(q) ]
@@ -379,7 +383,7 @@ def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
         else:
             L1[miss] = [l1_smoothed(k) for k in Dm.tolist()]
         if cache is not None:
-            cache.store_l1(Dm, L1[miss], method, 15)
+            cache.store_l1(Dm, L1[miss], method, _L1_DIGITS[method])
     return L1
 
 

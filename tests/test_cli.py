@@ -1,4 +1,6 @@
 """CLI plumbing: JSON determinism, the cache, exit codes."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 import tracecoef
 from tracecoef.cli import JsonlCache, main, render_json
@@ -95,33 +98,34 @@ def test_cache_roundtrip(tmp_path):
     c.put({"D": -4, "L1": 0.7853981633974483, "method": "class-number-formula", "digits": 15})
     c.put({"D": 8, "L1": 1.2, "method": "x", "digits": 15})
     c2 = JsonlCache(path)
-    assert c2.get(-4)["L1"] == 0.7853981633974483
-    assert c2.get(8)["L1"] == 1.2
-    assert c2.get(5) is None
+    assert c2.get(-4, "class-number-formula")["L1"] == 0.7853981633974483
+    assert c2.get(8, "x") == {"D": 8, "L1": 1.2, "digits": 15, "method": "x"}
+    assert c2.get(5, "x") is None and c2.get(-4, "x") is None and c2.get(8, "y") is None
 
 
-def test_cache_highest_digits_wins(tmp_path):
+def test_cache_highest_digits_wins(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     with open(path, "w") as fh:
-        fh.write(json.dumps({"D": -4, "L1": 0.78, "digits": 10}) + "\n")
-        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20}) + "\n")
-        fh.write(json.dumps({"D": -4, "L1": 0.79, "digits": 10}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.78, "digits": 10, "method": "m"}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": "m"}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.79, "digits": 10, "method": "m"}) + "\n")
         fh.write("not json at all\n")
-        fh.write(json.dumps({"D": 8, "L1": 1.1, "digits": 10}) + "\n")
-        fh.write(json.dumps({"D": 8, "L1": 1.2, "digits": 10}) + "\n")
+        fh.write(json.dumps({"D": 8, "L1": 1.1, "digits": 10, "method": "m"}) + "\n")
+        fh.write(json.dumps({"D": 8, "L1": 1.2, "digits": 10, "method": "m"}) + "\n")
     c = JsonlCache(path)
-    assert c.get(-4)["L1"] == 0.785398  # highest digits wins
-    assert c.get(8)["L1"] == 1.2        # ties: last wins
+    assert c.get(-4, "m")["L1"] == 0.785398  # highest digits wins
+    assert c.get(8, "m")["L1"] == 1.2        # ties: last wins
+    assert capsys.readouterr().err.count("skipping corrupt cache line") == 1
     # an in-memory put with fewer digits must not clobber
-    c.put({"D": -4, "L1": 0.7, "digits": 5})
-    assert c.get(-4)["L1"] == 0.785398
+    c.put({"D": -4, "L1": 0.7, "digits": 5, "method": "m"})
+    assert c.get(-4, "m")["L1"] == 0.785398
 
 
 def test_cache_store_l1_same_bytes_as_put(tmp_path):
     """One bulk append writes what the sequential puts write, with the same
     digits precedence applied to each record."""
     with open(tmp_path / "seed.jsonl", "w") as fh:
-        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": "m"}) + "\n")
     Ds, L1s = [-4, 5, 8, 5], [0.7, 0.43, 0.62, 0.4304]  # -4: fewer digits, skipped; 5: tie, wins
     paths = []
     for name in ("put", "store_l1"):
@@ -133,7 +137,7 @@ def test_cache_store_l1_same_bytes_as_put(tmp_path):
                 c.put({"D": D, "L1": L1, "method": "m", "digits": 15})
         else:
             c.store_l1(Ds, L1s, "m", 15)
-        assert c.get(-4)["L1"] == 0.785398 and c.get(5)["L1"] == 0.4304
+        assert c.get(-4, "m")["L1"] == 0.785398 and c.get(5, "m")["L1"] == 0.4304
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert len(paths[1].read_text().splitlines()) == 4
@@ -150,7 +154,7 @@ def test_cache_rejects_non_finite_record(tmp_path):
         with pytest.raises(ValueError):
             c.put({"D": 8, "L1": bad, "method": "m", "digits": 15})
     assert not path.exists() or path.read_text() == ""
-    assert c.get(5) is None and c.get(8) is None
+    assert c.get(5, "m") is None and c.get(8, "m") is None
 
 
 RECORDS = st.fixed_dictionaries({
@@ -161,26 +165,54 @@ RECORDS = st.fixed_dictionaries({
 })
 OTHER_RECORDS = st.one_of(
     RECORDS.map(lambda r: {**r, "D": bool(r["D"] % 2)}),
+    RECORDS.map(lambda r: {**r, "D": r["D"] + 2**63}),
+    RECORDS.map(lambda r: {**r, "digits": -r["digits"] - 2**63 - 1}),
     RECORDS.map(lambda r: {**r, "L1": r["D"]}),
+    RECORDS.map(lambda r: {**r, "method": None}),
     RECORDS.map(lambda r: {**r, "extra": None}),
     RECORDS.map(lambda r: {k: v for k, v in r.items() if k != "method"}),
+    RECORDS.map(lambda r: [r["D"], r["L1"]]),
 )
+
+
+def _is_l1_record(rec) -> bool:
+    return (isinstance(rec, dict) and rec.keys() == {"D", "L1", "digits", "method"}
+            and type(rec["D"]) is int and type(rec["digits"]) is int
+            and -2**63 <= rec["D"] < 2**63 and -2**63 <= rec["digits"] < 2**63
+            and type(rec["L1"]) is float and type(rec["method"]) is str)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(RECORDS, OTHER_RECORDS), max_size=8,
-                unique_by=lambda r: int(r["D"])))
+                unique_by=lambda r: int(r["D"] if isinstance(r, dict) else r[0])))
 def test_cache_lines_are_the_encoder_bytes(recs):
     """put writes exactly what json.JSONEncoder(sort_keys=True,
-    allow_nan=False) writes, for the L(1) record shape and any other."""
+    allow_nan=False) writes for an L(1) record, and refuses any other shape
+    with ValueError, writing nothing and holding nothing of it."""
     enc = json.JSONEncoder(sort_keys=True, allow_nan=False)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cache.jsonl"
         c = JsonlCache(str(path))
         for rec in recs:
-            c.put(rec)
-        got = path.read_text(encoding="utf-8") if recs else ""
-    assert got == "".join(enc.encode(rec) + "\n" for rec in recs)
+            if _is_l1_record(rec):
+                c.put(rec)
+            else:
+                with pytest.raises(ValueError):
+                    c.put(rec)
+        got = path.read_text(encoding="utf-8") if path.exists() else ""
+        held = sum(map(len, c._cols.values()))
+    want = [rec for rec in recs if _is_l1_record(rec)]
+    assert got == "".join(enc.encode(rec) + "\n" for rec in want)
+    assert held == 4 * len(want)
+
+
+def test_cache_names_perfbench_wraps():
+    """perfbench/spans.py wraps get and put through JsonlCache.__dict__ and
+    times open_cache; the bulk methods stand beside them."""
+    from tracecoef import cli
+
+    assert {"get", "put", "lookup_l1", "store_l1"} <= set(JsonlCache.__dict__)
+    assert callable(cli.open_cache)
 
 
 METHODS = ("class-number-formula", "smoothed-character-sum")
@@ -200,9 +232,10 @@ HELD = st.fixed_dictionaries({
        method=st.sampled_from(METHODS), digits=st.integers(12, 18))
 def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, method, digits):
     """lookup_l1 and store_l1 against get and sequential puts, on files that
-    hold records of the other method, with more digits, with implausible L1s
-    and with duplicate D: the same values served, the same records held, the
-    same file bytes; a batch with a non-finite L1 is refused whole."""
+    hold records of the other method, with more digits, with implausible L1s,
+    with duplicate D and with lines that are not L(1) records (an int or str
+    L1): the same values served, the same records held, the same file bytes;
+    a batch with a non-finite L1 is refused whole."""
     Ds, L1s = [D for D, _ in batch], [L1 for _, L1 in batch]
     if bad is not None:
         Ds, L1s = Ds + [0], L1s + [bad]
@@ -210,15 +243,17 @@ def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, method, digits):
         paths = [Path(d) / "sequential.jsonl", Path(d) / "bulk.jsonl"]
         for path in paths:
             path.write_text("".join(json.dumps(rec) + "\n" for rec in held))
-        seq, bulk = (JsonlCache(str(path)) for path in paths)
+        with contextlib.redirect_stderr(io.StringIO()):
+            seq, bulk = (JsonlCache(str(path)) for path in paths)
 
         def served(rec):
-            if rec is None or rec["method"] != method:
+            if rec is None:
                 return None
-            ok = type(rec["L1"]) is float and 0 < rec["L1"] < math.inf
-            return rec["L1"] if ok else None
-        want = [served(seq.get(D)) for D in Ds]
-        assert [None if x != x else x for x in bulk.lookup_l1(Ds, method)] == want
+            assert rec["method"] == method and type(rec["L1"]) is float
+            return rec["L1"] if 0 < rec["L1"] < math.inf else None
+        want = [served(seq.get(D, method)) for D in Ds]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert [None if x != x else x for x in bulk.lookup_l1(Ds, method)] == want
         if bad is None:
             for D, L1 in zip(Ds, L1s):
                 seq.put({"D": D, "L1": L1, "method": method, "digits": digits})
@@ -228,14 +263,18 @@ def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, method, digits):
                 seq.put({"D": 0, "L1": bad, "method": method, "digits": digits})
             with pytest.raises(ValueError):
                 bulk.store_l1(Ds, L1s, method, digits)
-        assert all(seq.get(D) == bulk.get(D) for D in range(-12, 13))
+        # repr: a held nan L1 is unequal to itself
+        assert all(repr(seq.get(D, m)) == repr(bulk.get(D, m))
+                   for D in range(-12, 13) for m in METHODS)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_implausible_records_are_recomputed(tmp_path, capsys):
-    """A cached L1 that is infinite (1e999 reads as inf), negative or a
-    string is not served: the document prints what a cold run prints, warns
-    once, and appends a record that wins on the next read."""
+    """A cached L1 that is infinite (1e999 reads as inf) or negative is not
+    served: the document prints what a cold run prints, warns once, and
+    appends a record that wins on the next read.  A string L1 makes the line
+    corrupt, not implausible: the record is recomputed and appended too, but
+    the line warns on every read and no index is written over it."""
     path = tmp_path / "cache.jsonl"
     argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "10000", "--json"]
 
@@ -250,10 +289,18 @@ def test_implausible_records_are_recomputed(tmp_path, capsys):
     for bad in ("1e999", "-0.5", '"0.5"'):
         edited = lines[:i] + [lines[i].replace(str(json.loads(lines[i])["L1"]), bad)] + lines[i + 1:]
         path.write_text("\n".join(edited) + "\n")
+        Path(f"{path}.idx").unlink(missing_ok=True)
         code, out, err = run("--cache", str(path))
-        assert (code, out) == (0, clean) and err.count("recomputing 1 implausible") == 1
+        assert (code, out) == (0, clean)
         assert path.read_text().splitlines()[len(edited):] == [lines[i]]
-        assert run("--cache", str(path)) == (0, clean, "")
+        if bad == '"0.5"':
+            corrupt = f"skipping corrupt cache line: {edited[i][:60]}"
+            assert err.count(corrupt) == 1 and "implausible" not in err
+            assert run("--cache", str(path)) == (0, clean, f"warning: {corrupt}\n")
+            assert not os.path.exists(f"{path}.idx")
+        else:
+            assert err.count("recomputing 1 implausible") == 1
+            assert run("--cache", str(path)) == (0, clean, "")
         assert len(path.read_text().splitlines()) == len(lines) + 1
 
 
@@ -272,30 +319,65 @@ def test_plausible_record_outranks_implausible_one_with_more_digits(tmp_path, ca
     code, out, err = run()
     assert code == 0 and err.count("recomputing 1 implausible") == 1
     assert run() == (0, out, "")
-    assert abs(JsonlCache(str(path)).get(-4)["L1"] - math.pi / 4) < 1e-15
+    assert abs(JsonlCache(str(path)).get(-4, "class-number-formula")["L1"] - math.pi / 4) < 1e-15
 
 
 def test_cache_one_parse_keeps_the_digits_rule(tmp_path, capsys):
     """A file without corrupt lines is read in one parse, with the same
-    precedence as the per-line read: most digits wins, ties go to the last."""
+    precedence as the per-line read, within each method: most digits wins,
+    ties go to the last, and a record of another method ranks apart."""
     path = tmp_path / "cache.jsonl"
-    recs = [{"D": -4, "L1": 0.78, "digits": 10}, {"D": -4, "L1": 0.785398, "digits": 20},
-            {"D": -4, "L1": 0.79, "digits": 10}, {"D": 8, "L1": 1.1}, {"D": 8, "L1": 1.2},
-            {"D": "12", "L1": 0.5}]
+    recs = [{"D": -4, "L1": 0.78, "digits": 10, "method": "a"},
+            {"D": -4, "L1": 0.785398, "digits": 20, "method": "a"},
+            {"D": -4, "L1": 0.5, "digits": 30, "method": "b"},
+            {"D": -4, "L1": 0.79, "digits": 10, "method": "a"},
+            {"D": 8, "L1": 1.1, "digits": 15, "method": "a"},
+            {"D": 8, "L1": 1.3, "digits": 15, "method": "b"},
+            {"D": 8, "L1": 1.2, "digits": 15, "method": "a"}]
     path.write_text("".join(json.dumps(r) + "\n\n" for r in recs))
     c = JsonlCache(str(path))
-    assert (c.get(-4)["L1"], c.get(8)["L1"], c.get(12)["L1"]) == (0.785398, 1.2, 0.5)
+    assert [c.get(D, m)["L1"] for D in (-4, 8) for m in "ab"] == [0.785398, 0.5, 1.2, 1.3]
     assert capsys.readouterr().err == ""
 
 
 def test_cache_two_records_on_one_line_are_corrupt(tmp_path, capsys):
     """The whole-file parse must not accept what the per-line parse rejects."""
+    rec = {"digits": 15, "method": "m"}
     path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps({"D": 5, "L1": 0.4}) + "," + json.dumps({"D": 8, "L1": 0.6})
-                    + "\n" + json.dumps({"D": -4, "L1": 0.78}) + "\n")
+    path.write_text(json.dumps({"D": 5, "L1": 0.4, **rec}) + ","
+                    + json.dumps({"D": 8, "L1": 0.6, **rec})
+                    + "\n" + json.dumps({"D": -4, "L1": 0.78, **rec}) + "\n")
     c = JsonlCache(str(path))
-    assert c.get(5) is None and c.get(8) is None and c.get(-4)["L1"] == 0.78
+    assert c.get(5, "m") is None and c.get(8, "m") is None and c.get(-4, "m")["L1"] == 0.78
     assert "skipping corrupt cache line" in capsys.readouterr().err
+
+
+def test_alternating_l1_methods_keep_both(tmp_path, capsys):
+    """Runs that alternate --l1-method hold one record per (method, D): the
+    file stops growing after the first run of each method, and each run
+    after that reads every L(1) value from it."""
+    path = tmp_path / "cache.jsonl"
+    argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--json", "--cache", str(path)]
+    sizes, outs = [], {}
+    for method in METHODS * 2:
+        assert main(argv + ["--l1-method", method]) == 0
+        out = capsys.readouterr().out
+        assert outs.setdefault(method, out) == out
+        sizes.append(len(path.read_text().splitlines()))
+    assert sizes == [49, 98, 98, 98]
+
+
+def test_smoothed_records_carry_the_smoothed_digits(tmp_path, capsys):
+    """A smoothed run stores the digits of its tolerance 1e-12, 12; the
+    class-number records keep 15."""
+    path = tmp_path / "cache.jsonl"
+    for method, digits in zip(METHODS[::-1], (12, 15)):
+        assert main(["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--json",
+                     "--l1-method", method, "--cache", str(path)]) == 0
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert {(r["method"], r["digits"]) for r in recs if r["method"] == method} == {
+            (method, digits)}
+    capsys.readouterr()
 
 
 def test_parser_reused_without_leaking_options(tmp_path, capsys):
@@ -411,6 +493,39 @@ def test_lfun_at_negative_s(capsys, argv, expected):
     code, out = run_cli(capsys, "lfun", *argv, "--json")
     value = json.loads(out)["result"]["value"]
     assert code == 0 and abs(value - expected) <= 1e-15 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("s", ["-1e400", "-1e6", "-2000", "-201", "-200.5", "-200", "-199.5",
+                               "-150", "-30.5", "24", "60", "199.99", "200", "200.5", "2000",
+                               "1e6", "1e400", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("chi", ["-199", "-4"])
+def test_no_point_is_an_internal_fault(capsys, chi, s):
+    """Every --s either computes (exit 0), is rejected by argparse with a
+    message that names --s (|s| > 200 or not finite, exit 2), or is one the
+    kernel cannot reach (exit 3); none raises, and no usage error comes from
+    inside the kernel."""
+    code = main(["lfun", f"--chi={chi}", f"--s={s}", f"--S={-int(chi) if chi == '-199' else 2}",
+                 "--json"])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert abs(float(s)) <= 200 and math.isfinite(json.loads(out)["result"]["value"])
+    elif code == 2:
+        assert not abs(float(s)) <= 200
+        assert out == "" and "argument --s: must be a number, |s| <= 200" in err
+    else:
+        assert code == 3 and float(s) < -100, (code, out)
+        assert json.loads(out)["error"]["code"] == "numeric-instability"
+
+
+def test_value_beyond_float64_names_s(capsys, monkeypatch):
+    """A value the JSON output cannot hold is rejected naming --s, not by the
+    renderer."""
+    from tracecoef import lfun
+
+    monkeypatch.setattr(lfun, "LS", lambda *args: mpf("-1e400"))
+    code, out = run_cli(capsys, "lfun", "--chi=-4", "--s=-90", "--S=2", "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith("--s -90.0: the value is beyond")
 
 
 def test_digits_at_the_floor_is_accepted(capsys):

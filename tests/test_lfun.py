@@ -412,6 +412,38 @@ def test_ln_entries_are_the_table_entries(dps):
     lfun.clear_cache()
 
 
+LARGE_S_CASES = [(QuadChar(-199), 24), (QuadChar(-199), 60), (QuadChar(-23), 60),
+                 (_cubic(7), 60), (QuadChar(-4), 200), (QuadChar(5), 200), (QuadChar(-199), 200)]
+
+
+@pytest.mark.parametrize("chi,s", LARGE_S_CASES, ids=_case_id)
+def test_large_s_keeps_q_to_the_minus_s(chi, s):
+    """At s log2 q beyond the fixed point's bits q^-s, the scale of the tails,
+    would be 0; the kernel's extra bits keep it, and the value and derivative
+    agree with mp.dirichlet to 1e-30 (30 digits)."""
+    S = PlaceSet.of(*chi.support)
+    assert s * math.log2(chi.conductor if isinstance(chi, QuadChar) else chi.modulus) > 166
+    with mp.workdps(40):
+        for derivative, ours in ((0, lfun.LS(s, chi, S)), (1, lfun.deriv_LS(s, chi, S))):
+            ref = _mpmath_dirichlet(mpf(s), chi, derivative)
+            assert abs(ours - ref) < mpf("1e-30") * max(1, abs(ref)), (chi, s, derivative)
+    lfun.clear_cache()
+
+
+def test_em_plan_scale_in_the_log_domain():
+    """The scale q^(1-s)(1 + ln q) of a character's plan under- or overflows a
+    float at |s| = 2000; its logarithm does not, and the plan is that of the
+    scale itself where the scale is a float."""
+    with mp.workdps(40):
+        for s in (mpf(2000), mpf(-2000)):
+            log_scale = (1 - float(s)) * math.log(4) + math.log1p(math.log(4))
+            assert math.isfinite(log_scale)
+        assert lfun._em_plan(mpf(2000), Fraction(1, 4), log_scale)[1] >= 1
+        log_scale = -math.log(4) + math.log1p(math.log(4))  # s = 2
+        assert lfun._em_plan(mpf(2), Fraction(1, 4), log_scale) == lfun._em_plan(
+            mpf(2), Fraction(1, 4), math.log(4.0 ** -1 * (1 + math.log(4))))
+
+
 NEGATIVE_S = [mpf(-30), mpf(-20), mpf("-11.5"), mpf("-5.5")]
 
 

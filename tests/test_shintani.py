@@ -359,13 +359,16 @@ def test_cache_consumed_and_filled():
 
 
 def test_cache_record_of_other_method_not_served():
-    """A class-number record must not stand in for the smoothed method."""
+    """A class-number record must not stand in for the smoothed method, and
+    the smoothed record stored for the same D does not replace it."""
     c = JsonlCache(None)
     c.put({"D": -4, "L1": 123.0, "method": "class-number-formula", "digits": 15})
     terms = build_terms(-1, S2, 200, method="smoothed-character-sum", cache=c)
     (L1S,) = terms.L1S[terms.D == -4]
     assert abs(L1S - math.pi / 4) < 1e-9
-    assert c.get(-4)["method"] == "smoothed-character-sum"
+    assert c.get(-4, "class-number-formula")["L1"] == 123.0
+    smoothed = c.get(-4, "smoothed-character-sum")
+    assert abs(smoothed["L1"] - math.pi / 4) < 1e-9 and smoothed["digits"] == 12
 
 
 def test_chi_matrix_matches_per_prime_columns():

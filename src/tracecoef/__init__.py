@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .arith import OO, PlaceSet, SquareClassRep, CubeClassRep, hilbert, kronecker
 from .characters import QuadChar, CubicChar, quad_char_of, enum_quad_chars, enum_cubic_chars, chi_S
-from .lfun import LaurentData, PrecisionConfig, zetaS, LS, laurent_at_1, deriv_LS
+from .lfun import LaurentData, zetaS, LS, laurent_at_1, deriv_LS
 
 __all__ = [
     "OO",
@@ -27,7 +27,6 @@ __all__ = [
     "enum_cubic_chars",
     "chi_S",
     "LaurentData",
-    "PrecisionConfig",
     "zetaS",
     "LS",
     "laurent_at_1",

@@ -122,19 +122,6 @@ def squarefree_kernel(x: int | Fraction) -> int:
     return out
 
 
-def cubefree_kernel(x: int | Fraction) -> int:
-    """Canonical cube-free positive integer in the cube class of a nonzero rational.
-
-    -1 is a cube, so every class has a positive representative; x*den^3 =
-    num*den^2 shifts into the integers, and exponents are reduced mod 3.
-    """
-    n = _cube_int(x, "cube class")
-    out = 1
-    for p, e in factorize(n).items():
-        out *= p ** (e % 3)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Kronecker symbol
 # ---------------------------------------------------------------------------

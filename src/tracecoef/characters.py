@@ -73,9 +73,6 @@ class QuadChar:
     def is_unramified_outside(self, S: PlaceSet) -> bool:
         return all(p in S.primes for p in self.support)
 
-    def order(self) -> int:
-        return 1 if self.D == 1 else 2
-
 
 def quad_char_of(d: int | Fraction) -> QuadChar:
     """The quadratic character attached to Q(sqrt(d)); depends only on the
@@ -157,9 +154,6 @@ class CubicChar:
         if k is None:
             return 0j
         return cmath.exp(2j * cmath.pi * k / 3)
-
-    def order(self) -> int:
-        return 1 if self.is_trivial else 3
 
     def inverse(self) -> "CubicChar":
         vals = tuple(None if v is None else (-v) % 3 for v in self.values)
@@ -310,7 +304,7 @@ class DiscClassSet:
     """A set of square classes of nonsquare rationals, as squarefree integers."""
 
     kind: str  # "Q", "Q_S", or "Q_ur"
-    entries: tuple[int, ...]
+    entries: tuple[int, ...] | np.ndarray  # Q_S: a read-only int64 array
 
 
 def _matches_locally(d: int, alpha_value: int, S: PlaceSet) -> bool:
@@ -350,7 +344,9 @@ def disc_classes(S: PlaceSet, d_S, X: int | None = None, kind: str = "Q_S") -> D
         raise ValueError("kind='Q_S' needs a truncation bound X")
     if not isinstance(X, Integral) or X < 0:
         raise ValueError(f"the truncation bound X must be an integer >= 0, got X={X!r}")
-    return DiscClassSet("Q_S", tuple(_local_class_scan(alpha, S, X).tolist()))
+    m = _local_class_scan(alpha, S, X)
+    m.flags.writeable = False
+    return DiscClassSet("Q_S", m)
 
 
 def _local_class_scan(alpha: int, S: PlaceSet, X: int) -> np.ndarray:

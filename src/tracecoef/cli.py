@@ -324,7 +324,7 @@ def _vols(args) -> VolumeParams:
 
 
 def _digits_arg(text: str) -> int:
-    """--digits: an integer of at least PrecisionConfig's floor."""
+    """--digits: an integer of at least lfun.MIN_DIGITS, the kernel's floor."""
     try:
         n = int(text)
     except ValueError:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from mpmath import mp, mpf
 
-from .arith import PlaceSet, SquareClassRep, squarefree_kernel
+from .arith import PlaceSet, squarefree_kernel
 from .characters import (
     QuadChar,
     chi_S,
@@ -102,10 +102,6 @@ def _term(pref: Fraction, volume: str, vols: VolumeParams, factors) -> CoeffTerm
     return CoeffTerm(Fraction(pref), volume, vols.get(volume), list(factors))
 
 
-def _c0(S: PlaceSet, chi=None, digits=30):
-    return lfun.laurent_at_1(chi, S, digits)
-
-
 # ---------------------------------------------------------------------------
 # Sums over the quadratic characters unramified outside S
 # ---------------------------------------------------------------------------
@@ -140,10 +136,10 @@ def _laurent_terms(S: PlaceSet, vols: VolumeParams, digits: int):
     """T(chi) from the Laurent data at s = 1 on vol_M0:
     c0(chi) c0 / 2 + w c1(chi) residue / 4, with w = 3 for the trivial chi
     and 1 otherwise."""
-    ld0 = _c0(S, None, digits)
+    ld0 = lfun.laurent_at_1(None, S, digits)
 
     def per_char(ch, sgn):
-        ld = ld0 if ch.is_trivial else _c0(S, ch, digits)
+        ld = ld0 if ch.is_trivial else lfun.laurent_at_1(ch, S, digits)
         w = 3 if ch.is_trivial else 1
         return [
             _term(Fraction(sgn, 2), "vol_m0", vols,
@@ -158,7 +154,7 @@ def _c0_power_terms(S: PlaceSet, vols: VolumeParams, digits: int, k: int, pref: 
     """T(chi) = pref * c0(chi)^k on vol_M0; c0(chi) = L^S(1,chi), a value
     request, for nontrivial chi."""
     def per_char(ch, sgn):
-        c0 = _c0(S, None, digits).c0 if ch.is_trivial else lfun.LS(1, ch, S, digits)
+        c0 = lfun.laurent_at_1(None, S, digits).c0 if ch.is_trivial else lfun.LS(1, ch, S, digits)
         return [_term(pref * sgn, "vol_m0", vols, [(_l_name(ch, 1, "c0(S)"), c0)] * k)]
     return per_char
 
@@ -170,7 +166,7 @@ def _c0_power_terms(S: PlaceSet, vols: VolumeParams, digits: int, k: int, pref: 
 def coeff_gl2(S: PlaceSet, vols: VolumeParams | None = None, digits: int = 30) -> CoeffResult:
     """Coefficient of the regular unipotent class of GL(2)."""
     vols = vols or VolumeParams()
-    ld = _c0(S, None, digits)
+    ld = lfun.laurent_at_1(None, S, digits)
     t = _term(Fraction(1, 2), "vol_m0", vols, [("c0(S)", ld.c0)])
     return CoeffResult([t], "gl2-regular-unipotent")
 
@@ -197,7 +193,7 @@ def coeff_gl3(S: PlaceSet, orbit: str = "min", vols: VolumeParams | None = None,
         return CoeffResult([t], "gl3-subminimal-unipotent")
     if orbit != "reg":
         raise ValueError(f"unknown GL(3) orbit {orbit!r}")
-    ld = _c0(S, None, digits)
+    ld = lfun.laurent_at_1(None, S, digits)
     terms = [
         _term(Fraction(1, 3), "vol_m0", vols, [("c0(S)", ld.c0), ("c0(S)", ld.c0)]),
         _term(Fraction(1, 3), "vol_m0", vols, [("c1(S)", ld.c1), ("residue(S)", ld.residue)]),
@@ -401,7 +397,7 @@ def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
     vols = vols or VolumeParams()
     params = params or {}
     if family == "gl2":
-        ld = _c0(S, None, digits)
+        ld = lfun.laurent_at_1(None, S, digits)
         t = _term(Fraction(1, 2), "vol_centralizer", vols, [("c0(S)", ld.c0)])
         return CoeffResult([t], "centralizer-gl2")
     if family == "sl2":
@@ -412,7 +408,7 @@ def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
         alpha = params.get("alpha", 1)
         chiE = quad_char_of(d)
         delta = 1 if chiE.is_unramified_outside(S) else 0
-        ld = _c0(S, None, digits)
+        ld = lfun.laurent_at_1(None, S, digits)
         terms = [_term(Fraction(1, 2), "vol_centralizer", vols, [("c0(S)", ld.c0)])]
         if delta:
             sgn = chi_S(chiE, alpha, S)
@@ -426,11 +422,11 @@ def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
     if family == "gl2pair":
         orbit = params.get("orbit", "u_{1,0}")
         if orbit == "u_{1,0}":
-            ld = _c0(S, None, digits)
+            ld = lfun.laurent_at_1(None, S, digits)
             t = _term(Fraction(1, 2), "vol_m1", vols, [("c0(S)", ld.c0)])
             return CoeffResult([t], "centralizer-gl2pair-first")
         if orbit == "u_{0,1}":
-            ld = _c0(S, None, digits)
+            ld = lfun.laurent_at_1(None, S, digits)
             t = _term(Fraction(1, 2), "vol_m2", vols, [("c0(S)", ld.c0)])
             return CoeffResult([t], "centralizer-gl2pair-second")
         if orbit == "u_{alpha,1}":

@@ -85,17 +85,6 @@ class PoleError(ZeroDivisionError):
 
 
 @dataclass
-class PrecisionConfig:
-    """Working precision for the numeric kernel."""
-
-    working_digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        if self.working_digits < MIN_DIGITS:
-            raise ValueError(f"working_digits must be >= {MIN_DIGITS}")
-
-
-@dataclass
 class LaurentData:
     """Laurent data of a partial L-function at a point:
     L(s) = residue/(s-center) + c0 + c1*(s-center) + ...
@@ -254,7 +243,8 @@ def _initial_terms(s) -> int:
     return max(12, int(0.5 * mp.dps) + 2, int(2 * abs(s)))
 
 
-def _em_plan(s, a_min, log_scale: float = 0.0, N: int | None = None) -> tuple[int, int]:
+def _em_plan(s, a_min, log_scale: float = 0.0, N: int | None = None,
+             q: int | None = None) -> tuple[int, int]:
     """(N, M): summed terms N and Bernoulli terms M such that the remainder
     bound at A = N + a_min, times e^log_scale, is at most 2^-prec for the
     value and the s-derivative together.
@@ -263,7 +253,8 @@ def _em_plan(s, a_min, log_scale: float = 0.0, N: int | None = None) -> tuple[in
     ((2 pi)^2M (c-1)) with c = s + 2M, and its s-derivative by the same times
     sum_i 1/|s+i| + ln A + 1/(c-1) (Johansson 2015, real s).  The bound
     decreases with A, so the smallest A covers every residue.  N doubles when
-    the bound turns upward before reaching the tolerance.
+    the bound turns upward before reaching the tolerance.  q, the modulus,
+    only names the character when no plan is found.
     """
     sig = float(s)
     N = N or _initial_terms(sig)
@@ -289,7 +280,9 @@ def _em_plan(s, a_min, log_scale: float = 0.0, N: int | None = None) -> tuple[in
                 break
             prev = bound
         N *= 2
-    raise RuntimeError("Euler-Maclaurin did not converge; increase precision")
+    at = f"s = {sig:g}" + (f", q = {q}" if q else "")
+    raise RuntimeError(f"Euler-Maclaurin did not converge at {at}; more precision cannot help,"
+                       " a smaller |s| or a lower precision may")
 
 
 def _bernoulli_ratios(M: int) -> list:
@@ -512,7 +505,8 @@ def _dirichlet_jet(s, chi, deriv: bool = True):
     if hit is not None:
         return hit
     q, classes, m = _char_classes(chi)
-    N, M = _em_plan(s, Fraction(1, q), (1 - float(s)) * math.log(q) + math.log1p(math.log(q)))
+    N, M = _em_plan(s, Fraction(1, q), (1 - float(s)) * math.log(q) + math.log1p(math.log(q)),
+                    q=q)
     with mp.workprec(mp.prec + _extra_bits(s, (N + 1) * q, q)):
         W, X = _bits(), N * q
         pw = _pow_table(s, X + q)

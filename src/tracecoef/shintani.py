@@ -1,9 +1,9 @@
 """The Shintani zeta function for binary quadratic forms over Q.
 
-Truncated evaluation of xi^S(s; d_S), extraction of the residue at s=3/2
-(exact target 2^{-|S|} c_F^S) and of the Laurent constant term C_F(S,d_S),
-plus the closed-form unramified local Euler factors and their assembly
-identity.
+The truncated sums of xi^S(s; d_S) over the discriminant classes, and from
+them the residue at s=3/2 (exact target 2^{-|S|} c_F^S) and the Laurent
+constant term C_F(S,d_S); euler_assembly_check checks one summand against
+the product of its local Euler factors.
 
 The pole data has one entry point, shintani_run: it makes the terms, the
 eps-grid sums, the tail fit, the prefactors and the exact residue once, and
@@ -57,8 +57,8 @@ from math import isqrt
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import (PlaceSet, SquareClassRep, kronecker, legendre_table, legendre_tables,
-                    primes_up_to, squarefree_kernel)
+from .arith import (PlaceSet, SquareClassRep, factorize, kronecker, legendre_table,
+                    legendre_tables, primes_up_to, squarefree_kernel)
 from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
@@ -110,15 +110,18 @@ def w_disc(D: int) -> int:
 
 
 def _divisors_from_spf(n: int, spf) -> list[int]:
-    divs = [1]
-    while n > 1:
-        p = int(spf[n]) if spf is not None else None
-        if p is None:
-            p = 2 if n % 2 == 0 else next(q for q in range(3, n + 1, 2) if n % q == 0)
-        e = 0
-        while n % p == 0:
+    """The divisors of n >= 1, factored by the smallest-prime-factor table
+    spf, or by arith.factorize when spf is None."""
+    if spf is None:
+        fac = factorize(n)
+    else:
+        fac = {}
+        while n > 1:
+            p = int(spf[n])
+            fac[p] = fac.get(p, 0) + 1
             n //= p
-            e += 1
+    divs = [1]
+    for p, e in fac.items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return divs
 
@@ -421,7 +424,7 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
     method) and store_l1(D array, L1 array, method, digits) as cli.JsonlCache."""
     S.require_2("the Shintani zeta function")
     a_val = alpha.value if isinstance(alpha, SquareClassRep) else squarefree_kernel(alpha)
-    d = np.array(disc_classes(S, a_val, X=X, kind="Q_S").entries, dtype=np.int64)
+    d = np.asarray(disc_classes(S, a_val, X=X, kind="Q_S").entries, dtype=np.int64)
     D = np.where(d % 4 == 1, d, 4 * d)
     _require_int32(np.abs(D))
     # N(f_d^S): d is squarefree, the odd primes of D divide d once, and 2 is in S
@@ -485,17 +488,6 @@ def _summands(terms: Terms, L2S: np.ndarray, eps) -> np.ndarray:
     """L^S(1,chi_d) / (L^S(3+2eps, chi_d) N_d^(1+eps)), a contiguous row per eps
     (so a sum along it is pairwise), from the rows L^S(3+2eps) of L2S."""
     return terms.L1S / (L2S * np.exp(np.outer(1 + np.asarray(eps), np.log(terms.N))))
-
-
-def xi_partial(s: float, alpha, S: PlaceSet, X: int) -> float:
-    """Truncated xi^S(s; alpha): prefactor times the sum over the classes
-    with |fundamental discriminant| <= X.  Requires s > 3/2 and 2 in S."""
-    if s <= 1.5:
-        raise ValueError("xi^S converges only for s > 3/2; the pole data comes from shintani_run")
-    terms = build_terms(alpha, S, X)  # requires 2 in S
-    e = s - 1.5
-    (row,) = _summands(terms, _l2s_values(terms, [2 * s]), [e])
-    return _prefactors(S, [e])[e] * float(np.add.reduce(row))
 
 
 def residue_exact_value(S: PlaceSet) -> Fraction:
@@ -637,50 +629,9 @@ def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     )
 
 
-def tail_block_check(alpha, S: PlaceSet, eps: float, X: int,
-                     cache=None) -> dict:
-    """Self-check of the tail model: the measured partial sum over
-    X/2 < |D| <= X against the fitted-law prediction."""
-    ShintaniConfig(X=X)  # validates X
-    terms = build_terms(alpha, S, X, cache=cache)
-    L2S = _l2s_values(terms, [3 + 2 * eps, 3.0])
-    fit = _fit_tail(terms, L2S[1])
-    half = np.abs(terms.D) > X / 2
-    measured = float(np.add.reduce(_summands(terms, L2S[:1], [eps])[0][half]))
-    N_lo = float(terms.N[half].min())
-    predicted = (_tail_integral(eps, N_lo, fit["kappa_hat"], fit["c_hat"])
-                 - _tail_integral(eps, fit["N_max"], fit["kappa_hat"], fit["c_hat"]))
-    return {"measured": measured, "predicted": predicted,
-            "ratio": measured / predicted if predicted else float("inf")}
-
-
 # ---------------------------------------------------------------------------
-# Local Euler factors of the zeta integral and their assembly
+# The Euler assembly identity
 # ---------------------------------------------------------------------------
-
-def local_factor(p: int, s: float, twist: str = "trivial", ramified: bool = False,
-                 chi_p: int = 1) -> float:
-    """Normalized unramified local factor of the zeta integral at a prime
-    outside S.
-
-    twist="trivial":  (1-q^{1-2s})^{-1} (1-q^{-2s})^{-1} (1-q^{-2})
-                      * (1 - chi_p q^{-2s})  [the reciprocal local L(2s)]
-                      * q^{-s+1/2} when chi_{d,p} is ramified (chi_p = 0);
-    twist="chi_d":    (1-q^{1-2s})^{-1} (1-q^{-2}) when unramified,
-                      0 when ramified (the global object vanishes).
-    """
-    q = float(p)
-    if twist == "chi_d":
-        if ramified:
-            return 0.0
-        return (1.0 - q**-2.0) / (1.0 - q ** (1.0 - 2 * s))
-    if twist != "trivial":
-        raise ValueError(f"unknown twist {twist!r}")
-    base = (1.0 - q**-2.0) / ((1.0 - q ** (1.0 - 2 * s)) * (1.0 - q ** (-2.0 * s)))
-    if ramified:
-        return base * q ** (-s + 0.5)
-    return base * (1.0 - chi_p * q ** (-2.0 * s))
-
 
 def euler_assembly_check(d, s: float, S: PlaceSet, X: int = 3 * 10**7,
                          twist: str = "chi_d", digits: int = 30):
@@ -699,12 +650,11 @@ def euler_assembly_check(d, s: float, S: PlaceSet, X: int = 3 * 10**7,
     ram_outside = [p for p in chi.support if p not in S.primes]
     if twist == "chi_d" and ram_outside:
         return 0.0, 0.0
-    L1S = float(lfun.LS(1, chi, S, digits))
+    # chi_d(p) = 0 where chi_d ramifies, so L^S(s,chi_d) = L^S'(s,chi_d), S' = S and those p
+    S_chi = PlaceSet.of(*S.primes, *ram_outside)
+    L1S = float(lfun.LS(1, chi, S_chi, digits))
     primes = primes_up_to(X)
-    mask = np.ones(len(primes), dtype=bool)
-    for p in S.primes:
-        mask &= primes != p
-    primes = primes[mask].astype(np.float64)
+    primes = primes[~np.isin(primes, S.primes)].astype(np.float64)
     table = np.array([kronecker(D, r) for r in range(abs(D))], dtype=np.float64)
     chi_p = table[(primes.astype(np.int64)) % abs(D)]
     if twist == "chi_d":
@@ -725,9 +675,9 @@ def euler_assembly_check(d, s: float, S: PlaceSet, X: int = 3 * 10**7,
     # their extra q^{-s+1/2} factors combine into N(f_d^S)^{-(s-1/2)}
     N = conductor_outside(d, S).N_fdS
     A *= float(N) ** (-s + 0.5)
-    chiL = lfun.LS(2 * s, chi, S, digits)
+    chiL = lfun.LS(2 * s, chi, S_chi, digits)
     B = float(
-        lfun.LS(1, chi, S, digits)
+        lfun.LS(1, chi, S_chi, digits)
         * lfun.zetaS(2 * s - 1, S, digits)
         * lfun.zetaS(2 * s, S, digits)
         / (lfun.zetaS(2, S, digits) * chiL * mpf(N) ** (s - 0.5))

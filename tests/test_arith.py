@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecoef.arith import (
     OO,
@@ -23,7 +25,6 @@ from tracecoef.arith import (
     primes_up_to,
     sclass_reps,
     squarefree_kernel,
-    cubefree_kernel,
     valuation,
 )
 
@@ -147,6 +148,29 @@ def test_hilbert_product_formula():
         assert prod == 1, (a, b)
 
 
+# nonzero rationals; num * den stays below 10^6, so hilbert_product_places
+# factors at most 2 * 10^12 by trial division
+_rationals = st.builds(Fraction, st.integers(-999, 999).filter(bool), st.integers(1, 999))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_rationals, b=_rationals, c=_rationals)
+def test_hilbert_properties_on_rationals(a, b, c):
+    """On nonzero rationals: symmetry and multiplicativity in the first
+    argument at every place where a symbol can be nontrivial, the symbol 1
+    at the small primes outside hilbert_product_places, and the product
+    formula over hilbert_product_places."""
+    places = hilbert_product_places(a, b)
+    for v in set(places) | set(hilbert_product_places(c, b)):
+        assert hilbert(a, b, v) == hilbert(b, a, v)
+        assert hilbert(a * c, b, v) == hilbert(a, b, v) * hilbert(c, b, v)
+    assert all(hilbert(a, b, p) == 1 for p in (3, 5, 7, 11, 13) if p not in places)
+    prod = 1
+    for v in places:
+        prod *= hilbert(a, b, v)
+    assert prod == 1, (a, b)
+
+
 def test_hilbert_rational_arguments():
     assert hilbert(Fraction(1, 2), Fraction(-3, 5), 2) == hilbert(2, -15, 2)
 
@@ -234,9 +258,7 @@ def test_cube_oracle_vs_modular_cubing():
 def test_kernels_and_valuation():
     assert squarefree_kernel(Fraction(18, 5)) == 10
     assert squarefree_kernel(-4) == -1
-    assert cubefree_kernel(-8) == 1
-    # 16/3 over 18 is (2/3)^3, so 18 represents the cube class
-    assert cubefree_kernel(Fraction(16, 3)) == 18
+    # 16/3 over 18 is (2/3)^3
     assert is_cube_at(Fraction(16, 3) / 18, 2) and is_cube_at(Fraction(16, 3) / 18, 3)
     assert valuation(Fraction(12, 25), 5) == -2
     assert factorize(360) == {2: 3, 3: 2, 5: 1}

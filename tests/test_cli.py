@@ -477,7 +477,7 @@ def test_flag_not_read_is_a_usage_error(capsys, argv):
     (["lfun", "--chi=-4", "--s=nan"], "--s"),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
 def test_bad_precision_or_point_is_a_usage_error(capsys, argv, flag):
-    """--digits below PrecisionConfig's floor and a non-finite --s exit 2
+    """--digits below lfun.MIN_DIGITS and a non-finite --s exit 2
     with a message that names the flag, and compute nothing."""
     assert main(argv + ["--json"]) == 2
     captured = capsys.readouterr()
@@ -515,6 +515,16 @@ def test_no_point_is_an_internal_fault(capsys, chi, s):
     else:
         assert code == 3 and float(s) < -100, (code, out)
         assert json.loads(out)["error"]["code"] == "numeric-instability"
+
+
+def test_unreachable_point_names_s_and_q(capsys):
+    """A point the Euler-Maclaurin plan cannot reach exits 3 with a message
+    that names s and q and does not ask for more precision."""
+    code, out = run_cli(capsys, "lfun", "--chi=-4", "--s=-150", "--S=2", "--json")
+    assert code == 3
+    message = json.loads(out)["error"]["message"]
+    assert "did not converge at s = -150, q = 4" in message
+    assert "more precision cannot help" in message and "smaller |s|" in message
 
 
 def test_value_beyond_float64_names_s(capsys, monkeypatch):

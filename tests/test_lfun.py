@@ -160,13 +160,6 @@ def test_hurwitz_regularized_consistency():
             assert abs(plain - (reg + 1 / (s - 1))) < mpf("1e-25")
 
 
-def test_precision_config_validation():
-    with pytest.raises(ValueError):
-        lfun.PrecisionConfig(working_digits=10)
-    cfg = lfun.PrecisionConfig()
-    assert cfg.working_digits == 30
-
-
 # ---------------------------------------------------------------------------
 # the Dirichlet kernel against mpmath's own L-functions, and its memos
 # ---------------------------------------------------------------------------

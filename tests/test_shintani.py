@@ -42,12 +42,9 @@ from tracecoef.shintani import (
     euler_assembly_check,
     l1_class_number,
     l1_smoothed,
-    local_factor,
     residue_exact_value,
     shintani_run,
-    tail_block_check,
     w_disc,
-    xi_partial,
 )
 
 S2 = PlaceSet.of(2)
@@ -139,36 +136,41 @@ def test_l1_high_precision_variant():
         assert abs(l1_class_number(-4, digits=30) - mp.pi / 4) < mpf("1e-28")
 
 
+def _xi(s, alpha, S, X):
+    """Truncated xi^S(s; alpha), s > 3/2, from the pieces shintani_run uses:
+    the summands of build_terms at eps = s - 3/2 times their prefactor."""
+    terms, e = build_terms(alpha, S, X), s - 1.5
+    (row,) = shintani._summands(terms, shintani._l2s_values(terms, [2 * s]), [e])
+    return shintani._prefactors(S, [e])[e] * float(np.add.reduce(row))
+
+
 def test_xi_below_bound_is_zero():
     # X below the smallest admissible |D| leaves an empty sum
-    assert xi_partial(2.0, -1, S2, 3) == 0.0
+    assert _xi(2.0, -1, S2, 3) == 0.0
 
 
 def test_xi_single_term_vs_lfun_oracle():
     """X=5 keeps only d=-1; compare against the assembled L-value formula."""
-    xi = xi_partial(2.0, -1, S2, 5)
+    xi = _xi(2.0, -1, S2, 5)
     pref = float(lfun.zetaS(3, S2) * lfun.zetaS(4, S2) / lfun.zetaS(2, S2))
     term = float(lfun.LS(1, QuadChar(-4), S2) / lfun.LS(4, QuadChar(-4), S2))
     assert abs(xi - pref * term) < 1e-9
     # beta(4) factor from the direct alternating sum
-    import numpy as np
-
     k = np.arange(100000, dtype=np.float64)
     beta4 = float(np.add.reduce((-1.0) ** k / (2 * k + 1) ** 4))
     assert abs(float(lfun.LS(4, QuadChar(-4), S2)) - beta4) < 1e-12
 
 
 def test_xi_monotone_in_X():
-    lo = xi_partial(1.8, -1, S2, 2000)
-    hi = xi_partial(1.8, -1, S2, 8000)
+    lo = _xi(1.8, -1, S2, 2000)
+    hi = _xi(1.8, -1, S2, 8000)
     assert hi >= lo > 0
 
 
 def test_xi_rejects_bad_inputs():
+    """xi^S needs 2 in S: its terms are refused without it."""
     with pytest.raises(ValueError):
-        xi_partial(1.4, -1, S2, 100)
-    with pytest.raises(ValueError):
-        xi_partial(2.0, -1, PlaceSet.of(3), 100)
+        build_terms(-1, PlaceSet.of(3), 100)
 
 
 def test_positivity_of_summands():
@@ -196,7 +198,7 @@ def test_residue_estimate_and_alpha_independence():
 def test_residue_partial_scaled_increases_toward_target():
     """eps * xi^S(3/2+eps) grows toward the exact residue as X grows."""
     eps = 0.1
-    vals = [eps * xi_partial(1.5 + eps, -1, S2, X) for X in (2000, 8000, 32000)]
+    vals = [eps * _xi(1.5 + eps, -1, S2, X) for X in (2000, 8000, 32000)]
     assert vals[0] < vals[1] < vals[2] < 0.125 * 1.02
 
 
@@ -226,8 +228,17 @@ def test_constant_invariant_under_representative_change():
 
 
 def test_tail_block_selfcheck():
-    out = tail_block_check(-1, S2, eps=0.15, X=4 * 10**4)
-    assert 0.8 <= out["ratio"] <= 1.25
+    """The tail model fitted on all terms predicts the measured partial sum
+    over X/2 < |D| <= X."""
+    X, eps = 4 * 10**4, 0.15
+    terms = build_terms(-1, S2, X)
+    L2S = shintani._l2s_values(terms, [3 + 2 * eps, 3.0])
+    fit = shintani._fit_tail(terms, L2S[1])
+    half = np.abs(terms.D) > X / 2
+    measured = float(np.add.reduce(shintani._summands(terms, L2S[:1], [eps])[0][half]))
+    tail = [shintani._tail_integral(eps, N, fit["kappa_hat"], fit["c_hat"])
+            for N in (float(terms.N[half].min()), fit["N_max"])]
+    assert 0.8 <= measured / (tail[0] - tail[1]) <= 1.25
 
 
 def test_shintani_run_shape():
@@ -303,30 +314,24 @@ def test_config_validation():
         ShintaniConfig(L1_method="magic")
 
 
-def test_local_factor_closed_forms():
-    lf = local_factor(3, 2.0, "trivial", ramified=False, chi_p=1)
-    expected = (1 - 3.0**-3) ** -1 * (1 - 3.0**-4) ** -1 * (1 - 3.0**-2) * (1 - 3.0**-4)
-    assert abs(lf - expected) < 1e-14
-    assert local_factor(3, 2.0, "chi_d", ramified=True) == 0.0
-    assert abs(local_factor(5, 60.0, "trivial") - (1 - 1 / 25)) < 1e-12
-    # ramified trivial twist carries the extra q^{-s+1/2}
-    r = local_factor(3, 2.0, "trivial", ramified=True)
-    base = (1 - 3.0**-3) ** -1 * (1 - 3.0**-4) ** -1 * (1 - 3.0**-2)
-    assert abs(r - base * 3.0**-1.5) < 1e-14
-
-
 def test_euler_assembly_paths():
     A, B = euler_assembly_check(-1, 2.0, S2, X=10**6)
     assert abs(A - B) < 1e-6
     # trivial twist reproduces the single-class summand of xi
     A, B = euler_assembly_check(-1, 2.0, S2, X=10**6, twist="trivial")
     assert abs(A - B) < 1e-6
-    xi1 = xi_partial(2.0, -1, S2, 5)
-    pref = float(lfun.zetaS(3, S2) * lfun.zetaS(4, S2) / lfun.zetaS(2, S2))
-    assert abs(B * pref / float(
-        lfun.zetaS(3, S2) * lfun.zetaS(4, S2) / lfun.zetaS(2, S2)) - xi1) < 1e-8
+    assert abs(B - _xi(2.0, -1, S2, 5)) < 1e-8
     # character ramified outside S: the twisted global object vanishes
     assert euler_assembly_check(-3, 2.0, S2) == (0.0, 0.0)
+
+
+def test_euler_assembly_trivial_twist_ramified_outside_S():
+    """d = -3 at {oo,2}: 3 ramifies outside S, so the local factor at 3
+    carries 3^{-(s-1/2)} (3^-1.5 at s = 2), and the product of the local
+    factors is the single summand of xi at X = 3."""
+    A, B = euler_assembly_check(-3, 2.0, S2, X=10**6, twist="trivial")
+    assert abs(A - B) < 1e-6 * B
+    assert abs(B - _xi(2.0, -3, S2, 3)) < 1e-8 * B
 
 
 class DictCache:
@@ -501,7 +506,7 @@ def test_form_sums_every_class(S):
     """The L(1) pass of every square class of either sign, at X = 2*10^4."""
     X = 2 * 10**4
     for rep in sclass_reps(S):
-        d = disc_classes(S, rep.value, X=X, kind="Q_S").entries
+        d = disc_classes(S, rep.value, X=X, kind="Q_S").entries.tolist()
         _assert_form_sums_match([fundamental_discriminant_of(x) for x in d], X)
 
 
@@ -511,7 +516,8 @@ def test_form_sums_stride_visits_few_forms(monkeypatch):
     a <= c).  Each chunk of forms starts as one int32 arange, which the
     counting wrapper below sums."""
     X = 2 * 10**4
-    Ds = [fundamental_discriminant_of(x) for x in disc_classes(S2, 2, X=X, kind="Q_S").entries]
+    classes = disc_classes(S2, 2, X=X, kind="Q_S").entries.tolist()
+    Ds = [fundamental_discriminant_of(x) for x in classes]
     made = []
 
     class CountingNumpy:

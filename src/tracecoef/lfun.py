@@ -496,6 +496,27 @@ def _combine(parts: list, W: int):
     return _unfix(parts[0] - sum(parts[1:]), W)
 
 
+def _dirichlet_plan(s, q: int) -> tuple[int, int]:
+    """(N, M) of _em_plan for a primitive character mod q, whose tails are
+    scaled by q^-s."""
+    return _em_plan(s, Fraction(1, q), (1 - float(s)) * math.log(q) + math.log1p(math.log(q)),
+                    q=q)
+
+
+def table_bits(s, chi, digits=None) -> int | None:
+    """The size in bits of the n^-s table that LS(s, chi, S, digits) fills:
+    its (N + 1) q entries times the fixed-point scale _bits() + _extra_bits,
+    with N from the kernel's own plan.  None when no plan reaches s, where
+    the kernel raises before it builds a table."""
+    with mp.workdps((digits or DEFAULT_DIGITS) + _GUARD):
+        q = _char_classes(chi)[0]
+        try:
+            N, _ = _dirichlet_plan(s, q)
+        except RuntimeError:
+            return None
+        return (N + 1) * q * (_bits() + _extra_bits(s, (N + 1) * q, q))
+
+
 def _dirichlet_jet(s, chi, deriv: bool = True):
     """Jet of the primitive L(s,chi) for nontrivial chi, valid at s=1 too;
     chi None gives zeta(s) - 1/(s-1).  s is an mpf.  deriv False gives
@@ -505,8 +526,7 @@ def _dirichlet_jet(s, chi, deriv: bool = True):
     if hit is not None:
         return hit
     q, classes, m = _char_classes(chi)
-    N, M = _em_plan(s, Fraction(1, q), (1 - float(s)) * math.log(q) + math.log1p(math.log(q)),
-                    q=q)
+    N, M = _dirichlet_plan(s, q)
     with mp.workprec(mp.prec + _extra_bits(s, (N + 1) * q, q)):
         W, X = _bits(), N * q
         pw = _pow_table(s, X + q)

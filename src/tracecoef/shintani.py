@@ -26,15 +26,20 @@ forms (a,b,c) of discriminant D = b^2 + 4ac (with c -> -c for D < 0):
   log1p(2b (sqrt D + b)/4ac), m = 1 when c = a and 2 otherwise: 4ac = D - b^2
   is exact, and sqrt D - b never cancels.
 
-Both signs run through c >= a by a, then b, then c, and np.add.at adds the
-weights in that order, so each sum is one fixed sequence of float additions
-whatever the block sizes.  Only the forms with |D| = r mod M = 2^k for a
-residue r of the wanted D are visited: b = r mod 2, and for fixed (a, b) the
-c with 4ac = t mod M, t = r + b^2 (D < 0) or r - b^2 (D > 0), form one
-progression of step M/g, g = gcd(4a, M), or none when g does not divide t;
-c = a can only head it.  M <= 64 minimises |residues| * (pairs (a, b) of one
-parity + forms / M) over the wanted D, and an exact lookup rejects every
-other D, so the values do not depend on M.
+Both signs run through c >= a by a, then b, then c.  Only the forms with
+|D| = r mod M for a residue r of the wanted D are visited, where M = 2^k m,
+k <= 6 and m | 3*5*7, minimises |residues| * (pairs (a, b) of one parity +
+forms / M): the odd primes of S put every wanted |D| in few classes mod p.
+Then b = r mod 2 (M even), and for fixed (a, b) the c with 4ac = t mod M,
+t = r + b^2 (D < 0) or r - b^2 (D > 0), form one progression of step M/g,
+g = gcd(4a, M), or none when g does not divide t; c = a can only head it.
+Along it j = |D| // M steps by 4a/g, and each form adds its weight to bin j
+of its residue, which is read off at the wanted D once the residue is done;
+a bin of an unwanted |D| is never read.  For D < 0 the bins count forms in
+integers (weight 1 on the pairs b = 0 and b = a and at c = a), exact in any
+order.  For D > 0 np.add.at adds half the weights in enumeration order, and
+doubling the sums at the end is exact, so each sum is one fixed sequence of
+float additions whatever M and the block sizes.
 
 The per-discriminant routines (class_number_imag, class_data_real,
 l1_class_number) remain as the independent oracles of that pass.  A
@@ -252,14 +257,63 @@ def l1_smoothed(D: int, tol: float = _SMOOTHED_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 _FORM_CHUNK = 1 << 14  # forms per chunk of the enumeration
-_PAIR_BLOCK = 1 << 11  # (a, b) pairs per block
-_INV64 = np.array([pow(u, -1, 64) if u % 2 else 0 for u in range(64)])  # odd u -> 1/u mod 64
+_PAIR_BLOCK = 1 << 12  # (a, b) pairs per block
 
 
 def _require_int32(q: np.ndarray) -> None:
     """Refuse |D| = q >= 2^31, out of range of the int32 residues and forms."""
     if int(q.max(initial=0)) >= 1 << 31:
         raise ValueError("|D| >= 2^31 is out of range of the int32 form enumeration")
+
+
+def _stride(q: np.ndarray, pairs: float, forms: float) -> int:
+    """The modulus M = 2^k m, k <= 6 and m | 3*5*7, that minimises
+    |residues of q mod M| * (pairs + forms / M)."""
+    seen = np.bincount((q & 63) * 105 + q % 105, minlength=64 * 105).reshape(64, 105) > 0
+    odd, ms = seen.any(0), [1]
+    for p in (3, 5, 7):  # a p whose classes all hold some q multiplies |residues| by p
+        if not odd.reshape(-1, p).any(0).all():
+            ms += [m * p for m in ms]
+    cost = {}
+    for m in ms:
+        s = seen.reshape(64, -1, m).any(1)  # the residues mod 64 m
+        for k in range(6, -1, -1):
+            cost[m << k] = np.count_nonzero(s) * (pairs + forms / (m << k))
+            s = s[: len(s) // 2] | s[len(s) // 2 :]
+    return min(sorted(cost), key=cost.get)
+
+
+def _progressions(start: np.ndarray, step: np.ndarray, count: np.ndarray, size: int):
+    """The terms start + n step, 0 <= n < count, of consecutive progressions, in
+    chunks of `size` terms: yields (i, n, lead, x), where the chunk meets the
+    progressions i, i + 1, ... with n terms each, lead is the position in x of
+    each one's n = 0 term (< 0 when it lies in an earlier chunk) and x holds
+    the terms as int32."""
+    excl = np.cumsum(count) - count
+    for f0 in range(0, int(count.sum()), size):
+        i, k = np.searchsorted(excl, (f0 + 1, f0 + size)) - (1, 0)
+        e = np.maximum(excl[i:k], f0)
+        n = np.minimum(excl[i:k] + count[i:k], f0 + size) - e
+        x = np.arange(n.sum(), dtype=np.int32)
+        x -= np.repeat((e - f0).astype(np.int32), n)
+        x *= np.repeat(step[i:k].astype(np.int32), n)
+        x += np.repeat((start[i:k] + (e - excl[i:k]) * step[i:k]).astype(np.int32), n)
+        yield i, n, excl[i:k] - f0, x
+
+
+def _pair_block(r: int, X: int, M: int, neg: bool, b, a, g, mg, inv, dj):
+    """The pairs (a, b) of one block whose c progression holds forms, as
+    (a, b, head, j0, dj, count): head where its first c is a, and j0 = |D| // M
+    there.  g = gcd(4a, M), mg = M/g, inv = (4a/g)^-1 mod mg, dj = 4a/g."""
+    bb = b.astype(np.int64) ** 2
+    t = r + bb if neg else r - bb  # 4ac = t mod M
+    hi = (X + bb) // (4 * a) if neg else np.minimum(a + b - 1, (X - bb) // (4 * a))
+    tg = t // g
+    first = a + ((tg * inv - a) % mg)
+    cnt = np.where(tg * g == t, np.maximum((hi - first) // mg + 1, 0), 0)
+    keep = np.flatnonzero(cnt)
+    a, b, bb, first = a[keep], b[keep], bb[keep], first[keep]
+    return a, b, first == a, (4 * a * first + (-bb if neg else bb)) // M, dj[keep], cnt[keep]
 
 
 def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
@@ -270,57 +324,49 @@ def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
     X = int(q.max())
     # the (a, b) pairs of one parity of b, and the forms, with c >= a and |D| <= X
     pairs, forms = (0.069 * X, 0.088 * X**1.5) if neg else (math.pi / 16 * X, 0.115 * X**1.5)
-    res = [np.flatnonzero(np.bincount(q & ((1 << k) - 1), minlength=1 << k)) for k in range(7)]
-    k = min(range(7), key=lambda k: len(res[k]) * (pairs + forms / 2**k))
-    M = 1 << k
+    M = _stride(q, pairs, forms)
+    par = 2 - M % 2  # b = |D| mod 2
     # c >= a: 3a^2 <= 4a^2 - b^2 <= X (D < 0), 4a^2 + b^2 <= X (D > 0, where b = 0 has no c)
     a_all = np.arange(1, isqrt(X // 3) + 1 if neg else isqrt((X - 1) // 4) + 1)
     b_hi = a_all if neg else np.sqrt(X - 4 * a_all * a_all).astype(np.int64)
     b_lo = np.sqrt(np.maximum(4 * a_all * a_all - X, 0)).astype(np.int64)
-    # per a: gcd(4a, M) = 2^sh, and 1/(4a/2^sh) mod m = M/2^sh
-    sh = np.minimum(np.log2(a_all & -a_all).astype(np.int64) + 2, k)
-    inv_a, mask_a = _INV64[(4 * a_all >> sh) & 63], (M >> sh) - 1
-    par = min(M, 2)  # b = |D| mod 2
-    acc = np.zeros(len(D))
-    for r in res[k].tolist():
-        slot = np.full((X >> k) + 1, -1, dtype=np.int32)  # the index of D at |D| >> k
-        sel = np.flatnonzero(q & (M - 1) == r)
-        slot[q[sel] >> k] = sel
+    # per a, with g = gcd(4a, M): 4ac = t mod M holds when g | t, for the c = t/g
+    # (4a/g)^-1 mod M/g, and along them j = |D| // M steps by 4a/g
+    g_a = np.gcd(4 * a_all, M)
+    mg_a, dj_a = M // g_a, 4 * a_all // g_a
+    inv_a = np.array([pow(u, -1, n) for u, n in zip(dj_a[:M].tolist(), mg_a[:M].tolist())])
+    per_a = a_all, g_a, mg_a, inv_a[(a_all - 1) % M], dj_a  # the inverse is a function of a mod M
+    qr, qj = q % M, q // M
+    out = np.zeros(len(D))
+    for r in np.flatnonzero(np.bincount(qr, minlength=M)).tolist():
+        bins = np.zeros(X // M + 1, dtype=np.int32 if neg else np.float64)  # at j = |D| // M
         b_r = b_lo + (b_lo - r) % par  # the least b of each a
         n_b = np.maximum((b_hi - b_r) // par + 1, 0)
-        cum_b = np.cumsum(n_b)
-        for s0 in range(0, int(cum_b[-1]), _PAIR_BLOCK):
-            pos = np.arange(s0, min(s0 + _PAIR_BLOCK, int(cum_b[-1])))
-            i = np.searchsorted(cum_b, pos, "right")
-            a, b, s = i + 1, b_r[i] + par * (pos - cum_b[i] + n_b[i]), sh[i]
-            t = r + b * b if neg else r - b * b  # 4ac = t mod M
-            hi = (X + b * b) // (4 * a) if neg else np.minimum(a + b - 1, (X - b * b) // (4 * a))
-            first = a + (((t >> s) * inv_a[i] - a) & mask_a[i])
-            cnt = np.where(t & ((1 << s) - 1) == 0, np.maximum(((hi - first) >> k - s) + 1, 0), 0)
-            a, b, s, first, cnt = (x[cnt > 0] for x in (a, b, s, first, cnt))
-            sq = -b * b if neg else b * b
-            start, step = 4 * a * first + sq, (4 * a << k - s).astype(np.int32)
-            head = (4 * a * a + sq).astype(np.int32)  # |D| at c = a
-            one = ((b == 0) | (b == a)) & neg  # weight 1 at every c
-            excl = np.cumsum(cnt) - cnt
-            for f0 in range(0, int(cnt.sum()), _FORM_CHUNK):
-                i, j = np.searchsorted(excl, (f0 + 1, f0 + _FORM_CHUNK)) - (1, 0)
-                e = np.maximum(excl[i:j], f0)
-                n = np.minimum(excl[i:j] + cnt[i:j], f0 + _FORM_CHUNK) - e
-                v = np.arange(n.sum(), dtype=np.int32)
-                v -= np.repeat((e - f0).astype(np.int32), n)
-                v *= np.repeat(step[i:j], n)
-                v += np.repeat((start[i:j] + (e - excl[i:j]) * step[i:j]).astype(np.int32), n)
-                idx = slot[v >> k]
-                hit = np.flatnonzero(idx >= 0)
-                p = np.repeat(np.arange(i, j), n)[hit]  # the pair of each hit
-                v, idx = v[hit], idx[hit]
-                w = (2 - (one[p] | (v == head[p]))).astype(np.float64)
-                if not neg:
-                    bf = b[p].astype(np.float64)
-                    w *= np.log1p(2 * bf * (np.sqrt(v) + bf) / (v - bf * bf))
-                np.add.at(acc, idx, w)
-    return acc
+        for i, n, _, b in _progressions(b_r, np.full_like(b_r, par), n_b, _PAIR_BLOCK):
+            a, b, head, j0, dj, cnt = _pair_block(
+                r, X, M, neg, b, *(np.repeat(x[i : i + len(n)], n) for x in per_a))
+            if neg:  # integer counts, so in any order: weight 1 on b = 0, b = a and c = a
+                one = (b == 0) | (b == a)
+                for w, sel in ((1, one), (2, ~one)):
+                    for *_, j in _progressions(j0[sel], dj[sel], cnt[sel], _FORM_CHUNK):
+                        np.add.at(bins, j, np.int32(w))
+                np.add.at(bins, j0[head & ~one], np.int32(-1))
+                continue
+            bf = b.astype(np.float64)
+            for i, n, lead, j in _progressions(j0, dj, cnt, _FORM_CHUNK):
+                b1, v = np.repeat(bf[i : i + len(n)], n), j * float(M) + r
+                w = np.sqrt(v)  # log1p(2 b (sqrt v + b) / (v - b^2)), in place
+                w += b1
+                v -= b1 * b1
+                b1 += b1
+                w *= b1
+                w /= v
+                np.log1p(w, out=w)
+                w[lead[head[i : i + len(n)] & (lead >= 0)]] *= 0.5
+                np.add.at(bins, j, w)  # half the weights, in enumeration order
+        sel = np.flatnonzero(qr == r)
+        out[sel] = bins[qj[sel]]
+    return out if neg else 2 * out
 
 
 def _l1_class_number_bulk(D: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Character enumeration, chi_S, and discriminant class sets."""
 import cmath
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -125,6 +127,45 @@ def test_orthogonality_quad():
         for ch in enum_quad_chars(S):
             tot = sum(chi_S(ch, r.value, S) for r in reps)
             assert tot == (len(reps) if ch.is_trivial else 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _sclass_values(primes: tuple) -> list:
+    return [r.value for r in sclass_reps(PlaceSet.of(*primes))]
+
+
+def _square_up_to_S_unit(alpha, S: PlaceSet) -> bool:
+    """Is u alpha a square at every v in S for some S-unit u = +-prod p^(0 or 1)?"""
+    units = [sign * math.prod(p for p, e in zip(S.primes, es) if e)
+             for sign in (1, -1) for es in itertools.product((0, 1), repeat=len(S.primes))]
+    return any(all(is_square_at(u * alpha, v) for v in S.places) for u in units)
+
+
+@st.composite
+def nonzero_rationals(draw):
+    x = Fraction(draw(st.sampled_from((1, -1))) * draw(st.integers(1, 1000)))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        x *= Fraction(p) ** draw(st.integers(-3, 3))
+    return x
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=3, unique=True),
+       st.lists(nonzero_rationals(), max_size=8))
+def test_chi_S_orthogonality_random_S(primes, extra):
+    """Over the quadratic characters unramified outside S, sum chi_S(chi,
+    alpha, S) is their number when alpha is a local square at every v in S
+    and 0 when no S-unit multiple of alpha is; the S-units themselves (-1,
+    the p in S) pair trivially with every such character by the product
+    formula, so exactly |reps| / |characters| of the square-class
+    representatives give the full sum."""
+    S = PlaceSet.of(*primes)
+    chars = enum_quad_chars(S)
+    reps = _sclass_values(tuple(sorted(primes)))
+    sums = {alpha: sum(chi_S(ch, alpha, S) for ch in chars) for alpha in reps + extra}
+    for alpha, tot in sums.items():
+        assert tot == (len(chars) if _square_up_to_S_unit(alpha, S) else 0), (S, alpha)
+    assert sum(sums[alpha] == len(chars) for alpha in reps) * len(chars) == len(reps)
 
 
 def test_disc_classes_unramified():

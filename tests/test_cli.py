@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 import tracecoef
+from tracecoef import cli, lfun
+from tracecoef.characters import QuadChar
 from tracecoef.cli import JsonlCache, main, render_json
 
 
@@ -496,22 +498,27 @@ def test_lfun_at_negative_s(capsys, argv, expected):
 
 
 @pytest.mark.parametrize("s", ["-1e400", "-1e6", "-2000", "-201", "-200.5", "-200", "-199.5",
-                               "-150", "-30.5", "24", "60", "199.99", "200", "200.5", "2000",
-                               "1e6", "1e400", "inf", "-inf", "nan"])
+                               "-150", "-80", "-30.5", "24", "60", "199.99", "200", "200.5",
+                               "2000", "1e6", "1e400", "inf", "-inf", "nan"])
 @pytest.mark.parametrize("chi", ["-199", "-4"])
 def test_no_point_is_an_internal_fault(capsys, chi, s):
     """Every --s either computes (exit 0), is rejected by argparse with a
-    message that names --s (|s| > 200 or not finite, exit 2), or is one the
-    kernel cannot reach (exit 3); none raises, and no usage error comes from
-    inside the kernel."""
+    message that names --s (|s| > 200 or not finite, exit 2), is an s < 0
+    whose tables exceed the budget (exit 2, naming --s and the conductor),
+    or is one the kernel cannot reach (exit 3); none raises, and no usage
+    error comes from inside the kernel."""
     code = main(["lfun", f"--chi={chi}", f"--s={s}", f"--S={-int(chi) if chi == '-199' else 2}",
                  "--json"])
     out, err = capsys.readouterr()
     if code == 0:
         assert abs(float(s)) <= 200 and math.isfinite(json.loads(out)["result"]["value"])
+    elif code == 2 and out:
+        assert -200 <= float(s) < 0 and err == ""
+        message = json.loads(out)["error"]["message"]
+        assert message.startswith(f"--s {float(s)}: at conductor {abs(int(chi))} ")
     elif code == 2:
         assert not abs(float(s)) <= 200
-        assert out == "" and "argument --s: must be a number, |s| <= 200" in err
+        assert "argument --s: must be a number, |s| <= 200" in err
     else:
         assert code == 3 and float(s) < -100, (code, out)
         assert json.loads(out)["error"]["code"] == "numeric-instability"
@@ -527,11 +534,31 @@ def test_unreachable_point_names_s_and_q(capsys):
     assert "more precision cannot help" in message and "smaller |s|" in message
 
 
+@pytest.mark.parametrize("chi,s,S", [("-199", "-80", "199"), ("-40", "-100", "2,5")])
+def test_costly_negative_point_names_s_and_conductor(capsys, chi, s, S):
+    """L(-80) of conductor 199 would fill 8.6e8 bits of tables (20 s and 400
+    MB when it ran), L(-100) of conductor 40 5e8 bits: both are refused
+    before the kernel runs, naming --s, the conductor and the budget."""
+    code, out = run_cli(capsys, "lfun", f"--chi={chi}", f"--s={s}", f"--S={S}", "--json")
+    assert code == 2
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith(f"--s {float(s)}: at conductor {abs(int(chi))} ")
+    assert "134 Mbit budget" in message
+    assert lfun.table_bits(float(s), QuadChar(int(chi))) > cli._NEG_S_TABLE_BITS
+
+
+@pytest.mark.parametrize("chi,s", [(-4, -30), (5, -20), (1, -30), (-199, -30.5), (-4, -90),
+                                   (-199, -60)])
+def test_table_budget_admits_the_computed_points(chi, s):
+    """Every s < 0 that the tests compute stays within the budget, and so
+    does L(-60) of conductor 199 (1.1e8 bits, 2.4 s)."""
+    bits = lfun.table_bits(s, None if chi == 1 else QuadChar(chi))
+    assert bits is not None and bits <= cli._NEG_S_TABLE_BITS
+
+
 def test_value_beyond_float64_names_s(capsys, monkeypatch):
     """A value the JSON output cannot hold is rejected naming --s, not by the
     renderer."""
-    from tracecoef import lfun
-
     monkeypatch.setattr(lfun, "LS", lambda *args: mpf("-1e400"))
     code, out = run_cli(capsys, "lfun", "--chi=-4", "--s=-90", "--S=2", "--json")
     assert code == 2

@@ -63,7 +63,7 @@ from pathlib import Path
 
 import pytest
 
-from tracecoef.cli import CACHE_ENV, main
+from tracecoef.cli import CACHE_ENV, main, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
 S_SETS = ("2", "2,3", "2,5")
@@ -171,6 +171,30 @@ def test_golden_l1_cache(capsys, tmp_path, name, argv):
         outs.append(_run(capsys, argv + ["--cache", str(path)]))
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), kind
     assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+def _documents():
+    """(name, argv as printed, stored bytes) of every stored CLI document: each
+    golden file and the stdout of each record of the two matrices, all of
+    them printed with --json (test_golden_output and _run add it)."""
+    for name, argv in CASES:
+        yield name, argv + ["--json"], (GOLDEN / name).read_bytes()
+    for path in MATRICES:
+        for rec in _stored(path):
+            yield f"{path.name}: {' '.join(rec['argv'])}", rec["argv"] + ["--json"], \
+                rec["stdout"].encode()
+
+
+def test_stored_documents_re_render_to_their_bytes():
+    """render_json of the parsed document, pretty unless it was printed with
+    --json, gives back the stored bytes of every golden file and record.  It
+    reads the stored outputs only; the L1 cache files hold cache records, not
+    documents."""
+    docs = list(_documents())
+    assert len(docs) == len(CASES) + len(MATRIX) + len(LWS_MATRIX)
+    for name, argv, stored in docs:
+        again = render_json(json.loads(stored), pretty="--json" not in argv) + "\n"
+        assert again.encode() == stored, name
 
 
 def _capture(argv):

@@ -475,10 +475,11 @@ def _assert_form_sums_match(Ds, X):
 @st.composite
 def disc_subsets(draw):
     """Subsets of the fundamental discriminants of one sign with |D| <= 5000:
-    one residue class, a few, or all of them mod 2^j, thinned at random."""
+    one residue class, a few, or all of them mod 2^j, 3 2^j or 5 2^j, thinned
+    at random, so that the stride takes an odd prime or declines it."""
     sign, bound = draw(st.sampled_from((-1, 1))), draw(st.integers(50, 5000))
     pool = [D for D in _oracle_table(5000) if D * sign > 0 and abs(D) <= bound]
-    M = draw(st.sampled_from((2, 4, 8, 16, 32, 64)))
+    M = draw(st.sampled_from((1, 3, 5))) * draw(st.sampled_from((2, 4, 8, 16, 32, 64)))
     present = sorted({abs(D) % M for D in pool})
     pattern = draw(st.sampled_from(("one", "few", "dense")))
     if pattern == "one":
@@ -510,31 +511,45 @@ def test_form_sums_every_class(S):
         _assert_form_sums_match([fundamental_discriminant_of(x) for x in d], X)
 
 
+def _forms_visited(monkeypatch, alpha, S, X):
+    """The forms that the strided sums visit for the S-class of alpha up to X,
+    checked against the oracles: the terms of every form progression handed
+    to shintani._progressions (the pair blocks go through it too, in chunks of
+    another size)."""
+    made = []
+    progressions = shintani._progressions
+
+    def counting(start, step, count, size):
+        if size == shintani._FORM_CHUNK:
+            made.append(int(np.sum(count)))
+        return progressions(start, step, count, size)
+
+    monkeypatch.setattr(shintani, "_progressions", counting)
+    classes = disc_classes(S, alpha, X=X, kind="Q_S").entries.tolist()
+    _assert_form_sums_match([fundamental_discriminant_of(x) for x in classes], X)
+    return sum(made)
+
+
 def test_form_sums_stride_visits_few_forms(monkeypatch):
     """alpha = 2 at {oo,2}: every D is 8 mod 64, and the enumeration makes at
     most 1/60 of the reduced triples with D <= X (it makes only those with
-    a <= c).  Each chunk of forms starts as one int32 arange, which the
-    counting wrapper below sums."""
+    a <= c)."""
     X = 2 * 10**4
-    classes = disc_classes(S2, 2, X=X, kind="Q_S").entries.tolist()
-    Ds = [fundamental_discriminant_of(x) for x in classes]
-    made = []
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def arange(self, *args, **kwargs):
-            out = np.arange(*args, **kwargs)
-            if kwargs.get("dtype") is np.int32:
-                made.append(len(out))
-            return out
-
-    monkeypatch.setattr(shintani, "np", CountingNumpy())
-    _assert_form_sums_match(Ds, X)
     triples = sum(max(min(a + b - 1, (X - b * b) // (4 * a)) - max(a - b + 1, 1) + 1, 0)
                   for a in range(1, isqrt(X)) for b in range(1, isqrt(X) + 1))
-    assert triples > 10**5 and 0 < sum(made) <= triples / 60
+    assert triples > 10**5 and 0 < _forms_visited(monkeypatch, 2, S2, X) <= triples / 60
+
+
+@pytest.mark.parametrize("S,share", [(S2, 19.5), (PlaceSet.of(2, 3), 86)], ids=["S2", "S2_3"])
+def test_form_sums_stride_imag_visits_few_forms(monkeypatch, S, share):
+    """alpha = -1: every |D| is 4 mod 32, and at {oo,2,3} also 1 mod 3, which
+    the stride mod 96 uses; the enumeration makes at most 1/share of the
+    reduced forms 0 <= b <= a <= c with |D| <= X (1/20.4 and 1/89.9 of them
+    when this bound was set; a stride that ignores 3 makes 1/20.4 at {oo,2,3})."""
+    X = 2 * 10**4
+    forms = sum(max((X + b * b) // (4 * a) - a + 1, 0)
+                for a in range(1, isqrt(X)) for b in range(a + 1))
+    assert forms > 10**5 and 0 < _forms_visited(monkeypatch, -1, S, X) <= forms / share
 
 
 @pytest.mark.parametrize("sign", [-1, 1], ids=["imag", "real"])

@@ -103,9 +103,11 @@ _CORRUPT = (ValueError, KeyError, TypeError, OverflowError)
 def _l1_lines(Ds, L1s, digits: int, method: str) -> str:
     """The L(1) records of the columns Ds and L1s (ints and finite floats), one
     a line, as json.JSONEncoder(sort_keys=True, allow_nan=False) writes them."""
-    m = encode_basestring_ascii(method)
-    return "".join([f'{{"D": {D}, "L1": {L1!r}, "digits": {digits}, "method": {m}}}\n'
-                    for D, L1 in zip(Ds, L1s)])
+    m = encode_basestring_ascii(method).replace("%", "%%")
+    cols = [None] * (2 * len(Ds))
+    cols[::2], cols[1::2] = Ds, L1s
+    line = '{"D": %%d, "L1": %%r, "digits": %d, "method": %s}\n' % (digits, m)
+    return line * len(Ds) % tuple(cols)
 
 
 def _l1_columns(recs: list) -> tuple:
@@ -288,12 +290,9 @@ class JsonlCache:
         Ds = np.asarray(Ds, dtype=np.int64)
         code = self._codes.setdefault(method, len(self._codes))
         kept = self._merge(Ds, L1s, np.full(len(Ds), digits), np.full(len(Ds), code))
-        self._append(_l1_lines(Ds[kept].tolist(), L1s[kept].tolist(), digits, method))
-
-    def _append(self, text: str):
-        if self.path and text:
+        if self.path and kept.any():
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(_l1_lines(Ds[kept].tolist(), L1s[kept].tolist(), digits, method))
 
 
 def open_cache(path: str | None) -> JsonlCache:

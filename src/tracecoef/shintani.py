@@ -249,7 +249,7 @@ def l1_smoothed(D: int, tol: float = _SMOOTHED_TOL) -> float:
         terms = erfc(n * r) / n + exp1(math.pi * n * n / q) / math.sqrt(q)
     else:
         terms = np.exp(-math.pi * n * n / q) / n + (math.pi / math.sqrt(q)) * erfc(n * r)
-    return float(np.dot(chi, terms))
+    return float(np.add.reduce(chi * terms))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,10 @@ def _reduced_form_sums(D: np.ndarray) -> np.ndarray:
                 b1 += b1
                 w *= b1
                 w /= v
-                np.log1p(w, out=w)
+                u = w + 1.0  # log1p(w) = w log(u) / (u - 1) (Goldberg 1991), by np.log
+                w *= np.log(u)
+                u -= 1.0
+                w /= u
                 w[lead[head[i : i + len(n)] & (lead >= 0)]] *= 0.5
                 np.add.at(bins, j, w)  # half the weights, in enumeration order
         sel = np.flatnonzero(qr == r)
@@ -386,6 +389,7 @@ def _l1_class_number_bulk(D: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _L2S_ROWS = 512  # terms per block of the L^S(2s) product, bounding its temporaries
+_CHI_BLOCK = 1 << 15  # entries per block of _chi_matrix, bounding its temporaries
 
 
 def _kron_at_prime(D: np.ndarray, p: int) -> np.ndarray:
@@ -451,16 +455,24 @@ def _chi_table(S_primes: tuple):
 
 def _chi_matrix(D: np.ndarray, S: PlaceSet):
     """The primes of _chi_table as float64 and the int8 matrix of chi_D(p), a
-    row per D, read off the table at the int32 index D mod p + offset of p,
-    _L2S_ROWS rows at a time."""
+    row per D, read off the table at the int32 index D mod p + offset of p.
+    It is the transpose of a matrix with a row per p, built a block of
+    _CHI_BLOCK entries at a time: D mod p = D - (D // p) p, and numpy divides
+    by one p at a time by multiplying (libdivide), faster than a mod."""
     primes, table, off = _chi_table(S.primes)
     D32 = D.astype(np.int32)  # |D| < 2^31: build_terms checks
-    chi = np.empty((len(D), len(primes)), dtype=np.int8)
-    for i in range(0, len(D), _L2S_ROWS):
-        idx = D32[i : i + _L2S_ROWS, None] % primes
-        idx += off
-        np.take(table, idx, out=chi[i : i + _L2S_ROWS])
-    return primes.astype(np.float64), chi
+    chi = np.empty((len(primes), len(D)), dtype=np.int8)
+    rows = max(1, _CHI_BLOCK // max(len(D), 1))
+    for j in range(0, len(primes), rows):
+        p = primes[j : j + rows, None]
+        idx = np.empty((len(p), len(D)), dtype=np.int32)
+        for q, pj in zip(idx, p[:, 0].tolist()):
+            np.floor_divide(D32, pj, out=q)
+        idx *= -p
+        idx += D32
+        idx += off[j : j + rows, None]
+        np.take(table, idx, out=chi[j : j + rows])
+    return primes.astype(np.float64), chi.T
 
 
 def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula",
@@ -491,13 +503,12 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-def _zetaS_float(x, S: PlaceSet) -> np.ndarray:
-    """zeta^S(x) in float64 for an array of real x >= 2: zeta(x) by
-    Euler-Maclaurin with the terms n < 10 and B_2..B_16 at N = 10 (remainder
-    below 1e-17), times prod_{p in S}(1 - p^-x).  lfun.zetaS is its check."""
-    x = np.asarray(x, dtype=np.float64)
+def _zetaS_float(x: float, S: PlaceSet) -> float:
+    """zeta^S(x) in float64 for real x >= 2: zeta(x) by Euler-Maclaurin with
+    the terms n < 10 and B_2..B_16 at N = 10 (remainder below 1e-17), times
+    prod_{p in S}(1 - p^-x).  lfun.zetaS is its check."""
     c = x * 10.0 ** (-x - 1) / 2  # x (x+1) ... (x+2k-2) N^(-x-2k+1) / (2k)!
-    out = np.zeros_like(x)
+    out = 0.0
     for k, b in enumerate(_BERNOULLI_2K, 1):
         out += b * c
         c *= (x + 2 * k - 1) * (x + 2 * k) / ((2 * k + 1) * (2 * k + 2) * 100.0)
@@ -511,22 +522,27 @@ def _zetaS_float(x, S: PlaceSet) -> np.ndarray:
 
 def _prefactors(S: PlaceSet, eps) -> dict:
     """eps -> zeta^S(2s-1) zeta^S(2s) / zeta^S(2) at s = 3/2 + eps, for each eps."""
-    e = np.asarray(eps, dtype=np.float64)
-    z = _zetaS_float(np.concatenate([2 + 2 * e, 3 + 2 * e, [2.0]]), S)
-    return dict(zip(eps, (z[: len(e)] * z[len(e) : -1] / z[-1]).tolist()))
+    z2 = _zetaS_float(2.0, S)
+    return {e: _zetaS_float(2 + 2 * e, S) * _zetaS_float(3 + 2 * e, S) / z2 for e in eps}
 
 
 def _l2s_values(terms: Terms, two_s) -> np.ndarray:
     """L^S(2s, chi_d), a row per 2s in two_s and a column per term: the Euler
     product over the p <= P = _L2S_PRIME_BOUND outside S, summed in logs, so
     |log L^S - log(product)| <= sum_{n > P} n^-2s/(1 - n^-2s) <= P^(1-2s)/((2s-1)
-    (1 - P^-2s)): 1.4e-6 at 2s = 3, far below the truncation-model error."""
+    (1 - P^-2s)): 1.4e-6 at 2s = 3, far below the truncation-model error.
+
+    The log factors are rounded to multiples of 2^-56 (at most 107 2^-57 in
+    log L^S).  Their absolute sum is below 2^-3 for 2s >= 3, so every partial
+    sum of the products is exact: any BLAS kernel and any blocking give the
+    same bits."""
     pw = terms.primes ** -np.reshape(two_s, (-1, 1))
-    lo, hi = np.log1p(-pw).T, np.log1p(pw).T  # chi_d(p) = 1, -1
+    lo, hi = (np.rint(np.log1p(x) * 2.0**56) * 2.0**-56 for x in (-pw, pw))  # chi_d(p) = 1, -1
     out = np.empty((len(pw), len(terms)))
     for i in range(0, len(terms), _L2S_ROWS):
-        chi = terms.chi[i : i + _L2S_ROWS]
-        out[:, i : i + _L2S_ROWS] = ((chi == 1) @ lo + (chi == -1) @ hi).T
+        chi = terms.chi[i : i + _L2S_ROWS].T  # a row per prime
+        out[:, i : i + _L2S_ROWS] = (lo @ (chi == 1).astype(np.float64)
+                                     + hi @ (chi == -1).astype(np.float64))
     return np.exp(-out, out=out)
 
 
@@ -546,25 +562,33 @@ def residue_exact_value(S: PlaceSet) -> Fraction:
 
 def _fit_tail(terms: Terms, L3: np.ndarray) -> dict:
     """Fit A(t) = sum_{N_d <= t} a_d ~ kappa*t + c*sqrt(t) on the top
-    three quarters of the data; a_d = L^S(1,chi_d)/L^S(3,chi_d), L3 = L^S(3, chi_d)."""
+    three quarters of the data; a_d = L^S(1,chi_d)/L^S(3,chi_d), L3 = L^S(3, chi_d).
+    The normal equations on u = t/N_max and sqrt(u) are solved in closed form
+    with one step of iterative refinement, as the columns are nearly parallel."""
     N = terms.N.astype(np.float64)
     A = np.cumsum(terms.L1S / L3)
     n_max = N[-1]
     mask = N >= n_max / 4
     if mask.sum() < 30:
         raise ValueError("X too small for the truncation-tail model (need more classes)")
-    t, y = N[mask], A[mask]
-    M = np.column_stack([t, np.sqrt(t)])
-    coef, res, *_ = np.linalg.lstsq(M, y, rcond=None)
-    kappa_hat, c_hat = float(coef[0]), float(coef[1])
-    resid = y - M @ coef
-    dof = max(len(t) - 2, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(M.T @ M)
+    u, y = N[mask] / n_max, A[mask]
+    v = np.sqrt(u)
+    uu, uv, vv = (float(np.add.reduce(w)) for w in (u * u, u * v, u))
+    det = uu * vv - uv * uv
+
+    def solve(r):  # the coefficients of u and v for the right-hand side r
+        ur, vr = float(np.add.reduce(u * r)), float(np.add.reduce(v * r))
+        return (vv * ur - uv * vr) / det, (uu * vr - uv * ur) / det
+
+    a, b = solve(y)
+    da, db = solve(y - (a * u + b * v))
+    a, b = a + da, b + db
+    resid = y - (a * u + b * v)
+    sigma2 = float(np.add.reduce(resid * resid)) / max(len(u) - 2, 1)
     return {
-        "kappa_hat": kappa_hat,
-        "c_hat": c_hat,
-        "kappa_stderr": math.sqrt(max(cov[0, 0], 0.0)),
+        "kappa_hat": a / n_max,
+        "c_hat": b / math.sqrt(n_max),
+        "kappa_stderr": math.sqrt(max(sigma2 * vv / det, 0.0)) / n_max,
         "fit_rms": math.sqrt(sigma2),
         "n_terms": len(terms),
         "N_max": float(n_max),
@@ -579,19 +603,18 @@ def _tail_integral(eps: float, N_max: float, kappa: float, c: float) -> float:
 
 
 def _poly_extrapolate(xs, ys):
-    """Value at 0 of the interpolating polynomial (Vandermonde solve), plus
-    a stability spread from dropping one node at a time."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    """Value at 0 of the interpolating polynomial (Lagrange formula in Python
+    floats), plus a stability spread from dropping one node at a time."""
 
-    def fit(keep):
-        return float(np.linalg.solve(np.vander(xs[keep], increasing=True), ys[keep])[0])
+    def at_0(keep):
+        return sum(ys[i] * math.prod(xs[j] / (xs[j] - xs[i]) for j in keep if j != i)
+                   for i in keep)
 
     n = len(xs)
-    full = fit(np.arange(n))
+    full = at_0(range(n))
     if n <= 2:
         return full, abs(full)
-    return full, max(abs(fit(np.arange(n) != i) - full) for i in range(n))
+    return full, max(abs(at_0([j for j in range(n) if j != i]) - full) for i in range(n))
 
 
 def residue_at_pole(fit: dict, sums: dict, prefactors: dict, eps_grid):
@@ -628,7 +651,7 @@ def shintani_constant(fit: dict, sums: dict, prefactors: dict, R: float, eps_gri
     N, A = fit["N"], fit["A"]
     mask = N >= fit["N_max"] / 4
     t, y = N[mask], (A - kappa_star * N)[mask]
-    c_star = float(np.dot(np.sqrt(t), y) / np.sum(t))
+    c_star = float(np.add.reduce(np.sqrt(t) * y) / np.add.reduce(t))
     cs = [prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], kappa_star, c_star)) - R / e
           for e in eps_grid]
     val, spread = _poly_extrapolate(eps_grid, cs)

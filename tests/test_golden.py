@@ -40,6 +40,14 @@ run it only when a change to those outputs is intended, and check with
   `l1cache-shintani-alpha2-S2.jsonl`.  The largest moves were 5.7e-14 in a
   value (`constant` of `shintani --alpha 6`), 2.4e-13 in an error field
   (`residue_error` of `shintani --alpha 2`) and 6.4e-16 in a cached L1.
+- When the pole data stopped calling LAPACK (closed-form tail fit,
+  Lagrange extrapolation, scalar prefactors), its L^S(2s) log factors were
+  rounded to multiples of 2^-56 and the real form sums took log1p as
+  z log(u)/(u - 1), `--drift --write` reprinted the 17 pole-data records
+  and `l1cache-shintani-alpha2-S2.jsonl` (13 of its lines).  The largest
+  moves were 1.4e-14 in a value (`constant` of `shintani --alpha 6`),
+  8.3e-13 in an error field (`residue_error` of `shintani --alpha -1`) and
+  3.2e-16 in a cached L1.
 
 `PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
 matrices and prints, for each record whose stdout changed, the largest
@@ -57,12 +65,14 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import tracecoef
 from tracecoef.cli import CACHE_ENV, main, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,6 +181,35 @@ def test_golden_l1_cache(capsys, tmp_path, name, argv):
         outs.append(_run(capsys, argv + ["--cache", str(path)]))
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), kind
     assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+BLAS_KERNEL_CASES = [
+    (LWS, ["shintani", "--alpha", "2", "--S", "2", "--X", "10000"]),
+    (COEFF_DIFF, ["coeff", "--group", "sp2", "--orbit", "sub", "--S", "2", "--X", "10000",
+                  "--alpha", "2"]),
+]
+
+
+def test_pole_data_bytes_under_another_blas_kernel():
+    """A shintani golden and a real-alpha subregular coeff golden, rerun in a
+    child process on OpenBLAS's Prescott kernel, print their stored bytes:
+    the pole data calls no LAPACK routine, and its one BLAS product sums
+    rounded log factors, whose every partial sum is exact."""
+    recs = [next(r for r in _stored(path) if r["argv"] == argv) for path, argv in BLAS_KERNEL_CASES]
+    code = ("import contextlib, io, json, sys; from tracecoef.cli import main\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        out.append([main(argv + ['--json']), buf.getvalue()])\n"
+            "print(json.dumps(out))")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tracecoef.__file__))}
+    env.pop(CACHE_ENV, None)
+    child = subprocess.run([sys.executable, "-c", code, json.dumps([r["argv"] for r in recs])],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [[r["exit"], r["stdout"]] for r in recs]
 
 
 def _documents():

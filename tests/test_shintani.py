@@ -5,6 +5,7 @@ route; fundamental units are verified in place by their norm equations and
 (for small discriminants) by brute-force Pell search before being compared
 with the cycle-product regulator.
 """
+import ast
 import functools
 import math
 import os
@@ -254,9 +255,8 @@ def test_shintani_run_shape():
 def test_zetaS_float_against_lfun(S):
     """The float64 Euler-Maclaurin zeta^S of the prefactors against the
     30-digit lfun.zetaS over the arguments the pole data uses."""
-    xs = [2 + k / 10 for k in range(15)]
-    got = shintani._zetaS_float(xs, S)
-    for x, g in zip(xs, got):
+    for x in [2 + k / 10 for k in range(15)]:
+        g = shintani._zetaS_float(x, S)
         want = lfun.zetaS(x, S, 30)
         assert abs(g - want) <= 1e-15 * want, x
 
@@ -291,6 +291,96 @@ def test_l2s_truncation_bound(two_s):
     gap = np.abs(np.log1p(-chi * primes.astype(float) ** -two_s).sum(axis=1))
     assert gap.max() <= bound
     assert gap.max() >= bound / 100  # the bound is not vacuous
+
+
+def test_l2s_values_do_not_depend_on_block_size(monkeypatch):
+    """The rounded log factors make every partial sum of the L^S(2s) products
+    exact, so the row blocking (which changes the BLAS summation order) does
+    not move a bit."""
+    terms = build_terms(-1, S2, 10**5)
+    two_s = [3 + 2 * e for e in (*ShintaniConfig().eps_grid, 0.0)]
+    got = {}
+    for rows in (64, 256, 512, 1024):
+        monkeypatch.setattr(shintani, "_L2S_ROWS", rows)
+        got[rows] = shintani._l2s_values(terms, two_s)
+    assert len(terms) > 2 * 1024
+    for rows in (64, 256, 1024):
+        assert np.array_equal(got[rows], got[512]), rows
+
+
+def _lstsq_tail_fit(terms, L3):
+    """The fields of _fit_tail by LAPACK: lstsq for the coefficients, the
+    inverse of the Gram matrix for kappa's standard error."""
+    N = terms.N.astype(np.float64)
+    A = np.cumsum(terms.L1S / L3)
+    mask = N >= N[-1] / 4
+    t, y = N[mask], A[mask]
+    M = np.column_stack([t, np.sqrt(t)])
+    coef = np.linalg.lstsq(M, y, rcond=None)[0]
+    resid = y - M @ coef
+    sigma2 = float(resid @ resid) / (len(t) - 2)
+    return {"kappa_hat": coef[0], "c_hat": coef[1], "fit_rms": math.sqrt(sigma2),
+            "kappa_stderr": math.sqrt(sigma2 * np.linalg.inv(M.T @ M)[0, 0])}
+
+
+def _synthetic_terms(seed):
+    """Terms whose running sum is 0.3 t + 2 sqrt(t) + noise at 400 sorted N."""
+    rng = np.random.default_rng(seed)
+    N = np.sort(rng.integers(1, 10**6, 400))
+    A = 0.3 * N + 2.0 * np.sqrt(N) + rng.normal(0, 5, len(N))
+    return shintani.Terms(N, N, N, np.diff(A, prepend=0.0), np.zeros((len(N), 0)), np.zeros(0))
+
+
+@pytest.mark.parametrize("case", ["-1:2", "2:2", "-1:2,3", "synthetic0", "synthetic1",
+                                  "synthetic2"])
+def test_fit_tail_against_lstsq(case):
+    """The closed-form tail fit against LAPACK's least squares, on the terms
+    of the three perfbench pools at X = 1e4 and on synthetic data.  c, the
+    coefficient the nearly parallel columns leave ill-conditioned, gets a
+    looser bound; the rms and the standard error carry the cancellation of
+    residuals about 1e-5 of A."""
+    if case.startswith("synthetic"):
+        terms = _synthetic_terms(int(case[-1]))
+        L3 = np.ones(len(terms))
+    else:
+        alpha, S = case.split(":")
+        terms = build_terms(int(alpha), PlaceSet.of(*map(int, S.split(","))), 10**4)
+        L3 = shintani._l2s_values(terms, [3.0])[0]
+    got, want = shintani._fit_tail(terms, L3), _lstsq_tail_fit(terms, L3)
+    for key, tol in (("kappa_hat", 1e-14), ("c_hat", 1e-12), ("fit_rms", 1e-11),
+                     ("kappa_stderr", 1e-11)):
+        assert abs(got[key] - want[key]) <= tol * abs(want[key]), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
+def test_poly_extrapolate_reproduces_cubics(coef):
+    """On the eps grid the Lagrange value at 0 of a cubic is its constant
+    term, and the drop-one spread of a quadratic vanishes to rounding."""
+    grid = ShintaniConfig().eps_grid
+    scale = 1 + sum(map(abs, coef))
+
+    def on_grid(c):
+        return [sum(a * e**k for k, a in enumerate(c)) for e in grid]
+
+    val, _ = shintani._poly_extrapolate(grid, on_grid(coef))
+    assert abs(val - coef[0]) <= 1e-13 * scale
+    val, spread = shintani._poly_extrapolate(grid, on_grid(coef[:3]))
+    assert abs(val - coef[0]) <= 1e-13 * scale and spread <= 1e-13 * scale
+
+
+def test_src_calls_no_lapack():
+    """No np.linalg and no np.dot in src/tracecoef: the pole data sums in a
+    fixed order, and its bytes do not depend on the BLAS or LAPACK kernel."""
+    root = os.path.dirname(tracecoef.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("linalg", "dot")]
+    assert found == []
 
 
 def test_shintani_document_leaves_scipy_unloaded():
@@ -376,10 +466,10 @@ def test_cache_record_of_other_method_not_served():
     assert abs(smoothed["L1"] - math.pi / 4) < 1e-9 and smoothed["digits"] == 12
 
 
-def test_chi_matrix_matches_per_prime_columns():
+def test_chi_matrix_matches_per_prime_columns(monkeypatch):
     """The chi matrix read off the one Legendre table equals the columns
-    chi_D(p) of _kron_at_prime, for D < 0 and D > 0, over several row blocks."""
-    sizes = []
+    chi_D(p) of _kron_at_prime, for D < 0 and D > 0, whatever number of
+    primes a block of _chi_matrix holds: the default, one, three or all."""
     for S in (S2, PlaceSet.of(2, 3), PlaceSet.of(2, 5)):
         primes = [p for p in primes_up_to(600).tolist() if p not in S.primes]
         for alpha in (-1, 2):
@@ -387,8 +477,11 @@ def test_chi_matrix_matches_per_prime_columns():
             assert terms.primes.tolist() == primes
             want = np.stack([shintani._kron_at_prime(terms.D, p) for p in primes], axis=1)
             assert terms.chi.dtype == np.int8 and np.array_equal(terms.chi, want), (S, alpha)
-            sizes.append(len(terms))
-    assert max(sizes) > 2 * shintani._L2S_ROWS  # several row blocks
+            with monkeypatch.context() as m:
+                for block in (1, 3 * len(terms), 1 << 30):
+                    m.setattr(shintani, "_CHI_BLOCK", block)
+                    chi = shintani._chi_matrix(terms.D, S)[1]
+                    assert np.array_equal(chi, want), (S, alpha, block)
 
 
 @pytest.mark.parametrize("method", ["class-number-formula", "smoothed-character-sum"])

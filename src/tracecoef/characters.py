@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt, prod
 from numbers import Integral
 
 import numpy as np
@@ -67,6 +67,10 @@ class QuadChar:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(factorize(self.D))) if self.D != 1 else ()
 
+    def exponent(self, n: int):
+        v = kronecker(self.D, n)
+        return None if v == 0 else (1 - v) // 2
+
     def __call__(self, n: int) -> int:
         return kronecker(self.D, n)
 
@@ -116,8 +120,6 @@ def enum_quad_chars(S: PlaceSet) -> list[QuadChar]:
 
 def _unit_group_generator(q: int) -> int:
     """A generator of (Z/q)^x for q = 9 or q an odd prime (cyclic cases)."""
-    from math import gcd
-
     units = [a for a in range(1, q) if gcd(a, q) == 1]
     n = len(units)
     targets = {p for p in factorize(n)}
@@ -166,8 +168,6 @@ class CubicChar:
 def _cubic_component(q: int, power: int) -> dict[int, int]:
     """Exponent table of a primitive order-3 character mod q (q=9 or p=1 mod 3)."""
     g = _unit_group_generator(q)
-    from math import gcd
-
     n = len([a for a in range(1, q) if gcd(a, q) == 1])
     table = {}
     acc = 1
@@ -178,51 +178,25 @@ def _cubic_component(q: int, power: int) -> dict[int, int]:
 
 
 def enum_cubic_chars(S: PlaceSet) -> list[CubicChar]:
-    """All nontrivial cubic characters unramified outside S, inverses adjacent.
+    """All nontrivial cubic characters unramified outside S, each followed by
+    its inverse.
 
-    Components exist only for modulus 9 (if 3 in S) and primes p = 1 mod 3.
+    Components exist only for modulus 9 (if 3 in S) and primes p = 1 mod 3.  A
+    character takes an exponent 0, 1 or 2 on each and its inverse the negated
+    ones, so the choices whose first nonzero exponent is 1 meet each pair once.
     """
-    moduli = []
-    if 3 in S.primes:
-        moduli.append(9)
-    moduli += [p for p in S.primes if p % 3 == 1]
-    moduli.sort()
+    moduli = sorted(([9] if 3 in S.primes else []) + [p for p in S.primes if p % 3 == 1])
     out: list[CubicChar] = []
-    seen: set = set()
-    for combo in product(*[(0, 1, 2)] * len(moduli)):
-        if all(c == 0 for c in combo):
+    for combo in product((0, 1, 2), repeat=len(moduli)):
+        if next((c for c in combo if c), 0) != 1:
             continue
-        qs = [q for q, c in zip(moduli, combo) if c]
-        tables = [_cubic_component(q, c) for q, c in zip(moduli, combo) if c]
-        Q = 1
-        for q in qs:
-            Q *= q
-        vals: list = [None] * Q
-        from math import gcd
-
-        for n in range(Q):
-            if gcd(n, Q) == 1:
-                vals[n] = sum(t[n % q] for q, t in zip(qs, tables)) % 3
-        ch = CubicChar(Q, tuple(vals))
-        key = (Q, ch.values)
-        if key not in seen:
-            seen.add(key)
-            out.append(ch)
-    # pair each character with its inverse: sort by (modulus, min exponent pattern)
-    paired: list[CubicChar] = []
-    used = set()
-    for ch in out:
-        if id(ch) in used:
-            continue
-        inv = ch.inverse()
-        paired.append(ch)
-        used.add(id(ch))
-        for other in out:
-            if other.values == inv.values and other.modulus == inv.modulus and id(other) not in used:
-                paired.append(other)
-                used.add(id(other))
-                break
-    return paired
+        comps = [(q, _cubic_component(q, c)) for q, c in zip(moduli, combo) if c]
+        Q = prod(q for q, _ in comps)
+        vals = tuple(sum(t[n % q] for q, t in comps) % 3 if gcd(n, Q) == 1 else None
+                     for n in range(Q))
+        ch = CubicChar(Q, vals)
+        out += [ch, ch.inverse()]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,47 +210,34 @@ def _require_unramified_outside(chi, S: PlaceSet):
 
 
 def chi_S(chi, alpha: int | Fraction, S: PlaceSet):
-    """prod_{v in S} chi_v(alpha), via the global product formula.
+    """prod_{v in S} chi_v(alpha): +-1 for quadratic chi and a complex root
+    of unity for cubic chi, from chi_S_exponent."""
+    k = chi_S_exponent(chi, alpha, S)
+    if isinstance(chi, QuadChar):
+        return (-1) ** k
+    return cmath.exp(2j * cmath.pi * k / 3)
+
+
+def chi_S_exponent(chi, alpha: int | Fraction, S: PlaceSet) -> int:
+    """Exact exponent k with chi_S(alpha) = (-1)^k (quadratic chi) or omega^k
+    (cubic chi), via the global product formula.
 
     The product over all places of chi_v(alpha) is 1, so the S-part equals
     prod_{p not in S} chi_p(alpha)^{-1} = prod chi(p)^{-v_p(alpha)} with
     chi(p) the Dirichlet value at the (unramified) prime p.
-
-    Returns +-1 for quadratic chi and a complex root of unity for cubic chi.
     """
     alpha = Fraction(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     _require_unramified_outside(chi, S)
-    n = abs(alpha.numerator * alpha.denominator)
-    if isinstance(chi, QuadChar):
-        out = 1
-        for p, _ in factorize(n).items():
-            if p not in S.primes:
-                e = valuation(alpha, p)
-                if e % 2:
-                    out *= kronecker(chi.D, p)
-        return out
-    k = chi_S_exponent(chi, alpha, S)
-    return cmath.exp(2j * cmath.pi * k / 3)
-
-
-def chi_S_exponent(chi: CubicChar, alpha: int | Fraction, S: PlaceSet) -> int:
-    """Exact exponent k with chi_S(alpha) = omega^k for a cubic character."""
-    alpha = Fraction(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    _require_unramified_outside(chi, S)
-    n = abs(alpha.numerator * alpha.denominator)
     k = 0
-    for p in factorize(n):
+    for p in factorize(abs(alpha.numerator * alpha.denominator)):
         if p not in S.primes:
-            e = valuation(alpha, p)
             kp = chi.exponent(p)
             if kp is None:
                 raise AssertionError("unramified prime maps into the modulus")
-            k -= kp * e
-    return k % 3
+            k -= kp * valuation(alpha, p)
+    return k % (2 if isinstance(chi, QuadChar) else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +264,7 @@ def conductor_outside(d: int | Fraction, S: PlaceSet) -> ConductorData:
 class DiscClassSet:
     """A set of square classes of nonsquare rationals, as squarefree integers."""
 
-    kind: str  # "Q", "Q_S", or "Q_ur"
+    kind: str  # "Q_S" or "Q_ur"
     entries: tuple[int, ...] | np.ndarray  # Q_S: a read-only int64 array
 
 

@@ -30,7 +30,7 @@ from .characters import enum_cubic_chars, enum_quad_chars, QuadChar
 from . import lfun
 from .coeff import CoeffResult, VolumeParams, coeff_unipotent, endoscopic_diff
 from .quadforms import OrbitClass, SymForm2, unipotent_orbit_set
-from .shintani import ShintaniConfig, shintani_run
+from .shintani import L1_DIGITS, ShintaniConfig, shintani_run
 from . import weights as wmod
 from . import selfcheck
 
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cache=True, X=True)
     p.add_argument("--alpha", default="-1")
     p.add_argument("--l1-method", dest="l1_method", default="class-number-formula",
-                   choices=["class-number-formula", "smoothed-character-sum"])
+                   choices=list(L1_DIGITS))
 
     p = sub.add_parser("lfun", help="partial L-function values and Laurent data")
     _add_common(p, digits=True)
@@ -499,8 +499,7 @@ def cmd_shintani(args) -> dict:
             "constant": res.constant_CF,
             "constant_error": res.constant_error,
             "unstable": res.unstable,
-            "diagnostics": {k: res.diagnostics["constant"][k]
-                            for k in ("n_terms", "kappa_star", "kappa_hat")},
+            "diagnostics": {k: res.diagnostics[k] for k in ("n_terms", "kappa_star", "kappa_hat")},
         },
     }
     if res.unstable:

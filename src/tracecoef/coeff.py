@@ -213,14 +213,7 @@ def coeff_sl3(S: PlaceSet, orbit: str = "min", alpha=1, vols: VolumeParams | Non
         raise ValueError(f"unknown SL(3) orbit {orbit!r}")
     base = coeff_gl3(S, "reg", vols, digits)
     terms = list(base.terms)
-    cubics = enum_cubic_chars(S)
-    done = set()
-    for ch in cubics:
-        key = (ch.modulus, ch.values)
-        ikey = (ch.modulus, ch.inverse().values)
-        if ikey in done:
-            continue
-        done.add(key)
+    for ch in enum_cubic_chars(S)[::2]:  # each character is followed by its inverse
         L = lfun.LS(1, ch, S, digits)
         Linv = lfun.LS(1, ch.inverse(), S, digits)
         k = chi_S_exponent(ch, alpha, S)

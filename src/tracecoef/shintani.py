@@ -5,11 +5,13 @@ them the residue at s=3/2 (exact target 2^{-|S|} c_F^S) and the Laurent
 constant term C_F(S,d_S); euler_assembly_check checks one summand against
 the product of its local Euler factors.
 
-The pole data has one entry point, shintani_run: it makes the terms, the
-eps-grid sums, the tail fit, the prefactors and the exact residue once, and
+The pole data has one entry point, shintani_run, in three steps: the terms
+(build_terms); the L^S(2s) rows, their eps-grid sums and the zeta^S
+prefactors; and the eps-grid estimator.  The estimator fits the tail once
+(_fit_tail: kappa free, and kappa pinned to the exact residue), and
 residue_at_pole and shintani_constant only combine what they are handed.
 It is float64 throughout: one L^S(2s) matrix serves every eps and the tail
-fit, and the zeta^S prefactors come from one Euler-Maclaurin evaluation.
+fit, and the prefactors come from one Euler-Maclaurin evaluation.
 
 The summands over the discriminant classes are built in one array pass
 (`build_terms` returns one array per quantity).  Their L(1,chi_D) values come
@@ -69,8 +71,8 @@ from . import lfun
 
 _L2S_PRIME_BOUND = 600  # Euler-product truncation for L^S(2s, chi), 2s >= 3 (see _l2s_values)
 _SMOOTHED_TOL = 1e-12  # of l1_smoothed
-# the digits stored with an L(1) cache record of each method
-_L1_DIGITS = {"class-number-formula": 15,
+# the L(1) methods, and the digits stored with an L(1) cache record of each
+L1_DIGITS = {"class-number-formula": 15,
               "smoothed-character-sum": round(-math.log10(_SMOOTHED_TOL))}
 
 
@@ -89,7 +91,7 @@ class ShintaniConfig:
         if any(e <= 0 for e in g) or list(g) != sorted(g, reverse=True):
             raise ValueError("eps_grid must be positive and sorted descending")
         self.eps_grid = g
-        if self.L1_method not in ("class-number-formula", "smoothed-character-sum"):
+        if self.L1_method not in L1_DIGITS:
             raise ValueError(f"unknown L1 method {self.L1_method!r}")
 
 
@@ -436,7 +438,7 @@ def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
         else:
             L1[miss] = [l1_smoothed(k) for k in Dm.tolist()]
         if cache is not None:
-            cache.store_l1(Dm, L1[miss], method, _L1_DIGITS[method])
+            cache.store_l1(Dm, L1[miss], method, L1_DIGITS[method])
     return L1
 
 
@@ -560,18 +562,21 @@ def residue_exact_value(S: PlaceSet) -> Fraction:
     return out
 
 
-def _fit_tail(terms: Terms, L3: np.ndarray) -> dict:
-    """Fit A(t) = sum_{N_d <= t} a_d ~ kappa*t + c*sqrt(t) on the top
-    three quarters of the data; a_d = L^S(1,chi_d)/L^S(3,chi_d), L3 = L^S(3, chi_d).
-    The normal equations on u = t/N_max and sqrt(u) are solved in closed form
-    with one step of iterative refinement, as the columns are nearly parallel."""
+def _fit_tail(terms: Terms, L3: np.ndarray, kappa_star: float) -> dict:
+    """Fit A(t) = sum_{N_d <= t} a_d ~ kappa*t + c*sqrt(t) on the top three
+    quarters of the data, a_d = L^S(1,chi_d)/L^S(3,chi_d) and L3 = L^S(3, chi_d),
+    twice.  The free fit solves the normal equations on u = t/N_max and sqrt(u)
+    in closed form with one step of iterative refinement, as the columns are
+    nearly parallel; the pinned fit takes kappa = kappa_star and gives c_star
+    and the rms fluctuation of its residuals, scaled by N_max^-1/2."""
     N = terms.N.astype(np.float64)
     A = np.cumsum(terms.L1S / L3)
     n_max = N[-1]
     mask = N >= n_max / 4
     if mask.sum() < 30:
         raise ValueError("X too small for the truncation-tail model (need more classes)")
-    u, y = N[mask] / n_max, A[mask]
+    t, y = N[mask], A[mask]
+    u = t / n_max
     v = np.sqrt(u)
     uu, uv, vv = (float(np.add.reduce(w)) for w in (u * u, u * v, u))
     det = uu * vv - uv * uv
@@ -585,15 +590,16 @@ def _fit_tail(terms: Terms, L3: np.ndarray) -> dict:
     a, b = a + da, b + db
     resid = y - (a * u + b * v)
     sigma2 = float(np.add.reduce(resid * resid)) / max(len(u) - 2, 1)
+    yp, rt = y - kappa_star * t, np.sqrt(t)  # the pinned fit
+    c_star = float(np.add.reduce(rt * yp) / np.add.reduce(t))
+    resid = yp - c_star * rt
     return {
-        "kappa_hat": a / n_max,
-        "c_hat": b / math.sqrt(n_max),
+        "kappa_hat": a / n_max, "c_hat": b / math.sqrt(n_max),
         "kappa_stderr": math.sqrt(max(sigma2 * vv / det, 0.0)) / n_max,
         "fit_rms": math.sqrt(sigma2),
-        "n_terms": len(terms),
+        "kappa_star": kappa_star, "c_star": c_star,
+        "fluct": float(np.sqrt(np.mean(resid**2))) / float(n_max) ** 0.5,
         "N_max": float(n_max),
-        "A": A,
-        "N": N,
     }
 
 
@@ -617,58 +623,32 @@ def _poly_extrapolate(xs, ys):
     return full, max(abs(at_0([j for j in range(n) if j != i]) - full) for i in range(n))
 
 
-def residue_at_pole(fit: dict, sums: dict, prefactors: dict, eps_grid):
-    """Estimate lim eps * xi^S(3/2+eps; alpha) from the truncated sums over
-    eps_grid plus the fitted tail model, extrapolated polynomially to
-    eps -> 0.  fit, sums and prefactors are those of shintani_run.
-
-    Returns (estimate, error_estimate, diagnostics).
-    """
+def residue_at_pole(fit: dict, sums: dict, prefactors: dict, P32: float, eps_grid):
+    """(estimate, error) of lim eps * xi^S(3/2+eps; alpha) from the truncated
+    sums over eps_grid plus the free tail fit, extrapolated polynomially to
+    eps -> 0.  fit, sums and prefactors are those of shintani_run, P32 = P(3/2)."""
     ys = [e * prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], fit["kappa_hat"],
                                                         fit["c_hat"])) for e in eps_grid]
     val, spread = _poly_extrapolate(eps_grid, ys)
-    err = spread + fit["kappa_stderr"] * prefactors[0.0]
-    diag = {k: fit[k] for k in ("kappa_hat", "c_hat", "kappa_stderr", "fit_rms",
-                                "n_terms", "N_max")}
-    diag["grid_residues"] = dict(zip(eps_grid, ys))
-    return val, err, diag
+    return val, spread + fit["kappa_stderr"] * P32
 
 
-def shintani_constant(fit: dict, sums: dict, prefactors: dict, R: float, eps_grid):
-    """The Laurent constant C_F(S,alpha) of xi^S(s;alpha) at s=3/2.
+def shintani_constant(fit: dict, sums: dict, prefactors: dict, P32: float, R: float, eps_grid):
+    """(value, error, unstable flag, c(eps) over eps_grid) of the Laurent
+    constant C_F(S,alpha) of xi^S(s;alpha) at s=3/2.
 
     c(eps) = xi^S(3/2+eps) - R/eps is formed with the EXACT residue R
-    (the pole is never fitted); the tail model supplies the truncated part
-    of the sum with its leading coefficient pinned to R, and c(eps) is then
-    extrapolated polynomially to eps -> 0.  fit, sums and prefactors are
-    those of shintani_run.
-
-    Returns (value, error_estimate, unstable_flag, diagnostics).
-    """
-    P32 = prefactors[0.0]
-    kappa_star = R / P32
-    # refit the sqrt correction with the leading coefficient pinned
-    N, A = fit["N"], fit["A"]
-    mask = N >= fit["N_max"] / 4
-    t, y = N[mask], (A - kappa_star * N)[mask]
-    c_star = float(np.add.reduce(np.sqrt(t) * y) / np.add.reduce(t))
-    cs = [prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], kappa_star, c_star)) - R / e
-          for e in eps_grid]
+    (the pole is never fitted); the pinned tail fit, kappa_star = R/P32,
+    supplies the truncated part of the sum, and c(eps) is then extrapolated
+    polynomially to eps -> 0.  fit, sums and prefactors are those of
+    shintani_run, P32 = P(3/2)."""
+    cs = [prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], fit["kappa_star"],
+                                                    fit["c_star"])) - R / e for e in eps_grid]
     val, spread = _poly_extrapolate(eps_grid, cs)
-    # tail-fluctuation contribution to the error: rms of the pinned fit
-    resid = y - c_star * np.sqrt(t)
-    fluct = float(np.sqrt(np.mean(resid**2))) / fit["N_max"] ** 0.5
-    err = spread + fluct * P32 + abs(fit["kappa_hat"] - kappa_star) * P32
+    # the tail fluctuation (rms of the pinned fit) and the free fit's distance from kappa_star
+    err = spread + fit["fluct"] * P32 + abs(fit["kappa_hat"] - fit["kappa_star"]) * P32
     unstable = bool(spread > 0.05 * max(abs(val), 1e-9) + 1e-6)
-    diag = {
-        "kappa_star": kappa_star,
-        "c_star": c_star,
-        "kappa_hat": fit["kappa_hat"],
-        "n_terms": fit["n_terms"],
-        "N_max": fit["N_max"],
-        "grid_constants": dict(zip(eps_grid, cs)),
-    }
-    return val, err, unstable, diag
+    return val, err, unstable, cs
 
 
 def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
@@ -677,15 +657,17 @@ def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     values, the residue estimate against the exact residue, and the constant
     term.  The cache, if given, is as in build_terms."""
     config = config or ShintaniConfig()
-    terms = build_terms(alpha, S, config.X, config.L1_method, cache)
     grid = config.eps_grid
+    terms = build_terms(alpha, S, config.X, config.L1_method, cache)
+    # the L^S(2s) rows at 2s = 3 + 2 eps and 3, their sums, and the prefactors
     L2S = _l2s_values(terms, [3 + 2 * e for e in (*grid, 0.0)])
     sums = dict(zip(grid, np.add.reduce(_summands(terms, L2S[:-1], grid), axis=1).tolist()))
-    fit = _fit_tail(terms, L2S[-1])
     prefactors = _prefactors(S, (*grid, 0.0))
-    exact = residue_exact_value(S)
-    res_est, res_err, diag_r = residue_at_pole(fit, sums, prefactors, grid)
-    cf, cf_err, unstable, diag_c = shintani_constant(fit, sums, prefactors, float(exact), grid)
+    # the eps-grid estimator
+    exact, P32 = residue_exact_value(S), prefactors[0.0]
+    fit = _fit_tail(terms, L2S[-1], float(exact) / P32)
+    res_est, res_err = residue_at_pole(fit, sums, prefactors, P32, grid)
+    cf, cf_err, unstable, cs = shintani_constant(fit, sums, prefactors, P32, float(exact), grid)
     return ShintaniResult(
         grid_values={e: prefactors[e] * sums[e] for e in grid},
         residue_estimate=res_est,
@@ -694,7 +676,8 @@ def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
         constant_CF=cf,
         constant_error=cf_err,
         unstable=unstable,
-        diagnostics={"residue": diag_r, "constant": diag_c},
+        diagnostics={"n_terms": len(terms), "kappa_star": fit["kappa_star"],
+                     "kappa_hat": fit["kappa_hat"], "grid_constants": dict(zip(grid, cs))},
     )
 
 

@@ -113,6 +113,47 @@ def test_enum_cubic_chars():
         assert abs(ch(n) ** 3 - 1) < 1e-12
 
 
+def _least_generator(q: int) -> int:
+    units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+    return next(g for g in units if len({pow(g, k, q) for k in range(len(units))}) == len(units))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.sampled_from([2, 3, 7, 13, 19])))
+def test_enum_cubic_chars_property(primes):
+    """The cubic characters unramified outside S are the homomorphisms of
+    (Z/M)^x to Z/3, M = 9 (if 3 in S) times the p = 1 mod 3 of S: 3^m of them
+    for m such components.  Each is determined by its exponents at the least
+    generator of each component, lifted to 1 at the others; every nontrivial
+    one appears once, is multiplicative, is followed by its inverse, and the
+    first of each pair has first nonzero exponent 1."""
+    S = PlaceSet.of(*primes)
+    moduli = sorted(([9] if 3 in primes else []) + [p for p in primes if p % 3 == 1])
+    M = math.prod(moduli)
+    lifts = [next(n for n in range(_least_generator(q), M, q) if n % (M // q) == 1 % (M // q))
+             for q in moduli]
+    chars = enum_cubic_chars(S)
+    rng = random.Random(len(chars))
+    seen = set()
+    for i, ch in enumerate(chars):
+        Q = ch.modulus
+        assert M % Q == 0 and ch.is_unramified_outside(S) and len(ch.values) == Q
+        assert all((v is None) == (math.gcd(n, Q) != 1) for n, v in enumerate(ch.values))
+        units = [n for n in range(Q) if math.gcd(n, Q) == 1]
+        for a, b in zip(rng.choices(units, k=200), rng.choices(units, k=200)):
+            assert ch.exponent(a * b) == (ch.exponent(a) + ch.exponent(b)) % 3
+        exps = tuple(ch.exponent(n) for n in lifts)
+        assert any(exps) and exps not in seen
+        seen.add(exps)
+        if i % 2 == 0:
+            assert next(e for e in exps if e) == 1
+        else:
+            prev = chars[i - 1]
+            assert Q == prev.modulus and ch == prev.inverse()
+            assert all(v is w is None or (v + w) % 3 == 0 for v, w in zip(ch.values, prev.values))
+    assert len(chars) == 3 ** len(moduli) - 1
+
+
 def test_cubic_chi_S():
     ch = enum_cubic_chars(S27)[0]
     k = chi_S_exponent(ch, 3, S27)

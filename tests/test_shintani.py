@@ -209,7 +209,7 @@ def test_constant_grid_consistency():
     res = shintani_run(-1, S2, cfg)
     val = res.constant_CF
     assert not res.unstable
-    grid = res.diagnostics["constant"]["grid_constants"]
+    grid = res.diagnostics["grid_constants"]
     assert abs(grid[0.05] - grid[0.025]) < 3 * abs(grid[0.2] - grid[0.1])
     assert abs(grid[0.025] - val) < 0.05
 
@@ -234,7 +234,7 @@ def test_tail_block_selfcheck():
     X, eps = 4 * 10**4, 0.15
     terms = build_terms(-1, S2, X)
     L2S = shintani._l2s_values(terms, [3 + 2 * eps, 3.0])
-    fit = shintani._fit_tail(terms, L2S[1])
+    fit = shintani._fit_tail(terms, L2S[1], _kappa_star(S2))
     half = np.abs(terms.D) > X / 2
     measured = float(np.add.reduce(shintani._summands(terms, L2S[:1], [eps])[0][half]))
     tail = [shintani._tail_integral(eps, N, fit["kappa_hat"], fit["c_hat"])
@@ -308,6 +308,11 @@ def test_l2s_values_do_not_depend_on_block_size(monkeypatch):
         assert np.array_equal(got[rows], got[512]), rows
 
 
+def _kappa_star(S):
+    """R/P(3/2), the tail slope that shintani_run pins."""
+    return float(shintani.residue_exact_value(S)) / shintani._prefactors(S, (0.0,))[0.0]
+
+
 def _lstsq_tail_fit(terms, L3):
     """The fields of _fit_tail by LAPACK: lstsq for the coefficients, the
     inverse of the Gram matrix for kappa's standard error."""
@@ -323,6 +328,21 @@ def _lstsq_tail_fit(terms, L3):
             "kappa_stderr": math.sqrt(sigma2 * np.linalg.inv(M.T @ M)[0, 0])}
 
 
+def _tail_fit_case(case):
+    """(terms, L3, kappa_star) of a perfbench pool at X = 1e4, or of
+    synthetic data whose true slope is 0.3, pinned at 0.29."""
+    if case.startswith("synthetic"):
+        terms = _synthetic_terms(int(case[-1]))
+        return terms, np.ones(len(terms)), 0.29
+    alpha, S = case.split(":")
+    S = PlaceSet.of(*map(int, S.split(",")))
+    terms = build_terms(int(alpha), S, 10**4)
+    return terms, shintani._l2s_values(terms, [3.0])[0], _kappa_star(S)
+
+
+_TAIL_FIT_CASES = ["-1:2", "2:2", "-1:2,3", "synthetic0", "synthetic1", "synthetic2"]
+
+
 def _synthetic_terms(seed):
     """Terms whose running sum is 0.3 t + 2 sqrt(t) + noise at 400 sorted N."""
     rng = np.random.default_rng(seed)
@@ -331,25 +351,37 @@ def _synthetic_terms(seed):
     return shintani.Terms(N, N, N, np.diff(A, prepend=0.0), np.zeros((len(N), 0)), np.zeros(0))
 
 
-@pytest.mark.parametrize("case", ["-1:2", "2:2", "-1:2,3", "synthetic0", "synthetic1",
-                                  "synthetic2"])
+@pytest.mark.parametrize("case", _TAIL_FIT_CASES)
 def test_fit_tail_against_lstsq(case):
     """The closed-form tail fit against LAPACK's least squares, on the terms
     of the three perfbench pools at X = 1e4 and on synthetic data.  c, the
     coefficient the nearly parallel columns leave ill-conditioned, gets a
     looser bound; the rms and the standard error carry the cancellation of
     residuals about 1e-5 of A."""
-    if case.startswith("synthetic"):
-        terms = _synthetic_terms(int(case[-1]))
-        L3 = np.ones(len(terms))
-    else:
-        alpha, S = case.split(":")
-        terms = build_terms(int(alpha), PlaceSet.of(*map(int, S.split(","))), 10**4)
-        L3 = shintani._l2s_values(terms, [3.0])[0]
-    got, want = shintani._fit_tail(terms, L3), _lstsq_tail_fit(terms, L3)
+    terms, L3, kappa_star = _tail_fit_case(case)
+    got, want = shintani._fit_tail(terms, L3, kappa_star), _lstsq_tail_fit(terms, L3)
     for key, tol in (("kappa_hat", 1e-14), ("c_hat", 1e-12), ("fit_rms", 1e-11),
                      ("kappa_stderr", 1e-11)):
         assert abs(got[key] - want[key]) <= tol * abs(want[key]), key
+
+
+@pytest.mark.parametrize("case", _TAIL_FIT_CASES)
+def test_pinned_fit_tail_against_lstsq(case):
+    """The pinned tail fit, kappa = kappa_star, against LAPACK's least
+    squares on the single column sqrt(t): c_star, and the rms of the
+    residuals over sqrt(N_max)."""
+    terms, L3, kappa_star = _tail_fit_case(case)
+    got = shintani._fit_tail(terms, L3, kappa_star)
+    N = terms.N.astype(np.float64)
+    mask = N >= N[-1] / 4
+    t, y = N[mask], (np.cumsum(terms.L1S / L3) - kappa_star * N)[mask]
+    col = np.sqrt(t)[:, None]
+    c = np.linalg.lstsq(col, y, rcond=None)[0]
+    resid = y - col @ c
+    fluct = math.sqrt(float(resid @ resid) / len(t) / N[-1])
+    assert got["kappa_star"] == kappa_star
+    assert abs(got["c_star"] - c[0]) <= 1e-13 * abs(c[0])
+    assert abs(got["fluct"] - fluct) <= 1e-13 * fluct
 
 
 @settings(max_examples=60, deadline=None)

@@ -356,7 +356,6 @@ def _add_common(p, *, S=True, digits=False, cache=False, X=False, vols=False, se
         p.add_argument("--cache", default=None, help=f"L-value cache path (default ${CACHE_ENV})")
     if X:
         p.add_argument("--X", type=int, default=10**5, help="discriminant truncation bound")
-        p.add_argument("--eps", default="0.2,0.15,0.1,0.05", help="epsilon grid, descending")
     if vols:
         for name in _VOLS:
             p.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=1.0)
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", default=None,
                    help="a,b,c entries of the symmetric form for subregular orbits")
 
-    p = sub.add_parser("shintani", help="Shintani zeta grid, residue and constant term")
+    p = sub.add_parser("shintani", help="Shintani zeta residue and constant term")
     _add_common(p, cache=True, X=True)
     p.add_argument("--alpha", default="-1")
     p.add_argument("--l1-method", dest="l1_method", default="class-number-formula",
@@ -432,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _shintani_config(args) -> ShintaniConfig:
-    return ShintaniConfig(X=args.X, eps_grid=tuple(_parse_list(args.eps)),
-                          L1_method=getattr(args, "l1_method", "class-number-formula"))
+    return ShintaniConfig(X=args.X, L1_method=getattr(args, "l1_method", "class-number-formula"))
 
 
 def _sub_form(args, alpha: Fraction) -> SymForm2 | None:
@@ -489,10 +487,8 @@ def cmd_shintani(args) -> dict:
     res = shintani_run(alpha, S, cfg, cache)
     doc = {
         "command": "shintani",
-        "inputs": {"alpha": alpha, "S": str(S), "X": cfg.X, "eps_grid": list(cfg.eps_grid),
-                   "l1_method": cfg.L1_method},
+        "inputs": {"alpha": alpha, "S": str(S), "X": cfg.X, "l1_method": cfg.L1_method},
         "result": {
-            "grid_values": {str(e): v for e, v in res.grid_values.items()},
             "residue_estimate": res.residue_estimate,
             "residue_exact": res.residue_exact,
             "residue_error": res.residue_error,
@@ -504,7 +500,8 @@ def cmd_shintani(args) -> dict:
     }
     if res.unstable:
         doc["error"] = {"code": "shintani-unstable",
-                        "message": "extrapolants disagree beyond tolerance; increase X"}
+                        "message": "the fitted residue misses the exact one by more than its "
+                                   "error bar; increase X"}
     return doc
 
 

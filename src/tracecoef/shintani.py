@@ -6,12 +6,15 @@ constant term C_F(S,d_S); euler_assembly_check checks one summand against
 the product of its local Euler factors.
 
 The pole data has one entry point, shintani_run, in three steps: the terms
-(build_terms); the L^S(2s) rows, their eps-grid sums and the zeta^S
-prefactors; and the eps-grid estimator.  The estimator fits the tail once
-(_fit_tail: kappa free, and kappa pinned to the exact residue), and
-residue_at_pole and shintani_constant only combine what they are handed.
-It is float64 throughout: one L^S(2s) matrix serves every eps and the tail
-fit, and the prefactors come from one Euler-Maclaurin evaluation.
+(build_terms), sorted by |D| and so by N_d; the L^S(3, chi_d) row; and the
+direct estimator.  With b_d = L^S(1,chi_d)/L^S(3,chi_d), the Laurent
+constant is partial summation against the tail model
+A(t) = sum_{N_d <= t} b_d ~ kappa t + c sqrt(t), with the pole removed by the
+exact kappa* = R/P(3/2) (shintani_constant); the residue is P(3/2) times the
+free fit's kappa (residue_at_pole).  Both are formed at the cut-offs N_max,
+N_max/2 and N_max/4, prefixes of the same terms, and their spread over the
+cut-offs is the error bar.  It is float64 throughout, and P(3/2), P'(3/2)
+come from three float constants.
 
 The summands over the discriminant classes are built in one array pass
 (`build_terms` returns one array per quantity).  Their L(1,chi_D) values come
@@ -81,23 +84,17 @@ class ShintaniConfig:
     """Evaluation parameters for the truncated zeta function."""
 
     X: int = 10**5
-    eps_grid: tuple = (0.2, 0.15, 0.1, 0.05)
     L1_method: str = "class-number-formula"  # or "smoothed-character-sum"
 
     def __post_init__(self):
         if self.X < 10**3:
             raise ValueError("X must be at least 10^3")
-        g = tuple(float(e) for e in self.eps_grid)
-        if any(e <= 0 for e in g) or list(g) != sorted(g, reverse=True):
-            raise ValueError("eps_grid must be positive and sorted descending")
-        self.eps_grid = g
         if self.L1_method not in L1_DIGITS:
             raise ValueError(f"unknown L1 method {self.L1_method!r}")
 
 
 @dataclass
 class ShintaniResult:
-    grid_values: dict            # eps -> truncated xi^S(3/2+eps; d_S)
     residue_estimate: float
     residue_exact: Fraction
     residue_error: float
@@ -502,30 +499,26 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
 # xi^S and its pole data
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# zeta(3), zeta'/zeta(2) and zeta'/zeta(3) (mpmath, rounded to float64)
+_ZETA_3, _DLOG_ZETA_2, _DLOG_ZETA_3 = 1.2020569031595942, -0.5699609930945329, -0.16482268215827725
 
 
-def _zetaS_float(x: float, S: PlaceSet) -> float:
-    """zeta^S(x) in float64 for real x >= 2: zeta(x) by Euler-Maclaurin with
-    the terms n < 10 and B_2..B_16 at N = 10 (remainder below 1e-17), times
-    prod_{p in S}(1 - p^-x).  lfun.zetaS is its check."""
-    c = x * 10.0 ** (-x - 1) / 2  # x (x+1) ... (x+2k-2) N^(-x-2k+1) / (2k)!
-    out = 0.0
-    for k, b in enumerate(_BERNOULLI_2K, 1):
-        out += b * c
-        c *= (x + 2 * k - 1) * (x + 2 * k) / ((2 * k + 1) * (2 * k + 2) * 100.0)
-    out += 10.0 ** (1 - x) / (x - 1) + 10.0**-x / 2
-    for n in range(9, 0, -1):  # smallest first
-        out += float(n) ** -x
-    for p in S.primes:
-        out *= 1 - float(p) ** -x
-    return out
+def _pole_prefactor(S: PlaceSet) -> tuple:
+    """P(3/2) = zeta^S(3) and P'(3/2) = 2 P(3/2) (zeta^S'/zeta^S(2) + zeta^S'/zeta^S(3))
+    of P(s) = zeta^S(2s-1) zeta^S(2s) / zeta^S(2), where zeta^S'/zeta^S(x) is
+    zeta'/zeta(x) + sum_{p in S} log p/(p^x - 1)."""
+    P = _ZETA_3 * math.prod(1 - p**-3 for p in S.primes)
+    dlog = sum(math.log(p) * (1 / (p**2 - 1) + 1 / (p**3 - 1)) for p in S.primes)
+    return P, 2 * P * (_DLOG_ZETA_2 + _DLOG_ZETA_3 + dlog)
 
 
-def _prefactors(S: PlaceSet, eps) -> dict:
-    """eps -> zeta^S(2s-1) zeta^S(2s) / zeta^S(2) at s = 3/2 + eps, for each eps."""
-    z2 = _zetaS_float(2.0, S)
-    return {e: _zetaS_float(2 + 2 * e, S) * _zetaS_float(3 + 2 * e, S) / z2 for e in eps}
+def _dlog_mean(primes: np.ndarray) -> float:
+    """E'(0)/E(0) of the mean E(eps) = prod_p E_p(eps) of L^S(1,chi_d)/L^S(3+2eps,
+    chi_d) over the d, p the primes of L^S(3): E_p(eps) = [f(0) + (p/2)(f(1) +
+    f(-1))]/(p + 1), f(c) = (1 - c p^(-3-2eps))/(1 - c/p), so E_p(0) = (p + 1 +
+    1/p)/(p + 1) and E_p'(0)/E_p(0) = 2 log p/((p^2 - 1)(p^2 + p + 1)).  The
+    primes beyond 600 add less than 3e-9."""
+    return sum(2 * math.log(p) / ((p * p - 1) * (p * p + p + 1)) for p in primes.tolist())
 
 
 def _l2s_values(terms: Terms, two_s) -> np.ndarray:
@@ -548,12 +541,6 @@ def _l2s_values(terms: Terms, two_s) -> np.ndarray:
     return np.exp(-out, out=out)
 
 
-def _summands(terms: Terms, L2S: np.ndarray, eps) -> np.ndarray:
-    """L^S(1,chi_d) / (L^S(3+2eps, chi_d) N_d^(1+eps)), a contiguous row per eps
-    (so a sum along it is pairwise), from the rows L^S(3+2eps) of L2S."""
-    return terms.L1S / (L2S * np.exp(np.outer(1 + np.asarray(eps), np.log(terms.N))))
-
-
 def residue_exact_value(S: PlaceSet) -> Fraction:
     """The exact pole datum 2^{-|S|} c_F^S at s = 3/2."""
     out = Fraction(1, 2 ** len(S))
@@ -562,19 +549,15 @@ def residue_exact_value(S: PlaceSet) -> Fraction:
     return out
 
 
-def _fit_tail(terms: Terms, L3: np.ndarray, kappa_star: float) -> dict:
-    """Fit A(t) = sum_{N_d <= t} a_d ~ kappa*t + c*sqrt(t) on the top three
-    quarters of the data, a_d = L^S(1,chi_d)/L^S(3,chi_d) and L3 = L^S(3, chi_d),
-    twice.  The free fit solves the normal equations on u = t/N_max and sqrt(u)
-    in closed form with one step of iterative refinement, as the columns are
-    nearly parallel; the pinned fit takes kappa = kappa_star and gives c_star
-    and the rms fluctuation of its residuals, scaled by N_max^-1/2."""
-    N = terms.N.astype(np.float64)
-    A = np.cumsum(terms.L1S / L3)
-    n_max = N[-1]
+def _fit_tail(N: np.ndarray, A: np.ndarray, kappa_star: float) -> dict:
+    """Fit A(t) = sum_{N_d <= t} b_d ~ kappa t + c sqrt(t) on the top three
+    quarters of the sorted N, A the running sum of the b_d = L^S(1,chi_d)/
+    L^S(3,chi_d), twice.  The free fit solves the normal equations on u = t/N_max
+    and sqrt(u) in closed form with one step of iterative refinement, as the
+    columns are nearly parallel; the pinned fit takes kappa = kappa_star and
+    gives c_star."""
+    n_max = float(N[-1])
     mask = N >= n_max / 4
-    if mask.sum() < 30:
-        raise ValueError("X too small for the truncation-tail model (need more classes)")
     t, y = N[mask], A[mask]
     u = t / n_max
     v = np.sqrt(u)
@@ -590,94 +573,72 @@ def _fit_tail(terms: Terms, L3: np.ndarray, kappa_star: float) -> dict:
     a, b = a + da, b + db
     resid = y - (a * u + b * v)
     sigma2 = float(np.add.reduce(resid * resid)) / max(len(u) - 2, 1)
-    yp, rt = y - kappa_star * t, np.sqrt(t)  # the pinned fit
-    c_star = float(np.add.reduce(rt * yp) / np.add.reduce(t))
-    resid = yp - c_star * rt
+    c_star = float(np.add.reduce(np.sqrt(t) * (y - kappa_star * t)) / np.add.reduce(t))
     return {
         "kappa_hat": a / n_max, "c_hat": b / math.sqrt(n_max),
         "kappa_stderr": math.sqrt(max(sigma2 * vv / det, 0.0)) / n_max,
         "fit_rms": math.sqrt(sigma2),
-        "kappa_star": kappa_star, "c_star": c_star,
-        "fluct": float(np.sqrt(np.mean(resid**2))) / float(n_max) ** 0.5,
-        "N_max": float(n_max),
+        "kappa_star": kappa_star, "c_star": c_star, "N_max": n_max,
     }
 
 
-def _tail_integral(eps: float, N_max: float, kappa: float, c: float) -> float:
-    """int_{N_max}^inf (kappa + c/(2 sqrt(t))) t^{-1-eps} dt."""
-    return kappa * N_max ** (-eps) / eps + 0.5 * c * N_max ** (-0.5 - eps) / (0.5 + eps)
+def residue_at_pole(fits: list, P: float):
+    """(estimate, error, unstable flag) of the residue of xi^S(s; alpha) at
+    s = 3/2: P kappa_hat of the free tail fit on all terms (fits[0]), with the
+    error P (kappa_stderr + the largest move of kappa_hat over the prefix fits,
+    fits[1:]).  Unstable when P kappa_hat misses the exact P kappa_star by more
+    than that error.  P = P(3/2)."""
+    kappa = fits[0]["kappa_hat"]
+    err = P * (fits[0]["kappa_stderr"] + max(abs(f["kappa_hat"] - kappa) for f in fits))
+    return P * kappa, err, bool(P * abs(kappa - fits[0]["kappa_star"]) > err)
 
 
-def _poly_extrapolate(xs, ys):
-    """Value at 0 of the interpolating polynomial (Lagrange formula in Python
-    floats), plus a stability spread from dropping one node at a time."""
+def shintani_constant(fits: list, sums: list, P: float, dP: float, dlog_mean: float):
+    """(value, error) of the Laurent constant C_F(S,alpha) of xi^S(s;alpha) at
+    s = 3/2, by partial summation against the pinned tail model at each cut-off
+    T = f["N_max"] of fits, with sums the sum_{N_d <= T} b_d/N_d:
 
-    def at_0(keep):
-        return sum(ys[i] * math.prod(xs[j] / (xs[j] - xs[i]) for j in keep if j != i)
-                   for i in keep)
+        C(T) = P [sum_{N_d <= T} b_d/N_d - kappa* log T + c*(T)/sqrt(T)
+                  + kappa* E'(0)/E(0)] + P' kappa*,
 
-    n = len(xs)
-    full = at_0(range(n))
-    if n <= 2:
-        return full, abs(full)
-    return full, max(abs(at_0([j for j in range(n) if j != i]) - full) for i in range(n))
-
-
-def residue_at_pole(fit: dict, sums: dict, prefactors: dict, P32: float, eps_grid):
-    """(estimate, error) of lim eps * xi^S(3/2+eps; alpha) from the truncated
-    sums over eps_grid plus the free tail fit, extrapolated polynomially to
-    eps -> 0.  fit, sums and prefactors are those of shintani_run, P32 = P(3/2)."""
-    ys = [e * prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], fit["kappa_hat"],
-                                                        fit["c_hat"])) for e in eps_grid]
-    val, spread = _poly_extrapolate(eps_grid, ys)
-    return val, spread + fit["kappa_stderr"] * P32
-
-
-def shintani_constant(fit: dict, sums: dict, prefactors: dict, P32: float, R: float, eps_grid):
-    """(value, error, unstable flag, c(eps) over eps_grid) of the Laurent
-    constant C_F(S,alpha) of xi^S(s;alpha) at s=3/2.
-
-    c(eps) = xi^S(3/2+eps) - R/eps is formed with the EXACT residue R
-    (the pole is never fitted); the pinned tail fit, kappa_star = R/P32,
-    supplies the truncated part of the sum, and c(eps) is then extrapolated
-    polynomially to eps -> 0.  fit, sums and prefactors are those of
-    shintani_run, P32 = P(3/2)."""
-    cs = [prefactors[e] * (sums[e] + _tail_integral(e, fit["N_max"], fit["kappa_star"],
-                                                    fit["c_star"])) - R / e for e in eps_grid]
-    val, spread = _poly_extrapolate(eps_grid, cs)
-    # the tail fluctuation (rms of the pinned fit) and the free fit's distance from kappa_star
-    err = spread + fit["fluct"] * P32 + abs(fit["kappa_hat"] - fit["kappa_star"]) * P32
-    unstable = bool(spread > 0.05 * max(abs(val), 1e-9) + 1e-6)
-    return val, err, unstable, cs
+    P, P' = P(3/2), P'(3/2) and dlog_mean = E'(0)/E(0).  The pole is removed
+    with the exact kappa* = R/P, never fitted.  The value is C at the first
+    cut-off (all terms), the error twice the largest move of C(T) over the
+    others: a heuristic bar."""
+    ks = fits[0]["kappa_star"]
+    cs = [P * (s - ks * math.log(f["N_max"]) + f["c_star"] / math.sqrt(f["N_max"])
+               + ks * dlog_mean) + dP * ks for f, s in zip(fits, sums)]
+    return cs[0], 2 * max(abs(c - cs[0]) for c in cs)
 
 
 def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
                  cache=None) -> ShintaniResult:
-    """The pole data of xi^S(s; alpha) at s = 3/2, by the one path: grid
-    values, the residue estimate against the exact residue, and the constant
-    term.  The cache, if given, is as in build_terms."""
+    """The pole data of xi^S(s; alpha) at s = 3/2, by the one path: the
+    residue estimate against the exact residue, and the constant term.  The
+    cache, if given, is as in build_terms."""
     config = config or ShintaniConfig()
-    grid = config.eps_grid
     terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    # the L^S(2s) rows at 2s = 3 + 2 eps and 3, their sums, and the prefactors
-    L2S = _l2s_values(terms, [3 + 2 * e for e in (*grid, 0.0)])
-    sums = dict(zip(grid, np.add.reduce(_summands(terms, L2S[:-1], grid), axis=1).tolist()))
-    prefactors = _prefactors(S, (*grid, 0.0))
-    # the eps-grid estimator
-    exact, P32 = residue_exact_value(S), prefactors[0.0]
-    fit = _fit_tail(terms, L2S[-1], float(exact) / P32)
-    res_est, res_err = residue_at_pole(fit, sums, prefactors, P32, grid)
-    cf, cf_err, unstable, cs = shintani_constant(fit, sums, prefactors, P32, float(exact), grid)
+    (L3,) = _l2s_values(terms, [3.0])
+    # the direct estimator, on all terms and the prefixes N_d <= N_max/2, N_max/4
+    exact = residue_exact_value(S)
+    P, dP = _pole_prefactor(S)
+    N, b = terms.N.astype(np.float64), terms.L1S / L3
+    if np.count_nonzero(N >= N[-1] / 4) < 30:
+        raise ValueError("X too small for the truncation-tail model (need more classes)")
+    ends = np.searchsorted(N, N[-1] / np.array([1.0, 2.0, 4.0]), side="right")
+    A, sums = np.cumsum(b), np.cumsum(b / N)
+    fits = [_fit_tail(N[:k], A[:k], float(exact) / P) for k in ends.tolist()]
+    res_est, res_err, unstable = residue_at_pole(fits, P)
+    cf, cf_err = shintani_constant(fits, sums[ends - 1].tolist(), P, dP, _dlog_mean(terms.primes))
     return ShintaniResult(
-        grid_values={e: prefactors[e] * sums[e] for e in grid},
         residue_estimate=res_est,
         residue_exact=exact,
         residue_error=res_err,
         constant_CF=cf,
         constant_error=cf_err,
         unstable=unstable,
-        diagnostics={"n_terms": len(terms), "kappa_star": fit["kappa_star"],
-                     "kappa_hat": fit["kappa_hat"], "grid_constants": dict(zip(grid, cs))},
+        diagnostics={"n_terms": len(terms), "kappa_star": fits[0]["kappa_star"],
+                     "kappa_hat": fits[0]["kappa_hat"]},
     )
 
 

@@ -45,7 +45,9 @@ def test_shintani_command(capsys):
     r = doc["result"]
     assert r["residue_exact"] == "1/8"
     assert abs(r["residue_estimate"] - 0.125) / 0.125 < 0.05
-    assert set(r["grid_values"]) == {"0.2", "0.15", "0.1", "0.05"}
+    assert set(r) == {"residue_estimate", "residue_exact", "residue_error", "constant",
+                      "constant_error", "unstable", "diagnostics"}
+    assert set(doc["inputs"]) == {"alpha", "S", "X", "l1_method"}
 
 
 def test_lfun_orbit_chars_weights_commands(capsys):
@@ -92,6 +94,19 @@ def test_usage_and_instability_exit_codes(capsys):
     # sp2 without 2 in S
     code, out = run_cli(capsys, "shintani", "--alpha", "-1", "--S", "3", "--json")
     assert code == 2
+
+
+@pytest.mark.parametrize("alpha, X, code", [("-1", "2000", 0), ("2", "2000", 2),
+                                           ("6", "100000", 0), ("-3", "100000", 0)])
+def test_shintani_exit_codes(capsys, alpha, X, code):
+    """The 30-class floor holds for the full tail fit only: at X = 2000 alpha
+    -1 (9 classes below N_max/4) runs and alpha 2 is refused.  The constants
+    near 0 of alpha 6 and -3 do not raise the unstable flag, whose test
+    compares the fitted residue with the exact one."""
+    got, out = run_cli(capsys, "shintani", "--alpha", alpha, "--S", "2", "--X", X, "--json")
+    assert got == code, out
+    if code == 0:
+        assert json.loads(out)["result"]["unstable"] is False
 
 
 def test_cache_roundtrip(tmp_path):
@@ -571,7 +586,7 @@ def test_digits_at_the_floor_is_accepted(capsys):
 
 
 VOLS = {"--vol-m0", "--vol-m1", "--vol-m2", "--vol-mp", "--vol-g"}
-SHINTANI = {"--S", "--cache", "--X", "--eps"}
+SHINTANI = {"--S", "--cache", "--X"}
 OPTIONS = {
     "coeff": SHINTANI | VOLS | {"--digits", "--group", "--orbit", "--alpha", "--form"},
     "diff": SHINTANI | VOLS | {"--digits", "--orbit", "--alpha", "--form"},

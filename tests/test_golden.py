@@ -48,6 +48,12 @@ run it only when a change to those outputs is intended, and check with
   moves were 1.4e-14 in a value (`constant` of `shintani --alpha 6`),
   8.3e-13 in an error field (`residue_error` of `shintani --alpha -1`) and
   3.2e-16 in a cached L1.
+- When the pole data moved from the epsilon grid to the direct Laurent
+  formula (no `--eps`, no `grid_values`, no `inputs.eps_grid`), the full
+  regenerate path above reprinted the same 17 records; `--drift` refuses a
+  schema change.  Each Shintani constant moved by +1.8e-4 to +3.4e-3,
+  inside the earlier `constant_error` of 0.014-0.031; the cache files kept
+  their bytes.
 
 `PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
 matrices and prints, for each record whose stdout changed, the largest

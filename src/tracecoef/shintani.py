@@ -6,14 +6,14 @@ constant term C_F(S,d_S); euler_assembly_check checks one summand against
 the product of its local Euler factors.
 
 The pole data has one entry point, shintani_run, in three steps: the terms
-(build_terms), sorted by |D| and so by N_d; the L^S(3, chi_d) row; and the
-direct estimator.  With b_d = L^S(1,chi_d)/L^S(3,chi_d), the Laurent
-constant is partial summation against the tail model
+(build_terms), sorted by |D| and so by N_d; L^S(3, chi_d) from the D alone
+(_l2s_values); and the direct estimator.  With b_d = L^S(1,chi_d)/
+L^S(3,chi_d), the Laurent constant is partial summation against the tail model
 A(t) = sum_{N_d <= t} b_d ~ kappa t + c sqrt(t), with the pole removed by the
 exact kappa* = R/P(3/2) (shintani_constant); the residue is P(3/2) times the
 free fit's kappa (residue_at_pole).  Both are formed at the cut-offs N_max,
-N_max/2 and N_max/4, prefixes of the same terms, and their spread over the
-cut-offs is the error bar.  It is float64 throughout, and P(3/2), P'(3/2)
+N_max/2 and N_max/4, prefixes of the same terms, and twice their spread over
+the cut-offs is the error bar.  It is float64 throughout, and P(3/2), P'(3/2)
 come from three float constants.
 
 The summands over the discriminant classes are built in one array pass
@@ -72,7 +72,7 @@ from .arith import (PlaceSet, SquareClassRep, factorize, kronecker, legendre_tab
 from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
-_L2S_PRIME_BOUND = 600  # Euler-product truncation for L^S(2s, chi), 2s >= 3 (see _l2s_values)
+_L2S_PRIME_BOUND = 600  # the Euler product of L^S(2s, chi_D), 2s >= 3, stops here (_l2s_values)
 _SMOOTHED_TOL = 1e-12  # of l1_smoothed
 # the L(1) methods, and the digits stored with an L(1) cache record of each
 L1_DIGITS = {"class-number-formula": 15,
@@ -387,10 +387,6 @@ def _l1_class_number_bulk(D: np.ndarray) -> np.ndarray:
 # The terms of the discriminant sum, one array per quantity
 # ---------------------------------------------------------------------------
 
-_L2S_ROWS = 512  # terms per block of the L^S(2s) product, bounding its temporaries
-_CHI_BLOCK = 1 << 15  # entries per block of _chi_matrix, bounding its temporaries
-
-
 def _kron_at_prime(D: np.ndarray, p: int) -> np.ndarray:
     """chi_D(p) = (D/p) for an array of discriminants D and a prime p, as int8."""
     if p == 2:
@@ -404,17 +400,13 @@ class Terms:
     """The summands of xi^S(.; alpha), ordered by (|D|, d).
 
     d holds the squarefree class representatives, D their fundamental
-    discriminants, N the conductors outside S and L1S = L^S(1, chi_D); row i
-    of the int8 matrix chi holds chi_D(p) at the small primes outside S
-    (`primes`), from which L^S(2s, chi_D) is assembled.
+    discriminants, N the conductors outside S and L1S = L^S(1, chi_D).
     """
 
     d: np.ndarray
     D: np.ndarray
     N: np.ndarray
     L1S: np.ndarray
-    chi: np.ndarray
-    primes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.d)
@@ -439,41 +431,6 @@ def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
     return L1
 
 
-@functools.lru_cache(maxsize=16)
-def _chi_table(S_primes: tuple):
-    """The odd primes p <= _L2S_PRIME_BOUND outside S (2 is in S), their
-    Legendre table and the int32 offset of each p's block, read-only."""
-    primes = np.array([p for p in primes_up_to(_L2S_PRIME_BOUND).tolist()
-                       if p not in S_primes], dtype=np.int32)
-    table, off = legendre_tables(primes)
-    out = primes, table, off.astype(np.int32)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _chi_matrix(D: np.ndarray, S: PlaceSet):
-    """The primes of _chi_table as float64 and the int8 matrix of chi_D(p), a
-    row per D, read off the table at the int32 index D mod p + offset of p.
-    It is the transpose of a matrix with a row per p, built a block of
-    _CHI_BLOCK entries at a time: D mod p = D - (D // p) p, and numpy divides
-    by one p at a time by multiplying (libdivide), faster than a mod."""
-    primes, table, off = _chi_table(S.primes)
-    D32 = D.astype(np.int32)  # |D| < 2^31: build_terms checks
-    chi = np.empty((len(primes), len(D)), dtype=np.int8)
-    rows = max(1, _CHI_BLOCK // max(len(D), 1))
-    for j in range(0, len(primes), rows):
-        p = primes[j : j + rows, None]
-        idx = np.empty((len(p), len(D)), dtype=np.int32)
-        for q, pj in zip(idx, p[:, 0].tolist()):
-            np.floor_divide(D32, pj, out=q)
-        idx *= -p
-        idx += D32
-        idx += off[j : j + rows, None]
-        np.take(table, idx, out=chi[j : j + rows])
-    return primes.astype(np.float64), chi.T
-
-
 def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula",
                 cache=None) -> Terms:
     """All summands of xi^S(.; alpha) with |fundamental discriminant| <= X,
@@ -491,8 +448,7 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
     L1S = _l1_values(D, method, cache)
     for p in S.primes:  # removed Euler factors (1 for p | D, where chi_D(p) = 0)
         L1S *= 1.0 - _kron_at_prime(D, p) / p
-    primes, chi = _chi_matrix(D, S)
-    return Terms(d, D, N, L1S, chi, primes)
+    return Terms(d, D, N, L1S)
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +477,54 @@ def _dlog_mean(primes: np.ndarray) -> float:
     return sum(2 * math.log(p) / ((p * p - 1) * (p * p + p + 1)) for p in primes.tolist())
 
 
-def _l2s_values(terms: Terms, two_s) -> np.ndarray:
-    """L^S(2s, chi_d), a row per 2s in two_s and a column per term: the Euler
-    product over the p <= P = _L2S_PRIME_BOUND outside S, summed in logs, so
-    |log L^S - log(product)| <= sum_{n > P} n^-2s/(1 - n^-2s) <= P^(1-2s)/((2s-1)
-    (1 - P^-2s)): 1.4e-6 at 2s = 3, far below the truncation-model error.
+_CHI_BLOCK = 1 << 15  # (prime, D) entries per block of _l2s_values, bounding its temporaries
+_L2S_COLS = 1 << 13  # discriminants per column of those blocks
 
-    The log factors are rounded to multiples of 2^-56 (at most 107 2^-57 in
-    log L^S).  Their absolute sum is below 2^-3 for 2s >= 3, so every partial
-    sum of the products is exact: any BLAS kernel and any blocking give the
-    same bits."""
-    pw = terms.primes ** -np.reshape(two_s, (-1, 1))
-    lo, hi = (np.rint(np.log1p(x) * 2.0**56) * 2.0**-56 for x in (-pw, pw))  # chi_d(p) = 1, -1
-    out = np.empty((len(pw), len(terms)))
-    for i in range(0, len(terms), _L2S_ROWS):
-        chi = terms.chi[i : i + _L2S_ROWS].T  # a row per prime
-        out[:, i : i + _L2S_ROWS] = (lo @ (chi == 1).astype(np.float64)
-                                     + hi @ (chi == -1).astype(np.float64))
+
+@functools.lru_cache(maxsize=16)
+def _chi_table(S_primes: tuple):
+    """The odd p <= _L2S_PRIME_BOUND outside S (2 is in S), the primes of _l2s_values
+    and _dlog_mean, their Legendre table and the int32 offset of each p's block, read-only."""
+    primes = np.array([p for p in primes_up_to(_L2S_PRIME_BOUND).tolist()
+                       if p not in S_primes], dtype=np.int32)
+    table, off = legendre_tables(primes)
+    out = primes, table, off.astype(np.int32)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _l2s_values(D: np.ndarray, S: PlaceSet, two_s: float) -> np.ndarray:
+    """L^S(2s, chi_D) for each D, |D| < 2^31: the Euler product over the p <=
+    P = _L2S_PRIME_BOUND outside S, summed in logs, so |log L^S - log(product)|
+    <= sum_{n > P} n^-2s/(1 - n^-2s) <= P^(1-2s)/((2s-1)(1 - P^-2s)): 1.4e-6 at
+    2s = 3, far below the truncation-model error.
+
+    Blocks of a few p by at most _L2S_COLS D (about _CHI_BLOCK entries) read
+    chi_D(p) off _chi_table at D mod p = D - (D // p) p (numpy divides by one p
+    by multiplying, libdivide, faster than a mod) and fold it into the log
+    sums, so no (D, p) matrix is held.  The log factors are multiples of 2^-56
+    (at most 107 2^-57 in log L^S) with absolute sum below 2^-3 for 2s >= 3, so
+    every partial sum is exact: no blocking, order or BLAS kernel moves a bit."""
+    primes, table, off = _chi_table(S.primes)
+    pw = primes.astype(np.float64) ** -two_s
+    lo, hi = (np.rint(np.log1p(x) * 2.0**56) * 2.0**-56 for x in (-pw, pw))  # chi_D(p) = 1, -1
+    out = np.zeros(len(D))
+    cols = max(1, min(len(D), _L2S_COLS))
+    rows = max(1, _CHI_BLOCK // cols)
+    for i in range(0, len(D), cols):
+        d = D[i : i + cols].astype(np.int32)
+        for j in range(0, len(primes), rows):
+            p = primes[j : j + rows, None]
+            idx = np.empty((len(p), len(d)), dtype=np.int32)
+            for q, pj in zip(idx, p[:, 0].tolist()):
+                np.floor_divide(d, pj, out=q)
+            idx *= -p
+            idx += d
+            idx += off[j : j + rows, None]
+            chi = np.take(table, idx)
+            out[i : i + cols] += (lo[j : j + rows] @ (chi == 1).astype(np.float64)
+                                  + hi[j : j + rows] @ (chi == -1).astype(np.float64))
     return np.exp(-out, out=out)
 
 
@@ -585,11 +572,11 @@ def _fit_tail(N: np.ndarray, A: np.ndarray, kappa_star: float) -> dict:
 def residue_at_pole(fits: list, P: float):
     """(estimate, error, unstable flag) of the residue of xi^S(s; alpha) at
     s = 3/2: P kappa_hat of the free tail fit on all terms (fits[0]), with the
-    error P (kappa_stderr + the largest move of kappa_hat over the prefix fits,
-    fits[1:]).  Unstable when P kappa_hat misses the exact P kappa_star by more
-    than that error.  P = P(3/2)."""
+    error P (kappa_stderr + twice the largest move of kappa_hat over the prefix
+    fits, fits[1:]), as shintani_constant's bar.  Unstable when P kappa_hat
+    misses the exact P kappa_star by more than that error.  P = P(3/2)."""
     kappa = fits[0]["kappa_hat"]
-    err = P * (fits[0]["kappa_stderr"] + max(abs(f["kappa_hat"] - kappa) for f in fits))
+    err = P * (fits[0]["kappa_stderr"] + 2 * max(abs(f["kappa_hat"] - kappa) for f in fits))
     return P * kappa, err, bool(P * abs(kappa - fits[0]["kappa_star"]) > err)
 
 
@@ -618,7 +605,7 @@ def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     cache, if given, is as in build_terms."""
     config = config or ShintaniConfig()
     terms = build_terms(alpha, S, config.X, config.L1_method, cache)
-    (L3,) = _l2s_values(terms, [3.0])
+    L3 = _l2s_values(terms.D, S, 3.0)
     # the direct estimator, on all terms and the prefixes N_d <= N_max/2, N_max/4
     exact = residue_exact_value(S)
     P, dP = _pole_prefactor(S)
@@ -629,7 +616,8 @@ def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
     A, sums = np.cumsum(b), np.cumsum(b / N)
     fits = [_fit_tail(N[:k], A[:k], float(exact) / P) for k in ends.tolist()]
     res_est, res_err, unstable = residue_at_pole(fits, P)
-    cf, cf_err = shintani_constant(fits, sums[ends - 1].tolist(), P, dP, _dlog_mean(terms.primes))
+    cf, cf_err = shintani_constant(fits, sums[ends - 1].tolist(), P, dP,
+                                   _dlog_mean(_chi_table(S.primes)[0]))
     return ShintaniResult(
         residue_estimate=res_est,
         residue_exact=exact,

@@ -96,14 +96,19 @@ def test_usage_and_instability_exit_codes(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("alpha, X, code", [("-1", "2000", 0), ("2", "2000", 2),
-                                           ("6", "100000", 0), ("-3", "100000", 0)])
-def test_shintani_exit_codes(capsys, alpha, X, code):
+@pytest.mark.parametrize("alpha, X, code, S", [("-1", "2000", 0, "2"), ("2", "2000", 2, "2"),
+                                              ("6", "100000", 0, "2"), ("-3", "100000", 0, "2"),
+                                              ("-1", "100000", 0, "2,3")],
+                         ids=["-1-2000-0", "2-2000-2", "6-100000-0", "-3-100000-0",
+                              "-1-100000-0-S2,3"])
+def test_shintani_exit_codes(capsys, alpha, X, code, S):
     """The 30-class floor holds for the full tail fit only: at X = 2000 alpha
     -1 (9 classes below N_max/4) runs and alpha 2 is refused.  The constants
     near 0 of alpha 6 and -3 do not raise the unstable flag, whose test
-    compares the fitted residue with the exact one."""
-    got, out = run_cli(capsys, "shintani", "--alpha", alpha, "--S", "2", "--X", X, "--json")
+    compares the fitted residue with the exact one, nor does alpha -1 at
+    {oo,2,3}, where every prefix fit leans the same way (its bar is the
+    kappa_stderr plus twice their spread)."""
+    got, out = run_cli(capsys, "shintani", "--alpha", alpha, "--S", S, "--X", X, "--json")
     assert got == code, out
     if code == 0:
         assert json.loads(out)["result"]["unstable"] is False

@@ -54,6 +54,10 @@ run it only when a change to those outputs is intended, and check with
   schema change.  Each Shintani constant moved by +1.8e-4 to +3.4e-3,
   inside the earlier `constant_error` of 0.014-0.031; the cache files kept
   their bytes.
+- When `residue_error` became P(3/2) (kappa_stderr + twice the prefix
+  spread of kappa_hat), `--drift --write --error-tol 1` reprinted the four
+  `shintani` records; only their `residue_error` moved (by 0.83-0.94
+  relative), and every other record and the cache files kept their bytes.
 
 `PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
 matrices and prints, for each record whose stdout changed, the largest

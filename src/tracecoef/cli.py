@@ -19,7 +19,6 @@ import sys
 import tempfile
 import zlib
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
@@ -30,7 +29,7 @@ from .characters import enum_cubic_chars, enum_quad_chars, QuadChar
 from . import lfun
 from .coeff import CoeffResult, VolumeParams, coeff_unipotent, endoscopic_diff
 from .quadforms import OrbitClass, SymForm2, unipotent_orbit_set
-from .shintani import L1_DIGITS, ShintaniConfig, shintani_run
+from .shintani import require_X, shintani_run
 from . import weights as wmod
 from . import selfcheck
 
@@ -94,33 +93,36 @@ def _coeff_doc(res: CoeffResult) -> dict:
 # JSON-lines L-value cache
 # ---------------------------------------------------------------------------
 
-# the columns of the records held, 8 bytes each; method holds JsonlCache._codes
-_COLS = (("D", "<i8"), ("L1", "<f8"), ("digits", "<i8"), ("method", "<i8"))
-_IDX_FORMAT = "tracecoef L(1) index 2"  # D, L1, digits, method columns
+# the columns of the records held, 8 bytes each
+_COLS = (("D", "<i8"), ("L1", "<f8"), ("digits", "<i8"))
+_IDX_FORMAT = "tracecoef L(1) index 3"  # D, L1, digits columns
+_METHOD = "class-number-formula"  # the method of the records held and written
 _CORRUPT = (ValueError, KeyError, TypeError, OverflowError)
 
 
-def _l1_lines(Ds, L1s, digits: int, method: str) -> str:
+def _l1_lines(Ds, L1s, digits: int) -> str:
     """The L(1) records of the columns Ds and L1s (ints and finite floats), one
     a line, as json.JSONEncoder(sort_keys=True, allow_nan=False) writes them."""
-    m = encode_basestring_ascii(method).replace("%", "%%")
     cols = [None] * (2 * len(Ds))
     cols[::2], cols[1::2] = Ds, L1s
-    line = '{"D": %%d, "L1": %%r, "digits": %d, "method": %s}\n' % (digits, m)
+    line = '{"D": %%d, "L1": %%r, "digits": %d, "method": "%s"}\n' % (digits, _METHOD)
     return line * len(Ds) % tuple(cols)
 
 
 def _l1_columns(recs: list) -> tuple:
-    """The columns of _COLS of recs, with a list of the methods: each record
-    has the keys D, L1, digits and method only, D and digits ints of 64 bits,
-    L1 a float and method a str; for any other, an exception of _CORRUPT."""
+    """The columns of _COLS of the records of recs whose method is _METHOD:
+    each record has the keys D, L1, digits and method only, D and digits ints
+    of 64 bits, L1 a float and method a str; for any other, an exception of
+    _CORRUPT.  A record of another method, as earlier versions wrote, is well
+    formed but never held."""
     if not set(map(len, recs)) <= {4}:  # then itemgetter finds the four keys, or raises
         raise ValueError("not an L(1) record")
-    cols = [list(map(itemgetter(name), recs)) for name, _ in _COLS]
+    cols = [list(map(itemgetter(name), recs)) for name in ("D", "L1", "digits", "method")]
     for col, kind in zip(cols, (int, float, int, str)):
         if not set(map(type, col)) <= {kind}:  # bool is not int here
             raise ValueError("not an L(1) record")
-    return *(np.array(col, dt) for col, (_, dt) in zip(cols[:3], _COLS)), cols[3]
+    mine = np.array([m == _METHOD for m in cols[3]], bool)
+    return tuple(np.array(col, dt)[mine] for col, (_, dt) in zip(cols, _COLS))
 
 
 def _checksum(data: bytes) -> str:
@@ -153,46 +155,44 @@ def _parse_lines(data: bytes) -> tuple[tuple, bool]:
 
 def _ranked(cols: dict):
     """For records in the order they were written: whether each outranks every
-    earlier record of its key (method, D), and the index of the record held for
-    each key, by increasing key.  A plausible L1 (a finite float > 0) outranks
-    an implausible one, then the most digits wins, and ties go to the later one."""
-    L1, key = cols["L1"], (cols["D"], cols["method"])  # lexsort: the last key first
-    ranks = (cols["digits"], (L1 > 0) & (L1 < np.inf), *key)
+    earlier record of its D, and the index of the record held for each D, by
+    increasing D.  A plausible L1 (a finite float > 0) outranks an implausible
+    one, then the most digits wins, and ties go to the later one."""
+    L1, D = cols["L1"], cols["D"]
+    ranks = (cols["digits"], (L1 > 0) & (L1 < np.inf), D)  # lexsort: the last key first
     order = np.lexsort(ranks)  # stable: records that tie stay in written order
     above = np.zeros(len(L1), bool)  # order[i] ranks above order[i - 1]
     for k in ranks:
         above[1:] |= k[order][1:] != k[order][:-1]
     rank = np.empty(len(L1), np.int64)
-    rank[order] = np.cumsum(above)  # increases with the key
-    by_key = np.lexsort(key)
+    rank[order] = np.cumsum(above)  # increases with D
+    by_D = np.argsort(D, kind="stable")
     outranks = np.empty(len(L1), bool)
-    outranks[by_key] = rank[by_key] == np.maximum.accumulate(rank[by_key])
-    won = by_key[outranks[by_key]]  # the last of each key is the one held
-    same = [k[won][1:] == k[won][:-1] for k in key]  # won[i], won[i + 1]: one key
-    return outranks, won[np.append(~(same[0] & same[1]), True)]
+    outranks[by_D] = rank[by_D] == np.maximum.accumulate(rank[by_D])
+    won = by_D[outranks[by_D]]  # the last of each D is the one held
+    return outranks, won[np.append(D[won][1:] != D[won][:-1], True)]
 
 
 class JsonlCache:
     """Append-only cache of L(1,chi_D) records, one JSON object per line; a
     line that is not an L(1) record is corrupt, and skipped with a warning.
 
-    Of the records of one key (method, D), the one held is the first by the
-    rule of _ranked, on reads and on writes: a record is stored, and appended,
-    only if it outranks the one held.  The records held are numpy columns
-    sorted by (method, D), which `<path>.idx` holds for the file's first
-    bytes.  lookup_l1 and store_l1 are the bulk forms of get and put."""
+    Only the records of _METHOD are held.  Of the records of one D, the one
+    held is the first by the rule of _ranked, on reads and on writes: a
+    record is stored, and appended, only if it outranks the one held.  The
+    records held are numpy columns sorted by D, which `<path>.idx` holds for
+    the file's first bytes.  lookup_l1 and store_l1 are the bulk forms of get
+    and put."""
 
     def __init__(self, path: str | None):
         self.path = path
         self._cols = {name: np.empty(0, dt) for name, dt in _COLS}
-        self._codes: dict[str, int] = {}  # method -> its code in the method column
         if path and os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
             n = self._read_index(data)
-            (D, L1, digits, methods), clean = _parse_lines(data[n:])
-            codes = {m: self._codes.setdefault(m, len(self._codes)) for m in dict.fromkeys(methods)}
-            self._merge(D, L1, digits, np.array(list(map(codes.__getitem__, methods)), "<i8"))
+            cols, clean = _parse_lines(data[n:])
+            self._merge(*cols)
             # never over a half-written last line, nor over a corrupt line
             if len(data) > n and data.endswith(b"\n") and clean:
                 self._write_index(data)
@@ -210,7 +210,6 @@ class JsonlCache:
                     and h["checksum"] == _checksum(data[:n])):
                 cols = np.frombuffer(body, "<i8").reshape(len(_COLS), -1)
                 self._cols = {name: col.view(dt) for (name, dt), col in zip(_COLS, cols)}
-                self._codes = {m: i for i, m in enumerate(h["methods"])}
                 return n
         except (OSError, ValueError, KeyError, TypeError):
             pass
@@ -219,8 +218,7 @@ class JsonlCache:
     def _write_index(self, data: bytes):
         """Write `<path>.idx` for the records held, those of the file's bytes
         data: atomically, or not at all if the directory refuses it."""
-        head = json.dumps({"format": _IDX_FORMAT, "methods": list(self._codes),
-                           "n": len(data), "checksum": _checksum(data)})
+        head = json.dumps({"format": _IDX_FORMAT, "n": len(data), "checksum": _checksum(data)})
         rest = head.encode() + b"\n" + b"".join(self._cols[name].tobytes() for name, _ in _COLS)
         tmp = None
         try:
@@ -232,67 +230,60 @@ class JsonlCache:
             if tmp:
                 os.unlink(tmp)
 
-    def _rows(self, method: str) -> slice:
-        """The rows held of the records of method."""
-        code = self._codes.get(method, -1)
-        return slice(*np.searchsorted(self._cols["method"], (code, code + 1)).tolist())
-
-    def _merge(self, D, L1, digits, method) -> np.ndarray:
+    def _merge(self, D, L1, digits) -> np.ndarray:
         """Hold the winners among the records held and the later new ones, the
         columns of _COLS; whether each new one outranks those before it."""
         if not len(D):
             return np.zeros(0, bool)
         cols = {name: np.concatenate((self._cols[name], col))
-                for (name, _), col in zip(_COLS, (D, L1, digits, method))}
+                for (name, _), col in zip(_COLS, (D, L1, digits))}
         outranks, held = _ranked(cols)
         self._cols = {name: col[held] for name, col in cols.items()}
         return outranks[len(outranks) - len(D):]
 
-    def get(self, D: int, method: str):
-        """The record held for (method, D), or None."""
-        rows, D = self._rows(method), int(D)
-        i = rows.start + int(np.searchsorted(self._cols["D"][rows], D))
-        if i < rows.stop and self._cols["D"][i] == D:
+    def get(self, D: int):
+        """The record held for D, or None."""
+        D, held = int(D), self._cols["D"]
+        i = int(np.searchsorted(held, D))
+        if i < len(held) and held[i] == D:
             L1, digits = self._cols["L1"][i].item(), self._cols["digits"][i].item()
-            return {"D": D, "L1": L1, "digits": digits, "method": method}
+            return {"D": D, "L1": L1, "digits": digits, "method": _METHOD}
 
     def put(self, rec: dict):
-        """store_l1 of the one L(1) record rec; ValueError for any other."""
+        """store_l1 of the one L(1) record rec of _METHOD; ValueError for any other."""
         try:
-            D, L1, (digits,), (method,) = _l1_columns([rec])
+            D, L1, (digits,) = _l1_columns([rec])  # no digits for another method
         except _CORRUPT as e:
-            raise ValueError(f"not an L(1) record: {rec!r}") from e
-        self.store_l1(D, L1, method, int(digits))
+            raise ValueError(f"not an L(1) record of {_METHOD}: {rec!r}") from e
+        self.store_l1(D, L1, int(digits))
 
-    def lookup_l1(self, Ds, method: str) -> np.ndarray:
-        """For each D of Ds, the L1 of the record held for (method, D) if it is
+    def lookup_l1(self, Ds) -> np.ndarray:
+        """For each D of Ds, the L1 of the record held for D if it is
         plausible, a finite float > 0 (L(1, chi_D) > 0 for every real primitive
         chi_D); nan otherwise.  One warning counts those skipped as implausible."""
-        Ds, rows = np.asarray(Ds, dtype=np.int64), self._rows(method)
-        held = self._cols["D"][rows]
+        Ds, held = np.asarray(Ds, dtype=np.int64), self._cols["D"]
         if not len(held):
             return np.full(len(Ds), np.nan)
         i = np.minimum(np.searchsorted(held, Ds), len(held) - 1)
-        L1 = self._cols["L1"][rows][i]
+        L1 = self._cols["L1"][i]
         mine = held[i] == Ds
         ok = mine & (L1 > 0) & (L1 < np.inf)
         if bad := np.count_nonzero(mine & ~ok):
             print(f"warning: recomputing {bad} implausible L(1) cache records", file=sys.stderr)
         return np.where(ok, L1, np.nan)
 
-    def store_l1(self, Ds, L1s, method: str, digits: int):
-        """Store the L(1) records (D, L1, method, digits) of the columns Ds and
-        L1s in order, each unless the one held for its key outranks it, with one
-        append; a non-finite L1 raises ValueError before anything is stored."""
+    def store_l1(self, Ds, L1s, digits: int):
+        """Store the L(1) records (D, L1, digits) of the columns Ds and L1s in
+        order, each unless the one held for its D outranks it, with one append;
+        a non-finite L1 raises ValueError before anything is stored."""
         L1s = np.asarray(L1s, dtype=np.float64)
         if not np.isfinite(L1s).all():
             raise ValueError("a non-finite L1 is not stored")
         Ds = np.asarray(Ds, dtype=np.int64)
-        code = self._codes.setdefault(method, len(self._codes))
-        kept = self._merge(Ds, L1s, np.full(len(Ds), digits), np.full(len(Ds), code))
+        kept = self._merge(Ds, L1s, np.full(len(Ds), digits))
         if self.path and kept.any():
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(_l1_lines(Ds[kept].tolist(), L1s[kept].tolist(), digits, method))
+                fh.write(_l1_lines(Ds[kept].tolist(), L1s[kept].tolist(), digits))
 
 
 def open_cache(path: str | None) -> JsonlCache:
@@ -382,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shintani", help="Shintani zeta residue and constant term")
     _add_common(p, cache=True, X=True)
     p.add_argument("--alpha", default="-1")
-    p.add_argument("--l1-method", dest="l1_method", default="class-number-formula",
-                   choices=list(L1_DIGITS))
 
     p = sub.add_parser("lfun", help="partial L-function values and Laurent data")
     _add_common(p, digits=True)
@@ -430,10 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _shintani_config(args) -> ShintaniConfig:
-    return ShintaniConfig(X=args.X, L1_method=getattr(args, "l1_method", "class-number-formula"))
-
-
 def _sub_form(args, alpha: Fraction) -> SymForm2 | None:
     """The subregular form of a coeff/diff command: --form a,b,c, else
     x_alpha for --orbit sub or sub'; None for the other orbits."""
@@ -457,7 +442,7 @@ def cmd_coeff(args) -> dict:
     S = _parse_S(args.S)
     vols = _vols(args)
     cache = open_cache(args.cache)
-    cfg = _shintani_config(args)
+    X = require_X(args.X)
     alpha = Fraction(args.alpha)
     g = args.group
     form = _sub_form(args, alpha)
@@ -469,7 +454,7 @@ def cmd_coeff(args) -> dict:
         orbit = OrbitClass(g, typ, alpha if g in ("sl2", "sl3", "sp2") else None)
     else:
         raise UsageError(f"unknown orbit {args.orbit!r} for group {g}")
-    res = coeff_unipotent(orbit, S, vols, cfg, cache, args.digits)
+    res = coeff_unipotent(orbit, S, vols, X, cache, args.digits)
     return {
         "command": "coeff",
         "inputs": {"group": g, "orbit": str(orbit), "S": str(S), "X": args.X,
@@ -482,12 +467,12 @@ def cmd_shintani(args) -> dict:
     S = _parse_S(args.S)
     S.require_2("the shintani command")
     cache = open_cache(args.cache)
-    cfg = _shintani_config(args)
+    X = require_X(args.X)
     alpha = Fraction(args.alpha)
-    res = shintani_run(alpha, S, cfg, cache)
+    res = shintani_run(alpha, S, X, cache)
     doc = {
         "command": "shintani",
-        "inputs": {"alpha": alpha, "S": str(S), "X": cfg.X, "l1_method": cfg.L1_method},
+        "inputs": {"alpha": alpha, "S": str(S), "X": X},
         "result": {
             "residue_estimate": res.residue_estimate,
             "residue_exact": res.residue_exact,
@@ -601,10 +586,10 @@ def cmd_diff(args) -> dict:
     S = _parse_S(args.S)
     vols = _vols(args)
     cache = open_cache(args.cache)
-    cfg = _shintani_config(args)
+    X = require_X(args.X)
     alpha = Fraction(args.alpha)
     form = _sub_form(args, alpha) if args.orbit == "sub" else None
-    d = endoscopic_diff(S, args.orbit, form or alpha, vols, cfg, cache, args.digits)
+    d = endoscopic_diff(S, args.orbit, form or alpha, vols, X, cache, args.digits)
     return {
         "command": "diff",
         "inputs": {"orbit": args.orbit, "S": str(S), **_param_inputs(args, form, S, args.alpha)},

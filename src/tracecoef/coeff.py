@@ -33,7 +33,7 @@ from .characters import (
 )
 from . import lfun
 from .quadforms import OrbitClass, SymForm2, hasse, is_equiv
-from .shintani import ShintaniConfig, shintani_run
+from .shintani import shintani_run
 
 
 @dataclass
@@ -262,18 +262,18 @@ def _unramified_l1(S: PlaceSet, alpha, digits: int) -> list:
     return out
 
 
-def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, config, cache,
+def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, X: int, cache,
                digits: int, sh=None) -> CoeffResult:
     """The subregular class of the form x (or of x_alpha for a rational x):
     C_F(S,alpha)/2 on vol_M1, for sp2 plus the Hasse-signed sum of the
     unramified L^S(1,chi_D)/2, plus dzeta^S(3)/zeta^S(3)/2 on the class of
     x_1.  For both groups that is the trivial det-class: a form with -det a
     square at every v in S is hyperbolic there, with x_1's Hasse invariants.
-    sh, if given, is the shintani_run of alpha, S, config and cache."""
+    sh, if given, is the shintani_run of alpha, S, X and cache."""
     x = _sub_form(x)
     alpha = squarefree_kernel(-x.det)
     if sh is None:
-        sh = shintani_run(alpha, S, config, cache)
+        sh = shintani_run(alpha, S, X, cache)
     terms = [_term(Fraction(1, 2), "vol_m1", vols, [(f"C_F(S,{alpha})", mpf(sh.constant_CF))])]
     if group == "sp2":
         eps = _hasse_sign(x, S)
@@ -293,7 +293,7 @@ _KIND = {"min": "minimal", "reg": "regular", "sub": "subregular", "sub'": "subre
 
 
 def coeff_gsp2(S: PlaceSet, orbit, vols: VolumeParams | None = None,
-               config: ShintaniConfig | None = None, cache=None,
+               X: int = 10**5, cache=None,
                digits: int = 30) -> CoeffResult:
     """Coefficients for the similitude group: orbit is an OrbitClass or one
     of "min"/"reg", or for subregular classes a SymForm2 (or the value of
@@ -302,7 +302,7 @@ def coeff_gsp2(S: PlaceSet, orbit, vols: VolumeParams | None = None,
     S.require_2("the rank-2 symplectic coefficients")
     typ, param = _orbit_key(orbit, "gsp2")
     if typ in ("sub", "sub'"):
-        return _coeff_sub("gsp2", S, param, vols, config, cache, digits)
+        return _coeff_sub("gsp2", S, param, vols, X, cache, digits)
     if typ not in _SUM_TERMS:
         raise ValueError(f"unknown orbit {orbit!r}")
     terms = _SUM_TERMS[typ](S, vols, digits)(_TRIVIAL, 1)
@@ -310,7 +310,7 @@ def coeff_gsp2(S: PlaceSet, orbit, vols: VolumeParams | None = None,
 
 
 def coeff_sp2(S: PlaceSet, orbit, alpha=None, vols: VolumeParams | None = None,
-              config: ShintaniConfig | None = None, cache=None,
+              X: int = 10**5, cache=None,
               digits: int = 30) -> CoeffResult:
     """Coefficients for the symplectic group.  Minimal and regular classes
     take the square-class parameter alpha (by default the orbit's own);
@@ -319,7 +319,7 @@ def coeff_sp2(S: PlaceSet, orbit, alpha=None, vols: VolumeParams | None = None,
     S.require_2("the rank-2 symplectic coefficients")
     typ, param = _orbit_key(orbit, "sp2")
     if typ in ("sub", "sub'"):
-        return _coeff_sub("sp2", S, param, vols, config, cache, digits)
+        return _coeff_sub("sp2", S, param, vols, X, cache, digits)
     if typ not in _SUM_TERMS:
         raise ValueError(f"unknown orbit {orbit!r}")
     alpha = _param_value(param if alpha is None else alpha)
@@ -343,7 +343,7 @@ def _param_value(param):
 
 
 def coeff_unipotent(orbit: OrbitClass, S: PlaceSet, vols: VolumeParams | None = None,
-                    config: ShintaniConfig | None = None, cache=None,
+                    X: int = 10**5, cache=None,
                     digits: int = 30) -> CoeffResult:
     """Dispatch on the orbit's group.  The identity class has coefficient
     vol_G in every group; only GSp(2) and Sp(2) have subregular classes."""
@@ -366,8 +366,8 @@ def coeff_unipotent(orbit: OrbitClass, S: PlaceSet, vols: VolumeParams | None = 
     if g == "sl3":
         return coeff_sl3(S, typ, _param_value(orbit.param), vols, digits)
     if g == "gsp2":
-        return coeff_gsp2(S, orbit, vols, config, cache, digits)
-    return coeff_sp2(S, orbit, None, vols, config, cache, digits)
+        return coeff_gsp2(S, orbit, vols, X, cache, digits)
+    return coeff_sp2(S, orbit, None, vols, X, cache, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,7 @@ def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
 
 def endoscopic_diff(S: PlaceSet, orbit_type: str, param=None,
                     vols: VolumeParams | None = None,
-                    config: ShintaniConfig | None = None, cache=None,
+                    X: int = 10**5, cache=None,
                     digits: int = 30) -> dict:
     """Difference of the symplectic and similitude coefficients on matched
     orbits, computed two ways: by independent subtraction of the two
@@ -456,9 +456,9 @@ def endoscopic_diff(S: PlaceSet, orbit_type: str, param=None,
     elif orbit_type in ("sub", "sub'"):
         x = _sub_form(param if param is not None else 1)
         # one pole-data run for both groups; its C_F term cancels in the difference
-        sh = shintani_run(squarefree_kernel(-x.det), S, config, cache)
-        a_sp = _coeff_sub("sp2", S, x, vols, config, cache, digits, sh)
-        a_gsp = _coeff_sub("gsp2", S, x, vols, config, cache, digits, sh)
+        sh = shintani_run(squarefree_kernel(-x.det), S, X, cache)
+        a_sp = _coeff_sub("sp2", S, x, vols, X, cache, digits, sh)
+        a_gsp = _coeff_sub("gsp2", S, x, vols, X, cache, digits, sh)
         eps = _hasse_sign(x, S)
         pred_terms = [_term(Fraction(eps, 2), "vol_m1", vols, [factor])
                       for factor in _unramified_l1(S, squarefree_kernel(-x.det), digits)]

@@ -23,12 +23,7 @@ from .arith import (
 from .characters import QuadChar, chi_S, enum_quad_chars, is_fundamental_discriminant
 from . import lfun
 from .quadforms import SymForm2, enum_form_classes, realizable_eps, unipotent_orbit_set
-from .shintani import (
-    ShintaniConfig,
-    euler_assembly_check,
-    l1_class_number,
-    shintani_run,
-)
+from .shintani import euler_assembly_check, l1_class_number, shintani_run
 from . import coeff as coeffmod
 from . import weights as wmod
 
@@ -130,11 +125,11 @@ def crit_3_laurent_constants(quick=False, cache=None):
 def crit_4_shintani_residue(quick=False, cache=None):
     """Residue of the Shintani zeta function at 3/2 for two square classes."""
     S2 = PlaceSet.of(2)
-    config = ShintaniConfig(X=2 * 10**4 if quick else 10**5)
+    X = 2 * 10**4 if quick else 10**5
     out = {}
     ests = []
     for alpha in (-1, 2):
-        res = shintani_run(alpha, S2, config, cache)
+        res = shintani_run(alpha, S2, X, cache)
         est, exact, err = res.residue_estimate, float(res.residue_exact), res.residue_error
         ests.append((est, err))
         out[f"alpha={alpha}"] = {"estimate": est, "exact": exact,
@@ -242,8 +237,7 @@ def crit_8_endoscopic(quick=False, cache=None):
     # subregular: the Shintani part cancels exactly, so the deviation must
     # sit far inside the propagated error bars
     S2 = PlaceSet.of(2)
-    cfg = ShintaniConfig(X=10**4)
-    d = coeffmod.endoscopic_diff(S2, "sub", SymForm2.x_alpha(-1), config=cfg, cache=cache)
+    d = coeffmod.endoscopic_diff(S2, "sub", SymForm2.x_alpha(-1), X=10**4, cache=cache)
     sub_dev = abs(float(d["difference"].value - d["predicted"].value))
     sub_err = d["difference"].error + 1e-12
     details["sub alpha=-1 {oo,2}"] = {"dev": sub_dev, "error_bars": sub_err}

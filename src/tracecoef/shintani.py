@@ -47,9 +47,9 @@ doubling the sums at the end is exact, so each sum is one fixed sequence of
 float additions whatever M and the block sizes.
 
 The per-discriminant routines (class_number_imag, class_data_real,
-l1_class_number) remain as the independent oracles of that pass.  A
-smoothed character-sum evaluation (incomplete-gamma split of the completed
-L-function) is the second, independent method.
+l1_class_number) remain as the independent oracles of that pass, and
+l1_smoothed (incomplete-gamma split of the completed L-function) as an
+oracle independent of the class numbers.
 
 Truncation tails are modeled by the empirical linear growth of the
 weighted discriminant count A(t); this is a documented heuristic with
@@ -73,24 +73,14 @@ from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
 _L2S_PRIME_BOUND = 600  # the Euler product of L^S(2s, chi_D), 2s >= 3, stops here (_l2s_values)
-_SMOOTHED_TOL = 1e-12  # of l1_smoothed
-# the L(1) methods, and the digits stored with an L(1) cache record of each
-L1_DIGITS = {"class-number-formula": 15,
-              "smoothed-character-sum": round(-math.log10(_SMOOTHED_TOL))}
+L1_DIGITS = 15  # the digits stored with an L(1) cache record
 
 
-@dataclass
-class ShintaniConfig:
-    """Evaluation parameters for the truncated zeta function."""
-
-    X: int = 10**5
-    L1_method: str = "class-number-formula"  # or "smoothed-character-sum"
-
-    def __post_init__(self):
-        if self.X < 10**3:
-            raise ValueError("X must be at least 10^3")
-        if self.L1_method not in L1_DIGITS:
-            raise ValueError(f"unknown L1 method {self.L1_method!r}")
+def require_X(X: int) -> int:
+    """The truncation bound X of the discriminant sum, if at least 10^3."""
+    if X < 10**3:
+        raise ValueError("X must be at least 10^3")
+    return X
 
 
 @dataclass
@@ -230,7 +220,7 @@ def l1_class_number(D: int, digits: int | None = None):
         return +(h_plus * log_eps / mp.sqrt(D))
 
 
-def l1_smoothed(D: int, tol: float = _SMOOTHED_TOL) -> float:
+def l1_smoothed(D: int, tol: float = 1e-12) -> float:
     """L(1, chi_D) by the incomplete-gamma split of the completed L-function.
 
     Even case (D>0):  L = sum chi(n) [ erfc(n r)/n + E1(pi n^2/q)/sqrt(q) ]
@@ -412,30 +402,22 @@ class Terms:
         return len(self.d)
 
 
-def _l1_values(D: np.ndarray, method: str, cache) -> np.ndarray:
-    """L(1, chi_D) for every D: the value the cache serves for this method,
-    so the two methods never stand in for each other; the misses in one pass,
-    stored with one store_l1."""
-    L1 = np.full(len(D), np.nan)
-    if cache is not None:
-        L1[:] = cache.lookup_l1(D, method)
+def _l1_values(D: np.ndarray, cache) -> np.ndarray:
+    """L(1, chi_D) for every D: the value the cache serves, and the misses
+    in one bulk pass, stored with one store_l1."""
+    L1 = np.full(len(D), np.nan) if cache is None else np.array(cache.lookup_l1(D), float)
     miss = np.isnan(L1)
     if miss.any():
-        Dm = D[miss]
-        if method == "class-number-formula":
-            L1[miss] = _l1_class_number_bulk(Dm)
-        else:
-            L1[miss] = [l1_smoothed(k) for k in Dm.tolist()]
+        L1[miss] = _l1_class_number_bulk(D[miss])
         if cache is not None:
-            cache.store_l1(Dm, L1[miss], method, L1_DIGITS[method])
+            cache.store_l1(D[miss], L1[miss], L1_DIGITS)
     return L1
 
 
-def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula",
-                cache=None) -> Terms:
+def build_terms(alpha, S: PlaceSet, X: int, cache=None) -> Terms:
     """All summands of xi^S(.; alpha) with |fundamental discriminant| <= X,
-    ordered by |D| then d.  The cache, if given, needs lookup_l1(D array,
-    method) and store_l1(D array, L1 array, method, digits) as cli.JsonlCache."""
+    ordered by |D| then d.  The cache, if given, needs lookup_l1(D array)
+    and store_l1(D array, L1 array, digits) as cli.JsonlCache."""
     S.require_2("the Shintani zeta function")
     a_val = alpha.value if isinstance(alpha, SquareClassRep) else squarefree_kernel(alpha)
     d = np.asarray(disc_classes(S, a_val, X=X, kind="Q_S").entries, dtype=np.int64)
@@ -445,7 +427,7 @@ def build_terms(alpha, S: PlaceSet, X: int, method: str = "class-number-formula"
     N = np.abs(d)
     for p in S.primes:
         N = np.where(N % p == 0, N // p, N)
-    L1S = _l1_values(D, method, cache)
+    L1S = _l1_values(D, cache)
     for p in S.primes:  # removed Euler factors (1 for p | D, where chi_D(p) = 0)
         L1S *= 1.0 - _kron_at_prime(D, p) / p
     return Terms(d, D, N, L1S)
@@ -598,13 +580,11 @@ def shintani_constant(fits: list, sums: list, P: float, dP: float, dlog_mean: fl
     return cs[0], 2 * max(abs(c - cs[0]) for c in cs)
 
 
-def shintani_run(alpha, S: PlaceSet, config: ShintaniConfig | None = None,
-                 cache=None) -> ShintaniResult:
+def shintani_run(alpha, S: PlaceSet, X: int = 10**5, cache=None) -> ShintaniResult:
     """The pole data of xi^S(s; alpha) at s = 3/2, by the one path: the
-    residue estimate against the exact residue, and the constant term.  The
-    cache, if given, is as in build_terms."""
-    config = config or ShintaniConfig()
-    terms = build_terms(alpha, S, config.X, config.L1_method, cache)
+    residue estimate against the exact residue, and the constant term, over
+    the |D| <= X (at least 10^3).  The cache, if given, is as in build_terms."""
+    terms = build_terms(alpha, S, require_X(X), cache)
     L3 = _l2s_values(terms.D, S, 3.0)
     # the direct estimator, on all terms and the prefixes N_d <= N_max/2, N_max/4
     exact = residue_exact_value(S)

@@ -23,21 +23,20 @@ from hypothesis import strategies as st
 from tracecoef import cli
 from tracecoef.cli import JsonlCache, main
 
-METHODS = ("class-number-formula", "smoothed-character-sum")
+METHOD = "class-number-formula"  # the method of every record held
+METHODS = (METHOD, "smoothed-character-sum")  # the methods of older cache files
 SHINTANI = ["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--json"]
 DS = list(range(-2000, 2001))
 
 
 def _served(path, Ds=DS):
-    """What a read of path serves: lookup_l1 for both methods (nan as None),
-    get for both methods and every D of Ds, and what the read and lookups
-    print to stderr."""
+    """What a read of path serves: lookup_l1 (nan as None) and get of every D
+    of Ds, and what the read and lookups print to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         c = JsonlCache(str(path))
-        looked = [[None if x != x else x for x in c.lookup_l1(Ds, m).tolist()]
-                  for m in METHODS]
-    return looked, [[c.get(D, m) for D in Ds] for m in METHODS], err.getvalue()
+        looked = [None if x != x else x for x in c.lookup_l1(Ds).tolist()]
+    return looked, [c.get(D) for D in Ds], err.getvalue()
 
 
 def _served_without_index(path, Ds=DS):
@@ -62,18 +61,17 @@ def test_index_written_by_a_read_and_used_by_the_next(tmp_path):
     path = _filled(tmp_path)
     idx = Path(f"{path}.idx").read_bytes()
     want = _served_without_index(path)
-    JsonlCache(str(path)).lookup_l1([-4], METHODS[0])
+    JsonlCache(str(path)).lookup_l1([-4])
     assert Path(f"{path}.idx").read_bytes() == idx  # an unchanged file: no new index
     c = JsonlCache(str(path))
     assert c._read_index(path.read_bytes()) == len(path.read_bytes())
-    assert _served(path) == want and want[1][0][DS.index(-4)]["L1"] == math.pi / 4
+    assert _served(path) == want and want[1][DS.index(-4)]["L1"] == math.pi / 4
     # an append is parsed as the tail of the file and indexed again
-    JsonlCache(str(path)).store_l1([-4, -3], [0.7853981633974484, 0.6045997880780728],
-                                   METHODS[1], 16)
+    JsonlCache(str(path)).store_l1([-4, -3], [0.7853981633974484, 0.6045997880780728], 16)
     assert _served(path) == _served_without_index(path)
     assert Path(f"{path}.idx").read_bytes() != idx
-    c = JsonlCache(str(path))  # both methods held for D = -4
-    assert c.get(-4, METHODS[1])["digits"] == 16 and c.get(-4, METHODS[0])["L1"] == math.pi / 4
+    c = JsonlCache(str(path))  # the record of 16 digits outranks the one of 15
+    assert c.get(-4)["digits"] == 16 and c.get(-4)["L1"] == 0.7853981633974484
 
 
 def _edit_one_digit_in_place(path):
@@ -93,12 +91,12 @@ def _truncate_index(path):
 
 
 def _flip_column_byte(path):
-    # a high byte of the fourth L1: the D, L1, digits and method columns of 8
-    # bytes each follow the digest line and the header line
+    # a high byte of the fourth L1: the D, L1 and digits columns of 8 bytes
+    # each follow the digest line and the header line
     idx = Path(f"{path}.idx")
     data = bytearray(idx.read_bytes())
     body = data.index(b"\n", data.index(b"\n") + 1) + 1
-    data[body + (len(data) - body) // 4 + 3 * 8 + 6] ^= 0x10
+    data[body + (len(data) - body) // 3 + 3 * 8 + 6] ^= 0x10
     idx.write_bytes(bytes(data))
 
 
@@ -143,10 +141,11 @@ def test_file_deleted_while_index_remains(tmp_path):
     data = path.read_bytes()
     path.unlink()
     assert _served(path) == _served_without_index(path)
-    assert JsonlCache(str(path)).get(-4, METHODS[0]) is None
+    assert JsonlCache(str(path)).get(-4) is None
     path.write_bytes(data)
     _edit_one_digit_in_place(path)
-    data = path.read_bytes() + b'{"D": 1, "L1": 1.0, "digits": 15, "method": "m"}\n'
+    data = (path.read_bytes()
+            + b'{"D": 1, "L1": 1.0, "digits": 15, "method": "class-number-formula"}\n')
     path.unlink()
     path.write_bytes(data)
     assert _served(path) == _served_without_index(path)
@@ -175,75 +174,82 @@ def test_read_only_directory_writes_no_index(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "not json", '{"D": -3, "L1": 1, "digits": 15, "method": "m"}',
-    '{"D": -3, "L1": 0.5, "digits": 15, "method": "m", "x": 0}',
-    '{"D": -3, "L1": 0.5, "digits": 15}', '{"D": "-3", "L1": 0.5, "digits": 15, "method": "m"}',
-    '{"D": 9223372036854775808, "L1": 0.5, "digits": 15, "method": "m"}',
-    '{"D": -3, "L1": 0.5, "digits": true, "method": "m"}',
+    "not json", '{"D": -3, "L1": 1, "digits": 15, "method": "class-number-formula"}',
+    '{"D": -3, "L1": 0.5, "digits": 15, "method": "class-number-formula", "x": 0}',
+    '{"D": -3, "L1": 0.5, "digits": 15}',
+    '{"D": "-3", "L1": 0.5, "digits": 15, "method": "class-number-formula"}',
+    '{"D": 9223372036854775808, "L1": 0.5, "digits": 15, "method": "class-number-formula"}',
+    '{"D": -3, "L1": 0.5, "digits": true, "method": "class-number-formula"}',
     '{"D": -3, "L1": 0.5, "digits": 15, "method": 7}'])
 def test_no_index_over_a_corrupt_line_or_another_shape(tmp_path, line):
-    """A line that is not an L(1) record is corrupt: such a file is parsed
-    whole on every read, with the same warning, and serves the other lines."""
+    """A line that is not an L(1) record is corrupt, whatever its method:
+    such a file is parsed whole on every read, with the same warning, and
+    serves the other lines."""
     path = tmp_path / "cache.jsonl"
-    path.write_text(line + "\n" + json.dumps({"D": -4, "L1": 0.78, "digits": 15, "method": "m"})
+    path.write_text(line + "\n" + json.dumps({"D": -4, "L1": 0.78, "digits": 15, "method": METHOD})
                     + "\n")
     want = _served_without_index(path, [-4, -3])
     assert want[2] == f"warning: skipping corrupt cache line: {line[:60]}\n"
-    assert want[1] == [[None, None], [None, None]]  # the methods of METHODS hold nothing
+    assert want[:2] == ([0.78, None], [{"D": -4, "L1": 0.78, "digits": 15, "method": METHOD}, None])
     for _ in range(2):
         assert _served(path, [-4, -3]) == want
-    assert JsonlCache(str(path)).get(-4, "m")["L1"] == 0.78
-    assert JsonlCache(str(path)).get(-3, "m") is None
     assert not os.path.exists(f"{path}.idx")
 
 
 def test_bytes_that_are_not_utf8(tmp_path):
     """A byte that is not UTF-8 is read as U+FFFD: in a number it makes its
-    line corrupt, in a method string a method no run asks for; the other
+    line corrupt, in a method string another method, never held; the other
     records are served, and a Shintani run exits 0."""
     path = tmp_path / "cache.jsonl"
-    good = json.dumps({"D": -4, "L1": 0.78, "digits": 15, "method": METHODS[0]}).encode()
-    path.write_bytes(b'{"D": -3, "L1": 0.6\xff, "digits": 15, "method": "m"}\n'
-                     b'{"D": -8, "L1": 0.6, "digits": 15, "method": "m\xff"}\n' + good + b"\n")
+    good = json.dumps({"D": -4, "L1": 0.78, "digits": 15, "method": METHOD}).encode()
+    path.write_bytes(b'{"D": -3, "L1": 0.6\xff, "digits": 15, "method": "class-number-formula"}\n'
+                     b'{"D": -8, "L1": 0.6, "digits": 15, "method": "class-number-formula\xff"}\n'
+                     + good + b"\n")
     looked, held, err = _served_without_index(path, [-8, -4, -3])
-    assert looked[0] == [None, 0.78, None] and held[1] == [None] * 3
+    assert looked == [None, 0.78, None] and held == [None, json.loads(good), None]
     assert err.count("skipping corrupt cache line") == 1
-    assert JsonlCache(str(path)).get(-8, "m\ufffd")["L1"] == 0.6
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(SHINTANI + ["--cache", str(path)]) == 0
 
 
+# the earlier index formats: the five columns D, L1, digits, method and a
+# record column, then the four columns D, L1, digits and method, each with a
+# list of the methods whose codes the method column holds
+OLD_INDEXES = {"tracecoef L(1) index 1": ([-8, -4, -3], [0.9] * 3, [20] * 3, [0] * 3, [-1] * 3),
+               "tracecoef L(1) index 2": ([-8, -4, -3] * 2, [0.9] * 6, [20] * 6, [0] * 3 + [1] * 3)}
+
+
 def test_index_of_the_old_format_is_ignored_and_rewritten(tmp_path):
-    """An index in the earlier five-column format (D, L1, digits, method and
-    a record column), with valid checksums, is read as no index and replaced
-    by one of the four columns of the records held."""
-    path = tmp_path / "cache.jsonl"
+    """An index in an earlier format, with valid checksums, is read as no
+    index and replaced by one of the three columns of the records held."""
     recs = [{"D": D, "L1": 0.5 + D / 100, "digits": 15, "method": m}
             for m in METHODS for D in (-8, -4, -3)]
-    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
-    data = path.read_bytes()
-    old_cols = ([-8, -4, -3], [0.9, 0.9, 0.9], [20, 20, 20], [0, 0, 0], [-1, -1, -1])
-    body = b"".join(np.array(col, "<f8" if i == 1 else "<i8").tobytes()
-                    for i, col in enumerate(old_cols))
-    head = json.dumps({"format": "tracecoef L(1) index 1", "methods": [METHODS[0]],
-                       "n": len(data), "checksum": cli._checksum(data)}).encode()
-    rest = head + b"\n" + body
-    Path(f"{path}.idx").write_bytes(cli._checksum(rest).encode() + b"\n" + rest)
-    want = _served_without_index(path, [-8, -4, -3])
-    assert want[0] == [[0.42, 0.46, 0.47]] * 2
-    assert _served(path, [-8, -4, -3]) == want
-    _, head, body = Path(f"{path}.idx").read_bytes().split(b"\n", 2)
-    assert json.loads(head)["format"] == cli._IDX_FORMAT != "tracecoef L(1) index 1"
-    assert len(body) == 4 * 8 * len(recs)
-    assert _served(path, [-8, -4, -3]) == want  # through the new index
+    for fmt, old_cols in OLD_INDEXES.items():
+        path = tmp_path / f"{fmt[-1]}.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        data = path.read_bytes()
+        body = b"".join(np.array(col, "<f8" if i == 1 else "<i8").tobytes()
+                        for i, col in enumerate(old_cols))
+        head = json.dumps({"format": fmt, "methods": list(METHODS),
+                           "n": len(data), "checksum": cli._checksum(data)}).encode()
+        rest = head + b"\n" + body
+        Path(f"{path}.idx").write_bytes(cli._checksum(rest).encode() + b"\n" + rest)
+        want = _served_without_index(path, [-8, -4, -3])
+        assert want[0] == [0.42, 0.46, 0.47]
+        assert _served(path, [-8, -4, -3]) == want
+        _, head, body = Path(f"{path}.idx").read_bytes().split(b"\n", 2)
+        assert json.loads(head) == {"format": cli._IDX_FORMAT, "n": len(data),
+                                    "checksum": cli._checksum(data)}
+        assert cli._IDX_FORMAT not in OLD_INDEXES and len(body) == 3 * 8 * 3
+        assert _served(path, [-8, -4, -3]) == want  # through the new index
 
 
 def test_index_ignored_when_it_cannot_be_read(tmp_path):
     """An index path that is a directory is read as no index and not written."""
     path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps({"D": -4, "L1": 0.78, "digits": 15, "method": "m"}) + "\n")
+    path.write_text(json.dumps({"D": -4, "L1": 0.78, "digits": 15, "method": METHOD}) + "\n")
     os.mkdir(f"{path}.idx")
-    assert JsonlCache(str(path)).get(-4, "m")["L1"] == 0.78
+    assert JsonlCache(str(path)).get(-4)["L1"] == 0.78
     assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.idx"]
 
 
@@ -287,10 +293,10 @@ def _write(path, lines):
 
 
 def _held_by_rule(lines) -> dict:
-    """The record held for each (method, D), by the rule written out: only
-    L(1) records count (the keys D, L1, digits and method, D and digits ints
-    of 64 bits, L1 a float, method a str); a plausible L1 first, then the
-    most digits, ties to the last."""
+    """The record held for each D, by the rule written out: only L(1)
+    records of METHOD count (the keys D, L1, digits and method, D and digits
+    ints of 64 bits, L1 a float, method METHOD); a plausible L1 first, then
+    the most digits, ties to the last."""
     held, rank = {}, {}
     for line in lines:
         try:
@@ -301,11 +307,11 @@ def _held_by_rule(lines) -> dict:
             continue
         D, L1, digits, method = rec["D"], rec["L1"], rec["digits"], rec["method"]
         if not (type(D) is int and -2**63 <= D < 2**63 and type(digits) is int
-                and -2**63 <= digits < 2**63 and type(L1) is float and type(method) is str):
+                and -2**63 <= digits < 2**63 and type(L1) is float and method == METHOD):
             continue
         r = (0 < L1 < math.inf, digits)
-        if (method, D) not in rank or r >= rank[method, D]:
-            held[method, D], rank[method, D] = rec, r
+        if D not in rank or r >= rank[D]:
+            held[D], rank[D] = rec, r
     return held
 
 
@@ -334,7 +340,7 @@ def test_index_tail_and_whole_file_agree(file, other):
         assert _served(split, Ds) == want
         assert _served(stale, Ds) == want
     held = _held_by_rule(lines)
-    assert want[1] == [[held.get((m, D)) for D in Ds] for m in METHODS]
+    assert want[1] == [held.get(D) for D in Ds]
 
 
 # -- two processes share one cache file ---------------------------------------
@@ -347,8 +353,8 @@ path, me = sys.argv[1], int(sys.argv[2])
 for r in range(ROUNDS):
     Ds = np.arange(-400, 0) + 7 * r if me else np.arange(-200, 200) + 5 * r
     L1s = 0.5 + (Ds % 97) / 100 + me / 1e3
-    JsonlCache(path).store_l1(Ds, L1s, "m", 15)
-    assert not np.isnan(JsonlCache(path).lookup_l1(Ds, "m")).any(), r
+    JsonlCache(path).store_l1(Ds, L1s, 15)
+    assert not np.isnan(JsonlCache(path).lookup_l1(Ds)).any(), r
 """.replace("ROUNDS", "30")
 
 
@@ -367,7 +373,7 @@ def test_two_processes_share_one_cache(tmp_path):
     assert len(recs) == 2 * 30 * 400
     assert {tuple(sorted(rec)) for rec in recs} == {("D", "L1", "digits", "method")}
     assert {(type(r["D"]), type(r["L1"]), r["digits"], r["method"]) for r in recs} == {
-        (int, float, 15, "m")}
+        (int, float, 15, "class-number-formula")}
     Ds = sorted({rec["D"] for rec in recs})
     assert _served(path, Ds) == _served_without_index(path, Ds)
     assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.idx"]

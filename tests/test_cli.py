@@ -47,7 +47,7 @@ def test_shintani_command(capsys):
     assert abs(r["residue_estimate"] - 0.125) / 0.125 < 0.05
     assert set(r) == {"residue_estimate", "residue_exact", "residue_error", "constant",
                       "constant_error", "unstable", "diagnostics"}
-    assert set(doc["inputs"]) == {"alpha", "S", "X", "l1_method"}
+    assert set(doc["inputs"]) == {"alpha", "S", "X"}
 
 
 def test_lfun_orbit_chars_weights_commands(capsys):
@@ -114,40 +114,58 @@ def test_shintani_exit_codes(capsys, alpha, X, code, S):
         assert json.loads(out)["result"]["unstable"] is False
 
 
+METHOD = "class-number-formula"  # the method of every record held
+
+
+X_TOO_SMALL = ('{\n  "error": {\n    "code": "usage",\n'
+               '    "message": "X must be at least 10^3"\n  }\n}\n')
+
+
+@pytest.mark.parametrize("argv", [["coeff", "--group", "sp2", "--orbit", "min"],
+                                  ["diff", "--orbit", "min"], ["shintani"]],
+                         ids=["coeff", "diff", "shintani"])
+def test_X_below_10_to_3_is_a_usage_error(capsys, argv):
+    """Each subcommand that takes --X refuses X < 10^3 with the same JSON
+    usage error, also for an orbit whose coefficient does not read X."""
+    assert run_cli(capsys, *argv, "--X", "100") == (2, X_TOO_SMALL)
+
+
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     c = JsonlCache(path)
-    c.put({"D": -4, "L1": 0.7853981633974483, "method": "class-number-formula", "digits": 15})
-    c.put({"D": 8, "L1": 1.2, "method": "x", "digits": 15})
+    c.put({"D": -4, "L1": 0.7853981633974483, "method": METHOD, "digits": 15})
+    c.put({"D": 8, "L1": 1.2, "method": METHOD, "digits": 15})
+    with pytest.raises(ValueError):
+        c.put({"D": 5, "L1": 0.43, "method": "x", "digits": 15})
     c2 = JsonlCache(path)
-    assert c2.get(-4, "class-number-formula")["L1"] == 0.7853981633974483
-    assert c2.get(8, "x") == {"D": 8, "L1": 1.2, "digits": 15, "method": "x"}
-    assert c2.get(5, "x") is None and c2.get(-4, "x") is None and c2.get(8, "y") is None
+    assert c2.get(-4)["L1"] == 0.7853981633974483
+    assert c2.get(8) == {"D": 8, "L1": 1.2, "digits": 15, "method": METHOD}
+    assert c2.get(5) is None and c2.get(-3) is None
 
 
 def test_cache_highest_digits_wins(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     with open(path, "w") as fh:
-        fh.write(json.dumps({"D": -4, "L1": 0.78, "digits": 10, "method": "m"}) + "\n")
-        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": "m"}) + "\n")
-        fh.write(json.dumps({"D": -4, "L1": 0.79, "digits": 10, "method": "m"}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.78, "digits": 10, "method": METHOD}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": METHOD}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.79, "digits": 10, "method": METHOD}) + "\n")
         fh.write("not json at all\n")
-        fh.write(json.dumps({"D": 8, "L1": 1.1, "digits": 10, "method": "m"}) + "\n")
-        fh.write(json.dumps({"D": 8, "L1": 1.2, "digits": 10, "method": "m"}) + "\n")
+        fh.write(json.dumps({"D": 8, "L1": 1.1, "digits": 10, "method": METHOD}) + "\n")
+        fh.write(json.dumps({"D": 8, "L1": 1.2, "digits": 10, "method": METHOD}) + "\n")
     c = JsonlCache(path)
-    assert c.get(-4, "m")["L1"] == 0.785398  # highest digits wins
-    assert c.get(8, "m")["L1"] == 1.2        # ties: last wins
+    assert c.get(-4)["L1"] == 0.785398  # highest digits wins
+    assert c.get(8)["L1"] == 1.2        # ties: last wins
     assert capsys.readouterr().err.count("skipping corrupt cache line") == 1
     # an in-memory put with fewer digits must not clobber
-    c.put({"D": -4, "L1": 0.7, "digits": 5, "method": "m"})
-    assert c.get(-4, "m")["L1"] == 0.785398
+    c.put({"D": -4, "L1": 0.7, "digits": 5, "method": METHOD})
+    assert c.get(-4)["L1"] == 0.785398
 
 
 def test_cache_store_l1_same_bytes_as_put(tmp_path):
     """One bulk append writes what the sequential puts write, with the same
     digits precedence applied to each record."""
     with open(tmp_path / "seed.jsonl", "w") as fh:
-        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": "m"}) + "\n")
+        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": METHOD}) + "\n")
     Ds, L1s = [-4, 5, 8, 5], [0.7, 0.43, 0.62, 0.4304]  # -4: fewer digits, skipped; 5: tie, wins
     paths = []
     for name in ("put", "store_l1"):
@@ -156,10 +174,10 @@ def test_cache_store_l1_same_bytes_as_put(tmp_path):
         c = JsonlCache(str(path))
         if name == "put":
             for D, L1 in zip(Ds, L1s):
-                c.put({"D": D, "L1": L1, "method": "m", "digits": 15})
+                c.put({"D": D, "L1": L1, "method": METHOD, "digits": 15})
         else:
-            c.store_l1(Ds, L1s, "m", 15)
-        assert c.get(-4, "m")["L1"] == 0.785398 and c.get(5, "m")["L1"] == 0.4304
+            c.store_l1(Ds, L1s, 15)
+        assert c.get(-4)["L1"] == 0.785398 and c.get(5)["L1"] == 0.4304
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert len(paths[1].read_text().splitlines()) == 4
@@ -172,17 +190,17 @@ def test_cache_rejects_non_finite_record(tmp_path):
     c = JsonlCache(str(path))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            c.store_l1([5, 8], [0.43, bad], "m", 15)
+            c.store_l1([5, 8], [0.43, bad], 15)
         with pytest.raises(ValueError):
-            c.put({"D": 8, "L1": bad, "method": "m", "digits": 15})
+            c.put({"D": 8, "L1": bad, "method": METHOD, "digits": 15})
     assert not path.exists() or path.read_text() == ""
-    assert c.get(5, "m") is None and c.get(8, "m") is None
+    assert c.get(5) is None and c.get(8) is None
 
 
 RECORDS = st.fixed_dictionaries({
     "D": st.integers(-10**12, 10**12),
     "L1": st.floats(allow_nan=False, allow_infinity=False),
-    "method": st.text(max_size=30),
+    "method": st.one_of(st.just(METHOD), st.just(METHOD), st.text(max_size=30)),
     "digits": st.integers(-10**6, 10**6),
 })
 OTHER_RECORDS = st.one_of(
@@ -201,7 +219,7 @@ def _is_l1_record(rec) -> bool:
     return (isinstance(rec, dict) and rec.keys() == {"D", "L1", "digits", "method"}
             and type(rec["D"]) is int and type(rec["digits"]) is int
             and -2**63 <= rec["D"] < 2**63 and -2**63 <= rec["digits"] < 2**63
-            and type(rec["L1"]) is float and type(rec["method"]) is str)
+            and type(rec["L1"]) is float and rec["method"] == METHOD)
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,8 +227,9 @@ def _is_l1_record(rec) -> bool:
                 unique_by=lambda r: int(r["D"] if isinstance(r, dict) else r[0])))
 def test_cache_lines_are_the_encoder_bytes(recs):
     """put writes exactly what json.JSONEncoder(sort_keys=True,
-    allow_nan=False) writes for an L(1) record, and refuses any other shape
-    with ValueError, writing nothing and holding nothing of it."""
+    allow_nan=False) writes for an L(1) record of METHOD, and refuses any
+    other shape or method with ValueError, writing nothing and holding
+    nothing of it."""
     enc = json.JSONEncoder(sort_keys=True, allow_nan=False)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cache.jsonl"
@@ -225,23 +244,38 @@ def test_cache_lines_are_the_encoder_bytes(recs):
         held = sum(map(len, c._cols.values()))
     want = [rec for rec in recs if _is_l1_record(rec)]
     assert got == "".join(enc.encode(rec) + "\n" for rec in want)
-    assert held == 4 * len(want)
+    assert held == 3 * len(want)
 
 
-def test_cache_names_perfbench_wraps():
+def test_cache_names_perfbench_wraps(tmp_path):
     """perfbench/spans.py wraps get and put through JsonlCache.__dict__ and
-    times open_cache; the bulk methods stand beside them."""
+    times open_cache; the bulk methods stand beside them.  Its get wrapper
+    calls get(D) and counts the gets and the hits."""
     from tracecoef import cli
 
     assert {"get", "put", "lookup_l1", "store_l1"} <= set(JsonlCache.__dict__)
     assert callable(cli.open_cache)
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.pop(0)
+    cache = JsonlCache(str(tmp_path / "cache.jsonl"))
+    cache.put({"D": -4, "L1": 0.7853981633974483, "method": METHOD, "digits": 15})
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        assert cache.get(-4) == {"D": -4, "L1": 0.7853981633974483, "digits": 15,
+                                 "method": METHOD}
+    finally:
+        rec.uninstall()
+    assert rec.counts["cli.cache.gets"] == 1 and rec.counts["cli.cache.hits"] == 1
 
 
-METHODS = ("class-number-formula", "smoothed-character-sum")
 HELD = st.fixed_dictionaries({
     "D": st.integers(-12, 12),
     "L1": st.one_of(st.floats(), st.integers(-2, 2), st.just("0.5")),
-    "method": st.sampled_from(METHODS),
+    "method": st.sampled_from([METHOD, "smoothed-character-sum"]),
     "digits": st.integers(10, 20),
 })
 
@@ -251,10 +285,10 @@ HELD = st.fixed_dictionaries({
        batch=st.lists(st.tuples(st.integers(-12, 12),
                                 st.floats(allow_nan=False, allow_infinity=False)), max_size=12),
        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
-       method=st.sampled_from(METHODS), digits=st.integers(12, 18))
-def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, method, digits):
+       digits=st.integers(12, 18))
+def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, digits):
     """lookup_l1 and store_l1 against get and sequential puts, on files that
-    hold records of the other method, with more digits, with implausible L1s,
+    hold records of another method, with more digits, with implausible L1s,
     with duplicate D and with lines that are not L(1) records (an int or str
     L1): the same values served, the same records held, the same file bytes;
     a batch with a non-finite L1 is refused whole."""
@@ -271,23 +305,22 @@ def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, method, digits):
         def served(rec):
             if rec is None:
                 return None
-            assert rec["method"] == method and type(rec["L1"]) is float
+            assert rec["method"] == METHOD and type(rec["L1"]) is float
             return rec["L1"] if 0 < rec["L1"] < math.inf else None
-        want = [served(seq.get(D, method)) for D in Ds]
+        want = [served(seq.get(D)) for D in Ds]
         with contextlib.redirect_stderr(io.StringIO()):
-            assert [None if x != x else x for x in bulk.lookup_l1(Ds, method)] == want
+            assert [None if x != x else x for x in bulk.lookup_l1(Ds)] == want
         if bad is None:
             for D, L1 in zip(Ds, L1s):
-                seq.put({"D": D, "L1": L1, "method": method, "digits": digits})
-            bulk.store_l1(Ds, L1s, method, digits)
+                seq.put({"D": D, "L1": L1, "method": METHOD, "digits": digits})
+            bulk.store_l1(Ds, L1s, digits)
         else:
             with pytest.raises(ValueError):
-                seq.put({"D": 0, "L1": bad, "method": method, "digits": digits})
+                seq.put({"D": 0, "L1": bad, "method": METHOD, "digits": digits})
             with pytest.raises(ValueError):
-                bulk.store_l1(Ds, L1s, method, digits)
+                bulk.store_l1(Ds, L1s, digits)
         # repr: a held nan L1 is unequal to itself
-        assert all(repr(seq.get(D, m)) == repr(bulk.get(D, m))
-                   for D in range(-12, 13) for m in METHODS)
+        assert all(repr(seq.get(D)) == repr(bulk.get(D)) for D in range(-12, 13))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -341,82 +374,54 @@ def test_plausible_record_outranks_implausible_one_with_more_digits(tmp_path, ca
     code, out, err = run()
     assert code == 0 and err.count("recomputing 1 implausible") == 1
     assert run() == (0, out, "")
-    assert abs(JsonlCache(str(path)).get(-4, "class-number-formula")["L1"] - math.pi / 4) < 1e-15
+    assert abs(JsonlCache(str(path)).get(-4)["L1"] - math.pi / 4) < 1e-15
 
 
 def test_cache_one_parse_keeps_the_digits_rule(tmp_path, capsys):
     """A file without corrupt lines is read in one parse, with the same
-    precedence as the per-line read, within each method: most digits wins,
-    ties go to the last, and a record of another method ranks apart."""
+    precedence as the per-line read: most digits wins, ties go to the last,
+    and a record of another method is not held, whatever its digits."""
     path = tmp_path / "cache.jsonl"
-    recs = [{"D": -4, "L1": 0.78, "digits": 10, "method": "a"},
-            {"D": -4, "L1": 0.785398, "digits": 20, "method": "a"},
-            {"D": -4, "L1": 0.5, "digits": 30, "method": "b"},
-            {"D": -4, "L1": 0.79, "digits": 10, "method": "a"},
-            {"D": 8, "L1": 1.1, "digits": 15, "method": "a"},
-            {"D": 8, "L1": 1.3, "digits": 15, "method": "b"},
-            {"D": 8, "L1": 1.2, "digits": 15, "method": "a"}]
+    a, b = METHOD, "smoothed-character-sum"
+    recs = [{"D": -4, "L1": 0.78, "digits": 10, "method": a},
+            {"D": -4, "L1": 0.785398, "digits": 20, "method": a},
+            {"D": -4, "L1": 0.5, "digits": 30, "method": b},
+            {"D": -4, "L1": 0.79, "digits": 10, "method": a},
+            {"D": 8, "L1": 1.1, "digits": 15, "method": a},
+            {"D": 8, "L1": 1.3, "digits": 15, "method": b},
+            {"D": 8, "L1": 1.2, "digits": 15, "method": a},
+            {"D": 5, "L1": 0.43, "digits": 15, "method": b}]
     path.write_text("".join(json.dumps(r) + "\n\n" for r in recs))
     c = JsonlCache(str(path))
-    assert [c.get(D, m)["L1"] for D in (-4, 8) for m in "ab"] == [0.785398, 0.5, 1.2, 1.3]
+    assert [c.get(D)["L1"] for D in (-4, 8)] == [0.785398, 1.2] and c.get(5) is None
     assert capsys.readouterr().err == ""
 
 
 def test_cache_two_records_on_one_line_are_corrupt(tmp_path, capsys):
     """The whole-file parse must not accept what the per-line parse rejects."""
-    rec = {"digits": 15, "method": "m"}
+    rec = {"digits": 15, "method": METHOD}
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps({"D": 5, "L1": 0.4, **rec}) + ","
                     + json.dumps({"D": 8, "L1": 0.6, **rec})
                     + "\n" + json.dumps({"D": -4, "L1": 0.78, **rec}) + "\n")
     c = JsonlCache(str(path))
-    assert c.get(5, "m") is None and c.get(8, "m") is None and c.get(-4, "m")["L1"] == 0.78
+    assert c.get(5) is None and c.get(8) is None and c.get(-4)["L1"] == 0.78
     assert "skipping corrupt cache line" in capsys.readouterr().err
 
 
-def test_alternating_l1_methods_keep_both(tmp_path, capsys):
-    """Runs that alternate --l1-method hold one record per (method, D): the
-    file stops growing after the first run of each method, and each run
-    after that reads every L(1) value from it."""
-    path = tmp_path / "cache.jsonl"
-    argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--json", "--cache", str(path)]
-    sizes, outs = [], {}
-    for method in METHODS * 2:
-        assert main(argv + ["--l1-method", method]) == 0
-        out = capsys.readouterr().out
-        assert outs.setdefault(method, out) == out
-        sizes.append(len(path.read_text().splitlines()))
-    assert sizes == [49, 98, 98, 98]
-
-
-def test_smoothed_records_carry_the_smoothed_digits(tmp_path, capsys):
-    """A smoothed run stores the digits of its tolerance 1e-12, 12; the
-    class-number records keep 15."""
-    path = tmp_path / "cache.jsonl"
-    for method, digits in zip(METHODS[::-1], (12, 15)):
-        assert main(["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--json",
-                     "--l1-method", method, "--cache", str(path)]) == 0
-        recs = [json.loads(line) for line in path.read_text().splitlines()]
-        assert {(r["method"], r["digits"]) for r in recs if r["method"] == method} == {
-            (method, digits)}
-    capsys.readouterr()
-
-
-def test_parser_reused_without_leaking_options(tmp_path, capsys):
+def test_parser_reused_without_leaking_options(capsys):
     """main builds its parser once; options of one call do not carry over
-    into the next, across subcommands.  coeff has no --l1-method, so a
-    leaked one would make it fill the cache by the smoothed method."""
+    into the next, across subcommands: a leaked --X would show in the
+    inputs of the coeff document that does not set it."""
     from tracecoef import cli
 
     code, out = run_cli(capsys, "shintani", "--alpha", "-1", "--S", "2", "--X", "2000",
-                        "--l1-method", "smoothed-character-sum", "--json")
-    assert code == 0 and json.loads(out)["inputs"]["l1_method"] == "smoothed-character-sum"
-    path = tmp_path / "cache.jsonl"
-    code, out = run_cli(capsys, "coeff", "--group", "sp2", "--orbit", "sub", "--alpha", "-1",
-                        "--S", "2", "--X", "2000", "--cache", str(path))
+                        "--json")
+    assert code == 0 and json.loads(out)["inputs"]["X"] == 2000
+    code, out = run_cli(capsys, "coeff", "--group", "sp2", "--orbit", "min", "--alpha", "-1",
+                        "--S", "2")
     assert code == 0 and "\n" in out.strip()          # pretty: --json did not carry over
-    methods = {json.loads(line)["method"] for line in path.read_text().splitlines()}
-    assert methods == {"class-number-formula"}
+    assert json.loads(out)["inputs"]["X"] == 10**5
     code, out = run_cli(capsys, "lfun", "--chi", "-4", "--s", "2", "--S", "2", "--deriv",
                         "--json")
     assert code == 0 and set(json.loads(out)["result"]) == {"derivative"}
@@ -595,7 +600,7 @@ SHINTANI = {"--S", "--cache", "--X"}
 OPTIONS = {
     "coeff": SHINTANI | VOLS | {"--digits", "--group", "--orbit", "--alpha", "--form"},
     "diff": SHINTANI | VOLS | {"--digits", "--orbit", "--alpha", "--form"},
-    "shintani": SHINTANI | {"--alpha", "--l1-method"},
+    "shintani": SHINTANI | {"--alpha"},
     "lfun": {"--S", "--digits", "--chi", "--s", "--deriv", "--laurent"},
     "orbits": {"--S", "--group"},
     "weights": {"--S", "--seed", "--which", "--nu", "--u", "--T", "--engine"},

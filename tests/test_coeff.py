@@ -29,12 +29,12 @@ from tracecoef.coeff import (
     endoscopic_diff,
 )
 from tracecoef.quadforms import OrbitClass, SymForm2, hasse, unipotent_orbit_set
-from tracecoef.shintani import ShintaniConfig, l1_class_number, shintani_run
+from tracecoef.shintani import l1_class_number, shintani_run
 
 S_OO = PlaceSet.of()
 S2 = PlaceSet.of(2)
 S23 = PlaceSet.of(2, 3)
-CFG = ShintaniConfig(X=10**4)
+X_SUB = 10**4  # the Shintani truncation bound of the subregular tests
 
 GAMMA0_STR = "0.577215664901532860606512090082402431042"
 
@@ -113,14 +113,14 @@ def test_gsp2_examples():
 
 def test_gsp2_sub_derivative_term_presence():
     c = JsonlCache(None)  # in memory
-    r1 = coeff_gsp2(S2, SymForm2.x_alpha(1), config=CFG, cache=c)
-    r3 = coeff_gsp2(S2, SymForm2.x_alpha(3), config=CFG, cache=c)
+    r1 = coeff_gsp2(S2, SymForm2.x_alpha(1), X=X_SUB, cache=c)
+    r3 = coeff_gsp2(S2, SymForm2.x_alpha(3), X=X_SUB, cache=c)
     names1 = [n for t in r1.terms for n, _ in t.factors]
     names3 = [n for t in r3.terms for n, _ in t.factors]
     assert any("dzeta" in n for n in names1)       # x ~ x_1: derivative term
     assert not any("dzeta" in n for n in names3)   # x not ~ x_1: absent
     # the x_1 class coefficient = C_F(S,1)/2 + derivative/2
-    cf = shintani_run(1, S2, CFG, c).constant_CF
+    cf = shintani_run(1, S2, X_SUB, c).constant_CF
     deriv = lfun.deriv_LS(3, None, S2) / lfun.zetaS(3, S2)
     assert abs(r1.value - (mpf(cf) / 2 + deriv / 2)) < mpf("1e-12")
 
@@ -150,7 +150,7 @@ def test_sp2_reg_square_alpha_maximal():
 
 def test_sp2_sub_hasse_and_unramified_sum():
     x_m1 = SymForm2.x_alpha(-1)  # -det = -1: Q_ur = {-1}, eps product +1
-    r = coeff_sp2(S2, x_m1, config=CFG)
+    r = coeff_sp2(S2, x_m1, X=X_SUB)
     names = [n for t in r.terms for n, _ in t.factors]
     assert any("L^S(1,chi_-4)" in n for n in names)
     prod = 1
@@ -158,7 +158,7 @@ def test_sp2_sub_hasse_and_unramified_sum():
         prod *= hasse(x_m1, v)
     assert prod == 1
     # x_1: -det = 1 has empty Q_ur and carries the derivative term
-    r1 = coeff_sp2(S2, SymForm2.x_alpha(1), config=CFG)
+    r1 = coeff_sp2(S2, SymForm2.x_alpha(1), X=X_SUB)
     names1 = [n for t in r1.terms for n, _ in t.factors]
     assert not any("L^S(1,chi" in n for n in names1)
     assert any("dzeta" in n for n in names1)
@@ -205,7 +205,7 @@ def test_volumes_scale_linearly():
 def test_coeff_unipotent_dispatch():
     for S, group in ((S2, "gsp2"), (S2, "sl2"), (S23, "sl3")):
         for orbit in unipotent_orbit_set(group, S)[:4]:
-            res = coeff_unipotent(orbit, S, config=CFG)
+            res = coeff_unipotent(orbit, S, X=X_SUB)
             assert isinstance(res, CoeffResult)
     tri = unipotent_orbit_set("gl2", S2)[0]
     assert coeff_unipotent(tri, S2).value == 1  # vol_G with vol 1
@@ -257,11 +257,11 @@ def test_endoscopic_reg_two_path():
 
 def test_endoscopic_sub_cases():
     # empty unramified set and distinct det class: difference exactly 0
-    d = endoscopic_diff(S2, "sub", SymForm2.x_alpha(3), config=CFG)
+    d = endoscopic_diff(S2, "sub", SymForm2.x_alpha(3), X=X_SUB)
     assert abs(d["predicted"].value) == 0
     assert abs(d["difference"].value) < 1e-12
     # nonempty unramified set
-    d = endoscopic_diff(S2, "sub", SymForm2.x_alpha(-1), config=CFG)
+    d = endoscopic_diff(S2, "sub", SymForm2.x_alpha(-1), X=X_SUB)
     assert abs(d["difference"].value - d["predicted"].value) <= d["difference"].error + 1e-12
     assert float(d["predicted"].value) > 0
 
@@ -275,8 +275,8 @@ def test_endoscopic_sub_runs_pole_data_once(monkeypatch):
     build = shintani.build_terms
     monkeypatch.setattr(shintani, "build_terms", lambda *a, **k: calls.append(a) or build(*a, **k))
     x = SymForm2.x_alpha(-1)
-    d = endoscopic_diff(S2, "sub", x, config=CFG)
+    d = endoscopic_diff(S2, "sub", x, X=X_SUB)
     assert len(calls) == 1
-    assert d["sp2"].value == coeff_sp2(S2, x, config=CFG).value
-    assert d["gsp2"].value == coeff_gsp2(S2, x, config=CFG).value
+    assert d["sp2"].value == coeff_sp2(S2, x, X=X_SUB).value
+    assert d["gsp2"].value == coeff_gsp2(S2, x, X=X_SUB).value
     assert len(calls) == 3

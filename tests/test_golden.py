@@ -58,6 +58,10 @@ run it only when a change to those outputs is intended, and check with
   spread of kappa_hat), `--drift --write --error-tol 1` reprinted the four
   `shintani` records; only their `residue_error` moved (by 0.83-0.94
   relative), and every other record and the cache files kept their bytes.
+- When the `shintani` document lost `inputs.l1_method` (one L(1) method),
+  the full regenerate path reprinted the four `shintani` records; `--drift`
+  refuses a schema change.  Only that field went: every other byte, every
+  `coeff`/`diff` record and the cache files kept their bytes.
 
 `PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
 matrices and prints, for each record whose stdout changed, the largest

@@ -2,10 +2,12 @@
 
 Every top-level function and class of the package, and every method of its
 classes, must be named somewhere in src/tracecoef (outside its own
-definition and the re-exports of __init__) or in perfbench/, which binds some
-of them by their string names.  A method counts only as an attribute or a
-string, so a local variable of the same name does not keep it.  The few
-oracles that only the tests call are listed below with their reason.
+definition and the re-exports of __init__) or in perfbench/.  A method
+counts only as an attribute or a string, so a local variable of the same
+name does not keep it.  A string constant counts in src/tracecoef only: the
+functions that perfbench/ binds by their string names alone, to time them,
+are not run by the program.  The few oracles that only the tests call are
+listed below with their reason.
 """
 import ast
 import pathlib
@@ -25,6 +27,12 @@ ORACLES = {
     "w_table": "one family member w_{sP0} from the rows _W_ROWS that the weight "
                "families read; the tests check its dependence on |nu| only",
     "theta": "one theta_{sP0} from the table _THETA that the weight families read",
+    "l1_smoothed": "L(1, chi_D) by the incomplete-gamma split, independent of the class "
+                   "numbers: the tests check the bulk class number formula against it",
+    "hurwitz": "zeta(s, a) from lfun's Hurwitz jet, which the tests check against "
+               "mpmath; perfbench names it only to time it",
+    "stieltjes_gamma": "gamma_0 and gamma_1 from lfun's Dirichlet jet at 1, which the tests "
+                       "check against mpmath; perfbench names it only to time it",
 }
 
 
@@ -45,8 +53,9 @@ def _definitions():
 
 
 def _references():
-    """name -> [(path, line, is_attribute_or_string)] over every name,
-    attribute and string constant of src/tracecoef (but __init__) and perfbench/."""
+    """name -> [(path, line, is_attribute_or_string)] over every name and
+    attribute of src/tracecoef (but __init__) and perfbench/, and every string
+    constant of src/tracecoef (but __init__)."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "perfbench").glob("*.py"))
     out = {}
@@ -56,7 +65,8 @@ def _references():
                 name, attr = node.id, False
             elif isinstance(node, ast.Attribute):
                 name, attr = node.attr, True
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and path.parent == PACKAGE):
                 name, attr = node.value, True
             else:
                 continue

@@ -7,6 +7,7 @@ with the cycle-product regulator.
 """
 import ast
 import functools
+import json
 import math
 import os
 import random
@@ -36,7 +37,7 @@ from tracecoef import lfun
 from tracecoef import shintani
 from tracecoef.cli import JsonlCache
 from tracecoef.shintani import (
-    ShintaniConfig,
+    _l1_class_number_bulk,
     _reduced_form_sums,
     build_terms,
     class_data_real,
@@ -133,6 +134,16 @@ def test_l1_positive_and_methods_agree():
         assert abs(a - b) < 1e-10 * max(1, a), D
 
 
+@pytest.mark.parametrize("alpha, S", [(-1, S2), (2, S2), (-1, PlaceSet.of(2, 3))], ids=str)
+def test_l1_smoothed_agrees_over_whole_term_sets(alpha, S):
+    """The incomplete-gamma route, independent of the class numbers, agrees
+    with the bulk class number formula at every D of a run's terms."""
+    D = build_terms(alpha, S, 2000).D
+    bulk = _l1_class_number_bulk(D)
+    for k, L in zip(D.tolist(), bulk.tolist()):
+        assert abs(l1_smoothed(k) - L) < 1e-10 * max(1, L), k
+
+
 def test_l1_high_precision_variant():
     with mp.workdps(35):
         assert abs(l1_class_number(-4, digits=30) - mp.pi / 4) < mpf("1e-28")
@@ -189,8 +200,8 @@ def test_residue_exact_targets():
 
 
 def test_residue_estimate_and_alpha_independence():
-    cfg = ShintaniConfig(X=2 * 10**4)
-    r1, r2 = shintani_run(-1, S2, cfg), shintani_run(2, S2, cfg)
+    X = 2 * 10**4
+    r1, r2 = shintani_run(-1, S2, X), shintani_run(2, S2, X)
     est1, exact, err1 = r1.residue_estimate, r1.residue_exact, r1.residue_error
     est2, err2 = r2.residue_estimate, r2.residue_error
     assert exact == Fraction(1, 8)
@@ -208,15 +219,15 @@ def test_residue_partial_scaled_increases_toward_target():
 
 def test_constant_stable_under_X_growth():
     """Tail-model oracle: growing X by 4x moves the estimate by <= 2%."""
-    v1 = shintani_run(-1, S2, ShintaniConfig(X=1500 * 10)).constant_CF
-    v2 = shintani_run(-1, S2, ShintaniConfig(X=6000 * 10)).constant_CF
+    v1 = shintani_run(-1, S2, X=1500 * 10).constant_CF
+    v2 = shintani_run(-1, S2, X=6000 * 10).constant_CF
     assert abs(v1 - v2) <= 0.02 * abs(v2)
 
 
 def test_constant_invariant_under_representative_change():
-    cfg = ShintaniConfig(X=2 * 10**4)
-    v1 = shintani_run(-1, S2, cfg).constant_CF
-    v2 = shintani_run(Fraction(-9, 49), S2, cfg).constant_CF  # same class
+    X = 2 * 10**4
+    v1 = shintani_run(-1, S2, X).constant_CF
+    v2 = shintani_run(Fraction(-9, 49), S2, X).constant_CF  # same class
     assert abs(v1 - v2) <= 1e-12  # identical class data, identical sum
 
 
@@ -237,8 +248,8 @@ def test_tail_block_selfcheck():
 
 
 def test_shintani_run_shape():
-    cfg = ShintaniConfig(X=10**4)
-    res = shintani_run(2, S2, cfg)
+    X = 10**4
+    res = shintani_run(2, S2, X)
     assert set(res.diagnostics) == {"n_terms", "kappa_star", "kappa_hat"}
     assert res.residue_exact == Fraction(1, 8)
     assert res.residue_estimate > 0
@@ -301,9 +312,9 @@ def test_dlog_mean_against_finite_difference(S, want):
 def test_constant_against_large_X(alpha, at_1e8):
     """At S = {oo,2} and X = 1e5 the constant lies within 5e-4 of the direct
     value at X = 1e8, and its error bar covers the move to X = 1e6."""
-    r5 = shintani_run(alpha, S2, ShintaniConfig(X=10**5))
+    r5 = shintani_run(alpha, S2, X=10**5)
     assert abs(r5.constant_CF - at_1e8) <= 5e-4
-    r6 = shintani_run(alpha, S2, ShintaniConfig(X=10**6))
+    r6 = shintani_run(alpha, S2, X=10**6)
     assert abs(r6.constant_CF - r5.constant_CF) <= r5.constant_error
 
 
@@ -316,7 +327,7 @@ def test_shintani_run_calls_no_lfun(monkeypatch):
 
     for name in ("LS", "deriv_LS", "zetaS", "laurent_at_1", "hurwitz", "stieltjes_gamma"):
         monkeypatch.setattr(lfun, name, broken)
-    assert shintani_run(-1, PlaceSet.of(2, 3), ShintaniConfig(X=10**4)).constant_error > 0
+    assert shintani_run(-1, PlaceSet.of(2, 3), X=10**4).constant_error > 0
 
 
 def test_residue_flags_a_kappa_outside_its_bar():
@@ -342,7 +353,7 @@ def test_residue_bar_covers_the_pool_alphas(X):
     way on every prefix there."""
     for S, alphas in ((S2, (-1, -5, 2, 6, 10, 14)), (PlaceSet.of(2, 3), (-1, -5, -13))):
         for alpha in alphas:
-            res = shintani_run(alpha, S, ShintaniConfig(X=X))
+            res = shintani_run(alpha, S, X=X)
             miss = abs(res.residue_estimate - float(res.residue_exact))
             assert miss <= res.residue_error and not res.unstable, (S, alpha)
 
@@ -532,10 +543,8 @@ def test_shintani_document_leaves_scipy_unloaded():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ShintaniConfig(X=100)
-    with pytest.raises(ValueError):
-        ShintaniConfig(L1_method="magic")
+    with pytest.raises(ValueError, match="at least 10\\^3"):
+        shintani_run(-1, S2, X=100)
 
 
 def test_euler_assembly_paths():
@@ -566,15 +575,15 @@ class DictCache:
         self.hits = 0
         self.batches = 0
 
-    def lookup_l1(self, Ds, method):
+    def lookup_l1(self, Ds):
         recs = [self.stored.get(D) for D in Ds]
         self.hits += sum(rec is not None for rec in recs)
         return [math.nan if rec is None else rec["L1"] for rec in recs]
 
-    def store_l1(self, Ds, L1s, method, digits):
+    def store_l1(self, Ds, L1s, digits):
         self.batches += 1
         for D, L1 in zip(Ds, L1s):
-            self.stored[D] = {"D": D, "L1": L1, "method": method, "digits": digits}
+            self.stored[D] = {"D": D, "L1": L1, "digits": digits}
 
 
 def test_cache_consumed_and_filled():
@@ -587,27 +596,35 @@ def test_cache_consumed_and_filled():
     assert c.hits == n and c.batches == 1
 
 
-def test_cache_record_of_other_method_not_served():
-    """A class-number record must not stand in for the smoothed method, and
-    the smoothed record stored for the same D does not replace it."""
-    c = JsonlCache(None)
-    c.put({"D": -4, "L1": 123.0, "method": "class-number-formula", "digits": 15})
-    terms = build_terms(-1, S2, 200, method="smoothed-character-sum", cache=c)
-    (L1S,) = terms.L1S[terms.D == -4]
-    assert abs(L1S - math.pi / 4) < 1e-9
-    assert c.get(-4, "class-number-formula")["L1"] == 123.0
-    smoothed = c.get(-4, "smoothed-character-sum")
-    assert abs(smoothed["L1"] - math.pi / 4) < 1e-9 and smoothed["digits"] == 12
+def test_cache_record_of_other_method_not_served(tmp_path, capsys):
+    """A smoothed-character-sum record of an older cache file, later and with
+    more digits than the class-number record of its D, is never served nor
+    held: it is no corrupt line, the index is written, and put refuses it."""
+    path = tmp_path / "cache.jsonl"
+    smoothed = {"D": -4, "L1": 0.5, "digits": 20, "method": "smoothed-character-sum"}
+    path.write_text(json.dumps({"D": -4, "L1": 123.0, "digits": 15,
+                                "method": "class-number-formula"}) + "\n"
+                    + json.dumps(smoothed) + "\n")
+    c = JsonlCache(str(path))
+    L1 = c.lookup_l1([-4, -3])
+    assert L1[0] == 123.0 and math.isnan(L1[1])
+    assert c.get(-4) == {"D": -4, "L1": 123.0, "digits": 15, "method": "class-number-formula"}
+    assert capsys.readouterr().err == "" and os.path.exists(f"{path}.idx")
+    data = path.read_bytes()
+    with pytest.raises(ValueError):
+        c.put(smoothed)
+    assert path.read_bytes() == data and c.get(-4)["L1"] == 123.0
+    terms = build_terms(-1, S2, 2000, cache=c)
+    (L1S,) = terms.L1S[terms.D == -4]  # chi_-4(2) = 0: L^S(1) = L(1)
+    assert L1S == 123.0
 
 
-@pytest.mark.parametrize("method", ["class-number-formula", "smoothed-character-sum"])
-def test_build_terms_rejects_out_of_int32_range(monkeypatch, method):
-    """|D| >= 2^31 is refused on both routes, the smoothed one included,
-    which does not pass through the form enumeration."""
+def test_build_terms_rejects_out_of_int32_range(monkeypatch):
+    """|D| >= 2^31 is refused before the form enumeration."""
     big = SimpleNamespace(entries=[-1, -(2**29 + 1)])  # D = 4d = -(2^31 + 4)
     monkeypatch.setattr(shintani, "disc_classes", lambda *a, **k: big)
     with pytest.raises(ValueError, match="2\\^31"):
-        build_terms(-1, S2, 10**4, method=method)
+        build_terms(-1, S2, 10**4)
 
 
 def test_residue_alpha_independent_across_all_classes():
@@ -615,10 +632,10 @@ def test_residue_alpha_independent_across_all_classes():
     sixteen classes at a reduced bound)."""
     from tracecoef.arith import sclass_reps
 
-    cfg = ShintaniConfig(X=10**4)
+    X = 10**4
     exact = float(residue_exact_value(S2))
     for rep in sclass_reps(S2):
-        est = shintani_run(rep.value, S2, cfg).residue_estimate
+        est = shintani_run(rep.value, S2, X).residue_estimate
         assert abs(est - exact) < 0.12 * exact, (rep.value, est)
 
 
@@ -628,9 +645,9 @@ def test_constant_same_for_distinct_squarefree_reps_of_class():
     t1 = build_terms(-1, S2, 8000)
     t2 = build_terms(-17, S2, 8000)
     assert t1.d.tolist() == t2.d.tolist() and t1.N.tolist() == t2.N.tolist()
-    cfg = ShintaniConfig(X=2 * 10**4)
-    v1 = shintani_run(-1, S2, cfg).constant_CF
-    v2 = shintani_run(-17, S2, cfg).constant_CF
+    X = 2 * 10**4
+    v1 = shintani_run(-1, S2, X).constant_CF
+    v2 = shintani_run(-17, S2, X).constant_CF
     assert v1 == v2
 
 

@@ -244,20 +244,14 @@ def chi_S_exponent(chi, alpha: int | Fraction, S: PlaceSet) -> int:
 # Discriminant class sets and conductors outside S
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConductorData:
-    """N(f_d^S): product of the primes outside S where chi_d ramifies."""
-
-    N_fdS: int
-
-
-def conductor_outside(d: int | Fraction, S: PlaceSet) -> ConductorData:
+def conductor_outside(d: int | Fraction, S: PlaceSet) -> int:
+    """N(f_d^S): the part of the conductor of chi_d at the primes outside S."""
     chi = quad_char_of(d)
     N = 1
     for p in chi.support:
         if p not in S.primes:
             N *= p ** valuation(chi.D, p)
-    return ConductorData(N)
+    return N
 
 
 @dataclass(frozen=True)

@@ -490,12 +490,6 @@ def cmd_shintani(args) -> dict:
     return doc
 
 
-# lfun.table_bits of one point s < 0: 2^27 bits take about 3 s and 100 MB (the
-# measured time and memory grow about linearly in it: 0.5 s at 2.5e7 bits, 20 s
-# and 400 MB at 8.6e8, for L(-40) and L(-80) of conductor 199)
-_NEG_S_TABLE_BITS = 1 << 27
-
-
 def cmd_lfun(args) -> dict:
     S = _parse_S(args.S)
     chi = None if args.chi == 1 else QuadChar(args.chi)
@@ -506,11 +500,6 @@ def cmd_lfun(args) -> dict:
         ld = lfun.laurent_at_1(chi, S, args.digits)
         out["result"] = {"center": 1.0, "residue": ld.residue, "c0": ld.c0, "c1": ld.c1}
         return out
-    bits = lfun.table_bits(args.s, chi, args.digits) if args.s < 0 else None
-    if bits is not None and bits > _NEG_S_TABLE_BITS:
-        raise UsageError(f"--s {args.s}: at conductor {1 if chi is None else chi.conductor} the"
-                         f" tables of L(s) at s < 0 would hold {bits / 1e6:.0f} Mbit, over the"
-                         f" {_NEG_S_TABLE_BITS / 1e6:.0f} Mbit budget; a smaller |s| fits")
     key, fn = ("derivative", lfun.deriv_LS) if args.deriv else ("value", lfun.LS)
     out["result"] = {key: fn(args.s, chi, S, args.digits)}
     if not math.isfinite(out["result"][key]):

@@ -20,14 +20,16 @@ and exp run only at primes (n^-s needs no exp at all for integer s); they
 are shared by every character at the same precision and s.  The number of
 Bernoulli terms comes from the explicit Euler-Maclaurin remainder bound
 (F. Johansson, Numer. Algorithms 2015), checked once at the smallest
-A = N + 1/q, which covers every residue; N doubles when the bound cannot
-reach 2^-prec.  The Bernoulli coefficients are exact, from the integer
-tangent-number recurrence (R. P. Brent and D. Harvey 2013), so each one is a
-single floor division.  The guard bits absorb the fixed-point rounding.  The
-fixed point is absolute, so at s < 0, where the terms grow like (Nq)^-s and
-cancel, the kernel adds ceil(-s log2(Nq + q)) + 8 bits (Hurwitz: N + a); at
-s > 0, where the tails divide by q^-s, it adds ceil(s log2 q) - 30 bits when
-that is positive, so that q^-s keeps the working precision.
+A = N + 1/q, which covers every residue.  The Bernoulli coefficients are
+exact, from the integer tangent-number recurrence (R. P. Brent and D. Harvey
+2013), so each one is a single floor division.  The guard bits absorb the
+fixed-point rounding.  The fixed point is absolute, so at s > 0, where the
+tails divide by q^-s, the kernel adds ceil(s log2 q) - 30 bits when that is
+positive, so that q^-s keeps the working precision.
+
+The kernel runs at s >= 0 only.  At s < 0, L(s,chi) of zeta and of the
+quadratic characters comes from the kernel's jet at 1 - s by the functional
+equation (_reflected_jet); hurwitz refuses s < 0.
 
 Derivatives are propagated through every formula with first-order jets
 (value, d/ds) rather than finite differences.  A value request (LS, zetaS)
@@ -66,10 +68,12 @@ DEFAULT_DIGITS = 30
 MIN_DIGITS = 15
 _GUARD = 10
 _GUARD_BITS = 30
-_MAX_BERNOULLI_TERMS = 100
-# the largest |s| the command line takes: at s < 3 - 2 _MAX_BERNOULLI_TERMS no
-# plan has c = s + 2M > 1, and at s > 0 the tables grow like s^2 q log2 q bits
-MAX_ABS_S = 2 * _MAX_BERNOULLI_TERMS
+# the plan's last Bernoulli term: at N = _initial_terms a plan needs at most
+# about 0.6 terms per digit, so this covers every s >= 0 to about 1000 digits
+_MAX_BERNOULLI_TERMS = 600
+# the largest |s| the command line takes: at s > 0 the tables grow like
+# s^2 q log2 q bits for a value that is 1 to 2^-s
+MAX_ABS_S = 200
 _MEMO_MAX = 200_000
 
 _jet_memo: dict = {}     # (prec, s, chi, deriv) -> jet of L(s,chi); chi None for zeta - pole
@@ -214,13 +218,13 @@ def _ln_entries(ns, X: int):
 
 
 def _pow_table(s, X: int) -> list:
-    """[n^-s] for n <= X in fixed point; exp runs only for non-integral s."""
+    """[n^-s] for n <= X in fixed point, s >= 0; exp runs only for non-integral s."""
     tab = _pow_tables.get((mp.prec, s))
     if tab is not None and len(tab) > X:
         return tab
     W = _bits()
     one = 1 << W
-    if s >= 0 and s == int(s):
+    if s == int(s):
         k = int(s)
 
         def at_prime(p, tab):
@@ -243,46 +247,44 @@ def _initial_terms(s) -> int:
     return max(12, int(0.5 * mp.dps) + 2, int(2 * abs(s)))
 
 
-def _em_plan(s, a_min, log_scale: float = 0.0, N: int | None = None,
-             q: int | None = None) -> tuple[int, int]:
-    """(N, M): summed terms N and Bernoulli terms M such that the remainder
-    bound at A = N + a_min, times e^log_scale, is at most 2^-prec for the
-    value and the s-derivative together.
+def _em_plan(s, a_min, log_scale: float = 0.0, q: int | None = None) -> tuple[int, int]:
+    """(N, M): N = _initial_terms(s) summed terms and the fewest Bernoulli
+    terms M such that the remainder bound at A = N + a_min, times
+    e^log_scale, is at most 2^-prec for the value and the s-derivative
+    together; s >= 0.
 
     The remainder after M terms is bounded by 4 |(s)_2M| A^{1-c} /
     ((2 pi)^2M (c-1)) with c = s + 2M, and its s-derivative by the same times
     sum_i 1/|s+i| + ln A + 1/(c-1) (Johansson 2015, real s).  The bound
-    decreases with A, so the smallest A covers every residue.  N doubles when
-    the bound turns upward before reaching the tolerance.  q, the modulus,
-    only names the character when no plan is found.
+    decreases with A, so the smallest A covers every residue.  It falls with
+    M until M is about pi A, where it is about e^(-2 pi A), far below the
+    tolerance at N >= digits/2; a plan that turns upward first, or needs more
+    than _MAX_BERNOULLI_TERMS, raises.  q, the modulus, only names the
+    character then.
     """
     sig = float(s)
-    N = N or _initial_terms(sig)
+    N = _initial_terms(sig)
     log_tol = -mp.prec * math.log(2) - log_scale
     log_4, log_2pi = math.log(4), math.log(2 * math.pi)
-    for _attempt in range(6):
-        lnA = math.log(N + float(a_min))
-        log_rf = dsum = 0.0          # log |(s)_2M| and sum 1/|s+i|, zero factors skipped
-        prev = math.inf
-        for M in range(1, _MAX_BERNOULLI_TERMS + 1):
-            for x in (sig + 2 * M - 2, sig + 2 * M - 1):
-                if x:
-                    log_rf += math.log(abs(x))
-                    dsum += 1 / abs(x)
-            c1 = sig + 2 * M - 1
-            if c1 <= 0:
-                continue
-            bound = (log_4 + log_rf - 2 * M * log_2pi - c1 * lnA - math.log(c1)
-                     + math.log(1 + dsum + lnA + 1 / c1))
-            if bound <= log_tol:
-                return N, M
-            if bound > prev:
-                break
-            prev = bound
-        N *= 2
+    lnA = math.log(N + float(a_min))
+    log_rf = dsum = 0.0          # log |(s)_2M| and sum 1/|s+i|, zero factors skipped
+    prev = math.inf
+    for M in range(1, _MAX_BERNOULLI_TERMS + 1):
+        for x in (sig + 2 * M - 2, sig + 2 * M - 1):
+            if x:
+                log_rf += math.log(x)
+                dsum += 1 / x
+        c1 = sig + 2 * M - 1
+        bound = (log_4 + log_rf - 2 * M * log_2pi - c1 * lnA - math.log(c1)
+                 + math.log(1 + dsum + lnA + 1 / c1))
+        if bound <= log_tol:
+            return N, M
+        if bound > prev:
+            break
+        prev = bound
     at = f"s = {sig:g}" + (f", q = {q}" if q else "")
     raise RuntimeError(f"Euler-Maclaurin did not converge at {at}; more precision cannot help,"
-                       " a smaller |s| or a lower precision may")
+                       " a lower precision may")
 
 
 def _bernoulli_ratios(M: int) -> list:
@@ -375,16 +377,6 @@ def _tail(U, L, w: int, Ainv: int, rev: list, W: int, deriv: bool):
     return val, dphi - ((L * w) >> (W + 1)) + ((wa * (dh - ((L * h) >> W))) >> W)
 
 
-def _extra_bits(s, A, q: int = 1) -> int:
-    """Bits beyond _bits() for a kernel whose terms reach A^-s and whose tails
-    are scaled by q^-s; the fixed point is absolute.  At s < 0 the terms grow
-    like A^|s| and cancel.  At s > 0 q^-s keeps the working precision: the
-    tails divide by it, and it would be 0 at s log2 q > _bits()."""
-    if s < 0:
-        return math.ceil(-float(s) * math.log2(A)) + 8
-    return max(0, math.ceil(float(s) * math.log2(q)) - _GUARD_BITS)
-
-
 def _tails(s, N: int, q: int, M: int, deriv: bool):
     """([T(s, N + r/q)], [d/ds] or None) in fixed point, indexed by the units
     r mod q (0 elsewhere): one pass over the residues, shared by every
@@ -399,7 +391,7 @@ def _tails(s, N: int, q: int, M: int, deriv: bool):
     W, X = _bits(), N * q
     units = [r for r in range(1, q + 1) if math.gcd(r, q) == 1]
     pw = _pow_table(s, X + q)
-    if deriv or not (s >= 0 and s == int(s)):
+    if deriv or s != int(s):
         ln = _ln_table(X + q)
     else:
         ln = _ln_entries([q] + [X + r for r in units], X + q) if s == 1 else None
@@ -420,26 +412,26 @@ def _tails(s, N: int, q: int, M: int, deriv: bool):
 
 
 def _hurwitz_jet(s, a):
-    """Jet of zeta(s,a) - 1/(s-1) for real a > 0: N direct terms plus the tail."""
-    if a <= 0:
-        raise ValueError("need a > 0")
+    """Jet of zeta(s,a) - 1/(s-1) for s >= 0 and real a > 0: N direct terms
+    plus the tail."""
+    if s < 0 or a <= 0:
+        raise ValueError("zeta(s, a) is computed at s >= 0 and a > 0 only")
     N, M = _em_plan(s, a)
-    with mp.workprec(mp.prec + _extra_bits(s, N + a)):
-        W = _bits()
-        val = der = mpf(0)
-        with mp.workprec(W + 10):
-            for k in range(N):
-                L = mp.ln(k + a)
-                w = mp.exp(-s * L)
-                val += w
-                der -= L * w
-            val, der = _fix(val, W), _fix(der, W)
-            A = N + a
-            lnA = mp.ln(A)
-            lnA, w, Ainv = _fix(lnA, W), _fix(mp.exp(-s * lnA), W), _fix(1 / A, W)
-        U = None if s == 1 else _fix(s - 1, W)
-        t, dt = _tail(U, lnA, w, Ainv, _bernoulli_jets(s, M)[M - 1::-1], W, True)
-        return _unfix(val + t, W), _unfix(der + dt, W)
+    W = _bits()
+    val = der = mpf(0)
+    with mp.workprec(W + 10):
+        for k in range(N):
+            L = mp.ln(k + a)
+            w = mp.exp(-s * L)
+            val += w
+            der -= L * w
+        val, der = _fix(val, W), _fix(der, W)
+        A = N + a
+        lnA = mp.ln(A)
+        lnA, w, Ainv = _fix(lnA, W), _fix(mp.exp(-s * lnA), W), _fix(1 / A, W)
+    U = None if s == 1 else _fix(s - 1, W)
+    t, dt = _tail(U, lnA, w, Ainv, _bernoulli_jets(s, M)[M - 1::-1], W, True)
+    return _unfix(val + t, W), _unfix(der + dt, W)
 
 
 def _with_pole(jet, s):
@@ -451,8 +443,8 @@ def _with_pole(jet, s):
 
 
 def hurwitz(s, a=1, derivative=0, regularized=False, digits=None):
-    """Hurwitz zeta zeta(s,a) or its s-derivative; regularized subtracts the
-    pole term 1/(s-1) (making the result analytic at s=1)."""
+    """Hurwitz zeta zeta(s,a) at s >= 0 or its s-derivative; regularized
+    subtracts the pole term 1/(s-1) (making the result analytic at s=1)."""
     with mp.workdps((digits or DEFAULT_DIGITS) + _GUARD):
         s = _to_mpf(s)
         jet = _hurwitz_jet(s, _to_mpf(a))
@@ -503,20 +495,6 @@ def _dirichlet_plan(s, q: int) -> tuple[int, int]:
                     q=q)
 
 
-def table_bits(s, chi, digits=None) -> int | None:
-    """The size in bits of the n^-s table that LS(s, chi, S, digits) fills:
-    its (N + 1) q entries times the fixed-point scale _bits() + _extra_bits,
-    with N from the kernel's own plan.  None when no plan reaches s, where
-    the kernel raises before it builds a table."""
-    with mp.workdps((digits or DEFAULT_DIGITS) + _GUARD):
-        q = _char_classes(chi)[0]
-        try:
-            N, _ = _dirichlet_plan(s, q)
-        except RuntimeError:
-            return None
-        return (N + 1) * q * (_bits() + _extra_bits(s, (N + 1) * q, q))
-
-
 def _dirichlet_jet(s, chi, deriv: bool = True):
     """Jet of the primitive L(s,chi) for nontrivial chi, valid at s=1 too;
     chi None gives zeta(s) - 1/(s-1).  s is an mpf.  deriv False gives
@@ -527,7 +505,9 @@ def _dirichlet_jet(s, chi, deriv: bool = True):
         return hit
     q, classes, m = _char_classes(chi)
     N, M = _dirichlet_plan(s, q)
-    with mp.workprec(mp.prec + _extra_bits(s, (N + 1) * q, q)):
+    # the tails divide by q^-s, which would be 0 at s log2 q > _bits(): carry
+    # the bits beyond the guard bits that q^-s needs to keep the working precision
+    with mp.workprec(mp.prec + max(0, math.ceil(float(s) * math.log2(q)) - _GUARD_BITS)):
         W, X = _bits(), N * q
         pw = _pow_table(s, X + q)
         ln = _ln_table(X + q) if deriv else None
@@ -578,18 +558,46 @@ def _trivial_char_mark(chi) -> bool:
     return chi is None or chi.is_trivial
 
 
+def _reflected_jet(s, chi, deriv: bool):
+    """Jet of L(s,chi) at s < 0, chi None (zeta) or quadratic, from the
+    kernel's jet at 1 - s by the functional equation (root number 1; Davenport,
+    Multiplicative Number Theory, ch. 9), a = 0 for zeta and D > 0, 1 for D < 0:
+
+        L(s) = (q/pi)^(1/2-s) Gamma((1-s+a)/2) Gamma(1-(s+a)/2) sin(pi(s+a)/2)/pi L(1-s).
+
+    Both Gamma arguments exceed 1/2, and sinpi gives the trivial zeros
+    exactly; deriv False gives (value, None)."""
+    q, a = (1, 0) if chi is None else (chi.conductor, int(chi.D < 0))
+    t = 1 - s
+    L = _dirichlet_jet(t, chi, deriv)
+    if chi is None:
+        L = _with_pole(L, t)
+    x, y, z = (t + a) / 2, 1 - (s + a) / 2, (s + a) / 2
+    g = (q / mp.pi) ** (mpf(1) / 2 - s) * mp.gamma(x) * mp.gamma(y) / mp.pi
+    sin = mp.sinpi(z)
+    dg = None
+    if deriv:
+        dg = g * (sin * (-mp.ln(q / mp.pi) - (mp.digamma(x) + mp.digamma(y)) / 2)
+                  + mp.pi / 2 * mp.cospi(z))
+    return _jmul((g * sin, dg), (L[0], None if L[1] is None else -L[1]))
+
+
 def _LS_jet(s, chi, S: PlaceSet, deriv: bool = True):
-    """Jet of L^S(s,chi); deriv False gives (value, None)."""
+    """Jet of L^S(s,chi); deriv False gives (value, None).  At s < 0 only
+    zeta and the quadratic characters are computed."""
     s = _to_mpf(s)
     if _trivial_char_mark(chi):
         if s == 1:
             raise PoleError("zeta^S(s) has a pole at s=1; use laurent_at_1")
-        z = _with_pole(_dirichlet_jet(s, None, deriv), s)
+        z = (_reflected_jet(s, None, deriv) if s < 0
+             else _with_pole(_dirichlet_jet(s, None, deriv), s))
         return _jmul(z, _euler_removed_jet(s, QuadChar(1), S, deriv))
     if not chi.is_unramified_outside(S):
         bad = [p for p in chi.support if p not in S.primes]
         raise ValueError(f"character ramified outside S at {bad}")
-    L = _dirichlet_jet(s, chi, deriv)
+    if s < 0 and not isinstance(chi, QuadChar):
+        raise ValueError("L(s, chi) of a cubic character is computed at s >= 0 only")
+    L = _reflected_jet(s, chi, deriv) if s < 0 else _dirichlet_jet(s, chi, deriv)
     return _jmul(L, _euler_removed_jet(s, chi, S, deriv))
 
 

@@ -654,7 +654,7 @@ def euler_assembly_check(d, s: float, S: PlaceSet, X: int = 3 * 10**7,
     A = L1S * float(np.exp(np.add.reduce(logA)))
     # chi_p = 0 at the ramified primes already gives their local L = 1 above;
     # their extra q^{-s+1/2} factors combine into N(f_d^S)^{-(s-1/2)}
-    N = conductor_outside(d, S).N_fdS
+    N = conductor_outside(d, S)
     A *= float(N) ** (-s + 0.5)
     chiL = lfun.LS(2 * s, chi, S_chi, digits)
     B = float(

@@ -307,10 +307,10 @@ def test_disc_classes_rejects_bad_bound(X):
 
 
 def test_conductor_outside():
-    assert conductor_outside(-1, S2).N_fdS == 1
-    assert conductor_outside(-3, S2).N_fdS == 3
-    assert conductor_outside(-3, S23).N_fdS == 1
-    assert conductor_outside(15, S2).N_fdS == 15
+    assert conductor_outside(-1, S2) == 1
+    assert conductor_outside(-3, S2) == 3
+    assert conductor_outside(-3, S23) == 1
+    assert conductor_outside(15, S2) == 15
 
 
 def test_orthogonality_cubic():

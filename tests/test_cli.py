@@ -16,7 +16,6 @@ from mpmath import mpf
 
 import tracecoef
 from tracecoef import cli, lfun
-from tracecoef.characters import QuadChar
 from tracecoef.cli import JsonlCache, main, render_json
 
 
@@ -528,10 +527,9 @@ def test_lfun_at_negative_s(capsys, argv, expected):
 @pytest.mark.parametrize("chi", ["-199", "-4"])
 def test_no_point_is_an_internal_fault(capsys, chi, s):
     """Every --s either computes (exit 0), is rejected by argparse with a
-    message that names --s (|s| > 200 or not finite, exit 2), is an s < 0
-    whose tables exceed the budget (exit 2, naming --s and the conductor),
-    or is one the kernel cannot reach (exit 3); none raises, and no usage
-    error comes from inside the kernel."""
+    message that names --s (|s| > 200 or not finite, exit 2), or has a value
+    beyond the float64 range of the output (exit 2, naming --s); none exits
+    3, and no usage error comes from inside the kernel."""
     code = main(["lfun", f"--chi={chi}", f"--s={s}", f"--S={-int(chi) if chi == '-199' else 2}",
                  "--json"])
     out, err = capsys.readouterr()
@@ -540,45 +538,34 @@ def test_no_point_is_an_internal_fault(capsys, chi, s):
     elif code == 2 and out:
         assert -200 <= float(s) < 0 and err == ""
         message = json.loads(out)["error"]["message"]
-        assert message.startswith(f"--s {float(s)}: at conductor {abs(int(chi))} ")
-    elif code == 2:
+        assert message.startswith(f"--s {float(s)}: the value is beyond the float64 range")
+    else:
+        assert code == 2, (code, out)
         assert not abs(float(s)) <= 200
         assert "argument --s: must be a number, |s| <= 200" in err
-    else:
-        assert code == 3 and float(s) < -100, (code, out)
-        assert json.loads(out)["error"]["code"] == "numeric-instability"
 
 
-def test_unreachable_point_names_s_and_q(capsys):
-    """A point the Euler-Maclaurin plan cannot reach exits 3 with a message
-    that names s and q and does not ask for more precision."""
-    code, out = run_cli(capsys, "lfun", "--chi=-4", "--s=-150", "--S=2", "--json")
-    assert code == 3
-    message = json.loads(out)["error"]["message"]
-    assert "did not converge at s = -150, q = 4" in message
-    assert "more precision cannot help" in message and "smaller |s|" in message
+# L(s, chi) at s < 0 with S the primes of chi (2 for zeta): -B_{1-s,chi}/(1-s)
+# from the exact generalized Bernoulli numbers at the integers, mpmath's
+# dirichlet at 50 digits at s = -30.5
+NEGATIVE_POINTS = [(-199, -80, "199", 3.6379860728366204e239),
+                   (-40, -100, "2,5", 4.5908814131560094e238),
+                   (-4, -150, "2", -1.389287023902287e233),
+                   (-199, -60, "199", 4.100567808983544e172),
+                   (-199, -30.5, "199", -2.75349519984661e79),
+                   (-4, -90, "2", -2.1136203430699544e120),
+                   (-4, -30, "2", -2.2077194662451156e26),
+                   (5, -20, "5", 0.0),
+                   (1, -30, "2", 0.0)]
 
 
-@pytest.mark.parametrize("chi,s,S", [("-199", "-80", "199"), ("-40", "-100", "2,5")])
-def test_costly_negative_point_names_s_and_conductor(capsys, chi, s, S):
-    """L(-80) of conductor 199 would fill 8.6e8 bits of tables (20 s and 400
-    MB when it ran), L(-100) of conductor 40 5e8 bits: both are refused
-    before the kernel runs, naming --s, the conductor and the budget."""
+@pytest.mark.parametrize("chi,s,S,expected", NEGATIVE_POINTS,
+                         ids=[f"{chi}-{s}-{S}" for chi, s, S, _ in NEGATIVE_POINTS])
+def test_negative_points_compute(capsys, chi, s, S, expected):
+    """Points at s < 0 of conductors 1 to 199, down to s = -150, exit 0
+    within 1e-15 of their values."""
     code, out = run_cli(capsys, "lfun", f"--chi={chi}", f"--s={s}", f"--S={S}", "--json")
-    assert code == 2
-    message = json.loads(out)["error"]["message"]
-    assert message.startswith(f"--s {float(s)}: at conductor {abs(int(chi))} ")
-    assert "134 Mbit budget" in message
-    assert lfun.table_bits(float(s), QuadChar(int(chi))) > cli._NEG_S_TABLE_BITS
-
-
-@pytest.mark.parametrize("chi,s", [(-4, -30), (5, -20), (1, -30), (-199, -30.5), (-4, -90),
-                                   (-199, -60)])
-def test_table_budget_admits_the_computed_points(chi, s):
-    """Every s < 0 that the tests compute stays within the budget, and so
-    does L(-60) of conductor 199 (1.1e8 bits, 2.4 s)."""
-    bits = lfun.table_bits(s, None if chi == 1 else QuadChar(chi))
-    assert bits is not None and bits <= cli._NEG_S_TABLE_BITS
+    assert code == 0 and abs(json.loads(out)["result"]["value"] - expected) <= 1e-15 * abs(expected)
 
 
 def test_value_beyond_float64_names_s(capsys, monkeypatch):

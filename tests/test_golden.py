@@ -62,6 +62,11 @@ run it only when a change to those outputs is intended, and check with
   the full regenerate path reprinted the four `shintani` records; `--drift`
   refuses a schema change.  Only that field went: every other byte, every
   `coeff`/`diff` record and the cache files kept their bytes.
+- When L(s) at s < 0 moved to the functional equation, four `lfun` records
+  at s < 0 (E_30/2, L(-80) of conductor 199, the trivial zero of chi_5 at
+  -20, and the zeta^S derivative at -31) were appended to the second
+  matrix; the full regenerate path added those four lines and changed no
+  other byte of any golden file.
 
 `PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
 matrices and prints, for each record whose stdout changed, the largest
@@ -144,6 +149,12 @@ LWS_MATRIX = [
 ]
 LWS_MATRIX += [["shintani", "--alpha", a, "--S", s, "--X", "10000"]
                for a, s in (("-1", "2"), ("2", "2"), ("6", "2"), ("-1", "2,3"))]
+LWS_MATRIX += [  # s < 0 by the functional equation; chi_5 at -20 is a trivial zero
+    ["lfun", "--chi", "-4", "--s", "-30", "--S", "2"],
+    ["lfun", "--chi", "-199", "--s", "-80", "--S", "199"],
+    ["lfun", "--chi", "5", "--s", "-20", "--S", "5"],
+    ["lfun", "--chi", "1", "--s", "-31", "--S", "2", "--deriv"],
+]
 MATRICES = {COEFF_DIFF: MATRIX, LWS: LWS_MATRIX}
 
 

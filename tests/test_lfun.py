@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -303,30 +303,20 @@ def test_memo_keys_are_exact_in_s():
         assert abs((L2 - L1) - (s2 - s1) * dL1) < abs(s2 - s1) * dL1 / 100
 
 
-def test_small_initial_N_doubles_and_converges(monkeypatch):
-    with mp.workdps(40):
-        N, M = lfun._em_plan(mpf(1), Fraction(1, 4), N=2)
-    assert N > 2 and N & (N - 1) == 0 and M <= lfun._MAX_BERNOULLI_TERMS
-    lfun.clear_cache()
-    monkeypatch.setattr(lfun, "_initial_terms", lambda s: 2)
-    try:
-        with mp.workdps(40):
-            assert abs(lfun.LS(1, QuadChar(-4), S2) - mp.pi / 4) < mpf("1e-38")
-            assert abs(lfun.stieltjes_gamma(0, 35) - mpf(GAMMA0_STR)) < mpf("1e-38")
-    finally:
-        lfun.clear_cache()
-
-
-def test_em_plan_gives_up():
-    with mp.workprec(20_000), pytest.raises(RuntimeError, match="did not converge"):
-        lfun._em_plan(mpf(1), 1, N=1)
+def test_em_plan_gives_up(monkeypatch):
+    """A plan that needs more Bernoulli terms than the cap raises, naming s
+    and q and not asking for more precision."""
+    monkeypatch.setattr(lfun, "_MAX_BERNOULLI_TERMS", 5)
+    with mp.workdps(40), pytest.raises(RuntimeError, match="did not converge at s = 1, q = 4;"
+                                       " more precision cannot help"):
+        lfun._dirichlet_plan(mpf(1), 4)
 
 
 # ---------------------------------------------------------------------------
 # value-only requests, the per-modulus tail pass, and negative s
 # ---------------------------------------------------------------------------
 
-VALUE_POINTS = [mpf(1), mpf(2), mpf(3), mpf(3) / 2, mpf(25) / 4, mpf("0.7"), mpf(-1) / 2]
+VALUE_POINTS = [mpf(1), mpf(2), mpf(3), mpf(3) / 2, mpf(25) / 4, mpf("0.7"), mpf(0)]
 VALUE_CHARS = [QuadChar(-4), QuadChar(8), QuadChar(-8), QuadChar(-23), _cubic(7), _cubic(3)]
 
 
@@ -442,26 +432,55 @@ NEGATIVE_S = [mpf(-30), mpf(-20), mpf("-11.5"), mpf("-5.5")]
 
 @pytest.mark.parametrize("s", NEGATIVE_S, ids=lambda s: f"s={float(s)}")
 def test_negative_s_keeps_its_digits(s):
-    """At s < 0 the terms grow like (Nq)^-s and cancel; the kernel's extra
-    bits keep L(s,chi), zeta(s) and zeta(s,a) within 1e-38 (relative, or
-    absolute at the trivial zeros) of mpmath at 60 digits."""
+    """At s < 0 the functional equation keeps L(s,chi), zeta(s) and their
+    derivatives within 1e-38 (relative, or absolute at the trivial zeros) of
+    mpmath at 60 digits."""
     def close(ours, ref):
         return abs(ours - ref) <= mpf("1e-38") * max(1, abs(ref))
 
     for D in (-4, -3, 5):
         chi = QuadChar(D)
-        ours = lfun.LS(s, chi, PlaceSet.of(*chi.support), digits=40)
+        S = PlaceSet.of(*chi.support)
+        ours = [lfun.LS(s, chi, S, digits=40), lfun.deriv_LS(s, chi, S, digits=40)]
         with mp.workdps(60):
-            assert close(ours, mp.dirichlet(s, _values_mod_q(chi))), (D, s)
+            for derivative in (0, 1):
+                ref = mp.dirichlet(s, _values_mod_q(chi), derivative)
+                assert close(ours[derivative], ref), (D, s, derivative)
     for S in (S_OO, S2):
-        ours = lfun.zetaS(s, S, digits=40)
+        ours = [lfun.zetaS(s, S, digits=40), lfun.deriv_LS(s, None, S, digits=40)]
         with mp.workdps(60):
-            assert close(ours, mp.zeta(s) * (1 - mpf(2) ** -s if S == S2 else 1)), (s, S)
-    for a in (mpf(1), mpf(1) / 3, mpf(5) / 2):
-        ours = lfun.hurwitz(s, a, digits=40)
-        with mp.workdps(60):
-            assert close(ours, mp.zeta(s, a)), (s, a)
+            z, dz = mp.zeta(s), mp.zeta(s, 1, 1)
+            if S == S2:  # times 1 - 2^-s
+                z, dz = z * (1 - mpf(2) ** -s), dz * (1 - mpf(2) ** -s) + z * mpf(2) ** -s * mp.ln2
+            assert close(ours[0], z) and close(ours[1], dz), (s, S)
     lfun.clear_cache()
+
+
+@pytest.mark.parametrize("chi", [None, QuadChar(-4), QuadChar(5), QuadChar(-23)],
+                         ids=lambda v: _case_id(v) if v is not None else "zeta")
+def test_reflected_value_only_equals_jet_value(chi):
+    """At s < 0 a value request has the bits of the full jet's value."""
+    S = PlaceSet.of(*(chi.support if chi else ()), 2)
+    with mp.workdps(40):
+        for s in (mpf(-1) / 2, mpf(-3), mpf(-4), mpf("-20.5")):
+            lfun.clear_cache()
+            val, none = lfun._LS_jet(s, chi, S, deriv=False)
+            lfun.clear_cache()
+            assert none is None and _bits_of(val) == _bits_of(lfun._LS_jet(s, chi, S)[0]), s
+    lfun.clear_cache()
+
+
+@pytest.mark.parametrize("s", [-1, mpf("-0.5"), -mpf(2) ** -60, -150])
+def test_hurwitz_refuses_negative_s(s):
+    """The kernel runs at s >= 0 only, and nothing calls zeta(s, a) below."""
+    with pytest.raises(ValueError, match="s >= 0"):
+        lfun.hurwitz(s, mpf(1) / 3)
+
+
+def test_cubic_L_refuses_negative_s():
+    """A cubic character's L(s) at s < 0 has no caller and no reflection here."""
+    with pytest.raises(ValueError, match="cubic character"):
+        lfun.LS(-1, _cubic(7), PlaceSet.of(7))
 
 
 # ---------------------------------------------------------------------------
@@ -509,4 +528,41 @@ def test_LS_matches_truncated_euler_product(D, extra, s):
                 prod /= 1 - _kronecker_at_prime(D, p) * mpf(p) ** -sm
         B = mpf(EULER_P) ** (1 - sm) / ((sm - 1) * (1 - mpf(EULER_P) ** -sm))
         assert abs(ours / prod - 1) <= mp.expm1(B), (D, sorted(S.primes), s)
+    lfun.clear_cache()
+
+
+# ---------------------------------------------------------------------------
+# L(1-n, chi_D) = -B_{n,chi}/n, the exact second route at the negative integers
+# ---------------------------------------------------------------------------
+
+def _generalized_bernoulli(n, D):
+    """B_{n,chi_D} = q^(n-1) sum_{a=1..q} chi_D(a) B_n(a/q), q = |D|, exactly:
+    sum_k C(n,k) B_k q^(k-1) sum_a chi_D(a) a^(n-k).  D = 1 (q = 1, chi = 1)
+    gives B_n(1), which is B_n but for B_1(1) = +1/2."""
+    q = abs(D)
+    chi = [1] if D == 1 else [QuadChar(D)(a) for a in range(1, q + 1)]
+    return sum(math.comb(n, k) * Fraction(*mp.bernfrac(k)) * Fraction(q) ** (k - 1)
+               * sum(c * a ** (n - k) for a, c in enumerate(chi, 1) if c) for k in range(n + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FUNDAMENTAL), st.integers(1, 201))
+@example(-199, 201)
+@example(1, 201)
+@example(-4, 151)
+@example(-4, 31)
+@example(5, 21)
+def test_negative_integers_are_generalized_bernoulli_numbers(D, n):
+    """L(1-n, chi_D) = -B_{n,chi}/n, and zeta(1-n) = -B_n/n for D = 1, within
+    1e-38 relative at 40 digits.  The trivial zeros at s < 0 come out exactly
+    0; the one at s = 0 (even chi_D, n = 1) is the kernel's, within 1e-38."""
+    chi = None if D == 1 else QuadChar(D)
+    ours = lfun.LS(1 - n, chi, PlaceSet.of(*(chi.support if chi else ())), digits=40)
+    exact = -_generalized_bernoulli(n, D) / n
+    if exact == 0:
+        assert ours == 0 if n > 1 else abs(ours) <= mpf("1e-38"), (D, n)
+    else:
+        with mp.workdps(60):
+            ref = mpf(exact.numerator) / exact.denominator
+            assert abs(ours - ref) <= mpf("1e-38") * abs(ref), (D, n)
     lfun.clear_cache()

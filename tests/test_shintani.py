@@ -815,7 +815,7 @@ def _scalar_terms(alpha, S, X):
         for p in S.primes:
             if D % p:
                 L1S *= 1.0 - kronecker(D, p) / p
-        rows.append((d, D, conductor_outside(d, S).N_fdS, L1S,
+        rows.append((d, D, conductor_outside(d, S), L1S,
                      1 / math.prod(1 - kronecker(D, p) / p**3 for p in primes)))
     return rows
 

@@ -81,10 +81,7 @@ class QuadChar:
 def quad_char_of(d: int | Fraction) -> QuadChar:
     """The quadratic character attached to Q(sqrt(d)); depends only on the
     square class of d.  Rejects squares (use QuadChar(1) explicitly)."""
-    m = squarefree_kernel(d)
-    if m == 1:
-        raise ValueError("d is a square: the attached character is trivial")
-    return QuadChar(m if m % 4 == 1 else 4 * m)
+    return QuadChar(fundamental_discriminant_of(d))
 
 
 def _prime_discriminants(S: PlaceSet) -> list[list[int]]:
@@ -267,9 +264,10 @@ def _matches_locally(d: int, alpha_value: int, S: PlaceSet) -> bool:
 
 
 def fundamental_discriminant_of(d: int | Fraction) -> int:
+    """The discriminant of Q(sqrt(d)); rejects squares."""
     m = squarefree_kernel(d)
     if m == 1:
-        raise ValueError("square class is trivial")
+        raise ValueError("d is a square: the attached character is trivial")
     return m if m % 4 == 1 else 4 * m
 
 

@@ -22,12 +22,12 @@ from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
-from mpmath import mp, mpf, mpc
+from mpmath import mpf, mpc
 
 from .arith import PlaceSet, cclass_reps, sclass_reps
 from .characters import enum_cubic_chars, enum_quad_chars, QuadChar
 from . import lfun
-from .coeff import CoeffResult, VolumeParams, coeff_unipotent, endoscopic_diff
+from .coeff import GROUPS, CoeffResult, VolumeParams, coeff_unipotent, endoscopic_diff
 from .quadforms import OrbitClass, SymForm2, unipotent_orbit_set
 from .shintani import require_X, shintani_run
 from . import weights as wmod
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeff", help="unipotent orbital-integral coefficients")
     _add_common(p, digits=True, cache=True, X=True, vols=True)
     p.add_argument("--group", required=True,
-                   choices=["gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"])
+                   choices=GROUPS)
     p.add_argument("--orbit", default="min", help="tri|min|sub|reg")
     p.add_argument("--alpha", default="1", help="square/cube class parameter")
     p.add_argument("--form", default=None,
@@ -385,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="unipotent orbit enumeration")
     _add_common(p)
     p.add_argument("--group", required=True,
-                   choices=["gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"])
+                   choices=GROUPS)
 
     p = sub.add_parser("weights", help="weight factors, closed form and engine")
     _add_common(p, seed=True)
     p.add_argument("--which", required=True,
-                   choices=["m0", "m1", "m2", "gl3-m0", "gl3-mp"])
+                   choices=list(wmod.FACTORS))
     p.add_argument("--nu", required=True, help="entries n12,n13,n14,n24 (gl3: n12,n13,n23)")
     p.add_argument("--u", default=None, help="Levi unipotent entry for the mixed cases")
     p.add_argument("--T", default="0,0")
@@ -533,26 +533,12 @@ def cmd_weights(args) -> dict:
     T = wmod.TruncParam(T1, T2)
     u = Fraction(args.u) if args.u is not None else None
     entries = _parse_list(args.nu, Fraction)
-    if args.which.startswith("gl3"):
-        if len(entries) != 3:
-            raise UsageError("gl3 weights need nu = n12,n13,n23")
-        nu = wmod.Nu3Entries(*entries, S)
-        closed, family, dims = ((wmod.w_M0_gl3, wmod.family_m0_gl3, 2) if args.which == "gl3-m0"
-                                else (wmod.w_Mp_gl3, wmod.family_mp_gl3, 1))
-    else:
-        if len(entries) != 4:
-            raise UsageError("symplectic weights need nu = n12,n13,n14,n24")
-        nu = wmod.NuEntries(*entries, S)
-        closed, family, dims = {"m0": (wmod.w_M0, wmod.family_m0, 2),
-                                "m1": (wmod.w_M1, wmod.family_m1, 1),
-                                "m2": (wmod.w_M2, wmod.family_m2, 1)}[args.which]
-    extra = (u,) if dims == 1 else ()
-    with mp.workdps(wmod.engine_dps(dims)):  # the closed form at the engine's precision
-        result = {"closed_form": closed(nu, T, *extra)}
-        if args.engine:
-            lim, err = wmod.gm_family_limit(family(nu, T, *extra), dims=dims, seed=args.seed)
-            result.update(engine_limit=lim, engine_error=err,
-                          deviation=abs(lim - result["closed_form"]))
+    count = wmod.FACTORS[args.which][3]
+    if len(entries) != count:
+        raise UsageError("gl3 weights need nu = n12,n13,n23" if count == 3
+                         else "symplectic weights need nu = n12,n13,n14,n24")
+    nu = (wmod.Nu3Entries if count == 3 else wmod.NuEntries)(*entries, S)
+    result = wmod.factor_check(args.which, nu, T, u, engine=args.engine, seed=args.seed)
     return {
         "command": "weights",
         "inputs": {"which": args.which, "nu": entries, "u": u, "T": [T1, T2], "S": str(S)},

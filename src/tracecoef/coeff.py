@@ -1,4 +1,5 @@
-"""Coefficients of unipotent weighted orbital integrals for the six groups.
+"""Coefficients of unipotent weighted orbital integrals for the six groups,
+through one entry point, coeff_unipotent.
 
 Every coefficient is returned as a structured sum of terms, each a rational
 prefactor times a symbolic volume parameter times named numeric constants
@@ -6,6 +7,9 @@ prefactor times a symbolic volume parameter times named numeric constants
 value.  Volumes default to 1 and are carried symbolically so that users can
 substitute their own normalization.  The residue of the Riemann zeta
 function is 1, so the global residue constant never appears explicitly.
+The coefficients of SL(2) and Sp(2) are sums over the quadratic characters
+unramified outside S; those of GL(2) and GSp(2) are the trivial character's
+term of the same sums.
 
 Also: the example coefficient formulas for the centralizer groups that
 occur for non-semisimple classes (GL(2), SL(2), the quasi-split unitary
@@ -15,9 +19,10 @@ orbit (whose difference is an elliptic-endoscopic sum of L-values).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from mpmath import mp, mpf
 
@@ -51,9 +56,6 @@ class VolumeParams:
         for name in ("vol_m0", "vol_m1", "vol_m2", "vol_mp", "vol_g", "vol_centralizer"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def get(self, symbol: str) -> float:
-        return getattr(self, symbol.lower().replace("'", "p"))
 
 
 _VALUE_DPS = 45  # term assembly precision, independent of the ambient context
@@ -99,7 +101,7 @@ def zero_result(provenance: str) -> CoeffResult:
 
 
 def _term(pref: Fraction, volume: str, vols: VolumeParams, factors) -> CoeffTerm:
-    return CoeffTerm(Fraction(pref), volume, vols.get(volume), list(factors))
+    return CoeffTerm(Fraction(pref), volume, getattr(vols, volume), list(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -160,60 +162,29 @@ def _c0_power_terms(S: PlaceSet, vols: VolumeParams, digits: int, k: int, pref: 
 
 
 # ---------------------------------------------------------------------------
-# GL(2) and SL(2)
+# Terms outside the character sums: GL(3)/SL(3) and the subregular classes
 # ---------------------------------------------------------------------------
 
-def coeff_gl2(S: PlaceSet, vols: VolumeParams | None = None, digits: int = 30) -> CoeffResult:
-    """Coefficient of the regular unipotent class of GL(2)."""
-    vols = vols or VolumeParams()
-    ld = lfun.laurent_at_1(None, S, digits)
-    t = _term(Fraction(1, 2), "vol_m0", vols, [("c0(S)", ld.c0)])
-    return CoeffResult([t], "gl2-regular-unipotent")
+def _dlog_zeta_term(s: int, pref: Fraction, volume: str, S: PlaceSet, vols: VolumeParams,
+                    digits: int) -> CoeffTerm:
+    """pref * dzeta^S(s)/zeta^S(s) on volume: s = 2 for the subminimal class
+    of GL(3)/SL(3), s = 3 for the subregular class of x_1."""
+    with mp.workdps(digits + 10):
+        val = +(lfun.deriv_LS(s, None, S, digits) / lfun.zetaS(s, S, digits))
+    return _term(pref, volume, vols, [(f"dzeta^S({s})/zeta^S({s})", val)])
 
 
-def coeff_sl2(S: PlaceSet, alpha, vols: VolumeParams | None = None, digits: int = 30) -> CoeffResult:
-    """Coefficient of the class u_alpha of SL(2): a finite sum over the
-    quadratic characters unramified outside S."""
-    per_char = _c0_power_terms(S, vols or VolumeParams(), digits, 1, Fraction(1, 2))
-    return CoeffResult(_char_sum(S, alpha, per_char), "sl2-regular-unipotent")
-
-
-# ---------------------------------------------------------------------------
-# GL(3) and SL(3)
-# ---------------------------------------------------------------------------
-
-def coeff_gl3(S: PlaceSet, orbit: str = "min", vols: VolumeParams | None = None,
-              digits: int = 30) -> CoeffResult:
-    """orbit="min": the subminimal class u'; orbit="reg": the regular class."""
-    vols = vols or VolumeParams()
-    if orbit == "min":
-        with mp.workdps(digits + 10):
-            val = +(lfun.deriv_LS(2, None, S, digits) / lfun.zetaS(2, S, digits))
-        t = _term(Fraction(1), "vol_mp", vols, [("dzeta^S(2)/zeta^S(2)", val)])
-        return CoeffResult([t], "gl3-subminimal-unipotent")
-    if orbit != "reg":
-        raise ValueError(f"unknown GL(3) orbit {orbit!r}")
+def _regular3_terms(group: str, S: PlaceSet, alpha, vols: VolumeParams, digits: int) -> list:
+    """The regular class of GL(3): (c0^2 + c1 residue)/3 on vol_M0.  SL(3)
+    adds the sum over the nontrivial cubic characters of chi_S(alpha)
+    L^S(1,chi) L^S(1,chi^-1)/3."""
     ld = lfun.laurent_at_1(None, S, digits)
     terms = [
         _term(Fraction(1, 3), "vol_m0", vols, [("c0(S)", ld.c0), ("c0(S)", ld.c0)]),
         _term(Fraction(1, 3), "vol_m0", vols, [("c1(S)", ld.c1), ("residue(S)", ld.residue)]),
     ]
-    return CoeffResult(terms, "gl3-regular-unipotent")
-
-
-def coeff_sl3(S: PlaceSet, orbit: str = "min", alpha=1, vols: VolumeParams | None = None,
-              digits: int = 30) -> CoeffResult:
-    """SL(3): the u' coefficient matches GL(3); the regular one adds the sum
-    over nontrivial cubic characters of chi_S(alpha) L^S(1,chi) L^S(1,chi^-1)."""
-    vols = vols or VolumeParams()
-    if orbit == "min":
-        out = coeff_gl3(S, "min", vols, digits)
-        return CoeffResult(out.terms, "sl3-subminimal-unipotent")
-    if orbit != "reg":
-        raise ValueError(f"unknown SL(3) orbit {orbit!r}")
-    base = coeff_gl3(S, "reg", vols, digits)
-    terms = list(base.terms)
-    for ch in enum_cubic_chars(S)[::2]:  # each character is followed by its inverse
+    # each cubic character is followed by its inverse
+    for ch in enum_cubic_chars(S)[::2] if group == "sl3" else []:
         L = lfun.LS(1, ch, S, digits)
         Linv = lfun.LS(1, ch.inverse(), S, digits)
         k = chi_S_exponent(ch, alpha, S)
@@ -225,52 +196,28 @@ def coeff_sl3(S: PlaceSet, orbit: str = "min", alpha=1, vols: VolumeParams | Non
             _term(Fraction(1, 3), "vol_m0", vols,
                   [(f"2Re(chi_S(alpha) L^S(1,chi_{ch.modulus}) L^S(1,chi^-1))", contrib)])
         )
-    return CoeffResult(terms, "sl3-regular-unipotent")
-
-
-# ---------------------------------------------------------------------------
-# GSp(2) and Sp(2)
-# ---------------------------------------------------------------------------
-
-def _sub_form(orbit_param) -> SymForm2:
-    if isinstance(orbit_param, SymForm2):
-        return orbit_param
-    # accept a rational alpha: the standard form diag(1,-alpha) has -det = alpha
-    return SymForm2.x_alpha(orbit_param)
-
-
-def _deriv_term(S: PlaceSet, vols: VolumeParams, digits: int) -> CoeffTerm:
-    with mp.workdps(digits + 10):
-        val = +(lfun.deriv_LS(3, None, S, digits) / lfun.zetaS(3, S, digits))
-    return _term(Fraction(1, 2), "vol_m1", vols, [("dzeta^S(3)/zeta^S(3)", val)])
+    return terms
 
 
 def _hasse_sign(x: SymForm2, S: PlaceSet) -> int:
     """prod_{v in S} eps_v(x)."""
-    out = 1
-    for v in S:
-        out *= hasse(x, v)
-    return out
+    return math.prod(hasse(x, v) for v in S)
 
 
 def _unramified_l1(S: PlaceSet, alpha, digits: int) -> list:
     """[(name, L^S(1,chi_D))] over the classes D of alpha unramified outside S."""
-    out = []
-    for dv in disc_classes(S, alpha, kind="Q_ur").entries:
-        chd = quad_char_of(dv)
-        out.append((f"L^S(1,chi_{chd.D})", lfun.LS(1, chd, S, digits)))
-    return out
+    chars = [quad_char_of(dv) for dv in disc_classes(S, alpha, kind="Q_ur").entries]
+    return [(f"L^S(1,chi_{ch.D})", lfun.LS(1, ch, S, digits)) for ch in chars]
 
 
-def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, X: int, cache,
+def _coeff_sub(group: str, S: PlaceSet, x: SymForm2, vols: VolumeParams, X: int, cache,
                digits: int, sh=None) -> CoeffResult:
-    """The subregular class of the form x (or of x_alpha for a rational x):
-    C_F(S,alpha)/2 on vol_M1, for sp2 plus the Hasse-signed sum of the
-    unramified L^S(1,chi_D)/2, plus dzeta^S(3)/zeta^S(3)/2 on the class of
-    x_1.  For both groups that is the trivial det-class: a form with -det a
-    square at every v in S is hyperbolic there, with x_1's Hasse invariants.
-    sh, if given, is the shintani_run of alpha, S, X and cache."""
-    x = _sub_form(x)
+    """The subregular class of the form x: C_F(S,alpha)/2 on vol_M1, for sp2
+    plus the Hasse-signed sum of the unramified L^S(1,chi_D)/2, plus
+    dzeta^S(3)/zeta^S(3)/2 on the class of x_1.  For both groups that is the
+    trivial det-class: a form with -det a square at every v in S is
+    hyperbolic there, with x_1's Hasse invariants.  sh, if given, is the
+    shintani_run of alpha, S, X and cache."""
     alpha = squarefree_kernel(-x.det)
     if sh is None:
         sh = shintani_run(alpha, S, X, cache)
@@ -280,76 +227,39 @@ def _coeff_sub(group: str, S: PlaceSet, x, vols: VolumeParams, X: int, cache,
         terms += [_term(Fraction(1, 2), "vol_m1", vols, [("prod eps_v(x)", mpf(eps)), factor])
                   for factor in _unramified_l1(S, alpha, digits)]
     if is_equiv(x, SymForm2.x_alpha(1), S, "det"):
-        terms.append(_deriv_term(S, vols, digits))
+        terms.append(_dlog_zeta_term(3, Fraction(1, 2), "vol_m1", S, vols, digits))
     return CoeffResult(terms, f"{group}-subregular-unipotent",
                        error=0.5 * vols.vol_m1 * sh.constant_error,
                        notes={"shintani_unstable": sh.unstable, "alpha": alpha})
 
 
-# the per-character terms of the minimal and regular classes; the GSp(2)
-# coefficient is the term of the trivial character alone
-_SUM_TERMS = {"min": _l2_terms, "reg": _laurent_terms}
+# ---------------------------------------------------------------------------
+# The one entry point
+# ---------------------------------------------------------------------------
+
+GROUPS = ("gl2", "sl2", "gl3", "sl3", "gsp2", "sp2")
+
+# (special group, orbit type) -> the per-character term maker of its sum;
+# the similitude group of a special group takes the trivial character's term
+_SUM_TERMS = {("sl2", "reg"): partial(_c0_power_terms, k=1, pref=Fraction(1, 2)),
+              ("sp2", "min"): _l2_terms, ("sp2", "reg"): _laurent_terms}
+_SPECIAL = {"gl2": "sl2", "gsp2": "sp2"}
 _KIND = {"min": "minimal", "reg": "regular", "sub": "subregular", "sub'": "subregular"}
-
-
-def coeff_gsp2(S: PlaceSet, orbit, vols: VolumeParams | None = None,
-               X: int = 10**5, cache=None,
-               digits: int = 30) -> CoeffResult:
-    """Coefficients for the similitude group: orbit is an OrbitClass or one
-    of "min"/"reg", or for subregular classes a SymForm2 (or the value of
-    -det as a shorthand).  The identity class is handled by coeff_unipotent."""
-    vols = vols or VolumeParams()
-    S.require_2("the rank-2 symplectic coefficients")
-    typ, param = _orbit_key(orbit, "gsp2")
-    if typ in ("sub", "sub'"):
-        return _coeff_sub("gsp2", S, param, vols, X, cache, digits)
-    if typ not in _SUM_TERMS:
-        raise ValueError(f"unknown orbit {orbit!r}")
-    terms = _SUM_TERMS[typ](S, vols, digits)(_TRIVIAL, 1)
-    return CoeffResult(terms, f"gsp2-{_KIND[typ]}-unipotent")
-
-
-def coeff_sp2(S: PlaceSet, orbit, alpha=None, vols: VolumeParams | None = None,
-              X: int = 10**5, cache=None,
-              digits: int = 30) -> CoeffResult:
-    """Coefficients for the symplectic group.  Minimal and regular classes
-    take the square-class parameter alpha (by default the orbit's own);
-    subregular classes take a form."""
-    vols = vols or VolumeParams()
-    S.require_2("the rank-2 symplectic coefficients")
-    typ, param = _orbit_key(orbit, "sp2")
-    if typ in ("sub", "sub'"):
-        return _coeff_sub("sp2", S, param, vols, X, cache, digits)
-    if typ not in _SUM_TERMS:
-        raise ValueError(f"unknown orbit {orbit!r}")
-    alpha = _param_value(param if alpha is None else alpha)
-    terms = _char_sum(S, alpha, _SUM_TERMS[typ](S, vols, digits))
-    return CoeffResult(terms, f"sp2-{_KIND[typ]}-unipotent")
-
-
-def _orbit_key(orbit, group: str):
-    if isinstance(orbit, OrbitClass):
-        if orbit.group != group:
-            raise ValueError(f"orbit belongs to {orbit.group}, not {group}")
-        return orbit.type, orbit.param
-    if isinstance(orbit, str):
-        return orbit, None
-    return "sub", orbit
-
-
-def _param_value(param):
-    """The rational value of an orbit parameter (1 when there is none)."""
-    return 1 if param is None else getattr(param, "value", param)
 
 
 def coeff_unipotent(orbit: OrbitClass, S: PlaceSet, vols: VolumeParams | None = None,
                     X: int = 10**5, cache=None,
                     digits: int = 30) -> CoeffResult:
-    """Dispatch on the orbit's group.  The identity class has coefficient
-    vol_G in every group; only GSp(2) and Sp(2) have subregular classes."""
+    """The coefficient of a unipotent class of one of GROUPS.  The identity
+    class has coefficient vol_G in every group; only GSp(2) and Sp(2) have
+    subregular classes, whose param is the form.  SL(2) and Sp(2) sum their
+    per-character terms over the quadratic characters unramified outside S
+    at alpha, the class's param; GL(2) and GSp(2) take the trivial
+    character's term alone.  SL(3) adds its cubic pairs to the regular
+    class of GL(3)."""
     g, typ = orbit.group, orbit.type
     vols = vols or VolumeParams()
-    if g not in ("gl2", "sl2", "gl3", "sl3", "gsp2", "sp2"):
+    if g not in GROUPS:
         raise ValueError(f"unknown group {g!r}")
     if g in ("gsp2", "sp2"):
         S.require_2("the rank-2 symplectic coefficients")
@@ -357,17 +267,20 @@ def coeff_unipotent(orbit: OrbitClass, S: PlaceSet, vols: VolumeParams | None = 
         raise ValueError(f"{g} has no subregular unipotent class")
     if typ == "tri":
         return CoeffResult([_term(Fraction(1), "vol_g", vols, [])], f"{g}-identity")
-    if g == "gl2":
-        return coeff_gl2(S, vols, digits)
-    if g == "sl2":
-        return coeff_sl2(S, _param_value(orbit.param), vols, digits)
-    if g == "gl3":
-        return coeff_gl3(S, typ, vols, digits)
-    if g == "sl3":
-        return coeff_sl3(S, typ, _param_value(orbit.param), vols, digits)
-    if g == "gsp2":
-        return coeff_gsp2(S, orbit, vols, X, cache, digits)
-    return coeff_sp2(S, orbit, None, vols, X, cache, digits)
+    if typ in ("sub", "sub'"):
+        return _coeff_sub(g, S, orbit.param, vols, X, cache, digits)
+    alpha = 1 if orbit.param is None else getattr(orbit.param, "value", orbit.param)
+    if g in ("gl3", "sl3") and typ == "min":
+        return CoeffResult([_dlog_zeta_term(2, Fraction(1), "vol_mp", S, vols, digits)],
+                           f"{g}-subminimal-unipotent")
+    if g in ("gl3", "sl3") and typ == "reg":
+        return CoeffResult(_regular3_terms(g, S, alpha, vols, digits), f"{g}-regular-unipotent")
+    special = _SPECIAL.get(g, g)
+    if (special, typ) not in _SUM_TERMS:
+        raise ValueError(f"unknown orbit {orbit}")
+    per_char = _SUM_TERMS[special, typ](S, vols, digits)
+    terms = _char_sum(S, alpha, per_char) if special == g else per_char(_TRIVIAL, 1)
+    return CoeffResult(terms, f"{g}-{_KIND[typ]}-unipotent")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +307,8 @@ def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
         t = _term(Fraction(1, 2), "vol_centralizer", vols, [("c0(S)", ld.c0)])
         return CoeffResult([t], "centralizer-gl2")
     if family == "sl2":
-        out = coeff_sl2(S, params.get("alpha", 1), vols, digits)
+        out = coeff_unipotent(OrbitClass("sl2", "reg", params.get("alpha", 1)), S, vols,
+                              digits=digits)
         return CoeffResult(out.terms, "centralizer-sl2")
     if family == "u11":
         d = params["d"]
@@ -414,14 +328,11 @@ def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
                            notes={"delta_ES": delta, "E_disc": chiE.D})
     if family == "gl2pair":
         orbit = params.get("orbit", "u_{1,0}")
-        if orbit == "u_{1,0}":
+        if orbit in ("u_{1,0}", "u_{0,1}"):
+            first = orbit == "u_{1,0}"
             ld = lfun.laurent_at_1(None, S, digits)
-            t = _term(Fraction(1, 2), "vol_m1", vols, [("c0(S)", ld.c0)])
-            return CoeffResult([t], "centralizer-gl2pair-first")
-        if orbit == "u_{0,1}":
-            ld = lfun.laurent_at_1(None, S, digits)
-            t = _term(Fraction(1, 2), "vol_m2", vols, [("c0(S)", ld.c0)])
-            return CoeffResult([t], "centralizer-gl2pair-second")
+            t = _term(Fraction(1, 2), "vol_m1" if first else "vol_m2", vols, [("c0(S)", ld.c0)])
+            return CoeffResult([t], f"centralizer-gl2pair-{'first' if first else 'second'}")
         if orbit == "u_{alpha,1}":
             per_char = _c0_power_terms(S, vols, digits, 2, Fraction(1, 4))
             return CoeffResult(_char_sum(S, params.get("alpha", 1), per_char),
@@ -442,19 +353,21 @@ def endoscopic_diff(S: PlaceSet, orbit_type: str, param=None,
     orbits, computed two ways: by independent subtraction of the two
     coefficient formulas, and by the predicted closed form (a sum over
     nontrivial quadratic characters, resp. the unramified-class L-sum).
+    param is alpha for min and reg (default 1) and the form for sub
+    (default x_1).
 
     Returns {"difference": CoeffResult, "predicted": CoeffResult, ...}.
     """
     vols = vols or VolumeParams()
     S.require_2("the difference report")
-    if orbit_type in _SUM_TERMS:
+    if orbit_type in ("min", "reg"):
         alpha = 1 if param is None else param
-        a_sp = coeff_sp2(S, orbit_type, alpha, vols, digits=digits)
-        a_gsp = coeff_gsp2(S, orbit_type, vols, digits=digits)
-        pred_terms = _char_sum(S, alpha, _SUM_TERMS[orbit_type](S, vols, digits),
+        a_sp = coeff_unipotent(OrbitClass("sp2", orbit_type, alpha), S, vols, digits=digits)
+        a_gsp = coeff_unipotent(OrbitClass("gsp2", orbit_type), S, vols, digits=digits)
+        pred_terms = _char_sum(S, alpha, _SUM_TERMS["sp2", orbit_type](S, vols, digits),
                                nontrivial_only=True)
     elif orbit_type in ("sub", "sub'"):
-        x = _sub_form(param if param is not None else 1)
+        x = SymForm2.x_alpha(1) if param is None else param
         # one pole-data run for both groups; its C_F term cancels in the difference
         sh = shintani_run(squarefree_kernel(-x.det), S, X, cache)
         a_sp = _coeff_sub("sp2", S, x, vols, X, cache, digits, sh)

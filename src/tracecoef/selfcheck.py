@@ -22,7 +22,7 @@ from .arith import (
 )
 from .characters import QuadChar, chi_S, enum_quad_chars, is_fundamental_discriminant
 from . import lfun
-from .quadforms import SymForm2, enum_form_classes, realizable_eps, unipotent_orbit_set
+from .quadforms import OrbitClass, SymForm2, enum_form_classes, realizable_eps, unipotent_orbit_set
 from .shintani import euler_assembly_check, l1_class_number, shintani_run
 from . import coeff as coeffmod
 from . import weights as wmod
@@ -169,32 +169,29 @@ def crit_6_weight_factors(quick=False, cache=None):
     S_list = [PlaceSet.of(2), PlaceSet.of(2, 3)]
     worst = {}
 
-    def check(tag, closed, family, dims, nu, *u):
-        with mp.workdps(wmod.engine_dps(dims)):  # the closed form at the engine's precision
-            lim, err = wmod.gm_family_limit(family(nu, T, *u), dims=dims, seed=SEED + 60)
-            dev = abs(float(lim - closed(nu, T, *u)))
+    def check(tag, which, nu, u=None):
+        dev = float(wmod.factor_check(which, nu, T, u, seed=SEED + 60)["deviation"])
         worst[tag] = max(worst.get(tag, 0.0), dev)
-        return dev
 
     for i in range(trials):
         S = S_list[i % 2]
         T = wmod.TruncParam(float(_rand_frac(rng, nonzero=False)), float(_rand_frac(rng, nonzero=False)))
         nu = wmod.NuEntries(_rand_frac(rng), _rand_frac(rng), _rand_frac(rng), _rand_frac(rng), S)
-        check("m0", wmod.w_M0, wmod.family_m0, 2, nu)
+        check("m0", "m0", nu)
         nur = wmod.NuEntries(0, _rand_frac(rng), _rand_frac(rng), _rand_frac(rng), S)
         if nur.n13 * nur.n24 != nur.n14 * nur.n14:
-            check("m1-radical", wmod.w_M1, wmod.family_m1, 1, nur)
+            check("m1-radical", "m1", nur)
         u12 = _rand_frac(rng)
-        check("m1-levi", wmod.w_M1, wmod.family_m1, 1, nu, u12)
+        check("m1-levi", "m1", nu, u12)
         nu2 = wmod.NuEntries(_rand_frac(rng), _rand_frac(rng), _rand_frac(rng), 0, S)
-        check("m2-radical", wmod.w_M2, wmod.family_m2, 1, nu2)
+        check("m2-radical", "m2", nu2)
         u24 = _rand_frac(rng)
-        check("m2-levi", wmod.w_M2, wmod.family_m2, 1, nu2, u24)
+        check("m2-levi", "m2", nu2, u24)
         nu3 = wmod.Nu3Entries(_rand_frac(rng), _rand_frac(rng), _rand_frac(rng), S)
-        check("gl3-m0", wmod.w_M0_gl3, wmod.family_m0_gl3, 2, nu3)
+        check("gl3-m0", "gl3-m0", nu3)
         nu3r = wmod.Nu3Entries(0, _rand_frac(rng), _rand_frac(rng), S)
-        check("gl3-mp-radical", wmod.w_Mp_gl3, wmod.family_mp_gl3, 1, nu3r)
-        check("gl3-mp-levi", wmod.w_Mp_gl3, wmod.family_mp_gl3, 1, nu3, u12)
+        check("gl3-mp-radical", "gl3-mp", nu3r)
+        check("gl3-mp-levi", "gl3-mp", nu3, u12)
     passed = all(v <= TOL_WEIGHTS for v in worst.values())
     return {
         "id": 6,
@@ -355,14 +352,14 @@ def crit_10_sl2_averaging(quick=False, cache=None):
     """Mean of the SL(2) coefficients over the square classes equals the
     GL(2) coefficient."""
     S = PlaceSet.of(2)
-    reps = sclass_reps(S)
-    avg = sum((coeffmod.coeff_sl2(S, a.value).value for a in reps), mpf(0)) / len(reps)
-    dev = abs(float(avg - coeffmod.coeff_gl2(S).value))
+    regular = unipotent_orbit_set("sl2", S)[1:]  # one class per square class
+    avg = sum((coeffmod.coeff_unipotent(o, S).value for o in regular), mpf(0)) / len(regular)
+    dev = abs(float(avg - coeffmod.coeff_unipotent(OrbitClass("gl2", "reg"), S).value))
     return {
         "id": 10,
         "name": "sl2-gl2-averaging",
         "passed": dev <= TOL_SL2_AVG,
-        "details": {"deviation": dev, "classes": len(reps)},
+        "details": {"deviation": dev, "classes": len(regular)},
     }
 
 

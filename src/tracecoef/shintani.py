@@ -476,6 +476,19 @@ def _chi_table(S_primes: tuple):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _log_table(S_primes: tuple, two_s: float) -> np.ndarray:
+    """The log Euler factor of each entry of _chi_table at 2s, read-only:
+    log1p(-p^-2s) where chi_D(p) = 1, log1p(p^-2s) where it is -1, else 0,
+    each rounded to a multiple of 2^-56."""
+    primes, table, _ = _chi_table(S_primes)
+    pw = primes.astype(np.float64) ** -two_s
+    lo, hi = (np.repeat(np.rint(np.log1p(x) * 2.0**56) * 2.0**-56, primes) for x in (-pw, pw))
+    out = np.where(table == 1, lo, np.where(table == -1, hi, 0.0))
+    out.flags.writeable = False
+    return out
+
+
 def _l2s_values(D: np.ndarray, S: PlaceSet, two_s: float) -> np.ndarray:
     """L^S(2s, chi_D) for each D, |D| < 2^31: the Euler product over the p <=
     P = _L2S_PRIME_BOUND outside S, summed in logs, so |log L^S - log(product)|
@@ -483,14 +496,14 @@ def _l2s_values(D: np.ndarray, S: PlaceSet, two_s: float) -> np.ndarray:
     2s = 3, far below the truncation-model error.
 
     Blocks of a few p by at most _L2S_COLS D (about _CHI_BLOCK entries) read
-    chi_D(p) off _chi_table at D mod p = D - (D // p) p (numpy divides by one p
-    by multiplying, libdivide, faster than a mod) and fold it into the log
-    sums, so no (D, p) matrix is held.  The log factors are multiples of 2^-56
-    (at most 107 2^-57 in log L^S) with absolute sum below 2^-3 for 2s >= 3, so
-    every partial sum is exact: no blocking, order or BLAS kernel moves a bit."""
-    primes, table, off = _chi_table(S.primes)
-    pw = primes.astype(np.float64) ** -two_s
-    lo, hi = (np.rint(np.log1p(x) * 2.0**56) * 2.0**-56 for x in (-pw, pw))  # chi_D(p) = 1, -1
+    the log factor of chi_D(p) off _log_table at D mod p = D - (D // p) p
+    (numpy divides by one p by multiplying, libdivide, faster than a mod) and
+    fold it into the log sums, so no (D, p) matrix is held.  The log factors
+    are multiples of 2^-56 (at most 107 2^-57 in log L^S) with absolute sum
+    below 2^-3 for 2s >= 3, so every partial sum is exact: no blocking or
+    summation order moves a bit."""
+    primes, _, off = _chi_table(S.primes)
+    logtab = _log_table(S.primes, two_s)
     out = np.zeros(len(D))
     cols = max(1, min(len(D), _L2S_COLS))
     rows = max(1, _CHI_BLOCK // cols)
@@ -504,9 +517,7 @@ def _l2s_values(D: np.ndarray, S: PlaceSet, two_s: float) -> np.ndarray:
             idx *= -p
             idx += d
             idx += off[j : j + rows, None]
-            chi = np.take(table, idx)
-            out[i : i + cols] += (lo[j : j + rows] @ (chi == 1).astype(np.float64)
-                                  + hi[j : j + rows] @ (chi == -1).astype(np.float64))
+            out[i : i + cols] += np.take(logtab, idx).sum(axis=0)
     return np.exp(-out, out=out)
 
 

@@ -564,3 +564,28 @@ def gm_family_limit(members, dims: int = 2, seed: int = 20240801, npts: int = 12
         out = +((v1 + v2) / 2)
         errf = +err
     return out, errf
+
+
+# which -> (closed form, (G,M)-family, dims, entries of nu)
+FACTORS = {
+    "m0": (w_M0, family_m0, 2, 4),
+    "m1": (w_M1, family_m1, 1, 4),
+    "m2": (w_M2, family_m2, 1, 4),
+    "gl3-m0": (w_M0_gl3, family_m0_gl3, 2, 3),
+    "gl3-mp": (w_Mp_gl3, family_mp_gl3, 1, 3),
+}
+
+
+def factor_check(which: str, nu, T: TruncParam, u=None, *, seed: int,
+                 engine: bool = True) -> dict:
+    """The closed form of the weight factor `which` (u: the Levi unipotent
+    entry of a one-variable factor) at the engine's precision and, with
+    engine, gm_family_limit of its family and their deviation."""
+    closed, family, dims, _ = FACTORS[which]
+    extra = (u,) if dims == 1 else ()
+    with mp.workdps(engine_dps(dims)):
+        out = {"closed_form": closed(nu, T, *extra)}
+        if engine:
+            lim, err = gm_family_limit(family(nu, T, *extra), dims=dims, seed=seed)
+            out.update(engine_limit=lim, engine_error=err, deviation=abs(lim - out["closed_form"]))
+    return out

@@ -6,25 +6,23 @@ each displayed formula from its constituents.
 """
 import contextlib
 import io
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from tracecoef.arith import PlaceSet, sclass_reps
 from tracecoef.characters import QuadChar
-from tracecoef.cli import JsonlCache
+from tracecoef.cli import JsonlCache, _coeff_doc, render_json
 from tracecoef import lfun
 from tracecoef.coeff import (
     CoeffResult,
     VolumeParams,
     centralizer_example_coeff,
-    coeff_gl2,
-    coeff_gl3,
-    coeff_gsp2,
-    coeff_sl2,
-    coeff_sl3,
-    coeff_sp2,
     coeff_unipotent,
     endoscopic_diff,
 )
@@ -39,20 +37,25 @@ X_SUB = 10**4  # the Shintani truncation bound of the subregular tests
 GAMMA0_STR = "0.577215664901532860606512090082402431042"
 
 
+def coeff(S, group, typ, param=None, **kw):
+    """The coefficient of the class (group, typ, param) through coeff_unipotent."""
+    return coeff_unipotent(OrbitClass(group, typ, param), S, **kw)
+
+
 def test_gl2_example():
     with mp.workdps(35):
-        assert abs(coeff_gl2(S_OO).value - mpf(GAMMA0_STR) / 2) < mpf("1e-28")
+        assert abs(coeff(S_OO, "gl2", "reg").value - mpf(GAMMA0_STR) / 2) < mpf("1e-28")
 
 
 def test_sl2_equals_gl2_over_oo():
     for alpha in (1, -1, 7, Fraction(3, 5)):
-        assert coeff_sl2(S_OO, alpha).value == coeff_gl2(S_OO).value
+        assert coeff(S_OO, "sl2", "reg", alpha).value == coeff(S_OO, "gl2", "reg").value
 
 
 def test_sl2_example_class_number_oracle():
     """(1/2)[gamma/2 + ln2/2 + pi/4 + L(1,chi_8) + L(1,chi_-8)] with the
     L-values re-derived through class numbers and regulators."""
-    got = coeff_sl2(S2, 1).value
+    got = coeff(S2, "sl2", "reg", 1).value
     with mp.workdps(35):
         expected = (
             mpf(GAMMA0_STR) / 2
@@ -65,56 +68,56 @@ def test_sl2_example_class_number_oracle():
 
 
 def test_sl2_depends_on_class_only():
-    assert coeff_sl2(S2, 3).value == coeff_sl2(S2, Fraction(27, 4)).value
+    assert coeff(S2, "sl2", "reg", 3).value == coeff(S2, "sl2", "reg", Fraction(27, 4)).value
 
 
 def test_sl2_averaging():
     reps = sclass_reps(S2)
-    avg = sum((coeff_sl2(S2, r.value).value for r in reps), mpf(0)) / len(reps)
-    assert abs(avg - coeff_gl2(S2).value) < mpf("1e-12")
+    avg = sum((coeff(S2, "sl2", "reg", r.value).value for r in reps), mpf(0)) / len(reps)
+    assert abs(avg - coeff(S2, "gl2", "reg").value) < mpf("1e-12")
 
 
 def test_gl3_examples():
-    got = coeff_gl3(S_OO, "min").value
+    got = coeff(S_OO, "gl3", "min").value
     with mp.workdps(35):
         expected = lfun.deriv_LS(2, None, S_OO, 30) / lfun.zetaS(2, S_OO, 30)
         assert abs(got - expected) < mpf("1e-25")
         assert abs(got + mpf("0.569960993094532806399864360019730002")) < mpf("1e-25")
         ld = lfun.laurent_at_1(None, S2)
-        got = coeff_gl3(S2, "reg").value
+        got = coeff(S2, "gl3", "reg").value
         assert abs(got - (ld.c0**2 + ld.c1 * ld.residue) / 3) < mpf("1e-20")
 
 
 def test_sl3_cubic_sum():
     # no cubic characters over {oo,2}: SL(3) equals GL(3)
-    assert coeff_sl3(S2, "reg", 1).value == coeff_gl3(S2, "reg").value
+    assert coeff(S2, "sl3", "reg", 1).value == coeff(S2, "gl3", "reg").value
     # over {oo,2,7} the pair chi, chi^2 adds a real positive term at alpha=1
     S27 = PlaceSet.of(2, 7)
     from tracecoef.characters import enum_cubic_chars
 
     ch = enum_cubic_chars(S27)[0]
-    got = coeff_sl3(S27, "reg", 1).value
+    got = coeff(S27, "sl3", "reg", 1).value
     with mp.workdps(40):
         L = lfun.LS(1, ch, S27)
         add = 2 * mp.re(L * lfun.LS(1, ch.inverse(), S27)) / 3
-        assert abs(got - (coeff_gl3(S27, "reg").value + add)) < mpf("1e-20")
+        assert abs(got - (coeff(S27, "gl3", "reg").value + add)) < mpf("1e-20")
     assert add > 0
     assert abs(mp.im(got)) == 0
 
 
 def test_gsp2_examples():
     with mp.workdps(35):
-        assert abs(coeff_gsp2(S2, "min").value - mp.pi**2 / 16) < mpf("1e-25")
+        assert abs(coeff(S2, "gsp2", "min").value - mp.pi**2 / 16) < mpf("1e-25")
     with mp.workdps(40):
         ld = lfun.laurent_at_1(None, S2)
-        got = coeff_gsp2(S2, "reg").value
+        got = coeff(S2, "gsp2", "reg").value
         assert abs(got - (ld.c0**2 / 2 + mpf(3) / 4 * ld.c1 * ld.residue)) < mpf("1e-20")
 
 
 def test_gsp2_sub_derivative_term_presence():
     c = JsonlCache(None)  # in memory
-    r1 = coeff_gsp2(S2, SymForm2.x_alpha(1), X=X_SUB, cache=c)
-    r3 = coeff_gsp2(S2, SymForm2.x_alpha(3), X=X_SUB, cache=c)
+    r1 = coeff(S2, "gsp2", "sub", SymForm2.x_alpha(1), X=X_SUB, cache=c)
+    r3 = coeff(S2, "gsp2", "sub", SymForm2.x_alpha(3), X=X_SUB, cache=c)
     names1 = [n for t in r1.terms for n, _ in t.factors]
     names3 = [n for t in r3.terms for n, _ in t.factors]
     assert any("dzeta" in n for n in names1)       # x ~ x_1: derivative term
@@ -126,7 +129,7 @@ def test_gsp2_sub_derivative_term_presence():
 
 
 def test_sp2_min_example():
-    got = coeff_sp2(S2, "min", 1).value
+    got = coeff(S2, "sp2", "min", 1).value
     with mp.workdps(35):
         expected = (
             lfun.zetaS(2, S2, 30)
@@ -138,19 +141,19 @@ def test_sp2_min_example():
 
 
 def test_sp2_min_depends_on_class_only():
-    assert coeff_sp2(S2, "min", 3).value == coeff_sp2(S2, "min", 27).value
-    assert coeff_sp2(S2, "min", 3).value != coeff_sp2(S2, "min", 1).value
+    assert coeff(S2, "sp2", "min", 3).value == coeff(S2, "sp2", "min", 27).value
+    assert coeff(S2, "sp2", "min", 3).value != coeff(S2, "sp2", "min", 1).value
 
 
 def test_sp2_reg_square_alpha_maximal():
     """chi_S(alpha) = 1 for squares: every character contributes positively."""
-    vals = {a: float(coeff_sp2(S2, "reg", a).value) for a in (1, -1, 2, 3)}
+    vals = {a: float(coeff(S2, "sp2", "reg", a).value) for a in (1, -1, 2, 3)}
     assert max(vals.values()) == vals[1]
 
 
 def test_sp2_sub_hasse_and_unramified_sum():
     x_m1 = SymForm2.x_alpha(-1)  # -det = -1: Q_ur = {-1}, eps product +1
-    r = coeff_sp2(S2, x_m1, X=X_SUB)
+    r = coeff(S2, "sp2", "sub", x_m1, X=X_SUB)
     names = [n for t in r.terms for n, _ in t.factors]
     assert any("L^S(1,chi_-4)" in n for n in names)
     prod = 1
@@ -158,7 +161,7 @@ def test_sp2_sub_hasse_and_unramified_sum():
         prod *= hasse(x_m1, v)
     assert prod == 1
     # x_1: -det = 1 has empty Q_ur and carries the derivative term
-    r1 = coeff_sp2(S2, SymForm2.x_alpha(1), X=X_SUB)
+    r1 = coeff(S2, "sp2", "sub", SymForm2.x_alpha(1), X=X_SUB)
     names1 = [n for t in r1.terms for n, _ in t.factors]
     assert not any("L^S(1,chi" in n for n in names1)
     assert any("dzeta" in n for n in names1)
@@ -167,9 +170,9 @@ def test_sp2_sub_hasse_and_unramified_sum():
 def test_structured_terms_sum_to_value():
     with mp.workdps(45):
         for res in (
-            coeff_sl2(S23, 5),
-            coeff_sp2(S2, "reg", -2),
-            coeff_gl3(S23, "reg"),
+            coeff(S23, "sl2", "reg", 5),
+            coeff(S2, "sp2", "reg", -2),
+            coeff(S23, "gl3", "reg"),
         ):
             total = sum((t.value for t in res.terms), mpf(0))
             assert abs(total - res.value) < mpf("1e-40")
@@ -196,10 +199,42 @@ def test_values_are_evaluated_once_per_object(monkeypatch):
 def test_volumes_scale_linearly():
     vols = VolumeParams(vol_m2=2.5)
     with mp.workdps(40):
-        assert abs(coeff_gsp2(S2, "min", vols).value
-                   - mpf("2.5") * coeff_gsp2(S2, "min").value) < mpf("1e-30")
+        assert abs(coeff(S2, "gsp2", "min", vols=vols).value
+                   - mpf("2.5") * coeff(S2, "gsp2", "min").value) < mpf("1e-30")
     with pytest.raises(ValueError):
         VolumeParams(vol_m0=-1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([S2, S23]),
+       st.sampled_from([("gl2", "sl2", "reg"), ("gsp2", "sp2", "min"), ("gsp2", "sp2", "reg")]),
+       st.integers(-60, 60).filter(bool), st.integers(1, 9))
+def test_similitude_group_takes_the_trivial_character_term(S, groups, num, den):
+    """GL(2) and GSp(2) are the trivial character's term of the SL(2) and Sp(2)
+    sums: rendered, their terms equal byte for byte the terms of the special
+    group's sum at any alpha that name no nontrivial character."""
+    similitude, special, typ = groups
+    want = render_json(_coeff_doc(coeff(S, similitude, typ))["terms"])
+    terms = _coeff_doc(coeff(S, special, typ, Fraction(num, den)))["terms"]
+    trivial = [t for t in terms if not any("chi_" in f["name"] for f in t["factors"])]
+    assert len(trivial) < len(terms)
+    assert render_json(trivial) == want
+
+
+def test_readme_library_example_runs():
+    """The Python example of the README runs and prints what its comments say."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    catalan, sp2_min, residue = (float(x) for x in out.getvalue().split())
+    assert catalan == float(mp.catalan)
+    with mp.workdps(35):
+        expected = (lfun.zetaS(2, S2, 30) + lfun.LS(2, QuadChar(-4), S2, 30)
+                    + lfun.LS(2, QuadChar(8), S2, 30) + lfun.LS(2, QuadChar(-8), S2, 30)) / 2
+    assert abs(sp2_min - float(expected)) < 1e-14
+    assert abs(residue - 1 / 8) < 1e-3
 
 
 def test_coeff_unipotent_dispatch():
@@ -277,6 +312,6 @@ def test_endoscopic_sub_runs_pole_data_once(monkeypatch):
     x = SymForm2.x_alpha(-1)
     d = endoscopic_diff(S2, "sub", x, X=X_SUB)
     assert len(calls) == 1
-    assert d["sp2"].value == coeff_sp2(S2, x, X=X_SUB).value
-    assert d["gsp2"].value == coeff_gsp2(S2, x, X=X_SUB).value
+    assert d["sp2"].value == coeff(S2, "sp2", "sub", x, X=X_SUB).value
+    assert d["gsp2"].value == coeff(S2, "gsp2", "sub", x, X=X_SUB).value
     assert len(calls) == 3

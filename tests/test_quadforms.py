@@ -182,12 +182,12 @@ def test_centralizer_classify():
 
 
 def test_descent_identity_for_central_sigma():
-    from tracecoef.coeff import coeff_gl2
+    from tracecoef.coeff import coeff_unipotent
 
     sig = centralizer_classify("z")
     orbit = OrbitClass("gl2", "reg")
     out = descent_coeff(sig, orbit, S2)
-    assert abs(out.value - coeff_gl2(S2).value) == 0
+    assert abs(out.value - coeff_unipotent(OrbitClass("gl2", "reg"), S2).value) == 0
 
 
 def test_descent_sigma1_examples():

@@ -399,7 +399,7 @@ def test_l2s_truncation_bound(two_s):
 def test_l2s_values_do_not_depend_on_block_size(monkeypatch):
     """The rounded log factors make every partial sum of the log L^S(2s) sums
     exact, so neither the primes per block (_CHI_BLOCK: 1, 7, 3 len(D), 2^30)
-    nor the column width (_L2S_COLS, with the BLAS summation order they set)
+    nor the column width (_L2S_COLS, with the summation order they set)
     moves a bit, for D of both signs: the widths 1000, 8192 and 2^30 on 11400 D,
     3 and 100 on every 25th of them and 1 on every 100th."""
     D = np.concatenate([build_terms(-1, S2, 4 * 10**5).D, build_terms(2, S2, 10**5).D])

@@ -13,6 +13,7 @@ integer, with no Fraction built per call.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -435,10 +436,13 @@ def legendre_tables(primes):
     return table, off
 
 
+@functools.lru_cache(maxsize=64)
 def legendre_table(p: int):
-    """The Legendre symbol (r/p) for r = 0..p-1, as a numpy int8 array (p odd
-    prime): the one block of legendre_tables([p])."""
-    return legendre_tables([p])[0]
+    """The Legendre symbol (r/p) for r = 0..p-1, as a read-only numpy int8
+    array (p odd prime), built once per p: the one block of legendre_tables([p])."""
+    table = legendre_tables([p])[0]
+    table.flags.writeable = False
+    return table
 
 
 def spf_table(n: int):

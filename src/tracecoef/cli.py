@@ -28,7 +28,7 @@ from .arith import PlaceSet, cclass_reps, sclass_reps
 from .characters import enum_cubic_chars, enum_quad_chars, QuadChar
 from . import lfun
 from .coeff import GROUPS, CoeffResult, VolumeParams, coeff_unipotent, endoscopic_diff
-from .quadforms import OrbitClass, SymForm2, unipotent_orbit_set
+from .quadforms import OrbitClass, SymForm2, subregular_type, unipotent_orbit_set
 from .shintani import require_X, shintani_run
 from . import weights as wmod
 from . import selfcheck
@@ -446,12 +446,14 @@ def cmd_coeff(args) -> dict:
     alpha = Fraction(args.alpha)
     g = args.group
     form = _sub_form(args, alpha)
-    if form is not None:
-        orbit = OrbitClass(g, "sub", form)  # coeff_unipotent rejects the groups without one
+    if form is not None:  # coeff_unipotent rejects the groups without one
+        orbit = OrbitClass(g, subregular_type(form, S), form)
     elif args.orbit in ("tri", "min", "reg"):
         # the rank-1 groups have a single nontrivial type
         typ = "reg" if g in ("gl2", "sl2") and args.orbit == "min" else args.orbit
-        orbit = OrbitClass(g, typ, alpha if g in ("sl2", "sl3", "sp2") else None)
+        # alpha labels the classes that come in square or cube classes only
+        param = typ != "tri" and g in ("sl2", "sl3", "sp2") and (g, typ) != ("sl3", "min")
+        orbit = OrbitClass(g, typ, alpha if param else None)
     else:
         raise UsageError(f"unknown orbit {args.orbit!r} for group {g}")
     res = coeff_unipotent(orbit, S, vols, X, cache, args.digits)
@@ -501,9 +503,14 @@ def cmd_lfun(args) -> dict:
         out["result"] = {"center": 1.0, "residue": ld.residue, "c0": ld.c0, "c1": ld.c1}
         return out
     key, fn = ("derivative", lfun.deriv_LS) if args.deriv else ("value", lfun.LS)
+    beyond = UsageError(f"--s {args.s}: the {key} is beyond the float64 range of the output")
+    # a value that surely overflows is refused before the kernel runs at 1 - s
+    if (not args.deriv and args.s < 0
+            and lfun.log_abs_LS_lower_bound(args.s, chi, S) > math.log(sys.float_info.max)):
+        raise beyond
     out["result"] = {key: fn(args.s, chi, S, args.digits)}
     if not math.isfinite(out["result"][key]):
-        raise UsageError(f"--s {args.s}: the {key} is beyond the float64 range of the output")
+        raise beyond
     return out
 
 

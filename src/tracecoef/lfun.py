@@ -558,6 +558,13 @@ def _trivial_char_mark(chi) -> bool:
     return chi is None or chi.is_trivial
 
 
+def _reflection_args(s, chi):
+    """(q, x, y, z) of _reflected_jet's factor (q/pi)^(1/2-s) Gamma(x) Gamma(y)
+    sin(pi z)/pi at s, chi None (zeta) or quadratic."""
+    q, a = (1, 0) if chi is None else (chi.conductor, int(chi.D < 0))
+    return q, (1 - s + a) / 2, 1 - (s + a) / 2, (s + a) / 2
+
+
 def _reflected_jet(s, chi, deriv: bool):
     """Jet of L(s,chi) at s < 0, chi None (zeta) or quadratic, from the
     kernel's jet at 1 - s by the functional equation (root number 1; Davenport,
@@ -567,12 +574,11 @@ def _reflected_jet(s, chi, deriv: bool):
 
     Both Gamma arguments exceed 1/2, and sinpi gives the trivial zeros
     exactly; deriv False gives (value, None)."""
-    q, a = (1, 0) if chi is None else (chi.conductor, int(chi.D < 0))
+    q, x, y, z = _reflection_args(s, chi)
     t = 1 - s
     L = _dirichlet_jet(t, chi, deriv)
     if chi is None:
         L = _with_pole(L, t)
-    x, y, z = (t + a) / 2, 1 - (s + a) / 2, (s + a) / 2
     g = (q / mp.pi) ** (mpf(1) / 2 - s) * mp.gamma(x) * mp.gamma(y) / mp.pi
     sin = mp.sinpi(z)
     dg = None
@@ -592,13 +598,42 @@ def _LS_jet(s, chi, S: PlaceSet, deriv: bool = True):
         z = (_reflected_jet(s, None, deriv) if s < 0
              else _with_pole(_dirichlet_jet(s, None, deriv), s))
         return _jmul(z, _euler_removed_jet(s, QuadChar(1), S, deriv))
+    _require_computable(s, chi, S)
+    L = _reflected_jet(s, chi, deriv) if s < 0 else _dirichlet_jet(s, chi, deriv)
+    return _jmul(L, _euler_removed_jet(s, chi, S, deriv))
+
+
+def _require_computable(s, chi, S: PlaceSet):
+    """Refuse a nontrivial chi ramified outside S, and a cubic chi at s < 0."""
     if not chi.is_unramified_outside(S):
         bad = [p for p in chi.support if p not in S.primes]
         raise ValueError(f"character ramified outside S at {bad}")
     if s < 0 and not isinstance(chi, QuadChar):
         raise ValueError("L(s, chi) of a cubic character is computed at s >= 0 only")
-    L = _reflected_jet(s, chi, deriv) if s < 0 else _dirichlet_jet(s, chi, deriv)
-    return _jmul(L, _euler_removed_jet(s, chi, S, deriv))
+
+
+def log_abs_LS_lower_bound(s, chi, S: PlaceSet) -> float:
+    """A lower bound on log|L^S(s,chi)| at s < 0, chi None (zeta) or quadratic,
+    without the kernel: the log of _reflected_jet's gamma and sine factor and
+    of the removed Euler factors, both at 30 digits, plus log(zeta(2t)/
+    zeta(t)) <= log|L(t,chi)| at t = 1 - s > 1 (the Euler product of L(t,chi)
+    against that of zeta(2t)/zeta(t) = prod (1 + p^-t)^-1).  -inf at a trivial
+    zero."""
+    trivial = _trivial_char_mark(chi)
+    if not trivial:
+        _require_computable(s, chi, S)
+    with mp.workdps(30):
+        s = _to_mpf(s)
+        q, x, y, z = _reflection_args(s, None if trivial else chi)
+        sin = mp.sinpi(z)
+        if sin == 0:
+            return -math.inf
+        t = 1 - s
+        removed = _euler_removed_jet(s, QuadChar(1) if trivial else chi, S, deriv=False)[0]
+        out = ((mpf(1) / 2 - s) * mp.ln(q / mp.pi) + mp.loggamma(x) + mp.loggamma(y)
+               + mp.ln(abs(sin) / mp.pi) + mp.ln(mp.zeta(2 * t) / mp.zeta(t))
+               + mp.ln(abs(removed)))
+    return float(out)
 
 
 def zetaS(s, S: PlaceSet, digits=None):

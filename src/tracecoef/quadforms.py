@@ -211,6 +211,12 @@ class OrbitClass:
         return f"{self.group}:{self.type}{p}"
 
 
+def subregular_type(form: SymForm2, S: PlaceSet) -> str:
+    """The type of the subregular class of form: sub' when -det lies in the
+    trivial S-class (x_1's class, the hyperbolic plane only), else sub."""
+    return "sub'" if all(is_square_at(-form.det, v) for v in S) else "sub"
+
+
 def unipotent_orbit_set(group: str, S: PlaceSet) -> list[OrbitClass]:
     """The unipotent F_S-conjugacy classes meeting G(F), per group."""
     g = group.lower()
@@ -234,10 +240,8 @@ def unipotent_orbit_set(group: str, S: PlaceSet) -> list[OrbitClass]:
         else:
             rel, reps = "det+hasse", sclass_reps(S)
             orbits = [OrbitClass(g, "tri")] + [OrbitClass(g, "min", a) for a in reps]
-        # sub' is x_1's class: -det in the trivial S-class (the hyperbolic plane only)
         for f, eps in enum_form_classes(S, rel, reps).items():
-            typ = "sub'" if all(is_square_at(-f.det, v) for v in S) else "sub"
-            orbits.append(OrbitClass(g, typ, f, eps))
+            orbits.append(OrbitClass(g, subregular_type(f, S), f, eps))
         if g == "gsp2":
             orbits.append(OrbitClass(g, "reg"))
         else:

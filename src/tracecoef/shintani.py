@@ -72,7 +72,7 @@ from .arith import (PlaceSet, SquareClassRep, factorize, kronecker, legendre_tab
 from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
-_L2S_PRIME_BOUND = 600  # the Euler product of L^S(2s, chi_D), 2s >= 3, stops here (_l2s_values)
+_L2S_PRIME_BOUND = 200  # the Euler product of L^S(2s, chi_D), 2s >= 3, stops here (_l2s_values)
 L1_DIGITS = 15  # the digits stored with an L(1) cache record
 
 
@@ -450,12 +450,15 @@ def _pole_prefactor(S: PlaceSet) -> tuple:
     return P, 2 * P * (_DLOG_ZETA_2 + _DLOG_ZETA_3 + dlog)
 
 
-def _dlog_mean(primes: np.ndarray) -> float:
+@functools.lru_cache(maxsize=16)
+def _dlog_mean(S_primes: tuple) -> float:
     """E'(0)/E(0) of the mean E(eps) = prod_p E_p(eps) of L^S(1,chi_d)/L^S(3+2eps,
-    chi_d) over the d, p the primes of L^S(3): E_p(eps) = [f(0) + (p/2)(f(1) +
-    f(-1))]/(p + 1), f(c) = (1 - c p^(-3-2eps))/(1 - c/p), so E_p(0) = (p + 1 +
-    1/p)/(p + 1) and E_p'(0)/E_p(0) = 2 log p/((p^2 - 1)(p^2 + p + 1)).  The
-    primes beyond 600 add less than 3e-9."""
+    chi_d) over the d, p the primes of L^S(3) (_chi_table): E_p(eps) = [f(0) +
+    (p/2)(f(1) + f(-1))]/(p + 1), f(c) = (1 - c p^(-3-2eps))/(1 - c/p), so
+    E_p(0) = (p + 1 + 1/p)/(p + 1) and E_p'(0)/E_p(0) = 2 log p/((p^2 - 1)(p^2
+    + p + 1)).  The primes beyond 200 add less than 8e-8; L^S(3) stops at the
+    same primes."""
+    primes = _chi_table(S_primes)[0]
     return sum(2 * math.log(p) / ((p * p - 1) * (p * p + p + 1)) for p in primes.tolist())
 
 
@@ -480,28 +483,46 @@ def _chi_table(S_primes: tuple):
 def _log_table(S_primes: tuple, two_s: float) -> np.ndarray:
     """The log Euler factor of each entry of _chi_table at 2s, read-only:
     log1p(-p^-2s) where chi_D(p) = 1, log1p(p^-2s) where it is -1, else 0,
-    each rounded to a multiple of 2^-56."""
+    each from mpmath at 80 bits rounded to a multiple of 2^-56.  mpmath works
+    on integers, so no bit of the table depends on the CPU or on libm."""
     primes, table, _ = _chi_table(S_primes)
-    pw = primes.astype(np.float64) ** -two_s
-    lo, hi = (np.repeat(np.rint(np.log1p(x) * 2.0**56) * 2.0**-56, primes) for x in (-pw, pw))
+    with mp.workprec(80):
+        lo, hi = (np.repeat([float(mp.nint(mp.log1p(c * mpf(p) ** -two_s) * 2**56)) * 2.0**-56
+                             for p in primes.tolist()], primes) for c in (-1, 1))
     out = np.where(table == 1, lo, np.where(table == -1, hi, 0.0))
     out.flags.writeable = False
     return out
 
 
+# 1/k!, k = 0..11: the Taylor polynomial of exp at 0, within 4e-20 of exp(x) for |x| < 2^-3
+_EXP_COEFFS = tuple(1 / math.factorial(k) for k in range(12))
+
+
+def _exp_small(x: np.ndarray) -> np.ndarray:
+    """exp(x) for |x| < 2^-3, within 2 ulp, by _EXP_COEFFS in Horner form.
+    numpy's + and * are IEEE operations that do not fuse, so the bits do not
+    depend on the SIMD dispatch, as np.exp's do."""
+    y = np.full_like(x, _EXP_COEFFS[-1])
+    for c in _EXP_COEFFS[-2::-1]:
+        y *= x
+        y += c
+    return y
+
+
 def _l2s_values(D: np.ndarray, S: PlaceSet, two_s: float) -> np.ndarray:
     """L^S(2s, chi_D) for each D, |D| < 2^31: the Euler product over the p <=
     P = _L2S_PRIME_BOUND outside S, summed in logs, so |log L^S - log(product)|
-    <= sum_{n > P} n^-2s/(1 - n^-2s) <= P^(1-2s)/((2s-1)(1 - P^-2s)): 1.4e-6 at
-    2s = 3, far below the truncation-model error.
+    <= sum_{n > P} n^-2s/(1 - n^-2s) <= P^(1-2s)/((2s-1)(1 - P^-2s)): 1.25e-5
+    at 2s = 3, which moves C_F by about 1e-7, far below the truncation-model
+    error.
 
     Blocks of a few p by at most _L2S_COLS D (about _CHI_BLOCK entries) read
     the log factor of chi_D(p) off _log_table at D mod p = D - (D // p) p
     (numpy divides by one p by multiplying, libdivide, faster than a mod) and
     fold it into the log sums, so no (D, p) matrix is held.  The log factors
-    are multiples of 2^-56 (at most 107 2^-57 in log L^S) with absolute sum
+    are multiples of 2^-56 (at most 45 2^-57 in log L^S) with absolute sum
     below 2^-3 for 2s >= 3, so every partial sum is exact: no blocking or
-    summation order moves a bit."""
+    summation order moves a bit, and _exp_small takes the exponential."""
     primes, _, off = _chi_table(S.primes)
     logtab = _log_table(S.primes, two_s)
     out = np.zeros(len(D))
@@ -518,7 +539,7 @@ def _l2s_values(D: np.ndarray, S: PlaceSet, two_s: float) -> np.ndarray:
             idx += d
             idx += off[j : j + rows, None]
             out[i : i + cols] += np.take(logtab, idx).sum(axis=0)
-    return np.exp(-out, out=out)
+    return _exp_small(-out)
 
 
 def residue_exact_value(S: PlaceSet) -> Fraction:
@@ -607,8 +628,7 @@ def shintani_run(alpha, S: PlaceSet, X: int = 10**5, cache=None) -> ShintaniResu
     A, sums = np.cumsum(b), np.cumsum(b / N)
     fits = [_fit_tail(N[:k], A[:k], float(exact) / P) for k in ends.tolist()]
     res_est, res_err, unstable = residue_at_pole(fits, P)
-    cf, cf_err = shintani_constant(fits, sums[ends - 1].tolist(), P, dP,
-                                   _dlog_mean(_chi_table(S.primes)[0]))
+    cf, cf_err = shintani_constant(fits, sums[ends - 1].tolist(), P, dP, _dlog_mean(S.primes))
     return ShintaniResult(
         residue_estimate=res_est,
         residue_exact=exact,

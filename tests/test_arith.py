@@ -91,6 +91,14 @@ def test_legendre_tables_vs_bruteforce():
         assert [int(got[r]) for r in rs] == [kronecker(r, p) for r in rs]
 
 
+def test_legendre_table_is_built_once_and_read_only():
+    """legendre_table(p) is memoized: the same read-only array on every call."""
+    table = legendre_table(7)
+    assert legendre_table(7) is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
 def test_kronecker_vs_bruteforce_legendre():
     for p in (3, 5, 7, 11, 13):
         for a in range(-20, 21):

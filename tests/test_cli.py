@@ -577,6 +577,19 @@ def test_value_beyond_float64_names_s(capsys, monkeypatch):
     assert json.loads(out)["error"]["message"].startswith("--s -90.0: the value is beyond")
 
 
+def test_value_surely_beyond_float64_is_refused_before_the_kernel(capsys, monkeypatch):
+    """lfun --chi=-199 --s=-199.5 --S=199 has log|L^S| >= 1551 > log(float
+    max) by lfun.log_abs_LS_lower_bound, so it exits 2 with the usual message
+    and the Dirichlet kernel at 1 - s never runs."""
+    def kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(lfun, "_dirichlet_jet", kernel)
+    code, out = run_cli(capsys, "lfun", "--chi=-199", "--s=-199.5", "--S=199", "--json")
+    assert (code, out) == (2, '{"error":{"code":"usage","message":"--s -199.5: the value is '
+                              'beyond the float64 range of the output"}}\n')
+
+
 def test_digits_at_the_floor_is_accepted(capsys):
     code, out = run_cli(capsys, "lfun", "--chi=-4", "--s=1", "--S=2", "--digits=15", "--json")
     assert code == 0 and abs(json.loads(out)["result"]["value"] - math.pi / 4) < 1e-15

@@ -67,6 +67,16 @@ run it only when a change to those outputs is intended, and check with
   -20, and the zeta^S derivative at -31) were appended to the second
   matrix; the full regenerate path added those four lines and changed no
   other byte of any golden file.
+- When `coeff` stopped giving the identity classes and the SL(3)
+  subminimal class an alpha (`sp2:tri`, not `sp2:tri(1)`) and typed the
+  subregular class of x_1 as sub', the full regenerate path reprinted 26
+  `coeff` records of `golden/coeff-diff.jsonl`, in `inputs.orbit` only.
+- When L^S(3, chi_D) stopped at p <= 200, took its log factors from mpmath
+  and its exponential from a fixed polynomial, `--drift --write --value-tol
+  1e-5 --error-tol 1e-4` reprinted the 17 pole-data records.  The largest
+  moves were 3.3e-6 relative in a value (`constant` of `shintani --alpha
+  6`) and 1.9e-5 in an error field (`residue_error` of `shintani --alpha
+  -1`); the cache files kept their bytes.
 
 `PYTHONPATH=src python tests/test_golden.py --drift` reruns the two command
 matrices and prints, for each record whose stdout changed, the largest
@@ -215,12 +225,9 @@ BLAS_KERNEL_CASES = [
 ]
 
 
-def test_pole_data_bytes_under_another_blas_kernel():
-    """A shintani golden and a real-alpha subregular coeff golden, rerun in a
-    child process on OpenBLAS's Prescott kernel, print their stored bytes:
-    the pole data calls no LAPACK routine, and its one BLAS product sums
-    rounded log factors, whose every partial sum is exact."""
-    recs = [next(r for r in _stored(path) if r["argv"] == argv) for path, argv in BLAS_KERNEL_CASES]
+def _child_documents(argvs, **env):
+    """(exit code, stdout) of each argv, run with --json one after another in
+    one child process whose environment adds env and drops the cache path."""
     code = ("import contextlib, io, json, sys; from tracecoef.cli import main\n"
             "out = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -228,13 +235,55 @@ def test_pole_data_bytes_under_another_blas_kernel():
             "    with contextlib.redirect_stdout(buf):\n"
             "        out.append([main(argv + ['--json']), buf.getvalue()])\n"
             "print(json.dumps(out))")
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-           "PYTHONPATH": os.path.dirname(os.path.dirname(tracecoef.__file__))}
+    env = {**os.environ, **env, "PYTHONPATH": os.path.dirname(os.path.dirname(tracecoef.__file__))}
     env.pop(CACHE_ENV, None)
-    child = subprocess.run([sys.executable, "-c", code, json.dumps([r["argv"] for r in recs])],
+    child = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                            env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == [[r["exit"], r["stdout"]] for r in recs]
+    return json.loads(child.stdout)
+
+
+def test_pole_data_bytes_under_another_blas_kernel():
+    """A shintani golden and a real-alpha subregular coeff golden, rerun in a
+    child process on OpenBLAS's Prescott kernel, print their stored bytes:
+    the pole data calls no BLAS or LAPACK routine."""
+    recs = [next(r for r in _stored(path) if r["argv"] == argv) for path, argv in BLAS_KERNEL_CASES]
+    got = _child_documents([r["argv"] for r in recs], OPENBLAS_CORETYPE="Prescott")
+    assert got == [[r["exit"], r["stdout"]] for r in recs]
+
+
+def _pole_data_records():
+    """The 17 stored records that go through the Shintani pole data: coeff and
+    diff with --orbit sub or --form, and shintani."""
+    recs = [r for path in MATRICES for r in _stored(path)
+            if r["argv"][0] == "shintani" or "sub" in r["argv"] or "--form" in r["argv"]]
+    assert len(recs) == 17
+    return recs
+
+
+CPU_SETTINGS = {  # each set for one child process only
+    "numpy-without-avx2-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "glibc-without-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
+}
+
+
+@pytest.mark.parametrize("setting", list(CPU_SETTINGS))
+def test_pole_data_bytes_under_other_cpu_settings(setting):
+    """The 17 pole-data goldens, rerun in a child process under numpy's
+    dispatch without AVX2 and AVX-512, or under glibc's libm without FMA,
+    print their stored bytes: the log factors of L^S(3) come from mpmath and
+    their exponential from a fixed polynomial in IEEE + and *, so no numpy
+    SIMD kernel and no libm call sets a bit of L^S(3).  The real form sums
+    still call np.log, whose bits these settings leave unmoved at the golden
+    X = 10^4."""
+    env = CPU_SETTINGS[setting]
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env={**os.environ, **env},
+                           capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy refuses {env} at import: {probe.stderr.strip()[-200:]}")
+    recs = _pole_data_records()
+    assert _child_documents([r["argv"] for r in recs], **env) == \
+        [[r["exit"], r["stdout"]] for r in recs]
 
 
 def _documents():

@@ -470,6 +470,29 @@ def test_reflected_value_only_equals_jet_value(chi):
     lfun.clear_cache()
 
 
+@pytest.mark.parametrize("D,s,S", [(1, -31, (2,)), (1, -0.5, (2, 3)), (-4, -0.5, (2,)),
+                                   (-4, -30, (2,)), (-4, -150, (2,)), (5, -3.3, (5,)),
+                                   (8, -0.25, (2,)), (12, -40.5, (2, 3)), (-199, -60, (199,))])
+def test_log_abs_lower_bound_is_below_the_value(D, s, S):
+    """lfun.log_abs_LS_lower_bound at s < 0 is at most log|L^S(s,chi)|, and
+    within 2 of it (the gap is log|L(1-s)|/(zeta(2t)/zeta(t)), largest near 0)."""
+    chi, S = None if D == 1 else QuadChar(D), PlaceSet.of(*S)
+    with mp.workdps(30):
+        log_abs = float(mp.ln(abs(lfun.LS(s, chi, S, 20))))
+    bound = lfun.log_abs_LS_lower_bound(s, chi, S)
+    assert log_abs - 2 <= bound <= log_abs
+    lfun.clear_cache()
+
+
+def test_log_abs_lower_bound_of_a_trivial_zero_and_a_ramified_chi():
+    """-inf at a trivial zero, which still computes; the kernel's refusal of a
+    character ramified outside S."""
+    assert lfun.log_abs_LS_lower_bound(-20, QuadChar(5), PlaceSet.of(5)) == -math.inf
+    assert lfun.log_abs_LS_lower_bound(-7, None, PlaceSet.of(2)) < 0  # zeta(-7) = 1/240
+    with pytest.raises(ValueError, match="ramified outside S"):
+        lfun.log_abs_LS_lower_bound(-3, QuadChar(-4), PlaceSet.of(3))
+
+
 @pytest.mark.parametrize("s", [-1, mpf("-0.5"), -mpf(2) ** -60, -150])
 def test_hurwitz_refuses_negative_s(s):
     """The kernel runs at s >= 0 only, and nothing calls zeta(s, a) below."""

@@ -303,7 +303,7 @@ def test_dlog_mean_against_finite_difference(S, want):
     with mp.workdps(30):
         h = mpf("1e-10")
         fd = float((mp.log(_mean_E(h, primes)) - mp.log(_mean_E(-h, primes))) / (2 * h))
-    got = shintani._dlog_mean(primes)
+    got = shintani._dlog_mean(S.primes)
     assert abs(got - fd) <= 1e-13 * fd
     assert abs(got - want) <= 1e-6
 
@@ -361,11 +361,11 @@ def test_residue_bar_covers_the_pool_alphas(X):
 @pytest.mark.parametrize("S", [S2, PlaceSet.of(2, 3), PlaceSet.of(2, 5)], ids=str)
 def test_l2s_values_against_product(S):
     """L^S(2s, chi_D) against the direct product 1/prod_p (1 - chi_D(p) p^-2s)
-    over the odd p <= 600 outside S, with chi_D(p) from _kron_at_prime's
+    over the odd p <= _L2S_PRIME_BOUND outside S, with chi_D(p) from _kron_at_prime's
     columns (each prime's own Legendre table, not the one table of all the
     primes that _l2s_values reads at its offsets), for D < 0 and D > 0, over
     several columns of D."""
-    primes = [p for p in primes_up_to(600).tolist() if p not in S.primes]
+    primes = [p for p in primes_up_to(shintani._L2S_PRIME_BOUND).tolist() if p not in S.primes]
     assert shintani._chi_table(S.primes)[0].tolist() == primes
     pf = np.array(primes, dtype=np.float64)
     for alpha in (-1, 2):
@@ -383,7 +383,7 @@ def test_l2s_values_against_product(S):
 @pytest.mark.parametrize("two_s", [3.0, 3.4])
 def test_l2s_truncation_bound(two_s):
     """The Euler factors that _l2s_values leaves out, those of the primes
-    P = 600 < p <= 20 000, stay within its stated bound
+    P = _L2S_PRIME_BOUND < p <= 20 000, stay within its stated bound
     P^(1-2s)/((2s-1)(1-P^-2s)) in logs."""
     P = shintani._L2S_PRIME_BOUND
     bound = P ** (1 - two_s) / ((two_s - 1) * (1 - P**-two_s))
@@ -394,6 +394,65 @@ def test_l2s_truncation_bound(two_s):
     gap = np.abs(np.log1p(-chi * primes.astype(float) ** -two_s).sum(axis=1))
     assert gap.max() <= bound
     assert gap.max() >= bound / 100  # the bound is not vacuous
+
+
+def _clear_prime_caches():
+    for cached in (shintani._chi_table, shintani._log_table, shintani._dlog_mean):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def prime_bound_600(monkeypatch):
+    """_L2S_PRIME_BOUND = 600 with the tables of its primes; the caches are
+    cleared on the way in and out, so no other test reads a 600-prime table."""
+    _clear_prime_caches()
+    monkeypatch.setattr(shintani, "_L2S_PRIME_BOUND", 600)
+    yield
+    monkeypatch.undo()
+    _clear_prime_caches()
+
+
+def test_pole_data_at_200_primes_against_600(prime_bound_600):
+    """Stopping L^S(3) and E'(0)/E(0) at p <= 200 instead of 600 moves C_F by
+    at most 2e-7 and the residue estimate by at most 1e-8 at X = 1e5: a fixed
+    truncation bias far below the bars."""
+    cases = [(-1, S2), (2, S2), (6, S2), (-1, PlaceSet.of(2, 3))]
+    at_600 = [shintani_run(alpha, S, X=10**5) for alpha, S in cases]
+    shintani._L2S_PRIME_BOUND = 200
+    _clear_prime_caches()
+    for (alpha, S), old in zip(cases, at_600):
+        new = shintani_run(alpha, S, X=10**5)
+        assert abs(new.constant_CF - old.constant_CF) <= 2e-7, (alpha, S)
+        assert abs(new.residue_estimate - old.residue_estimate) <= 1e-8, (alpha, S)
+        assert new.constant_CF != old.constant_CF  # the bound took effect
+
+
+def test_exp_small_against_mpmath():
+    """The Horner polynomial of _l2s_values is within 2 ulp of exp on 10^4
+    points of (-2^-3, 2^-3), the edges included."""
+    x = np.random.default_rng(3).uniform(-0.125, 0.125, 10**4)
+    x[:2] = np.nextafter(np.array([-0.125, 0.125]), 0.0)
+    got = shintani._exp_small(x)
+    with mp.workprec(200):
+        want = np.array([float(mp.exp(mpf(v))) for v in x.tolist()])
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+@pytest.mark.parametrize("S", [S2, PlaceSet.of(2, 3)], ids=str)
+@pytest.mark.parametrize("two_s", [3.0, 3.4])
+def test_log_table_against_mpmath(S, two_s):
+    """Each entry of _log_table is a multiple of 2^-56 within 2^-57 of the log
+    Euler factor at 200 bits: log1p(-chi p^-2s) at chi = (r/p), r = D mod p."""
+    primes, table, off = shintani._chi_table(S.primes)
+    logtab = shintani._log_table(S.primes, two_s)
+    assert logtab.shape == table.shape and not logtab.flags.writeable
+    assert np.array_equal(np.rint(logtab * 2.0**56) * 2.0**-56, logtab)
+    with mp.workprec(200):
+        for p, o in zip(primes.tolist(), off.tolist()):
+            exact = {c: mp.log1p(-c * mpf(p) ** -mpf(two_s)) for c in (-1, 0, 1)}
+            for r in range(p):
+                c = int(table[o + r])
+                assert abs(mpf(float(logtab[o + r])) - exact[c]) <= mpf(2) ** -57, (p, r)
 
 
 def test_l2s_values_do_not_depend_on_block_size(monkeypatch):
@@ -806,8 +865,9 @@ def test_form_sums_reject_out_of_int32_range():
 
 def _scalar_terms(alpha, S, X):
     """The terms one discriminant at a time, as rows (d, D, N, L1S, L^S(3))
-    with L^S(3) = 1/prod (1 - chi_D(p) p^-3) over the odd p <= 600 outside S."""
-    primes = [p for p in primes_up_to(600) if p not in S.primes]
+    with L^S(3) = 1/prod (1 - chi_D(p) p^-3) over the odd p <= _L2S_PRIME_BOUND
+    outside S."""
+    primes = [p for p in primes_up_to(shintani._L2S_PRIME_BOUND) if p not in S.primes]
     rows = []
     for d in disc_classes(S, alpha, X=X, kind="Q_S").entries:
         D = fundamental_discriminant_of(d)

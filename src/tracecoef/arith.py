@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -359,55 +359,33 @@ class CubeClassRep:
         return all(is_cube_at(n, v) for v in S)
 
 
-def _squarefree_scan():
-    """Yield squarefree integers ordered by absolute value: 1, -1, 2, -2, ..."""
+def _class_reps(S: PlaceSet, k: int, label, labels, rep_type, signs: tuple) -> list:
+    """The first integer s*n of each tuple of local labels (label(s*n, v))
+    over S, for n = 1, 2, ... k-free and s in signs, until every tuple of
+    labels(v) is covered; the scan ends by weak approximation."""
+    target = prod(len(labels(v)) for v in S)
+    reps: dict[tuple, object] = {}
     for n in itertools.count(1):
-        if all(e == 1 for e in factorize(n).values()):
-            yield n
-            yield -n
+        if any(e >= k for e in factorize(n).values()):
+            continue
+        for m in (s * n for s in signs):
+            key = tuple(label(m, v) for v in S)
+            if key not in reps:
+                reps[key] = rep_type(m, dict(zip(S.places, key)))
+                if len(reps) == target:
+                    return list(reps.values())
 
 
 def sclass_reps(S: PlaceSet) -> list[SquareClassRep]:
-    """Squarefree representatives in bijection with prod_{v in S} Q_v^x/(Q_v^x)^2.
-
-    Found by scanning squarefree integers by increasing |value| until every
-    tuple of local labels is covered; the scan ends by weak approximation.
-    """
-    target = 1
-    for v in S:
-        target *= len(local_square_labels(v))
-    seen: dict[tuple, SquareClassRep] = {}
-    order: list[tuple] = []
-    for n in _squarefree_scan():
-        key = tuple(local_square_class(n, v) for v in S)
-        if key not in seen:
-            seen[key] = SquareClassRep(n, dict(zip(S.places, key)))
-            order.append(key)
-            if len(seen) == target:
-                return [seen[k] for k in order]
-
-
-def _cubefree_scan():
-    for n in itertools.count(1):
-        if all(e <= 2 for e in factorize(n).values()):
-            yield n
+    """Squarefree representatives in bijection with prod_{v in S} Q_v^x/(Q_v^x)^2,
+    ordered 1, -1, 2, -2, ... by the first integer of each class."""
+    return _class_reps(S, 2, local_square_class, local_square_labels, SquareClassRep, (1, -1))
 
 
 def cclass_reps(S: PlaceSet) -> list[CubeClassRep]:
-    """Cube-free representatives of Q^x/(Q^x cap (Q_S^x)^3), by brute scan
-    until every class is covered (weak approximation)."""
-    target = 1
-    for v in S:
-        target *= len(local_cube_labels(v))
-    seen: dict[tuple, CubeClassRep] = {}
-    order: list[tuple] = []
-    for n in _cubefree_scan():
-        key = tuple(local_cube_class(n, v) for v in S)
-        if key not in seen:
-            seen[key] = CubeClassRep(n, dict(zip(S.places, key)))
-            order.append(key)
-            if len(seen) == target:
-                return [seen[k] for k in order]
+    """Positive cube-free representatives of Q^x/(Q^x cap (Q_S^x)^3), ordered by
+    the first integer of each class."""
+    return _class_reps(S, 3, local_cube_class, local_cube_labels, CubeClassRep, (1,))
 
 
 def primes_up_to(n: int) -> np.ndarray:

@@ -200,7 +200,8 @@ def enum_cubic_chars(S: PlaceSet) -> list[CubicChar]:
 # chi_S: product of the local components over S
 # ---------------------------------------------------------------------------
 
-def _require_unramified_outside(chi, S: PlaceSet):
+def require_unramified_outside(chi, S: PlaceSet):
+    """Refuse a character ramified at a prime outside S."""
     if not chi.is_unramified_outside(S):
         bad = [p for p in chi.support if p not in S.primes]
         raise ValueError(f"character ramified outside S at {bad}")
@@ -226,7 +227,7 @@ def chi_S_exponent(chi, alpha: int | Fraction, S: PlaceSet) -> int:
     alpha = Fraction(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    _require_unramified_outside(chi, S)
+    require_unramified_outside(chi, S)
     k = 0
     for p in factorize(abs(alpha.numerator * alpha.denominator)):
         if p not in S.primes:
@@ -255,7 +256,6 @@ def conductor_outside(d: int | Fraction, S: PlaceSet) -> int:
 class DiscClassSet:
     """A set of square classes of nonsquare rationals, as squarefree integers."""
 
-    kind: str  # "Q_S" or "Q_ur"
     entries: tuple[int, ...] | np.ndarray  # Q_S: a read-only int64 array
 
 
@@ -290,7 +290,7 @@ def disc_classes(S: PlaceSet, d_S, X: int | None = None, kind: str = "Q_S") -> D
             if m != 1 and _matches_locally(m, alpha, S):
                 found.append(m)
         found.sort(key=lambda m: (abs(fundamental_discriminant_of(m)), m))
-        return DiscClassSet("Q_ur", tuple(found))
+        return DiscClassSet(tuple(found))
     if kind != "Q_S":
         raise ValueError(f"unknown kind {kind!r}")
     if X is None:
@@ -299,7 +299,7 @@ def disc_classes(S: PlaceSet, d_S, X: int | None = None, kind: str = "Q_S") -> D
         raise ValueError(f"the truncation bound X must be an integer >= 0, got X={X!r}")
     m = _local_class_scan(alpha, S, X)
     m.flags.writeable = False
-    return DiscClassSet("Q_S", m)
+    return DiscClassSet(m)
 
 
 def _local_class_scan(alpha: int, S: PlaceSet, X: int) -> np.ndarray:

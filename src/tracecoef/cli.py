@@ -494,7 +494,7 @@ def cmd_shintani(args) -> dict:
 
 def cmd_lfun(args) -> dict:
     S = _parse_S(args.S)
-    chi = None if args.chi == 1 else QuadChar(args.chi)
+    chi = QuadChar(args.chi)
     out: dict = {"command": "lfun",
                  "inputs": {"chi": args.chi, "S": str(S), "s": args.s,
                             "digits": args.digits}}

@@ -11,11 +11,10 @@ The coefficients of SL(2) and Sp(2) are sums over the quadratic characters
 unramified outside S; those of GL(2) and GSp(2) are the trivial character's
 term of the same sums.
 
-Also: the example coefficient formulas for the centralizer groups that
-occur for non-semisimple classes (GL(2), SL(2), the quasi-split unitary
-group of a quadratic extension, and the equal-determinant GL(2) pair), and
-the report comparing the symplectic and similitude coefficients orbit by
-orbit (whose difference is an elliptic-endoscopic sum of L-values).
+Also: the coefficients of the mixed classes sigma*u by descent to the
+centralizer of sigma (descent_coeff), and the report comparing the
+symplectic and similitude coefficients orbit by orbit (whose difference is
+an elliptic-endoscopic sum of L-values).
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from .characters import (
     quad_char_of,
 )
 from . import lfun
-from .quadforms import OrbitClass, SymForm2, hasse, is_equiv
+from .quadforms import CentralizerClass, OrbitClass, SymForm2, hasse, is_equiv
 from .shintani import shintani_run
 
 
@@ -96,10 +95,6 @@ class CoeffResult:
         return out
 
 
-def zero_result(provenance: str) -> CoeffResult:
-    return CoeffResult(terms=[], provenance=provenance)
-
-
 def _term(pref: Fraction, volume: str, vols: VolumeParams, factors) -> CoeffTerm:
     return CoeffTerm(Fraction(pref), volume, getattr(vols, volume), list(factors))
 
@@ -129,7 +124,7 @@ def _l_name(ch, s: int, trivial: str, prefix: str = "") -> str:
 def _l2_terms(S: PlaceSet, vols: VolumeParams, digits: int):
     """T(chi) = L^S(2,chi) / 2 on vol_M2 (zeta^S(2) for the trivial chi)."""
     def per_char(ch, sgn):
-        val = lfun.zetaS(2, S, digits) if ch.is_trivial else lfun.LS(2, ch, S, digits)
+        val = lfun.LS(2, ch, S, digits)
         return [_term(Fraction(sgn, 2), "vol_m2", vols, [(_l_name(ch, 2, "zeta^S(2)"), val)])]
     return per_char
 
@@ -284,61 +279,61 @@ def coeff_unipotent(orbit: OrbitClass, S: PlaceSet, vols: VolumeParams | None = 
 
 
 # ---------------------------------------------------------------------------
-# Centralizer example coefficients (descent targets)
+# Mixed classes sigma*u: descent to the centralizer of sigma
 # ---------------------------------------------------------------------------
 
-def centralizer_example_coeff(family: str, params: dict, S: PlaceSet,
-                              vols: VolumeParams | None = None,
-                              digits: int = 30) -> CoeffResult:
-    """Closed-form coefficients of the centralizer groups occurring for
-    non-semisimple classes.
+def descent_coeff(sigma: CentralizerClass, u, S: PlaceSet, vols: VolumeParams | None = None,
+                  params=None) -> CoeffResult:
+    """The coefficient of sigma*u by descent: eps * |iota|^-1 (iota is 1 here)
+    times the coefficient of u in the centralizer of sigma, by its kind:
 
-    family="gl2":      vol/(2) * c0(S)
-    family="sl2":      vol/2 * sum_chi chi_S(alpha) c0(S,chi)
-    family="u11":      the quasi-split unitary group of E = Q(sqrt(d)):
-                       vol/2 * { c0(S) + chi_{E,S}(alpha) c0(S,chi_E) delta_{E,S} }
-    family="gl2pair":  the equal-determinant GL(2) pair; orbit is
-                       "u_{1,0}" | "u_{0,1}" | "u_{alpha,1}"
+      z       the host group's own coefficient; u is its OrbitClass
+      sigma1  the equal-determinant GL(2) pair: c0(S)/2 on vol_M1 for
+              u = "u_{1,0}" and on vol_M2 for "u_{0,1}"; for "u_{alpha,1}"
+              sum_chi chi_S(alpha) c0(S,chi)^2/4, alpha = params["alpha"]
+      sigma5  the quasi-split unitary group U(1,1) of E = Q(sqrt(d)), d the
+              first parameter of sigma, with u = "u_beta" and beta =
+              params["alpha"]: {c0(S) + chi_{E,S}(beta) L^S(1,chi_E)
+              delta_{E,S}}/2 on vol_centralizer, delta_{E,S} = 1 when chi_E
+              is unramified outside S
+
+    alpha and beta default to 1.  sigma2 and sigma3 have split rank 2, so
+    eps = 0 and the coefficient is 0.  sigma4 and sigma6 need L-data of the
+    quadratic field E itself and raise NotImplementedError (never a silent
+    zero).
     """
-    vols = vols or VolumeParams()
-    params = params or {}
-    if family == "gl2":
-        ld = lfun.laurent_at_1(None, S, digits)
-        t = _term(Fraction(1, 2), "vol_centralizer", vols, [("c0(S)", ld.c0)])
-        return CoeffResult([t], "centralizer-gl2")
-    if family == "sl2":
-        out = coeff_unipotent(OrbitClass("sl2", "reg", params.get("alpha", 1)), S, vols,
-                              digits=digits)
-        return CoeffResult(out.terms, "centralizer-sl2")
-    if family == "u11":
-        d = params["d"]
-        alpha = params.get("alpha", 1)
-        chiE = quad_char_of(d)
-        delta = 1 if chiE.is_unramified_outside(S) else 0
-        ld = lfun.laurent_at_1(None, S, digits)
-        terms = [_term(Fraction(1, 2), "vol_centralizer", vols, [("c0(S)", ld.c0)])]
-        if delta:
-            sgn = chi_S(chiE, alpha, S)
-            L = lfun.LS(1, chiE, S, digits)
-            terms.append(
-                _term(Fraction(sgn, 2), "vol_centralizer", vols,
-                      [(f"L^S(1,chi_{chiE.D})", L), ("delta_{E,S}", mpf(1))])
-            )
-        return CoeffResult(terms, "centralizer-unitary-u11",
-                           notes={"delta_ES": delta, "E_disc": chiE.D})
-    if family == "gl2pair":
-        orbit = params.get("orbit", "u_{1,0}")
-        if orbit in ("u_{1,0}", "u_{0,1}"):
-            first = orbit == "u_{1,0}"
-            ld = lfun.laurent_at_1(None, S, digits)
-            t = _term(Fraction(1, 2), "vol_m1" if first else "vol_m2", vols, [("c0(S)", ld.c0)])
-            return CoeffResult([t], f"centralizer-gl2pair-{'first' if first else 'second'}")
-        if orbit == "u_{alpha,1}":
-            per_char = _c0_power_terms(S, vols, digits, 2, Fraction(1, 4))
+    vols, params = vols or VolumeParams(), params or {}
+    kind = sigma.sigma_kind
+    if sigma.eps_flag == 0:
+        return CoeffResult([], f"descent:eps=0:{kind}")
+    if kind == "z":
+        if not isinstance(u, OrbitClass):
+            raise ValueError("for kind 'z' pass the host-group OrbitClass")
+        return coeff_unipotent(u, S, vols)
+    if kind not in ("sigma1", "sigma5"):
+        raise NotImplementedError(
+            f"coefficients for centralizer family {kind} need L-function "
+            "data of the quadratic extension E itself and are not implemented")
+    c0 = ("c0(S)", lfun.laurent_at_1(None, S).c0)
+    if kind == "sigma1":
+        if u == "u_{alpha,1}":
+            per_char = _c0_power_terms(S, vols, lfun.DEFAULT_DIGITS, 2, Fraction(1, 4))
             return CoeffResult(_char_sum(S, params.get("alpha", 1), per_char),
                                "centralizer-gl2pair-diagonal")
-        raise ValueError(f"unknown gl2pair orbit {orbit!r}")
-    raise ValueError(f"unsupported centralizer family {family!r}")
+        if u not in ("u_{1,0}", "u_{0,1}"):
+            raise ValueError(f"unknown gl2pair orbit {u!r}")
+        first = u == "u_{1,0}"
+        return CoeffResult([_term(Fraction(1, 2), "vol_m1" if first else "vol_m2", vols, [c0])],
+                           f"centralizer-gl2pair-{'first' if first else 'second'}")
+    chiE = quad_char_of(sigma.params[0])
+    delta = int(chiE.is_unramified_outside(S))
+    terms = [_term(Fraction(1, 2), "vol_centralizer", vols, [c0])]
+    if delta:
+        terms.append(_term(Fraction(chi_S(chiE, params.get("alpha", 1), S), 2), "vol_centralizer",
+                           vols, [(f"L^S(1,chi_{chiE.D})", lfun.LS(1, chiE, S)),
+                                  ("delta_{E,S}", mpf(1))]))
+    return CoeffResult(terms, "centralizer-unitary-u11",
+                       notes={"delta_ES": delta, "E_disc": chiE.D})
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +345,12 @@ def endoscopic_diff(S: PlaceSet, orbit_type: str, param=None,
                     X: int = 10**5, cache=None,
                     digits: int = 30) -> dict:
     """Difference of the symplectic and similitude coefficients on matched
-    orbits, computed two ways: by independent subtraction of the two
-    coefficient formulas, and by the predicted closed form (a sum over
-    nontrivial quadratic characters, resp. the unramified-class L-sum).
-    param is alpha for min and reg (default 1) and the form for sub
-    (default x_1).
+    orbits, a_sp2 - a_gsp2, beside its closed form: the nontrivial quadratic
+    characters' terms (min, reg), resp. the Hasse-signed unramified-class
+    L-sum (sub).  These are not two independent routes: GSp(2) takes the
+    trivial character's term of the Sp(2) sum, and the C_F of sub cancels
+    exactly.  param is alpha for min and reg (default 1) and the form for
+    sub (default x_1).
 
     Returns {"difference": CoeffResult, "predicted": CoeffResult, ...}.
     """

@@ -62,7 +62,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .arith import PlaceSet, spf_table
-from .characters import QuadChar
+from .characters import QuadChar, require_unramified_outside
 
 DEFAULT_DIGITS = 30
 MIN_DIGITS = 15
@@ -76,12 +76,14 @@ _MAX_BERNOULLI_TERMS = 600
 MAX_ABS_S = 200
 _MEMO_MAX = 200_000
 
-_jet_memo: dict = {}     # (prec, s, chi, deriv) -> jet of L(s,chi); chi None for zeta - pole
+_jet_memo: dict = {}     # (prec, s, chi, deriv) -> jet of L(s,chi); chi _ZETA for zeta - pole
 _tails_memo: dict = {}   # (prec, s, N, q, M, deriv) -> fixed-point T(s, N + r/q), r mod q
 _bernoulli_memo: dict = {}  # "ratios" -> exact B_2j/(2j)!; (prec, s) -> [[(c_j, c_j')], P, Q]
 _ln_tables: dict = {}    # prec -> [ln n], fixed point
 _pow_tables: dict = {}   # (prec, s) -> [n^-s], fixed point
 _MEMOS = (_jet_memo, _tails_memo, _bernoulli_memo, _ln_tables, _pow_tables)
+# the trivial character, mod 1: the entry points take None or any trivial chi as it
+_ZETA = QuadChar(1)
 
 
 class PoleError(ZeroDivisionError):
@@ -455,14 +457,13 @@ def hurwitz(s, a=1, derivative=0, regularized=False, digits=None):
 
 
 def stieltjes_gamma(n: int, digits=None):
-    """Stieltjes constants gamma_0, gamma_1 from our own kernel:
+    """Stieltjes constants gamma_0, gamma_1: c0 and -c1 of zeta at 1,
     zeta(s) - 1/(s-1) = gamma_0 - gamma_1 (s-1) + ..."""
     if n not in (0, 1):
         raise ValueError("only gamma_0 and gamma_1 are provided")
     with mp.workdps((digits or DEFAULT_DIGITS) + _GUARD):
-        g, gp = _dirichlet_jet(mpf(1), None)
-        out = +(g if n == 0 else -gp)
-    return out
+        ld = laurent_at_1(None, PlaceSet.of(), digits)
+        return ld.c0 if n == 0 else -ld.c1
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +472,7 @@ def stieltjes_gamma(n: int, digits=None):
 
 def _char_classes(chi):
     """(q, classes, m): chi(n) = exp(2 pi i classes[n % q] / m), classes None
-    off the units.  chi None is the trivial character mod 1."""
-    if chi is None:
-        return 1, [0], 1
+    off the units."""
     if isinstance(chi, QuadChar):
         index = {1: 0, -1: 1}
         return chi.conductor, [index.get(chi(r)) for r in range(chi.conductor)], 2
@@ -497,7 +496,7 @@ def _dirichlet_plan(s, q: int) -> tuple[int, int]:
 
 def _dirichlet_jet(s, chi, deriv: bool = True):
     """Jet of the primitive L(s,chi) for nontrivial chi, valid at s=1 too;
-    chi None gives zeta(s) - 1/(s-1).  s is an mpf.  deriv False gives
+    _ZETA gives zeta(s) - 1/(s-1).  s is an mpf.  deriv False gives
     (value, None), with the value's bits of the full jet."""
     key = (mp.prec, s, chi)
     hit = _memo_get(_jet_memo, key, deriv)
@@ -554,19 +553,15 @@ def _euler_removed_jet(s, chi, S: PlaceSet, deriv: bool = True):
     return out
 
 
-def _trivial_char_mark(chi) -> bool:
-    return chi is None or chi.is_trivial
-
-
 def _reflection_args(s, chi):
     """(q, x, y, z) of _reflected_jet's factor (q/pi)^(1/2-s) Gamma(x) Gamma(y)
-    sin(pi z)/pi at s, chi None (zeta) or quadratic."""
-    q, a = (1, 0) if chi is None else (chi.conductor, int(chi.D < 0))
+    sin(pi z)/pi at s, chi quadratic (_ZETA for zeta)."""
+    q, a = chi.conductor, int(chi.D < 0)
     return q, (1 - s + a) / 2, 1 - (s + a) / 2, (s + a) / 2
 
 
 def _reflected_jet(s, chi, deriv: bool):
-    """Jet of L(s,chi) at s < 0, chi None (zeta) or quadratic, from the
+    """Jet of L(s,chi) at s < 0, chi quadratic (_ZETA for zeta), from the
     kernel's jet at 1 - s by the functional equation (root number 1; Davenport,
     Multiplicative Number Theory, ch. 9), a = 0 for zeta and D > 0, 1 for D < 0:
 
@@ -577,7 +572,7 @@ def _reflected_jet(s, chi, deriv: bool):
     q, x, y, z = _reflection_args(s, chi)
     t = 1 - s
     L = _dirichlet_jet(t, chi, deriv)
-    if chi is None:
+    if chi is _ZETA:
         L = _with_pole(L, t)
     g = (q / mp.pi) ** (mpf(1) / 2 - s) * mp.gamma(x) * mp.gamma(y) / mp.pi
     sin = mp.sinpi(z)
@@ -589,47 +584,46 @@ def _reflected_jet(s, chi, deriv: bool):
 
 
 def _LS_jet(s, chi, S: PlaceSet, deriv: bool = True):
-    """Jet of L^S(s,chi); deriv False gives (value, None).  At s < 0 only
-    zeta and the quadratic characters are computed."""
+    """Jet of L^S(s,chi), chi None or trivial for zeta^S; deriv False gives
+    (value, None).  At s < 0 only zeta and the quadratic characters are
+    computed."""
     s = _to_mpf(s)
-    if _trivial_char_mark(chi):
+    if chi is None or chi.is_trivial:
+        chi = _ZETA
         if s == 1:
             raise PoleError("zeta^S(s) has a pole at s=1; use laurent_at_1")
-        z = (_reflected_jet(s, None, deriv) if s < 0
-             else _with_pole(_dirichlet_jet(s, None, deriv), s))
-        return _jmul(z, _euler_removed_jet(s, QuadChar(1), S, deriv))
     _require_computable(s, chi, S)
     L = _reflected_jet(s, chi, deriv) if s < 0 else _dirichlet_jet(s, chi, deriv)
+    if chi is _ZETA and s >= 0:
+        L = _with_pole(L, s)
     return _jmul(L, _euler_removed_jet(s, chi, S, deriv))
 
 
 def _require_computable(s, chi, S: PlaceSet):
-    """Refuse a nontrivial chi ramified outside S, and a cubic chi at s < 0."""
-    if not chi.is_unramified_outside(S):
-        bad = [p for p in chi.support if p not in S.primes]
-        raise ValueError(f"character ramified outside S at {bad}")
+    """Refuse a chi ramified outside S, and a cubic chi at s < 0."""
+    require_unramified_outside(chi, S)
     if s < 0 and not isinstance(chi, QuadChar):
         raise ValueError("L(s, chi) of a cubic character is computed at s >= 0 only")
 
 
 def log_abs_LS_lower_bound(s, chi, S: PlaceSet) -> float:
-    """A lower bound on log|L^S(s,chi)| at s < 0, chi None (zeta) or quadratic,
+    """A lower bound on log|L^S(s,chi)| at s < 0, chi quadratic (None for zeta),
     without the kernel: the log of _reflected_jet's gamma and sine factor and
     of the removed Euler factors, both at 30 digits, plus log(zeta(2t)/
     zeta(t)) <= log|L(t,chi)| at t = 1 - s > 1 (the Euler product of L(t,chi)
     against that of zeta(2t)/zeta(t) = prod (1 + p^-t)^-1).  -inf at a trivial
     zero."""
-    trivial = _trivial_char_mark(chi)
-    if not trivial:
-        _require_computable(s, chi, S)
+    if chi is None or chi.is_trivial:
+        chi = _ZETA
+    _require_computable(s, chi, S)
     with mp.workdps(30):
         s = _to_mpf(s)
-        q, x, y, z = _reflection_args(s, None if trivial else chi)
+        q, x, y, z = _reflection_args(s, chi)
         sin = mp.sinpi(z)
         if sin == 0:
             return -math.inf
         t = 1 - s
-        removed = _euler_removed_jet(s, QuadChar(1) if trivial else chi, S, deriv=False)[0]
+        removed = _euler_removed_jet(s, chi, S, deriv=False)[0]
         out = ((mpf(1) / 2 - s) * mp.ln(q / mp.pi) + mp.loggamma(x) + mp.loggamma(y)
                + mp.ln(abs(sin) / mp.pi) + mp.ln(mp.zeta(2 * t) / mp.zeta(t))
                + mp.ln(abs(removed)))
@@ -639,12 +633,12 @@ def log_abs_LS_lower_bound(s, chi, S: PlaceSet) -> float:
 def zetaS(s, S: PlaceSet, digits=None):
     """zeta^S(s) = zeta(s) * prod_{p in S_fin} (1 - p^{-s}), real s != 1."""
     with mp.workdps((digits or DEFAULT_DIGITS) + _GUARD):
-        out = +(_LS_jet(s, None, S, deriv=False)[0])
+        out = +(_LS_jet(s, _ZETA, S, deriv=False)[0])
     return out
 
 
 def LS(s, chi, S: PlaceSet, digits=None):
-    """Partial L-function L^S(s,chi); trivial chi gives zeta^S(s).
+    """Partial L-function L^S(s,chi); chi None or trivial gives zeta^S(s).
 
     Real for trivial/quadratic characters, complex for cubic ones.
     """
@@ -660,7 +654,7 @@ def deriv_LS(s0, chi, S: PlaceSet, digits=None):
     return out
 
 
-def _removed_product_taylor2(S: PlaceSet, digits):
+def _removed_product_taylor2(S: PlaceSet):
     """Taylor data (f, f', f'') at s=1 of f(s) = prod_{p in S_fin}(1 - p^{-s})."""
     f = (mp.mpf(1), mp.mpf(0), mp.mpf(0))
     for p in S.primes:
@@ -678,16 +672,16 @@ def _removed_product_taylor2(S: PlaceSet, digits):
 def laurent_at_1(chi, S: PlaceSet, digits=None) -> LaurentData:
     """Laurent data of L^S(s,chi) at s=1.
 
-    Trivial character: multiply the Laurent series of zeta at 1 (Stieltjes
+    chi None or trivial: multiply the Laurent series of zeta at 1 (Stieltjes
     constants) by the Taylor series of the removed Euler factors.  Nontrivial:
     residue 0, c0 = L^S(1,chi), c1 = (d/ds)L^S(s,chi)|_1.
     """
     digits = digits or DEFAULT_DIGITS
     with mp.workdps(digits + _GUARD):
-        if _trivial_char_mark(chi):
-            g0, g0p = _dirichlet_jet(mpf(1), None)
+        if chi is None or chi.is_trivial:
+            g0, g0p = _dirichlet_jet(mpf(1), _ZETA)
             gamma0, gamma1 = g0, -g0p
-            f, fp, fpp = _removed_product_taylor2(S, digits)
+            f, fp, fpp = _removed_product_taylor2(S)
             residue = +f
             c0 = +(gamma0 * f + fp)
             c1 = +(-gamma1 * f + gamma0 * fp + fpp / 2)

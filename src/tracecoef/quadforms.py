@@ -6,7 +6,7 @@ diag(alpha,beta) (note the extra (alpha,alpha)(beta,beta) factors compared
 with the textbook Hasse-Witt symbol), the equivalence relations by
 S-square-class of the determinant with or without the Hasse profile,
 realizable local invariant pairs, unipotent orbit enumeration for the six
-groups, and semisimple-centralizer classification with coefficient descent.
+groups, and the classification of semisimple centralizers in GSp(2).
 """
 from __future__ import annotations
 
@@ -251,7 +251,7 @@ def unipotent_orbit_set(group: str, S: PlaceSet) -> list[OrbitClass]:
 
 
 # ---------------------------------------------------------------------------
-# Semisimple centralizers in GSp(2) and coefficient descent
+# Semisimple centralizers in GSp(2)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -329,40 +329,4 @@ def centralizer_classify(kind: str, *params) -> CentralizerClass:
         split_rank=rank,
         eps_ambiguous=amb,
         params=tuple(params),
-    )
-
-
-def descent_coeff(sigma: CentralizerClass, u: str, S: PlaceSet, vols=None, params=None):
-    """Coefficient of sigma*u via descent: eps * |iota|^{-1} * (centralizer
-    coefficient).  Supported centralizer families:
-
-      z        -> the host group's own coefficient (u is an OrbitClass)
-      sigma1   -> the equal-determinant GL2-pair group; u in
-                  {"u_{1,0}", "u_{0,1}", "u_{alpha,1}"} (alpha via params)
-      sigma2/3 -> GL1 x GL2; u = "u_1" (the GL2 regular unipotent)
-      sigma5   -> U(1,1) over E = Q(sqrt(alpha)); u = "u_beta" (beta via params)
-
-    sigma4/sigma6 need L-data of the quadratic field E itself and raise
-    NotImplementedError (never a silent zero).
-    """
-    from . import coeff as _coeff
-
-    vols = vols or _coeff.VolumeParams()
-    if sigma.eps_flag == 0:
-        return _coeff.zero_result(f"descent:eps=0:{sigma.sigma_kind}")
-    if sigma.sigma_kind == "z":
-        if not isinstance(u, OrbitClass):
-            raise ValueError("for kind 'z' pass the host-group OrbitClass")
-        return _coeff.coeff_unipotent(u, S, vols)
-    if sigma.sigma_kind == "sigma1":
-        return _coeff.centralizer_example_coeff("gl2pair", {"orbit": u, **(params or {})}, S, vols)
-    if sigma.sigma_kind in ("sigma2", "sigma3"):
-        return _coeff.centralizer_example_coeff("gl2", params or {}, S, vols)
-    if sigma.sigma_kind == "sigma5":
-        alpha = sigma.params[0]
-        p = {"d": alpha, **(params or {})}
-        return _coeff.centralizer_example_coeff("u11", p, S, vols)
-    raise NotImplementedError(
-        f"coefficients for centralizer family {sigma.sigma_kind} need L-function "
-        "data of the quadratic extension E itself and are not implemented"
     )

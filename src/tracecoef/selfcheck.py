@@ -221,7 +221,8 @@ def crit_7_orthogonality(quick=False, cache=None):
 
 
 def crit_8_endoscopic(quick=False, cache=None):
-    """Two-path agreement of the coefficient difference report."""
+    """The difference report against its closed form, not a second route: GSp(2)
+    takes the trivial-character term of the Sp(2) sum, and C_F cancels."""
     worst = 0.0
     details = {}
     for S in (PlaceSet.of(2), PlaceSet.of(2, 3)):
@@ -231,8 +232,7 @@ def crit_8_endoscopic(quick=False, cache=None):
                 dev = abs(float(d["difference"].value - d["predicted"].value))
                 details[f"{orbit} alpha={alpha} {S}"] = dev
                 worst = max(worst, dev)
-    # subregular: the Shintani part cancels exactly, so the deviation must
-    # sit far inside the propagated error bars
+    # subregular: C_F cancels exactly, so the deviation sits far inside the error bars
     S2 = PlaceSet.of(2)
     d = coeffmod.endoscopic_diff(S2, "sub", SymForm2.x_alpha(-1), X=10**4, cache=cache)
     sub_dev = abs(float(d["difference"].value - d["predicted"].value))

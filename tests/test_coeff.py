@@ -22,11 +22,12 @@ from tracecoef import lfun
 from tracecoef.coeff import (
     CoeffResult,
     VolumeParams,
-    centralizer_example_coeff,
     coeff_unipotent,
+    descent_coeff,
     endoscopic_diff,
 )
-from tracecoef.quadforms import OrbitClass, SymForm2, hasse, unipotent_orbit_set
+from tracecoef.quadforms import (OrbitClass, SymForm2, centralizer_classify, hasse,
+                                 unipotent_orbit_set)
 from tracecoef.shintani import l1_class_number, shintani_run
 
 S_OO = PlaceSet.of()
@@ -255,20 +256,21 @@ def test_coeff_unipotent_rejects_sub_for_groups_without_one(group):
 
 def test_centralizer_families():
     ld = lfun.laurent_at_1(None, S2)
+    gl2pair = centralizer_classify("sigma1")
     with mp.workdps(40):
-        assert abs(centralizer_example_coeff("gl2", {}, S2).value - ld.c0 / 2) < mpf("1e-30")
+        assert abs(descent_coeff(gl2pair, "u_{1,0}", S2).value - ld.c0 / 2) < mpf("1e-30")
     # unitary family with E = Q(i): delta = 1 over {oo,2}, pi/4 enters
-    r = centralizer_example_coeff("u11", {"d": -1, "alpha": 1}, S2)
+    r = descent_coeff(centralizer_classify("sigma5", -1, 1, 1), "u_beta", S2, params={"alpha": 1})
     with mp.workdps(35):
         assert abs(r.value - (ld.c0 + mp.pi / 4) / 2) < mpf("1e-15")
     assert r.notes["delta_ES"] == 1
     # same family with E ramified outside S: the second term drops
-    r2 = centralizer_example_coeff("u11", {"d": -3, "alpha": 1}, S2)
+    r2 = descent_coeff(centralizer_classify("sigma5", -3, 1, 1), "u_beta", S2, params={"alpha": 1})
     assert r2.notes["delta_ES"] == 0
     with mp.workdps(40):
         assert abs(r2.value - ld.c0 / 2) < mpf("1e-30")
     with pytest.raises(ValueError):
-        centralizer_example_coeff("nope", {}, S2)
+        descent_coeff(gl2pair, "nope", S2)
 
 
 def test_endoscopic_min_example():

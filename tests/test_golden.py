@@ -16,6 +16,10 @@
   `golden/l1cache-shintani-alpha<alpha>-S<S>.jsonl`, printed by the code
   before the cache was read and written in bulk.  A warm run, and the run
   after it that the cache index serves, must leave it as it is.
+- `descent_coeff` of the semisimple kinds z and sigma1-sigma6 at S = {oo,2}
+  and {oo,2,3}: one line per case in `golden/descent.jsonl`, holding the
+  compact JSON of the coefficient document or the name of the exception
+  raised. It was printed by the code before the descent moved into `coeff`.
 - The 17 records that go through the Shintani pole data (`coeff`/`diff`
   `--orbit sub`, `--form` and `shintani`) were reprinted with `--drift
   --write` when that pole data moved to float64; they moved by at most
@@ -102,7 +106,10 @@ from pathlib import Path
 import pytest
 
 import tracecoef
-from tracecoef.cli import CACHE_ENV, main, render_json
+from tracecoef.arith import PlaceSet
+from tracecoef.cli import CACHE_ENV, _coeff_doc, main, render_json
+from tracecoef.coeff import descent_coeff
+from tracecoef.quadforms import OrbitClass, centralizer_classify
 
 GOLDEN = Path(__file__).parent / "golden"
 S_SETS = ("2", "2,3", "2,5")
@@ -167,6 +174,32 @@ LWS_MATRIX += [  # s < 0 by the functional equation; chi_5 at -20 is a trivial z
 ]
 MATRICES = {COEFF_DIFF: MATRIX, LWS: LWS_MATRIX}
 
+# descent_coeff at S = {oo,2} and {oo,2,3}: [S, sigma kind and parameters, u
+# (a list names the host OrbitClass of kind z), params], each stored with the
+# compact JSON of its _coeff_doc or the name of the exception it raises
+DESCENT = GOLDEN / "descent.jsonl"
+DESCENT_CASES = [[["z"], ["gl2", "reg", None], None], [["z"], ["sp2", "min", 3], None]]
+DESCENT_CASES += [[["sigma1"], u, p] for u in ("u_{1,0}", "u_{0,1}", "u_{alpha,1}")
+                  for p in (None, {"alpha": 3})]
+DESCENT_CASES += [[["sigma2", 3], "u_1", None], [["sigma3", 2], "u_1", None]]
+DESCENT_CASES += [[["sigma5", d, 1, 1], "u_beta", {"alpha": beta}]
+                  for d in (-1, -3, 5) for beta in (1, 3, -1)]
+DESCENT_CASES += [[["sigma4", 5], "u_1", None], [["sigma6", 5, 9, 4], "u_1", None],
+                  [["sigma1"], "u_2", None], [["z"], "u_1", None]]
+DESCENT_MATRIX = [[s, *case] for s in ("2", "2,3") for case in DESCENT_CASES]
+
+
+def _descent_line(case) -> str:
+    s, sigma, u, params = case
+    S = PlaceSet.of(*map(int, s.split(",")))
+    try:
+        res = descent_coeff(centralizer_classify(*sigma),
+                            OrbitClass(*u) if isinstance(u, list) else u, S, params=params)
+        out = render_json(_coeff_doc(res), pretty=False)
+    except (ValueError, NotImplementedError) as e:  # stored by the exception's name
+        out = type(e).__name__
+    return json.dumps({"case": case, "out": out}, sort_keys=True) + "\n"
+
 
 L1CACHE = [(f"l1cache-shintani-alpha{a}-S{s.replace(',', '_')}.jsonl",
             ["shintani", "--alpha", a, "--S", s, "--X", "10000"])
@@ -216,6 +249,19 @@ def test_golden_l1_cache(capsys, tmp_path, name, argv):
         outs.append(_run(capsys, argv + ["--cache", str(path)]))
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), kind
     assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+def test_descent_matrix_is_stored():
+    with DESCENT.open(encoding="utf-8") as fh:
+        assert [json.loads(line)["case"] for line in fh] == DESCENT_MATRIX
+
+
+@pytest.mark.parametrize("i", range(len(DESCENT_MATRIX)),
+                         ids=[json.dumps(c) for c in DESCENT_MATRIX])
+def test_golden_descent(i):
+    """descent_coeff gives the stored bytes, or raises the stored exception."""
+    stored = DESCENT.read_text(encoding="utf-8").splitlines(keepends=True)[i]
+    assert _descent_line(DESCENT_MATRIX[i]) == stored
 
 
 BLAS_KERNEL_CASES = [
@@ -407,6 +453,7 @@ if __name__ == "__main__":
     for name, argv in L1CACHE:
         (GOLDEN / name).unlink(missing_ok=True)
         assert _capture(argv + ["--cache", str(GOLDEN / name)])[0] == 0, argv
+    DESCENT.write_text("".join(map(_descent_line, DESCENT_MATRIX)), encoding="utf-8")
     for path, matrix in MATRICES.items():
         with path.open("w", encoding="utf-8") as fh:
             for argv in matrix:

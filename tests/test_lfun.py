@@ -334,9 +334,9 @@ def test_value_only_equals_jet_value(digits):
             S = PlaceSet.of(*(chi.support if chi else ()), 2)
             for s in VALUE_POINTS:
                 lfun.clear_cache()
-                val, none = lfun._dirichlet_jet(s, chi, deriv=False)
+                val, none = lfun._dirichlet_jet(s, chi or lfun._ZETA, deriv=False)
                 lfun.clear_cache()
-                full = lfun._dirichlet_jet(s, chi)
+                full = lfun._dirichlet_jet(s, chi or lfun._ZETA)
                 assert none is None and _bits_of(val) == _bits_of(full[0]), (chi, s)
                 if chi is None and s == 1:
                     continue
@@ -491,6 +491,42 @@ def test_log_abs_lower_bound_of_a_trivial_zero_and_a_ramified_chi():
     assert lfun.log_abs_LS_lower_bound(-7, None, PlaceSet.of(2)) < 0  # zeta(-7) = 1/240
     with pytest.raises(ValueError, match="ramified outside S"):
         lfun.log_abs_LS_lower_bound(-3, QuadChar(-4), PlaceSet.of(3))
+
+
+@pytest.mark.parametrize("S", [S_OO, S23], ids=str)
+def test_none_and_the_trivial_character_give_the_same_bits(S):
+    """chi None and QuadChar(1) both name zeta: LS and deriv_LS give the
+    same bits for either, LS those of zetaS (within 1e-28 of mpmath's), at
+    s < 0 (-2 a trivial zero) and s >= 0, each from cleared memos; so do
+    laurent_at_1 and the lower bound on log|L^S| at s < 0."""
+    def bits(f, *args):
+        lfun.clear_cache()
+        return _bits_of(f(*args))
+
+    for s in (mpf("-3.5"), -2, 0, mpf("0.5"), 2, 3):
+        with mp.workdps(40):
+            ref = mp.zeta(s) * math.prod(1 - mpf(p) ** -s for p in S.primes)
+            assert abs(lfun.zetaS(s, S) - ref) < mpf("1e-28"), s
+        zeta = bits(lfun.zetaS, s, S)
+        for chi in (None, QuadChar(1)):
+            assert bits(lfun.LS, s, chi, S) == zeta, (chi, s)
+        assert bits(lfun.deriv_LS, s, None, S) == bits(lfun.deriv_LS, s, QuadChar(1), S), s
+        if s < 0:
+            assert lfun.log_abs_LS_lower_bound(s, None, S) == \
+                lfun.log_abs_LS_lower_bound(s, QuadChar(1), S), s
+    lds = [lfun.laurent_at_1(chi, S) for chi in (None, QuadChar(1))]
+    assert [[_bits_of(x) for x in (ld.residue, ld.c0, ld.c1)] for ld in lds] == \
+        [[_bits_of(x) for x in (lds[0].residue, lds[0].c0, lds[0].c1)]] * 2
+    lfun.clear_cache()
+
+
+@pytest.mark.parametrize("digits", [None, 35])
+def test_stieltjes_gamma_is_the_laurent_data_of_zeta(digits):
+    """gamma_0 and gamma_1 are c0 and -c1 of zeta at 1, bit for bit."""
+    ld = lfun.laurent_at_1(None, S_OO, digits)
+    with mp.workdps(100):  # -c1 exact
+        assert _bits_of(lfun.stieltjes_gamma(0, digits)) == _bits_of(ld.c0)
+        assert _bits_of(lfun.stieltjes_gamma(1, digits)) == _bits_of(-ld.c1)
 
 
 @pytest.mark.parametrize("s", [-1, mpf("-0.5"), -mpf(2) ** -60, -150])

@@ -19,10 +19,11 @@ PACKAGE = ROOT / "src" / "tracecoef"
 ORACLES = {
     "SymForm2.congruent_by": "g^t x g, with which the tests check that the form "
                              "classification is a congruence invariant",
-    "centralizer_classify": "the paper's centralizer table of the semisimple kinds "
-                            "sigma1-sigma6; no command exposes it yet",
-    "descent_coeff": "the paper's descent formula for mixed classes sigma*u; no "
-                     "command exposes it yet",
+    "centralizer_classify": "quadforms' table of the centralizers of the semisimple kinds "
+                            "z and sigma1-sigma6, the input of coeff.descent_coeff; no "
+                            "command exposes it yet",
+    "descent_coeff": "coeff's one descent of the mixed classes sigma*u to the centralizer "
+                     "of sigma; no command exposes it yet",
     "v_table": "the paper's chamber functions v_{sP0}(lambda, n, T), checked by the tests",
     "w_table": "one family member w_{sP0} from the rows _W_ROWS that the weight "
                "families read; the tests check its dependence on |nu| only",

@@ -9,7 +9,6 @@ from tracecoef.quadforms import (
     OrbitClass,
     SymForm2,
     centralizer_classify,
-    descent_coeff,
     diagonalize,
     enum_form_classes,
     hasse,
@@ -18,6 +17,7 @@ from tracecoef.quadforms import (
     realizable_eps,
     unipotent_orbit_set,
 )
+from tracecoef.coeff import descent_coeff
 
 S2 = PlaceSet.of(2)
 S23 = PlaceSet.of(2, 3)

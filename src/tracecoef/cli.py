@@ -16,10 +16,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 import zlib
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 from mpmath import mpf, mpc
@@ -90,67 +88,44 @@ def _coeff_doc(res: CoeffResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines L-value cache
+# Binary L-value cache
 # ---------------------------------------------------------------------------
 
 # the columns of the records held, 8 bytes each
 _COLS = (("D", "<i8"), ("L1", "<f8"), ("digits", "<i8"))
-_IDX_FORMAT = "tracecoef L(1) index 3"  # D, L1, digits columns
-_METHOD = "class-number-formula"  # the method of the records held and written
-_CORRUPT = (ValueError, KeyError, TypeError, OverflowError)
+_METHOD = "class-number-formula"  # the method of every record
+# a batch: _MAGIC, the record count n (8 bytes), the CRC-32 of the columns (4
+# bytes), then the n D, the n L1 and the n digits, all little-endian
+_MAGIC = f"tracecoef L(1) batch 1 {_METHOD}\n".encode()
+_HEAD = len(_MAGIC) + 12
+_RECORD_KEYS = {"D": int, "L1": float, "digits": int, "method": str}
 
 
-def _l1_lines(Ds, L1s, digits: int) -> str:
-    """The L(1) records of the columns Ds and L1s (ints and finite floats), one
-    a line, as json.JSONEncoder(sort_keys=True, allow_nan=False) writes them."""
-    cols = [None] * (2 * len(Ds))
-    cols[::2], cols[1::2] = Ds, L1s
-    line = '{"D": %%d, "L1": %%r, "digits": %d, "method": "%s"}\n' % (digits, _METHOD)
-    return line * len(Ds) % tuple(cols)
+def _batch(D, L1, digits) -> bytes:
+    """The batch of the int64, float64 and int64 columns D, L1 and digits."""
+    cols = np.stack((D, L1.view(np.int64), digits)).astype("<i8", copy=False).tobytes()
+    return b"".join((_MAGIC, len(D).to_bytes(8, "little"),
+                     zlib.crc32(cols).to_bytes(4, "little"), cols))
 
 
-def _l1_columns(recs: list) -> tuple:
-    """The columns of _COLS of the records of recs whose method is _METHOD:
-    each record has the keys D, L1, digits and method only, D and digits ints
-    of 64 bits, L1 a float and method a str; for any other, an exception of
-    _CORRUPT.  A record of another method, as earlier versions wrote, is well
-    formed but never held."""
-    if not set(map(len, recs)) <= {4}:  # then itemgetter finds the four keys, or raises
-        raise ValueError("not an L(1) record")
-    cols = [list(map(itemgetter(name), recs)) for name in ("D", "L1", "digits", "method")]
-    for col, kind in zip(cols, (int, float, int, str)):
-        if not set(map(type, col)) <= {kind}:  # bool is not int here
-            raise ValueError("not an L(1) record")
-    mine = np.array([m == _METHOD for m in cols[3]], bool)
-    return tuple(np.array(col, dt)[mine] for col, (_, dt) in zip(cols, _COLS))
-
-
-def _checksum(data: bytes) -> str:
-    """The CRC-32 and Adler-32 of data, 16 hex digits.  zlib is loaded with
-    numpy already; hashlib would load OpenSSL, 3.5 MB of resident memory."""
-    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
-
-
-def _parse_lines(data: bytes) -> tuple[tuple, bool]:
-    """The _l1_columns of the L(1) records of data, one a line, warning about
-    each other line, and whether there were none such."""
-    text = data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
-    lines = [line for line in map(str.strip, text.split("\n")) if line]
-    try:  # one parse of the whole file
-        recs = json.loads("[" + ",".join(lines) + "]")
-        if len(recs) == len(lines):  # else not one record per line
-            return _l1_columns(recs), True
-    except _CORRUPT:
-        pass
-    recs = []
-    for line in lines:  # parse each line
-        try:
-            rec = json.loads(line)
-            _l1_columns([rec])
-            recs.append(rec)
-        except _CORRUPT:
-            print(f"warning: skipping corrupt cache line: {line[:60]}", file=sys.stderr)
-    return _l1_columns(recs), len(recs) == len(lines)
+def _batches(data: bytes) -> tuple[np.ndarray, int]:
+    """The (3, n) int64 columns of the whole batches of data in order, and
+    the number of stretches skipped: a batch that fails its CRC or is cut
+    short, or bytes between batches.  A skip resumes at the next _MAGIC.
+    zlib is loaded with numpy already; hashlib would load OpenSSL, 3.5 MB of
+    resident memory."""
+    view, cols, skipped, i = memoryview(data), [], 0, 0
+    while 0 <= i < len(data):
+        n = int.from_bytes(view[i + len(_MAGIC):i + _HEAD - 4], "little")
+        end = i + _HEAD + 24 * n
+        if (data.startswith(_MAGIC, i) and end <= len(data) and zlib.crc32(view[i + _HEAD:end])
+                == int.from_bytes(view[i + _HEAD - 4:i + _HEAD], "little")):
+            cols.append(np.frombuffer(data, "<i8", 3 * n, i + _HEAD).reshape(3, n))
+            i = end
+        else:
+            skipped += 1
+            i = data.find(_MAGIC, i + 1)
+    return np.concatenate(cols, axis=1) if cols else np.empty((3, 0), "<i8"), skipped
 
 
 def _ranked(cols: dict):
@@ -174,61 +149,33 @@ def _ranked(cols: dict):
 
 
 class JsonlCache:
-    """Append-only cache of L(1,chi_D) records, one JSON object per line; a
-    line that is not an L(1) record is corrupt, and skipped with a warning.
+    """Append-only binary cache of L(1,chi_D) records of _METHOD: batches of
+    the columns D, L1 and digits, each with a CRC-32 (the class name is
+    historical; the file once held JSON lines).  A file that is not empty
+    and does not start with _MAGIC is refused with ValueError, and never
+    written.  A batch that fails its CRC or is cut short yields no record,
+    with one warning per read.
 
-    Only the records of _METHOD are held.  Of the records of one D, the one
-    held is the first by the rule of _ranked, on reads and on writes: a
-    record is stored, and appended, only if it outranks the one held.  The
-    records held are numpy columns sorted by D, which `<path>.idx` holds for
-    the file's first bytes.  lookup_l1 and store_l1 are the bulk forms of get
-    and put."""
+    Of the records of one D, the one held is the first by the rule of
+    _ranked, on reads and on writes: a record is stored, and appended, only
+    if it outranks the one held.  The records held are numpy columns sorted
+    by D.  lookup_l1 and store_l1 are the bulk forms of get and put."""
 
     def __init__(self, path: str | None):
         self.path = path
         self._cols = {name: np.empty(0, dt) for name, dt in _COLS}
+        data = b""
         if path and os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
-            n = self._read_index(data)
-            cols, clean = _parse_lines(data[n:])
-            self._merge(*cols)
-            # never over a half-written last line, nor over a corrupt line
-            if len(data) > n and data.endswith(b"\n") and clean:
-                self._write_index(data)
-
-    def _read_index(self, data: bytes) -> int:
-        """Hold the columns of `<path>.idx` if it indexes the first n bytes of
-        data, and return n; else 0."""
-        try:
-            with open(self.path + ".idx", "rb") as fh:
-                digest, head, body = fh.read().split(b"\n", 2)
-            h = json.loads(head)
-            n = h["n"]
-            if (digest.decode() == _checksum(head + b"\n" + body)
-                    and h["format"] == _IDX_FORMAT and 0 < n <= len(data)
-                    and h["checksum"] == _checksum(data[:n])):
-                cols = np.frombuffer(body, "<i8").reshape(len(_COLS), -1)
-                self._cols = {name: col.view(dt) for (name, dt), col in zip(_COLS, cols)}
-                return n
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        return 0
-
-    def _write_index(self, data: bytes):
-        """Write `<path>.idx` for the records held, those of the file's bytes
-        data: atomically, or not at all if the directory refuses it."""
-        head = json.dumps({"format": _IDX_FORMAT, "n": len(data), "checksum": _checksum(data)})
-        rest = head.encode() + b"\n" + b"".join(self._cols[name].tobytes() for name, _ in _COLS)
-        tmp = None
-        try:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(_checksum(rest).encode() + b"\n" + rest)
-            os.replace(tmp, self.path + ".idx")
-        except OSError:
-            if tmp:
-                os.unlink(tmp)
+        if data and not data.startswith(_MAGIC):
+            raise ValueError(f"{path} is not an L(1) cache file of this version (earlier "
+                             "versions wrote JSON lines); delete it or choose another path")
+        cols, skipped = _batches(data)
+        if skipped:
+            print(f"warning: skipping {skipped} corrupt or cut-short L(1) cache batches",
+                  file=sys.stderr)
+        self._merge(cols[0], cols[1].view("<f8"), cols[2])
 
     def _merge(self, D, L1, digits) -> np.ndarray:
         """Hold the winners among the records held and the later new ones, the
@@ -250,12 +197,15 @@ class JsonlCache:
             return {"D": D, "L1": L1, "digits": digits, "method": _METHOD}
 
     def put(self, rec: dict):
-        """store_l1 of the one L(1) record rec of _METHOD; ValueError for any other."""
-        try:
-            D, L1, (digits,) = _l1_columns([rec])  # no digits for another method
-        except _CORRUPT as e:
-            raise ValueError(f"not an L(1) record of {_METHOD}: {rec!r}") from e
-        self.store_l1(D, L1, int(digits))
+        """store_l1 of the one L(1) record rec of _METHOD: a dict of the keys of
+        _RECORD_KEYS and of their types exactly, D and digits of 64 bits;
+        ValueError for any other."""
+        if not (isinstance(rec, dict) and rec.keys() == _RECORD_KEYS.keys()
+                and all(type(rec[k]) is t for k, t in _RECORD_KEYS.items())
+                and rec["method"] == _METHOD
+                and -2**63 <= rec["D"] < 2**63 and -2**63 <= rec["digits"] < 2**63):
+            raise ValueError(f"not an L(1) record of {_METHOD}: {rec!r}")
+        self.store_l1([rec["D"]], [rec["L1"]], rec["digits"])
 
     def lookup_l1(self, Ds) -> np.ndarray:
         """For each D of Ds, the L1 of the record held for D if it is
@@ -274,16 +224,17 @@ class JsonlCache:
 
     def store_l1(self, Ds, L1s, digits: int):
         """Store the L(1) records (D, L1, digits) of the columns Ds and L1s in
-        order, each unless the one held for its D outranks it, with one append;
-        a non-finite L1 raises ValueError before anything is stored."""
+        order, each unless the one held for its D outranks it, with one
+        append of one batch; a non-finite L1 raises ValueError before anything
+        is stored."""
         L1s = np.asarray(L1s, dtype=np.float64)
         if not np.isfinite(L1s).all():
             raise ValueError("a non-finite L1 is not stored")
-        Ds = np.asarray(Ds, dtype=np.int64)
-        kept = self._merge(Ds, L1s, np.full(len(Ds), digits))
+        Ds, digits = np.asarray(Ds, dtype=np.int64), np.full(len(L1s), digits, np.int64)
+        kept = self._merge(Ds, L1s, digits)
         if self.path and kept.any():
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(_l1_lines(Ds[kept].tolist(), L1s[kept].tolist(), digits))
+            with open(self.path, "ab", buffering=0) as fh:  # one write on an O_APPEND descriptor
+                fh.write(_batch(Ds[kept], L1s[kept], digits[kept]))
 
 
 def open_cache(path: str | None) -> JsonlCache:
@@ -504,9 +455,9 @@ def cmd_lfun(args) -> dict:
         return out
     key, fn = ("derivative", lfun.deriv_LS) if args.deriv else ("value", lfun.LS)
     beyond = UsageError(f"--s {args.s}: the {key} is beyond the float64 range of the output")
-    # a value that surely overflows is refused before the kernel runs at 1 - s
-    if (not args.deriv and args.s < 0
-            and lfun.log_abs_LS_lower_bound(args.s, chi, S) > math.log(sys.float_info.max)):
+    # a value or derivative that surely overflows is refused before the kernel runs at 1 - s
+    if (args.s < 0 and lfun.log_abs_LS_lower_bound(args.s, chi, S, args.deriv)
+            > math.log(sys.float_info.max)):
         raise beyond
     out["result"] = {key: fn(args.s, chi, S, args.digits)}
     if not math.isfinite(out["result"][key]):

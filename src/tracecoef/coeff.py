@@ -295,7 +295,8 @@ def descent_coeff(sigma: CentralizerClass, u, S: PlaceSet, vols: VolumeParams | 
               first parameter of sigma, with u = "u_beta" and beta =
               params["alpha"]: {c0(S) + chi_{E,S}(beta) L^S(1,chi_E)
               delta_{E,S}}/2 on vol_centralizer, delta_{E,S} = 1 when chi_E
-              is unramified outside S
+              is unramified outside S; another u, or a params key other than
+              alpha, raises ValueError
 
     alpha and beta default to 1.  sigma2 and sigma3 have split rank 2, so
     eps = 0 and the coefficient is 0.  sigma4 and sigma6 need L-data of the
@@ -325,6 +326,8 @@ def descent_coeff(sigma: CentralizerClass, u, S: PlaceSet, vols: VolumeParams | 
         first = u == "u_{1,0}"
         return CoeffResult([_term(Fraction(1, 2), "vol_m1" if first else "vol_m2", vols, [c0])],
                            f"centralizer-gl2pair-{'first' if first else 'second'}")
+    if u != "u_beta" or not params.keys() <= {"alpha"}:
+        raise ValueError(f"the U(1,1) orbit is u_beta with params alpha; got {u!r}, {params!r}")
     chiE = quad_char_of(sigma.params[0])
     delta = int(chiE.is_unramified_outside(S))
     terms = [_term(Fraction(1, 2), "vol_centralizer", vols, [c0])]

@@ -606,13 +606,18 @@ def _require_computable(s, chi, S: PlaceSet):
         raise ValueError("L(s, chi) of a cubic character is computed at s >= 0 only")
 
 
-def log_abs_LS_lower_bound(s, chi, S: PlaceSet) -> float:
+def log_abs_LS_lower_bound(s, chi, S: PlaceSet, deriv: bool = False) -> float:
     """A lower bound on log|L^S(s,chi)| at s < 0, chi quadratic (None for zeta),
-    without the kernel: the log of _reflected_jet's gamma and sine factor and
-    of the removed Euler factors, both at 30 digits, plus log(zeta(2t)/
+    without the kernel: the log of _reflected_jet's gamma and sine factor G and
+    of the removed Euler product E, both at 30 digits, plus log(zeta(2t)/
     zeta(t)) <= log|L(t,chi)| at t = 1 - s > 1 (the Euler product of L(t,chi)
     against that of zeta(2t)/zeta(t) = prod (1 + p^-t)^-1).  -inf at a trivial
-    zero."""
+    zero.
+
+    deriv True bounds log|(L^S)'(s)| instead.  (L^S)'/L^S(s) = G'/G(s) +
+    E'/E(s) - L'/L(t,chi) and |L'/L(t,chi)| <= -zeta'/zeta(t), so it adds
+    log(|G'/G(s) + E'/E(s)| + zeta'/zeta(t)) where that sum is positive; -inf
+    elsewhere."""
     if chi is None or chi.is_trivial:
         chi = _ZETA
     _require_computable(s, chi, S)
@@ -623,10 +628,16 @@ def log_abs_LS_lower_bound(s, chi, S: PlaceSet) -> float:
         if sin == 0:
             return -math.inf
         t = 1 - s
-        removed = _euler_removed_jet(s, chi, S, deriv=False)[0]
+        E, dE = _euler_removed_jet(s, chi, S, deriv)
         out = ((mpf(1) / 2 - s) * mp.ln(q / mp.pi) + mp.loggamma(x) + mp.loggamma(y)
-               + mp.ln(abs(sin) / mp.pi) + mp.ln(mp.zeta(2 * t) / mp.zeta(t))
-               + mp.ln(abs(removed)))
+               + mp.ln(abs(sin) / mp.pi) + mp.ln(mp.zeta(2 * t) / mp.zeta(t)) + mp.ln(abs(E)))
+        if deriv:
+            dlog_G = (-mp.ln(q / mp.pi) - (mp.digamma(x) + mp.digamma(y)) / 2
+                      + mp.pi / 2 * mp.cospi(z) / sin)
+            inner = abs(dlog_G + dE / E) + mp.zeta(t, 1, 1) / mp.zeta(t)
+            if inner <= 0:
+                return -math.inf
+            out += mp.ln(inner)
     return float(out)
 
 

@@ -12,10 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
+import l1cache
 import tracecoef
 from tracecoef import cli, lfun
+from tracecoef.arith import PlaceSet
+from tracecoef.characters import QuadChar
 from tracecoef.cli import JsonlCache, main, render_json
 
 
@@ -143,33 +146,29 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_highest_digits_wins(tmp_path, capsys):
-    path = str(tmp_path / "cache.jsonl")
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"D": -4, "L1": 0.78, "digits": 10, "method": METHOD}) + "\n")
-        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": METHOD}) + "\n")
-        fh.write(json.dumps({"D": -4, "L1": 0.79, "digits": 10, "method": METHOD}) + "\n")
-        fh.write("not json at all\n")
-        fh.write(json.dumps({"D": 8, "L1": 1.1, "digits": 10, "method": METHOD}) + "\n")
-        fh.write(json.dumps({"D": 8, "L1": 1.2, "digits": 10, "method": METHOD}) + "\n")
-    c = JsonlCache(path)
+    path = tmp_path / "cache.bin"
+    path.write_bytes(l1cache.batch([(-4, 0.78, 10)]) + l1cache.batch([(-4, 0.785398, 20)])
+                     + l1cache.batch([(-4, 0.79, 10)]) + b"not a batch at all\n"
+                     + l1cache.batch([(8, 1.1, 10), (8, 1.2, 10)]))
+    c = JsonlCache(str(path))
     assert c.get(-4)["L1"] == 0.785398  # highest digits wins
     assert c.get(8)["L1"] == 1.2        # ties: last wins
-    assert capsys.readouterr().err.count("skipping corrupt cache line") == 1
+    assert capsys.readouterr().err.count("skipping 1 corrupt") == 1
     # an in-memory put with fewer digits must not clobber
     c.put({"D": -4, "L1": 0.7, "digits": 5, "method": METHOD})
     assert c.get(-4)["L1"] == 0.785398
 
 
 def test_cache_store_l1_same_bytes_as_put(tmp_path):
-    """One bulk append writes what the sequential puts write, with the same
-    digits precedence applied to each record."""
-    with open(tmp_path / "seed.jsonl", "w") as fh:
-        fh.write(json.dumps({"D": -4, "L1": 0.785398, "digits": 20, "method": METHOD}) + "\n")
+    """One bulk append writes the records that the sequential puts write,
+    column bytes for column bytes, with the same digits precedence applied to
+    each record: one batch against one batch per put."""
+    seed = l1cache.batch([(-4, 0.785398, 20)])
     Ds, L1s = [-4, 5, 8, 5], [0.7, 0.43, 0.62, 0.4304]  # -4: fewer digits, skipped; 5: tie, wins
-    paths = []
+    appended = []
     for name in ("put", "store_l1"):
-        path = tmp_path / f"{name}.jsonl"
-        path.write_bytes((tmp_path / "seed.jsonl").read_bytes())
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(seed)
         c = JsonlCache(str(path))
         if name == "put":
             for D, L1 in zip(Ds, L1s):
@@ -177,9 +176,9 @@ def test_cache_store_l1_same_bytes_as_put(tmp_path):
         else:
             c.store_l1(Ds, L1s, 15)
         assert c.get(-4)["L1"] == 0.785398 and c.get(5)["L1"] == 0.4304
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert len(paths[1].read_text().splitlines()) == 4
+        appended.append(l1cache.batches(path.read_bytes()[len(seed):]))
+    assert appended[0] == [[rec] for rec in appended[1][0]]
+    assert appended[1] == [[(5, 0.43, 15), (8, 0.62, 15), (5, 0.4304, 15)]]
 
 
 def test_cache_rejects_non_finite_record(tmp_path):
@@ -192,7 +191,7 @@ def test_cache_rejects_non_finite_record(tmp_path):
             c.store_l1([5, 8], [0.43, bad], 15)
         with pytest.raises(ValueError):
             c.put({"D": 8, "L1": bad, "method": METHOD, "digits": 15})
-    assert not path.exists() or path.read_text() == ""
+    assert not path.exists()
     assert c.get(5) is None and c.get(8) is None
 
 
@@ -225,13 +224,11 @@ def _is_l1_record(rec) -> bool:
 @given(st.lists(st.one_of(RECORDS, OTHER_RECORDS), max_size=8,
                 unique_by=lambda r: int(r["D"] if isinstance(r, dict) else r[0])))
 def test_cache_lines_are_the_encoder_bytes(recs):
-    """put writes exactly what json.JSONEncoder(sort_keys=True,
-    allow_nan=False) writes for an L(1) record of METHOD, and refuses any
-    other shape or method with ValueError, writing nothing and holding
-    nothing of it."""
-    enc = json.JSONEncoder(sort_keys=True, allow_nan=False)
+    """put appends exactly the batch that tests/l1cache.py encodes for an
+    L(1) record of METHOD, and refuses any other shape or method with
+    ValueError, writing nothing and holding nothing of it."""
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "cache.jsonl"
+        path = Path(d) / "cache.bin"
         c = JsonlCache(str(path))
         for rec in recs:
             if _is_l1_record(rec):
@@ -239,10 +236,10 @@ def test_cache_lines_are_the_encoder_bytes(recs):
             else:
                 with pytest.raises(ValueError):
                     c.put(rec)
-        got = path.read_text(encoding="utf-8") if path.exists() else ""
+        got = path.read_bytes() if path.exists() else b""
         held = sum(map(len, c._cols.values()))
     want = [rec for rec in recs if _is_l1_record(rec)]
-    assert got == "".join(enc.encode(rec) + "\n" for rec in want)
+    assert got == b"".join(l1cache.batch([(r["D"], r["L1"], r["digits"])]) for r in want)
     assert held == 3 * len(want)
 
 
@@ -271,35 +268,30 @@ def test_cache_names_perfbench_wraps(tmp_path):
     assert rec.counts["cli.cache.gets"] == 1 and rec.counts["cli.cache.hits"] == 1
 
 
-HELD = st.fixed_dictionaries({
-    "D": st.integers(-12, 12),
-    "L1": st.one_of(st.floats(), st.integers(-2, 2), st.just("0.5")),
-    "method": st.sampled_from([METHOD, "smoothed-character-sum"]),
-    "digits": st.integers(10, 20),
-})
+HELD = st.lists(st.tuples(st.integers(-12, 12), st.floats(), st.integers(10, 20)), max_size=12)
 
 
 @settings(max_examples=150, deadline=None)
-@given(held=st.lists(HELD, max_size=12),
+@given(held=st.lists(HELD, max_size=3),
        batch=st.lists(st.tuples(st.integers(-12, 12),
                                 st.floats(allow_nan=False, allow_infinity=False)), max_size=12),
        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
        digits=st.integers(12, 18))
 def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, digits):
-    """lookup_l1 and store_l1 against get and sequential puts, on files that
-    hold records of another method, with more digits, with implausible L1s,
-    with duplicate D and with lines that are not L(1) records (an int or str
-    L1): the same values served, the same records held, the same file bytes;
-    a batch with a non-finite L1 is refused whole."""
+    """lookup_l1 and store_l1 against get and sequential puts, on files of
+    batches that hold records with more digits, implausible L1s (nan, inf
+    and <= 0 among them, which only a file written by hand can hold) and
+    duplicate D: the same values served, the same records held, the same
+    records appended; a batch with a non-finite L1 is refused whole."""
     Ds, L1s = [D for D, _ in batch], [L1 for _, L1 in batch]
     if bad is not None:
         Ds, L1s = Ds + [0], L1s + [bad]
     with tempfile.TemporaryDirectory() as d:
-        paths = [Path(d) / "sequential.jsonl", Path(d) / "bulk.jsonl"]
+        paths = [Path(d) / "sequential.bin", Path(d) / "bulk.bin"]
+        seed = b"".join(map(l1cache.batch, held))
         for path in paths:
-            path.write_text("".join(json.dumps(rec) + "\n" for rec in held))
-        with contextlib.redirect_stderr(io.StringIO()):
-            seq, bulk = (JsonlCache(str(path)) for path in paths)
+            path.write_bytes(seed)
+        seq, bulk = (JsonlCache(str(path)) for path in paths)
 
         def served(rec):
             if rec is None:
@@ -320,16 +312,23 @@ def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, digits):
                 bulk.store_l1(Ds, L1s, digits)
         # repr: a held nan L1 is unequal to itself
         assert all(repr(seq.get(D)) == repr(bulk.get(D)) for D in range(-12, 13))
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        appended = [repr(l1cache.records(p.read_bytes()[len(seed):])) for p in paths]
+        assert appended[0] == appended[1]
+
+
+def _with_L1(data: bytes, D: int, L1: float) -> bytes:
+    """The batches of data with the L1 of D replaced."""
+    return b"".join(l1cache.batch([(d, L1 if d == D else x, n) for d, x, n in recs])
+                    for recs in l1cache.batches(data))
 
 
 def test_implausible_records_are_recomputed(tmp_path, capsys):
-    """A cached L1 that is infinite (1e999 reads as inf) or negative is not
-    served: the document prints what a cold run prints, warns once, and
-    appends a record that wins on the next read.  A string L1 makes the line
-    corrupt, not implausible: the record is recomputed and appended too, but
-    the line warns on every read and no index is written over it."""
-    path = tmp_path / "cache.jsonl"
+    """A cached L1 that is infinite or negative is not served: the document
+    prints what a cold run prints, warns once, and appends a batch of that
+    record that wins on the next read.  A batch that fails its CRC loses all
+    its records: they are recomputed and appended too, and the corrupt batch
+    warns on every read."""
+    path = tmp_path / "cache.bin"
     argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "10000", "--json"]
 
     def run(*cache):
@@ -338,33 +337,35 @@ def test_implausible_records_are_recomputed(tmp_path, capsys):
     code, clean, _ = run()
     assert code == 0
     run("--cache", str(path))
-    lines = path.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if json.loads(line)["D"] == -4)
-    for bad in ("1e999", "-0.5", '"0.5"'):
-        edited = lines[:i] + [lines[i].replace(str(json.loads(lines[i])["L1"]), bad)] + lines[i + 1:]
-        path.write_text("\n".join(edited) + "\n")
-        Path(f"{path}.idx").unlink(missing_ok=True)
+    data = path.read_bytes()
+    (recs,) = l1cache.batches(data)
+    rec = next(r for r in recs if r[0] == -4)
+    for bad in (math.inf, -0.5, "a flipped byte"):
+        if bad == "a flipped byte":
+            edited = bytearray(data)
+            edited[l1cache.HEAD + 8 * len(recs) + 8 * recs.index(rec) + 6] ^= 0x10
+            edited = bytes(edited)
+        else:
+            edited = _with_L1(data, -4, bad)
+        path.write_bytes(edited)
         code, out, err = run("--cache", str(path))
         assert (code, out) == (0, clean)
-        assert path.read_text().splitlines()[len(edited):] == [lines[i]]
-        if bad == '"0.5"':
-            corrupt = f"skipping corrupt cache line: {edited[i][:60]}"
-            assert err.count(corrupt) == 1 and "implausible" not in err
-            assert run("--cache", str(path)) == (0, clean, f"warning: {corrupt}\n")
-            assert not os.path.exists(f"{path}.idx")
+        appended = l1cache.batches(path.read_bytes()[len(edited):])
+        if bad == "a flipped byte":
+            corrupt = "warning: skipping 1 corrupt or cut-short L(1) cache batches\n"
+            assert err == corrupt and appended == [recs]
+            assert run("--cache", str(path)) == (0, clean, corrupt)
         else:
-            assert err.count("recomputing 1 implausible") == 1
+            assert err.count("recomputing 1 implausible") == 1 and appended == [[rec]]
             assert run("--cache", str(path)) == (0, clean, "")
-        assert len(path.read_text().splitlines()) == len(lines) + 1
 
 
 def test_plausible_record_outranks_implausible_one_with_more_digits(tmp_path, capsys):
     """An implausible record with more digits does not block the plausible
     one recomputed for it: the first run warns and appends, the second reads
     the new record without a warning."""
-    path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps({"D": -4, "L1": -0.5, "digits": 20,
-                                "method": "class-number-formula"}) + "\n")
+    path = tmp_path / "cache.bin"
+    path.write_bytes(l1cache.batch([(-4, -0.5, 20)]))
     argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--cache", str(path)]
 
     def run():
@@ -377,35 +378,18 @@ def test_plausible_record_outranks_implausible_one_with_more_digits(tmp_path, ca
 
 
 def test_cache_one_parse_keeps_the_digits_rule(tmp_path, capsys):
-    """A file without corrupt lines is read in one parse, with the same
-    precedence as the per-line read: most digits wins, ties go to the last,
-    and a record of another method is not held, whatever its digits."""
-    path = tmp_path / "cache.jsonl"
-    a, b = METHOD, "smoothed-character-sum"
-    recs = [{"D": -4, "L1": 0.78, "digits": 10, "method": a},
-            {"D": -4, "L1": 0.785398, "digits": 20, "method": a},
-            {"D": -4, "L1": 0.5, "digits": 30, "method": b},
-            {"D": -4, "L1": 0.79, "digits": 10, "method": a},
-            {"D": 8, "L1": 1.1, "digits": 15, "method": a},
-            {"D": 8, "L1": 1.3, "digits": 15, "method": b},
-            {"D": 8, "L1": 1.2, "digits": 15, "method": a},
-            {"D": 5, "L1": 0.43, "digits": 15, "method": b}]
-    path.write_text("".join(json.dumps(r) + "\n\n" for r in recs))
-    c = JsonlCache(str(path))
-    assert [c.get(D)["L1"] for D in (-4, 8)] == [0.785398, 1.2] and c.get(5) is None
+    """A file is read in one pass, whatever its batching: records in one
+    batch, or one batch each, are held by the same rule (most digits wins,
+    ties go to the last), with no warning."""
+    recs = [(-4, 0.78, 10), (-4, 0.785398, 20), (-4, 0.79, 10), (8, 1.1, 15), (8, 1.2, 15),
+            (5, -0.43, 30), (5, 0.43, 15)]
+    for name, data in (("one", l1cache.batch(recs)),
+                       ("each", b"".join(l1cache.batch([r]) for r in recs))):
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        c = JsonlCache(str(path))
+        assert [c.get(D)["L1"] for D in (-4, 8, 5)] == [0.785398, 1.2, 0.43]
     assert capsys.readouterr().err == ""
-
-
-def test_cache_two_records_on_one_line_are_corrupt(tmp_path, capsys):
-    """The whole-file parse must not accept what the per-line parse rejects."""
-    rec = {"digits": 15, "method": METHOD}
-    path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps({"D": 5, "L1": 0.4, **rec}) + ","
-                    + json.dumps({"D": 8, "L1": 0.6, **rec})
-                    + "\n" + json.dumps({"D": -4, "L1": 0.78, **rec}) + "\n")
-    c = JsonlCache(str(path))
-    assert c.get(5) is None and c.get(8) is None and c.get(-4)["L1"] == 0.78
-    assert "skipping corrupt cache line" in capsys.readouterr().err
 
 
 def test_parser_reused_without_leaking_options(capsys):
@@ -436,10 +420,9 @@ def test_cache_env_default(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(capsys, "shintani", "--alpha", "-1", "--S", "2",
                       "--X", "2000", "--json")
     assert code == 0
-    assert os.path.exists(path)
-    with open(path) as fh:
-        recs = [json.loads(line) for line in fh]
-    assert any(r["D"] == -4 for r in recs)
+    with open(path, "rb") as fh:
+        recs = l1cache.records(fh.read())
+    assert any(D == -4 for D, _, _ in recs)
 
 
 def test_render_json_deterministic_types():
@@ -588,6 +571,33 @@ def test_value_surely_beyond_float64_is_refused_before_the_kernel(capsys, monkey
     code, out = run_cli(capsys, "lfun", "--chi=-199", "--s=-199.5", "--S=199", "--json")
     assert (code, out) == (2, '{"error":{"code":"usage","message":"--s -199.5: the value is '
                               'beyond the float64 range of the output"}}\n')
+
+
+def test_derivative_surely_beyond_float64_is_refused_before_the_kernel(capsys, monkeypatch):
+    """lfun --chi=-199 --s=-199.5 --S=199 --deriv: the value bound plus
+    log(|G'/G + E'/E| + zeta'/zeta(1 - s)) exceeds log(float max), so it exits
+    2 with the usual message and the Dirichlet kernel at 1 - s never runs."""
+    def kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(lfun, "_dirichlet_jet", kernel)
+    code, out = run_cli(capsys, "lfun", "--chi=-199", "--s=-199.5", "--S=199", "--deriv", "--json")
+    assert (code, out) == (2, '{"error":{"code":"usage","message":"--s -199.5: the derivative is '
+                              'beyond the float64 range of the output"}}\n')
+
+
+@pytest.mark.parametrize("chi, s, S", [(-199, -30.5, (199,)), (-199, -80, (199,)), (-4, -30, (2,)),
+                                       (None, -31, (2,)), (5, -20.5, (5,)), (1, -5.5, (2, 3)),
+                                       (12, -10.25, (2, 3)), (-4, -0.3, (2,))])
+def test_derivative_bound_is_below_the_derivative(chi, s, S):
+    """log_abs_LS_lower_bound(..., deriv=True) never exceeds log|(L^S)'(s)|,
+    so it refuses nothing the kernel could print; near s = 0, where
+    zeta'/zeta(1 - s) is large, it is -inf."""
+    chi = None if chi is None else QuadChar(chi)
+    S = PlaceSet.of(*S)
+    bound = lfun.log_abs_LS_lower_bound(s, chi, S, deriv=True)
+    assert bound <= float(mp.log(abs(lfun.deriv_LS(s, chi, S)))) + 1e-12
+    assert (bound == -math.inf) == (s == -0.3)
 
 
 def test_digits_at_the_floor_is_accepted(capsys):

@@ -273,6 +273,17 @@ def test_centralizer_families():
         descent_coeff(gl2pair, "nope", S2)
 
 
+@pytest.mark.parametrize("u, params", [("u_bogus", None), ("u_{1,0}", {"alpha": 3}),
+                                       ("u_beta", {"beta": 3}), ("u_beta", {"alpha": 3, "x": 1})],
+                         ids=["unknown-u", "gl2pair-u", "beta-key", "extra-key"])
+def test_unitary_family_refuses_another_u_or_params_key(u, params):
+    """sigma5 reads its orbit u_beta and beta from params["alpha"] only: another
+    u, or a params key other than alpha, is refused as sigma1 refuses an
+    unknown u, never served the u_beta value."""
+    with pytest.raises(ValueError, match="u_beta"):
+        descent_coeff(centralizer_classify("sigma5", -1, 1, 1), u, S2, params=params)
+
+
 def test_endoscopic_min_example():
     d = endoscopic_diff(S2, "min", 1)
     with mp.workdps(35):

@@ -12,10 +12,14 @@
   stored the same way in `golden/lfun-weights-shintani.jsonl`. It was printed
   by the code before the Shintani pole data had a single entry point.
 - The L-value cache file that a cold `shintani --X 10000` run writes, for
-  alpha = -1 and 2 at S = {oo,2} and -5 at {oo,2,3}: one file each,
-  `golden/l1cache-shintani-alpha<alpha>-S<S>.jsonl`, printed by the code
-  before the cache was read and written in bulk.  A warm run, and the run
-  after it that the cache index serves, must leave it as it is.
+  alpha = -1 and 2 at S = {oo,2} and -5 at {oo,2,3}: its records, one file
+  each, `golden/l1cache-shintani-alpha<alpha>-S<S>.jsonl`, as the last
+  version with a JSON-lines cache wrote them (D, L1 as the shortest
+  round-trip repr, which keeps its bits, and digits, in the order written).
+  The binary file is decoded by tests/l1cache.py and compared with them;
+  the two warm runs after the cold run must leave its bytes as they are.
+  `golden/l1cache-shintani-alpha-1-S2.bin` pins the bytes of the first,
+  written by the first version with the binary cache.
 - `descent_coeff` of the semisimple kinds z and sigma1-sigma6 at S = {oo,2}
   and {oo,2,3}: one line per case in `golden/descent.jsonl`, holding the
   compact JSON of the coefficient document or the name of the exception
@@ -87,10 +91,11 @@ matrices and prints, for each record whose stdout changed, the largest
 relative change of its value fields and of its error fields (keys naming an
 error) with the field where it occurs.  It also reruns the cold `shintani`
 runs of the three L-value cache files and prints the largest relative L1
-change of each.  It exits 1 if an exit code, a non-float field (for the
-cache files: a D, digits or method, or the order of the lines) or a float
-beyond `--value-tol` / `--error-tol` changed; with `--write` and no such
-change it rewrites exactly the changed records and cache files.
+change of each, and of the decoded binary cache golden.  It exits 1 if an
+exit code, a non-float field (for the cache files: a D, digits or method,
+or the order of the records) or a float beyond `--value-tol` /
+`--error-tol` changed; with `--write` and no such change it rewrites
+exactly the changed records and cache files.
 """
 import argparse
 import contextlib
@@ -105,6 +110,7 @@ from pathlib import Path
 
 import pytest
 
+import l1cache
 import tracecoef
 from tracecoef.arith import PlaceSet
 from tracecoef.cli import CACHE_ENV, _coeff_doc, main, render_json
@@ -204,6 +210,7 @@ def _descent_line(case) -> str:
 L1CACHE = [(f"l1cache-shintani-alpha{a}-S{s.replace(',', '_')}.jsonl",
             ["shintani", "--alpha", a, "--S", s, "--X", "10000"])
            for a, s in (("-1", "2"), ("2", "2"), ("-5", "2,3"))]
+L1CACHE_BIN = GOLDEN / "l1cache-shintani-alpha-1-S2.bin"  # the bytes of the first
 
 
 def _run(capsys, argv):
@@ -240,15 +247,24 @@ def test_golden_lfun_weights_shintani(capsys, monkeypatch, i):
 
 @pytest.mark.parametrize("name, argv", L1CACHE, ids=[c[0] for c in L1CACHE])
 def test_golden_l1_cache(capsys, tmp_path, name, argv):
-    """The cache file of a cold run, of the warm run after it (which parses
-    the file and writes its index) and of a run served by that index."""
-    path = tmp_path / "cache.jsonl"
-    outs = []
-    for kind in ("cold", "warm", "indexed"):
-        assert os.path.exists(f"{path}.idx") == (kind == "indexed"), kind
+    """The cache file of a cold run, of the warm run after it and of a third
+    run: one batch whose records, decoded, are the golden's, and the same
+    bytes after each warm run; the same stdout from all three."""
+    path = tmp_path / "cache.bin"
+    outs, files = [], []
+    for kind in ("cold", "warm", "third"):
         outs.append(_run(capsys, argv + ["--cache", str(path)]))
-        assert path.read_bytes() == (GOLDEN / name).read_bytes(), kind
+        files.append(path.read_bytes())
+        assert l1cache.jsonl(l1cache.records(files[-1])) == (GOLDEN / name).read_text(), kind
     assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+    assert files[0] == files[1] == files[2] and len(l1cache.batches(files[0])) == 1
+
+
+def test_golden_l1_cache_bytes(capsys, tmp_path):
+    """The bytes of the first cache file: the binary golden."""
+    path = tmp_path / "cache.bin"
+    assert _run(capsys, L1CACHE[0][1] + ["--cache", str(path)])[0] == 0
+    assert path.read_bytes() == L1CACHE_BIN.read_bytes()
 
 
 def test_descent_matrix_is_stored():
@@ -397,6 +413,14 @@ def _cache_records(text: str) -> list:
     return [json.loads(line) for line in text.splitlines()]
 
 
+def _cold_cache(argv, tmp) -> tuple[int, bytes]:
+    """(exit code, cache bytes) of a cold run of argv."""
+    cache = Path(tmp) / "cache.bin"
+    cache.unlink(missing_ok=True)
+    code = _capture(argv + ["--cache", str(cache)])[0]
+    return code, cache.read_bytes() if cache.exists() else b""
+
+
 def drift(value_tol: float, error_tol: float, write: bool) -> int:
     """The --drift report; returns the exit code."""
     bad, changed = 0, {}
@@ -414,25 +438,30 @@ def drift(value_tol: float, error_tol: float, write: bool) -> int:
             print(f"{path.name}:{i + 1} {'ok ' if ok else 'BAD'} {' '.join(argv)}: {note}")
             lines[i] = json.dumps({"argv": argv, "exit": code, "stdout": out},
                                   sort_keys=True) + "\n"
-            changed[path] = "".join(lines)
+            changed[path] = "".join(lines).encode()
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in L1CACHE:  # the cold run's cache file, record by record
-            cache = Path(tmp) / name
-            code = _capture(argv + ["--cache", str(cache)])[0]
-            old = (GOLDEN / name).read_text(encoding="utf-8")
-            new = cache.read_text(encoding="utf-8") if cache.exists() else ""
-            ok, note = (_drift_note(_cache_records(old), _cache_records(new), value_tol, error_tol)
-                        if code == 0 else (False, f"exit 0 -> {code}"))
-            bad += not ok
-            print(f"{name} {'ok ' if ok else 'BAD'} {' '.join(argv)}: "
-                  f"{note if new != old else 'unchanged'}")
-            if new != old:
-                changed[GOLDEN / name] = new
-    print(f"{sum(len(m) for m in MATRICES.values())} records and {len(L1CACHE)} cache files, "
+            code, data = _cold_cache(argv, tmp)
+            new = l1cache.jsonl(l1cache.records(data))
+            olds = [(name, (GOLDEN / name).read_text(encoding="utf-8"))]
+            if name == L1CACHE[0][0]:
+                olds.append((L1CACHE_BIN.name, l1cache.jsonl(l1cache.records(
+                    L1CACHE_BIN.read_bytes()))))
+                if data != L1CACHE_BIN.read_bytes():
+                    changed[L1CACHE_BIN] = data
+            for old_name, old in olds:
+                ok, note = (_drift_note(_cache_records(old), _cache_records(new), value_tol,
+                                        error_tol) if code == 0 else (False, f"exit 0 -> {code}"))
+                bad += not ok
+                print(f"{old_name} {'ok ' if ok else 'BAD'} {' '.join(argv)}: "
+                      f"{note if new != old else 'unchanged'}")
+            if new != olds[0][1]:
+                changed[GOLDEN / name] = new.encode()
+    print(f"{sum(len(m) for m in MATRICES.values())} records and {len(L1CACHE) + 1} cache files, "
           f"{bad} beyond tolerance or not comparable")
     if write and not bad:
-        for path, text in changed.items():
-            path.write_text(text, encoding="utf-8")
+        for path, data in changed.items():
+            path.write_bytes(data)
     return 1 if bad else 0
 
 
@@ -450,9 +479,13 @@ if __name__ == "__main__":
         code, out = _capture(argv)
         assert code == 0, argv
         (GOLDEN / name).write_bytes(out.encode())
-    for name, argv in L1CACHE:
-        (GOLDEN / name).unlink(missing_ok=True)
-        assert _capture(argv + ["--cache", str(GOLDEN / name)])[0] == 0, argv
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in L1CACHE:
+            code, data = _cold_cache(argv, tmp)
+            assert code == 0, argv
+            (GOLDEN / name).write_text(l1cache.jsonl(l1cache.records(data)), encoding="utf-8")
+            if name == L1CACHE[0][0]:
+                L1CACHE_BIN.write_bytes(data)
     DESCENT.write_text("".join(map(_descent_line, DESCENT_MATRIX)), encoding="utf-8")
     for path, matrix in MATRICES.items():
         with path.open("w", encoding="utf-8") as fh:

@@ -7,7 +7,6 @@ with the cycle-product regulator.
 """
 import ast
 import functools
-import json
 import math
 import os
 import random
@@ -32,6 +31,7 @@ from tracecoef.characters import (
     fundamental_discriminant_of,
     is_fundamental_discriminant,
 )
+import l1cache
 import tracecoef
 from tracecoef import lfun
 from tracecoef import shintani
@@ -656,19 +656,20 @@ def test_cache_consumed_and_filled():
 
 
 def test_cache_record_of_other_method_not_served(tmp_path, capsys):
-    """A smoothed-character-sum record of an older cache file, later and with
-    more digits than the class-number record of its D, is never served nor
-    held: it is no corrupt line, the index is written, and put refuses it."""
-    path = tmp_path / "cache.jsonl"
+    """A batch of smoothed-character-sum records, as a cache of another
+    method would write it, later and with more digits than the class-number
+    record of its D, is never served nor held: its magic is not the cache's,
+    so it is skipped with one warning, and put refuses such a record."""
+    path = tmp_path / "cache.bin"
     smoothed = {"D": -4, "L1": 0.5, "digits": 20, "method": "smoothed-character-sum"}
-    path.write_text(json.dumps({"D": -4, "L1": 123.0, "digits": 15,
-                                "method": "class-number-formula"}) + "\n"
-                    + json.dumps(smoothed) + "\n")
+    other = l1cache.batch([(-4, 0.5, 20)]).replace(l1cache.METHOD.encode(),
+                                                   b"smoothed-character-sum")
+    path.write_bytes(l1cache.batch([(-4, 123.0, 15)]) + other)
     c = JsonlCache(str(path))
     L1 = c.lookup_l1([-4, -3])
     assert L1[0] == 123.0 and math.isnan(L1[1])
     assert c.get(-4) == {"D": -4, "L1": 123.0, "digits": 15, "method": "class-number-formula"}
-    assert capsys.readouterr().err == "" and os.path.exists(f"{path}.idx")
+    assert capsys.readouterr().err == "warning: skipping 1 corrupt or cut-short L(1) cache batches\n"
     data = path.read_bytes()
     with pytest.raises(ValueError):
         c.put(smoothed)

@@ -203,20 +203,6 @@ def hilbert_product_places(a: int | Fraction, b: int | Fraction) -> list:
 # Local square classes
 # ---------------------------------------------------------------------------
 
-def is_square_at(x: int | Fraction, v) -> bool:
-    """Is x a square in the completion at v?"""
-    n = _square_int(x, "square test")
-    if v == OO:
-        return n > 0
-    p = v
-    e, u = _split(n, p)
-    if e % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return kronecker(u, p) == 1
-
-
 def local_square_class(x: int | Fraction, v):
     """Canonical label of the coset of x in Q_v^x / (Q_v^x)^2."""
     n = _square_int(x, "square class")
@@ -227,6 +213,11 @@ def local_square_class(x: int | Fraction, v):
     if p == 2:
         return (e % 2, u % 8)
     return (e % 2, kronecker(u, p))
+
+
+def is_square_at(x: int | Fraction, v) -> bool:
+    """Is x a square in the completion at v?  Iff its label is the label of 1."""
+    return local_square_class(x, v) in (("sign", 1), (0, 1))
 
 
 def local_square_labels(v) -> list:
@@ -241,24 +232,6 @@ def local_square_labels(v) -> list:
 # ---------------------------------------------------------------------------
 # Local cube classes
 # ---------------------------------------------------------------------------
-
-def is_cube_at(x: int | Fraction, v) -> bool:
-    """Is x a cube in the completion at v?  (At OO every real is a cube.)"""
-    n = _cube_int(x, "cube test")
-    if v == OO:
-        return True
-    p = v
-    e, u = _split(n, p)
-    if e % 3:
-        return False
-    # Hensel: for p != 3 a unit cube mod p lifts (derivative 3t^2 is a unit);
-    # for p = 3 solvability mod 27 suffices (v(f') = 1).
-    if p == 3:
-        um = u % 27
-        return any(pow(t, 3, 27) == um for t in range(1, 27) if t % 3)
-    um = u % p
-    return any(pow(t, 3, p) == um for t in range(1, p))
-
 
 def local_cube_class(x: int | Fraction, v):
     """Canonical label of the coset of x in Q_v^x / (Q_v^x)^3."""
@@ -277,6 +250,11 @@ def local_cube_class(x: int | Fraction, v):
         return (e % 3, 1)
     # p = 1 mod 3: the cubic-residue power u^{(p-1)/3} mod p labels the coset
     return (e % 3, pow(u, (p - 1) // 3, p))
+
+
+def is_cube_at(x: int | Fraction, v) -> bool:
+    """Is x a cube in the completion at v?  Iff its label is the label of 1."""
+    return local_cube_class(x, v) in (("real", 0), (0, 1))
 
 
 def local_cube_labels(v) -> list:

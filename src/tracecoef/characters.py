@@ -259,10 +259,6 @@ class DiscClassSet:
     entries: tuple[int, ...] | np.ndarray  # Q_S: a read-only int64 array
 
 
-def _matches_locally(d: int, alpha_value: int, S: PlaceSet) -> bool:
-    return all(is_square_at(Fraction(d, alpha_value), v) for v in S)
-
-
 def fundamental_discriminant_of(d: int | Fraction) -> int:
     """The discriminant of Q(sqrt(d)); rejects squares."""
     m = squarefree_kernel(d)
@@ -287,7 +283,7 @@ def disc_classes(S: PlaceSet, d_S, X: int | None = None, kind: str = "Q_S") -> D
             if ch.is_trivial:
                 continue
             m = squarefree_kernel(ch.D)
-            if m != 1 and _matches_locally(m, alpha, S):
+            if m != 1 and all(is_square_at(Fraction(m, alpha), v) for v in S):
                 found.append(m)
         found.sort(key=lambda m: (abs(fundamental_discriminant_of(m)), m))
         return DiscClassSet(tuple(found))

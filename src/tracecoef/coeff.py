@@ -36,7 +36,7 @@ from .characters import (
     quad_char_of,
 )
 from . import lfun
-from .quadforms import CentralizerClass, OrbitClass, SymForm2, hasse, is_equiv
+from .quadforms import CentralizerClass, OrbitClass, SymForm2, hasse, subregular_type
 from .shintani import shintani_run
 
 
@@ -221,7 +221,7 @@ def _coeff_sub(group: str, S: PlaceSet, x: SymForm2, vols: VolumeParams, X: int,
         eps = _hasse_sign(x, S)
         terms += [_term(Fraction(1, 2), "vol_m1", vols, [("prod eps_v(x)", mpf(eps)), factor])
                   for factor in _unramified_l1(S, alpha, digits)]
-    if is_equiv(x, SymForm2.x_alpha(1), S, "det"):
+    if subregular_type(x, S) == "sub'":
         terms.append(_dlog_zeta_term(3, Fraction(1, 2), "vol_m1", S, vols, digits))
     return CoeffResult(terms, f"{group}-subregular-unipotent",
                        error=0.5 * vols.vol_m1 * sh.constant_error,
@@ -289,14 +289,15 @@ def descent_coeff(sigma: CentralizerClass, u, S: PlaceSet, vols: VolumeParams | 
 
       z       the host group's own coefficient; u is its OrbitClass
       sigma1  the equal-determinant GL(2) pair: c0(S)/2 on vol_M1 for
-              u = "u_{1,0}" and on vol_M2 for "u_{0,1}"; for "u_{alpha,1}"
-              sum_chi chi_S(alpha) c0(S,chi)^2/4, alpha = params["alpha"]
+              u = "u_{1,0}" and on vol_M2 for "u_{0,1}", without params; for
+              "u_{alpha,1}" sum_chi chi_S(alpha) c0(S,chi)^2/4, alpha =
+              params["alpha"]
       sigma5  the quasi-split unitary group U(1,1) of E = Q(sqrt(d)), d the
               first parameter of sigma, with u = "u_beta" and beta =
               params["alpha"]: {c0(S) + chi_{E,S}(beta) L^S(1,chi_E)
               delta_{E,S}}/2 on vol_centralizer, delta_{E,S} = 1 when chi_E
-              is unramified outside S; another u, or a params key other than
-              alpha, raises ValueError
+              is unramified outside S; for sigma1 and sigma5 another u, or a
+              params key other than alpha, raises ValueError
 
     alpha and beta default to 1.  sigma2 and sigma3 have split rank 2, so
     eps = 0 and the coefficient is 0.  sigma4 and sigma6 need L-data of the
@@ -317,12 +318,13 @@ def descent_coeff(sigma: CentralizerClass, u, S: PlaceSet, vols: VolumeParams | 
             "data of the quadratic extension E itself and are not implemented")
     c0 = ("c0(S)", lfun.laurent_at_1(None, S).c0)
     if kind == "sigma1":
-        if u == "u_{alpha,1}":
+        if u == "u_{alpha,1}" and params.keys() <= {"alpha"}:
             per_char = _c0_power_terms(S, vols, lfun.DEFAULT_DIGITS, 2, Fraction(1, 4))
             return CoeffResult(_char_sum(S, params.get("alpha", 1), per_char),
                                "centralizer-gl2pair-diagonal")
-        if u not in ("u_{1,0}", "u_{0,1}"):
-            raise ValueError(f"unknown gl2pair orbit {u!r}")
+        if u not in ("u_{1,0}", "u_{0,1}") or params:
+            raise ValueError("the gl2pair orbits are u_{1,0} and u_{0,1} without params and "
+                             f"u_{{alpha,1}} with params alpha; got {u!r}, {params!r}")
         first = u == "u_{1,0}"
         return CoeffResult([_term(Fraction(1, 2), "vol_m1" if first else "vol_m2", vols, [c0])],
                            f"centralizer-gl2pair-{'first' if first else 'second'}")

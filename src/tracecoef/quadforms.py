@@ -3,10 +3,10 @@
 Diagonalization, the product-normalized Hasse invariant
 eps_v(x) = (alpha,alpha)_v (alpha,beta)_v (beta,beta)_v for a diagonalization
 diag(alpha,beta) (note the extra (alpha,alpha)(beta,beta) factors compared
-with the textbook Hasse-Witt symbol), the equivalence relations by
-S-square-class of the determinant with or without the Hasse profile,
-realizable local invariant pairs, unipotent orbit enumeration for the six
-groups, and the classification of semisimple centralizers in GSp(2).
+with the textbook Hasse-Witt symbol), realizable local invariant pairs, form
+class representatives by S-square-class of the determinant with or without
+the Hasse profile, unipotent orbit enumeration for the six groups, and the
+classification of semisimple centralizers in GSp(2).
 """
 from __future__ import annotations
 
@@ -97,22 +97,6 @@ def _hasse_diag(alpha, beta, v) -> int:
 
 def hasse_profile(x: SymForm2, S: PlaceSet) -> dict:
     return {v: hasse(x, v) for v in S}
-
-
-def classify_form(x: SymForm2, S: PlaceSet, rel: str = "det"):
-    """Class label of x: for rel="det" the tuple of local square-class labels
-    of -det(x) over S; for rel="det+hasse" additionally the Hasse profile."""
-    minus_det = -x.det
-    det_key = tuple(local_square_class(minus_det, v) for v in S)
-    if rel == "det":
-        return det_key
-    if rel == "det+hasse":
-        return det_key, tuple(hasse(x, v) for v in S)
-    raise ValueError(f"unknown relation {rel!r}")
-
-
-def is_equiv(x: SymForm2, y: SymForm2, S: PlaceSet, rel: str = "det") -> bool:
-    return classify_form(x, S, rel) == classify_form(y, S, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -227,17 +227,17 @@ def l1_smoothed(D: int, tol: float = 1e-12) -> float:
     Odd case (D<0):   L = sum chi(n) [ exp(-pi n^2/q)/n + (pi/sqrt(q)) erfc(n r) ]
     with q = |D|, r = sqrt(pi/q); both root numbers are +1 for chi_D.
     """
-    from scipy.special import erfc, exp1
-
     q = abs(D)
     n_max = int(math.sqrt(q * math.log(1 / tol) / math.pi)) + 2
     n = np.arange(1, n_max + 1, dtype=np.float64)
     chi = np.array([kronecker(D, int(k)) for k in range(1, n_max + 1)], dtype=np.float64)
     r = math.sqrt(math.pi / q)
+    erfc = np.array([math.erfc(k * r) for k in n.tolist()])
     if D > 0:
-        terms = erfc(n * r) / n + exp1(math.pi * n * n / q) / math.sqrt(q)
+        e1 = np.array([float(mp.e1(math.pi * k * k / q)) for k in n.tolist()])
+        terms = erfc / n + e1 / math.sqrt(q)
     else:
-        terms = np.exp(-math.pi * n * n / q) / n + (math.pi / math.sqrt(q)) * erfc(n * r)
+        terms = np.exp(-math.pi * n * n / q) / n + (math.pi / math.sqrt(q)) * erfc
     return float(np.add.reduce(chi * terms))
 
 

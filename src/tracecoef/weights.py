@@ -458,14 +458,8 @@ def _two_member(log_Q, T: TruncParam, up: tuple, down: tuple) -> RowFamily:
 def family_m1(nu: NuEntries, T: TruncParam, u12=None) -> RowFamily:
     """Two-member Siegel-Levi family whose limit is w_M1."""
     if u12 is None:
-        if nu.n12 != 0:
-            raise DegenerateWeightError("nu12 must vanish for the radical case")
         Q = nu.n13 * nu.n24 - nu.n14 * nu.n14  # det(Y)
-        if Q == 0:
-            raise DegenerateWeightError("det(Y) vanishes")
     else:
-        if _frac(u12) == 0 or nu.n24 == 0:
-            raise DegenerateWeightError("u12 or nu24 vanishes")
         Q = _frac(u12) ** 2 * nu.n24**2
     return _two_member(lambda: log_abs_S(Q, nu.S), T, (1, 0), (1, 0))
 
@@ -473,12 +467,8 @@ def family_m1(nu: NuEntries, T: TruncParam, u12=None) -> RowFamily:
 def family_m2(nu: NuEntries, T: TruncParam, u24=None) -> RowFamily:
     """Two-member Klingen-Levi family whose limit is w_M2."""
     if u24 is None:
-        if nu.n24 != 0:
-            raise DegenerateWeightError("nu24 must vanish for the radical case")
         log_Q = lambda: mp.ln(height_S((nu.n12, nu.n13 / 2, nu.n14), nu.S))  # noqa: E731
     else:
-        if _frac(u24) == 0 or nu.n12 == 0:
-            raise DegenerateWeightError("u24 or nu12 vanishes")
         log_Q = lambda: log_abs_S(nu.n12**2 * _frac(u24) / 2, nu.S)  # noqa: E731
     return _two_member(log_Q, T, (0, 1), (0, 1))
 
@@ -487,12 +477,8 @@ def family_mp_gl3(nu: Nu3Entries, T: TruncParam, u12=None) -> RowFamily:
     """Two-member maximal-Levi family of GL(3); the T-projection is split
     asymmetrically (T2 on one side, T1 on the other)."""
     if u12 is None:
-        if nu.n12 != 0:
-            raise DegenerateWeightError("nu12 must vanish for the radical case")
         log_Q = lambda: mp.ln(height_S((nu.n13, nu.n23), nu.S))  # noqa: E731
     else:
-        if _frac(u12) == 0 or nu.n23 == 0:
-            raise DegenerateWeightError("u12 or nu23 vanishes")
         log_Q = lambda: log_abs_S(nu.n23 * _frac(u12), nu.S)  # noqa: E731
     return _two_member(log_Q, T, (0, 1), (1, 0))
 
@@ -579,8 +565,8 @@ FACTORS = {
 def factor_check(which: str, nu, T: TruncParam, u=None, *, seed: int,
                  engine: bool = True) -> dict:
     """The closed form of the weight factor `which` (u: the Levi unipotent
-    entry of a one-variable factor) at the engine's precision and, with
-    engine, gm_family_limit of its family and their deviation."""
+    entry of a one-variable factor), which refuses degenerate input, at the
+    engine's precision and, with engine, gm_family_limit of its family and their deviation."""
     closed, family, dims, _ = FACTORS[which]
     extra = (u,) if dims == 1 else ()
     with mp.workdps(engine_dps(dims)):

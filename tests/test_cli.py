@@ -98,6 +98,26 @@ def test_usage_and_instability_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("which, nu, u, message", [
+    ("m1", "1,1,1,1", None, "nu12 must vanish for the radical case"),
+    ("m1", "0,1,1,1", None, "det(Y) vanishes"),
+    ("m1", "1,1,1,1", "0", "u12 vanishes"),
+    ("m2", "1,1,1,1", None, "nu24 must vanish for the radical case"),
+    ("m2", "0,0,0,0", None, "(nu12, nu13, nu14) vanishes"),
+    ("gl3-mp", "1,1,1", None, "nu12 must vanish for the radical case"),
+    ("gl3-mp", "1,1,0", "1", "nu23 vanishes"),
+], ids=["m1-radical-nu12", "m1-detY", "m1-u12", "m2-radical-nu24", "m2-radical-zero",
+        "gl3mp-radical-nu12", "gl3mp-nu23"])
+def test_weights_engine_refuses_degenerate_input_by_the_closed_form(capsys, which, nu, u,
+                                                                    message):
+    """weights --engine refuses degenerate input once, with the closed form's
+    message, before the family is built."""
+    argv = ["weights", "--which", which, "--nu", nu, "--S", "2", "--engine", "--json"]
+    code, out = run_cli(capsys, *argv, *(["--u", u] if u else []))
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "usage", "message": message}
+
+
 @pytest.mark.parametrize("alpha, X, code, S", [("-1", "2000", 0, "2"), ("2", "2000", 2, "2"),
                                               ("6", "100000", 0, "2"), ("-3", "100000", 0, "2"),
                                               ("-1", "100000", 0, "2,3")],

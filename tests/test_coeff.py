@@ -284,6 +284,17 @@ def test_unitary_family_refuses_another_u_or_params_key(u, params):
         descent_coeff(centralizer_classify("sigma5", -1, 1, 1), u, S2, params=params)
 
 
+@pytest.mark.parametrize("u, params", [("u_bogus", None), ("u_{alpha,1}", {"beta": 3}),
+                                       ("u_{1,0}", {"alpha": 3}), ("u_{0,1}", {"alpha": 3})],
+                         ids=["unknown-u", "beta-key", "first-params", "second-params"])
+def test_gl2pair_family_refuses_another_u_or_params(u, params):
+    """sigma1 reads alpha from params for u_{alpha,1} alone: a params key other
+    than alpha, or any params on u_{1,0} and u_{0,1}, is refused, never served
+    the value without them."""
+    with pytest.raises(ValueError, match="gl2pair"):
+        descent_coeff(centralizer_classify("sigma1"), u, S2, params=params)
+
+
 def test_endoscopic_min_example():
     d = endoscopic_diff(S2, "min", 1)
     with mp.workdps(35):

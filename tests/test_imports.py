@@ -48,3 +48,19 @@ def test_the_module_import_graph_is_acyclic():
     assert set().union(*graph.values()) <= set(MODULES)
     order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert order.index("arith") < order.index("coeff") < order.index("cli")
+
+
+def test_no_module_imports_scipy():
+    """scipy is a test dependency only: no import in the package names it,
+    at module level or inside a function."""
+    found = []
+    for name, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [(name, node.lineno) for m in mods if m.split(".")[0] == "scipy"]
+    assert found == []

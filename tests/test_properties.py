@@ -5,6 +5,7 @@ num*den^2 (cube classes).  The references below work on the rational itself,
 with Fraction unit parts reduced modulo p^k, Euler's criterion and brute
 cube tables, and share no code with `arith`.
 """
+import functools
 import math
 from fractions import Fraction
 
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 
 from tracecoef.arith import (
     OO,
+    PlaceSet,
+    cclass_reps,
     hilbert,
     is_cube_at,
     is_square_at,
     local_cube_class,
     local_square_class,
+    sclass_reps,
     valuation,
 )
 from tracecoef.quadforms import SymForm2, hasse
@@ -155,6 +159,24 @@ def test_hilbert_matches_reference(a, b, v):
 def test_cube_class_matches_reference(x, v):
     assert local_cube_class(x, v) == ref_local_cube_class(x, v)
     assert is_cube_at(x, v) == ref_is_cube_at(x, v)
+
+
+@functools.cache
+def _class_reps(primes):
+    S = PlaceSet.of(*primes)
+    return S, ((sclass_reps(S), local_square_class), (cclass_reps(S), local_cube_class))
+
+
+@SETTINGS
+@given(rationals(), st.sampled_from(((2,), (2, 3), (3, 7), (2, 7))))
+def test_class_reps_partition_q_times(x, primes):
+    """Exactly one square-class (cube-class) representative shares the class
+    of x over S, and it is the one whose local labels are x's labels."""
+    S, families = _class_reps(primes)
+    for reps, label in families:
+        hits = [r for r in reps if r.same_class(x, S)]
+        assert len(hits) == 1
+        assert hits[0].local_labels == {v: label(x, v) for v in S}
 
 
 small = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracecoef.arith import OO, PlaceSet, is_square_at, sclass_reps
+from tracecoef.arith import OO, PlaceSet, is_square_at, local_square_class, sclass_reps
 from tracecoef.quadforms import (
     OrbitClass,
     SymForm2,
@@ -13,8 +13,8 @@ from tracecoef.quadforms import (
     enum_form_classes,
     hasse,
     hasse_profile,
-    is_equiv,
     realizable_eps,
+    subregular_type,
     unipotent_orbit_set,
 )
 from tracecoef.coeff import descent_coeff
@@ -75,20 +75,28 @@ def test_hasse_congruence_invariance():
                 assert hasse(h, v) == hasse(f, v), (f, g, v)
 
 
+def _det_class(x, S):
+    """The labels of -det(x) over S: forms agree under "det" iff these do."""
+    return tuple(local_square_class(-x.det, v) for v in S)
+
+
 def test_equivalence_examples():
     x4 = SymForm2.x_alpha(4)
     for S in (S2, S23):
-        assert is_equiv(X1, x4, S, "det")
+        assert _det_class(X1, S) == _det_class(x4, S)
+        assert subregular_type(x4, S) == "sub'"
     # same det and same Hasse profile by symmetry of the formula
     y = SymForm2(-1, 0, 1)
-    assert is_equiv(X1, y, S2, "det+hasse")
+    assert _det_class(X1, S2) == _det_class(y, S2)
+    assert hasse_profile(X1, S2) == hasse_profile(y, S2)
     x17 = SymForm2.x_alpha(17)
-    assert is_equiv(X1, x17, S2, "det")
-    assert not is_equiv(X1, SymForm2.x_alpha(3), S2, "det")
+    assert subregular_type(x17, S2) == "sub'"
+    assert subregular_type(SymForm2.x_alpha(3), S2) == "sub"
 
 
 def test_det_classifies_relation():
-    """is_equiv under "det" iff det ratio is a square at every v in S."""
+    """Two forms share the labels of -det over S iff their det ratio is a
+    square at every v in S."""
     rng = random.Random(13)
     forms = []
     while len(forms) < 8:
@@ -100,7 +108,7 @@ def test_det_classifies_relation():
             pass
     for x in forms:
         for y in forms:
-            lhs = is_equiv(x, y, S2, "det")
+            lhs = _det_class(x, S2) == _det_class(y, S2)
             rhs = all(is_square_at(x.det / y.det, v) for v in S2)
             assert lhs == rhs
 

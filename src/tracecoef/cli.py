@@ -91,25 +91,21 @@ def _coeff_doc(res: CoeffResult) -> dict:
 # Binary L-value cache
 # ---------------------------------------------------------------------------
 
-# the columns of the records held, 8 bytes each
-_COLS = (("D", "<i8"), ("L1", "<f8"), ("digits", "<i8"))
-_METHOD = "class-number-formula"  # the method of every record
 # a batch: _MAGIC, the record count n (8 bytes), the CRC-32 of the columns (4
-# bytes), then the n D, the n L1 and the n digits, all little-endian
-_MAGIC = f"tracecoef L(1) batch 1 {_METHOD}\n".encode()
+# bytes), then the n D and the n L1, all little-endian
+_MAGIC = b"tracecoef L(1) batch 2 class-number-formula\n"
 _HEAD = len(_MAGIC) + 12
-_RECORD_KEYS = {"D": int, "L1": float, "digits": int, "method": str}
 
 
-def _batch(D, L1, digits) -> bytes:
-    """The batch of the int64, float64 and int64 columns D, L1 and digits."""
-    cols = np.stack((D, L1.view(np.int64), digits)).astype("<i8", copy=False).tobytes()
+def _batch(D, L1) -> bytes:
+    """The batch of the int64 and float64 columns D and L1."""
+    cols = np.stack((D, L1.view(np.int64))).astype("<i8", copy=False).tobytes()
     return b"".join((_MAGIC, len(D).to_bytes(8, "little"),
                      zlib.crc32(cols).to_bytes(4, "little"), cols))
 
 
 def _batches(data: bytes) -> tuple[np.ndarray, int]:
-    """The (3, n) int64 columns of the whole batches of data in order, and
+    """The (2, n) int64 columns of the whole batches of data in order, and
     the number of stretches skipped: a batch that fails its CRC or is cut
     short, or bytes between batches.  A skip resumes at the next _MAGIC.
     zlib is loaded with numpy already; hashlib would load OpenSSL, 3.5 MB of
@@ -117,124 +113,101 @@ def _batches(data: bytes) -> tuple[np.ndarray, int]:
     view, cols, skipped, i = memoryview(data), [], 0, 0
     while 0 <= i < len(data):
         n = int.from_bytes(view[i + len(_MAGIC):i + _HEAD - 4], "little")
-        end = i + _HEAD + 24 * n
+        end = i + _HEAD + 16 * n
         if (data.startswith(_MAGIC, i) and end <= len(data) and zlib.crc32(view[i + _HEAD:end])
                 == int.from_bytes(view[i + _HEAD - 4:i + _HEAD], "little")):
-            cols.append(np.frombuffer(data, "<i8", 3 * n, i + _HEAD).reshape(3, n))
+            cols.append(np.frombuffer(data, "<i8", 2 * n, i + _HEAD).reshape(2, n))
             i = end
         else:
             skipped += 1
             i = data.find(_MAGIC, i + 1)
-    return np.concatenate(cols, axis=1) if cols else np.empty((3, 0), "<i8"), skipped
+    return np.concatenate(cols, axis=1) if cols else np.empty((2, 0), "<i8"), skipped
 
 
-def _ranked(cols: dict):
-    """For records in the order they were written: whether each outranks every
-    earlier record of its D, and the index of the record held for each D, by
-    increasing D.  A plausible L1 (a finite float > 0) outranks an implausible
-    one, then the most digits wins, and ties go to the later one."""
-    L1, D = cols["L1"], cols["D"]
-    ranks = (cols["digits"], (L1 > 0) & (L1 < np.inf), D)  # lexsort: the last key first
-    order = np.lexsort(ranks)  # stable: records that tie stay in written order
-    above = np.zeros(len(L1), bool)  # order[i] ranks above order[i - 1]
-    for k in ranks:
-        above[1:] |= k[order][1:] != k[order][:-1]
-    rank = np.empty(len(L1), np.int64)
-    rank[order] = np.cumsum(above)  # increases with D
-    by_D = np.argsort(D, kind="stable")
-    outranks = np.empty(len(L1), bool)
-    outranks[by_D] = rank[by_D] == np.maximum.accumulate(rank[by_D])
-    won = by_D[outranks[by_D]]  # the last of each D is the one held
-    return outranks, won[np.append(D[won][1:] != D[won][:-1], True)]
+def _find(keys: np.ndarray, Ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each D of Ds, where it is or would go in the sorted keys, and
+    whether keys holds it.  np.searchsorted, not np.isin: on a sparse range
+    of D np.isin loads numpy.ma, about 1 MB of resident memory."""
+    i = np.minimum(np.searchsorted(keys, Ds), max(len(keys) - 1, 0))
+    return i, keys[i] == Ds if len(keys) else np.zeros(len(Ds), bool)
 
 
 class JsonlCache:
-    """Append-only binary cache of L(1,chi_D) records of _METHOD: batches of
-    the columns D, L1 and digits, each with a CRC-32 (the class name is
-    historical; the file once held JSON lines).  A file that is not empty
-    and does not start with _MAGIC is refused with ValueError, and never
-    written.  A batch that fails its CRC or is cut short yields no record,
-    with one warning per read.
+    """Append-only binary cache of L(1,chi_D) records (D, L1) of the
+    class-number formula: batches of the columns D and L1, each with a
+    CRC-32 (the class name is historical; the file once held JSON lines).  A
+    file that is not empty and does not start with _MAGIC is refused with
+    ValueError, and never written.  A batch that fails its CRC or is cut
+    short yields no record, with one warning per read.
 
-    Of the records of one D, the one held is the first by the rule of
-    _ranked, on reads and on writes: a record is stored, and appended, only
-    if it outranks the one held.  The records held are numpy columns sorted
-    by D.  lookup_l1 and store_l1 are the bulk forms of get and put."""
+    The record held for D is the first plausible one written, plausible
+    meaning a finite L1 > 0, as L(1, chi_D) is for every real primitive
+    chi_D; a record is appended only for a D that has none.  The records
+    held are numpy columns sorted by D.  lookup_l1 and store_l1 are the bulk
+    forms of get and put."""
 
     def __init__(self, path: str | None):
         self.path = path
-        self._cols = {name: np.empty(0, dt) for name, dt in _COLS}
         data = b""
-        if path and os.path.exists(path):
-            with open(path, "rb") as fh:
-                data = fh.read()
+        try:
+            if path and os.path.exists(path):
+                with open(path, "rb") as fh:
+                    data = fh.read()
+        except OSError as e:
+            raise ValueError(f"{path}: cannot read the cache ({e.strerror})") from None
         if data and not data.startswith(_MAGIC):
-            raise ValueError(f"{path} is not an L(1) cache file of this version (earlier "
-                             "versions wrote JSON lines); delete it or choose another path")
+            raise ValueError(f"{path} is not an L(1) cache file of this version (earlier versions "
+                             "wrote JSON lines or batch 1); delete it or choose another path")
         cols, skipped = _batches(data)
         if skipped:
             print(f"warning: skipping {skipped} corrupt or cut-short L(1) cache batches",
                   file=sys.stderr)
-        self._merge(cols[0], cols[1].view("<f8"), cols[2])
-
-    def _merge(self, D, L1, digits) -> np.ndarray:
-        """Hold the winners among the records held and the later new ones, the
-        columns of _COLS; whether each new one outranks those before it."""
-        if not len(D):
-            return np.zeros(0, bool)
-        cols = {name: np.concatenate((self._cols[name], col))
-                for (name, _), col in zip(_COLS, (D, L1, digits))}
-        outranks, held = _ranked(cols)
-        self._cols = {name: col[held] for name, col in cols.items()}
-        return outranks[len(outranks) - len(D):]
+        D, L1 = cols[0], cols[1].view("<f8")
+        ok = (L1 > 0) & (L1 < np.inf)
+        self._D, first = np.unique(D[ok], return_index=True)  # sorted, the first of each D
+        self._L1 = L1[ok][first]
+        self._bad = np.sort(D[~ok])  # the D of implausible records
 
     def get(self, D: int):
-        """The record held for D, or None."""
-        D, held = int(D), self._cols["D"]
-        i = int(np.searchsorted(held, D))
-        if i < len(held) and held[i] == D:
-            L1, digits = self._cols["L1"][i].item(), self._cols["digits"][i].item()
-            return {"D": D, "L1": L1, "digits": digits, "method": _METHOD}
+        """The L1 held for D, or None."""
+        return None if np.isnan(L1 := self.lookup_l1([D])[0]) else float(L1)
 
-    def put(self, rec: dict):
-        """store_l1 of the one L(1) record rec of _METHOD: a dict of the keys of
-        _RECORD_KEYS and of their types exactly, D and digits of 64 bits;
-        ValueError for any other."""
-        if not (isinstance(rec, dict) and rec.keys() == _RECORD_KEYS.keys()
-                and all(type(rec[k]) is t for k, t in _RECORD_KEYS.items())
-                and rec["method"] == _METHOD
-                and -2**63 <= rec["D"] < 2**63 and -2**63 <= rec["digits"] < 2**63):
-            raise ValueError(f"not an L(1) record of {_METHOD}: {rec!r}")
-        self.store_l1([rec["D"]], [rec["L1"]], rec["digits"])
+    def put(self, D: int, L1: float):
+        """store_l1 of the one record (D, L1)."""
+        self.store_l1([D], [L1])
 
     def lookup_l1(self, Ds) -> np.ndarray:
-        """For each D of Ds, the L1 of the record held for D if it is
-        plausible, a finite float > 0 (L(1, chi_D) > 0 for every real primitive
-        chi_D); nan otherwise.  One warning counts those skipped as implausible."""
-        Ds, held = np.asarray(Ds, dtype=np.int64), self._cols["D"]
-        if not len(held):
-            return np.full(len(Ds), np.nan)
-        i = np.minimum(np.searchsorted(held, Ds), len(held) - 1)
-        L1 = self._cols["L1"][i]
-        mine = held[i] == Ds
-        ok = mine & (L1 > 0) & (L1 < np.inf)
-        if bad := np.count_nonzero(mine & ~ok):
+        """For each D of Ds, the L1 held for D, nan if none.  One warning
+        counts those whose only records are implausible."""
+        Ds = np.asarray(Ds, dtype=np.int64)
+        i, held = _find(self._D, Ds)
+        if bad := np.count_nonzero(_find(self._bad, Ds)[1] & ~held):
             print(f"warning: recomputing {bad} implausible L(1) cache records", file=sys.stderr)
-        return np.where(ok, L1, np.nan)
+        L1 = np.full(len(Ds), np.nan)
+        L1[held] = self._L1[i[held]]
+        return L1
 
-    def store_l1(self, Ds, L1s, digits: int):
-        """Store the L(1) records (D, L1, digits) of the columns Ds and L1s in
-        order, each unless the one held for its D outranks it, with one
-        append of one batch; a non-finite L1 raises ValueError before anything
-        is stored."""
-        L1s = np.asarray(L1s, dtype=np.float64)
-        if not np.isfinite(L1s).all():
-            raise ValueError("a non-finite L1 is not stored")
-        Ds, digits = np.asarray(Ds, dtype=np.int64), np.full(len(L1s), digits, np.int64)
-        kept = self._merge(Ds, L1s, digits)
-        if self.path and kept.any():
-            with open(self.path, "ab", buffering=0) as fh:  # one write on an O_APPEND descriptor
-                fh.write(_batch(Ds[kept], L1s[kept], digits[kept]))
+    def store_l1(self, Ds, L1s):
+        """Store the records (D, L1) of the columns Ds and L1s whose D is not
+        held yet, the first of each D, in order, with one append of one batch;
+        an L1 that is not plausible raises ValueError before anything is
+        stored."""
+        Ds, L1s = np.asarray(Ds, dtype=np.int64), np.asarray(L1s, dtype=np.float64)
+        if not ((L1s > 0) & (L1s < np.inf)).all():
+            raise ValueError("an L1 that is not a finite float > 0 is not stored")
+        new, first = np.unique(Ds, return_index=True)
+        first = np.sort(first[~_find(self._D, new)[1]])
+        if not len(first):
+            return
+        if self.path:
+            try:
+                with open(self.path, "ab", buffering=0) as fh:  # one write, with O_APPEND
+                    fh.write(_batch(Ds[first], L1s[first]))
+            except OSError as e:
+                raise ValueError(f"{self.path}: cannot write the cache ({e.strerror})") from None
+        D = np.concatenate((self._D, Ds[first]))
+        order = np.argsort(D)
+        self._D, self._L1 = D[order], np.concatenate((self._L1, L1s[first]))[order]
 
 
 def open_cache(path: str | None) -> JsonlCache:
@@ -255,6 +228,14 @@ def _parse_S(text: str | None) -> PlaceSet:
 
 def _parse_list(text: str, conv=float) -> list:
     return [conv(x) for x in text.split(",") if x.strip()]
+
+
+def _entries(text: str, flag: str, names: str, conv=float) -> list:
+    """The comma-separated entries of the list flag, one for each of names."""
+    entries = _parse_list(text, conv)
+    if len(entries) != len(names.split(",")):
+        raise UsageError(f"{flag} needs the entries {names}, got {text!r}")
+    return entries
 
 
 _VOLS = ("vol_m0", "vol_m1", "vol_m2", "vol_mp", "vol_g")
@@ -374,8 +355,7 @@ def _sub_form(args, alpha: Fraction) -> SymForm2 | None:
     """The subregular form of a coeff/diff command: --form a,b,c, else
     x_alpha for --orbit sub or sub'; None for the other orbits."""
     if args.form:
-        a, b, c = _parse_list(args.form, Fraction)
-        return SymForm2(a, b, c)
+        return SymForm2(*_entries(args.form, "--form", "a,b,c", Fraction))
     if args.orbit in ("sub", "sub'"):
         return SymForm2.x_alpha(alpha)
     return None
@@ -487,19 +467,15 @@ def cmd_orbits(args) -> dict:
 
 def cmd_weights(args) -> dict:
     S = _parse_S(args.S)
-    T1, T2 = _parse_list(args.T)
-    T = wmod.TruncParam(T1, T2)
+    T = wmod.TruncParam(*_entries(args.T, "--T", "T1,T2"))
     u = Fraction(args.u) if args.u is not None else None
-    entries = _parse_list(args.nu, Fraction)
-    count = wmod.FACTORS[args.which][3]
-    if len(entries) != count:
-        raise UsageError("gl3 weights need nu = n12,n13,n23" if count == 3
-                         else "symplectic weights need nu = n12,n13,n14,n24")
-    nu = (wmod.Nu3Entries if count == 3 else wmod.NuEntries)(*entries, S)
+    gl3 = wmod.FACTORS[args.which][3] == 3
+    entries = _entries(args.nu, "--nu", "n12,n13,n23" if gl3 else "n12,n13,n14,n24", Fraction)
+    nu = (wmod.Nu3Entries if gl3 else wmod.NuEntries)(*entries, S)
     result = wmod.factor_check(args.which, nu, T, u, engine=args.engine, seed=args.seed)
     return {
         "command": "weights",
-        "inputs": {"which": args.which, "nu": entries, "u": u, "T": [T1, T2], "S": str(S)},
+        "inputs": {"which": args.which, "nu": entries, "u": u, "T": [T.T1, T.T2], "S": str(S)},
         "result": result,
     }
 
@@ -552,9 +528,13 @@ def _determinism_check(cache, ids=(1, 3, 7, 10)) -> dict:
 
 def cmd_selftest(args) -> dict:
     cache = open_cache(args.cache)
-    ids = _parse_list(args.criteria, int) if args.criteria else None
-    results = selfcheck.run_criteria(ids, quick=args.quick, cache=cache)
-    if ids is None or 11 in (ids or []):
+    known = [*selfcheck.CRITERIA, 11]
+    ids = _parse_list(args.criteria, int) if args.criteria else known
+    if unknown := sorted(set(ids) - set(known)):
+        raise UsageError(f"--criteria: unknown ids {unknown}; the valid ids are {known}")
+    rest = [i for i in ids if i != 11]  # run_criteria([]) would run them all
+    results = selfcheck.run_criteria(rest, quick=args.quick, cache=cache) if rest else []
+    if 11 in ids:
         results.append(_determinism_check(cache))
     table = [
         {"id": r["id"], "name": r["name"], "passed": r["passed"], "details": r["details"]}

@@ -73,7 +73,6 @@ from .characters import conductor_outside, disc_classes, quad_char_of
 from . import lfun
 
 _L2S_PRIME_BOUND = 200  # the Euler product of L^S(2s, chi_D), 2s >= 3, stops here (_l2s_values)
-L1_DIGITS = 15  # the digits stored with an L(1) cache record
 
 
 def require_X(X: int) -> int:
@@ -410,14 +409,14 @@ def _l1_values(D: np.ndarray, cache) -> np.ndarray:
     if miss.any():
         L1[miss] = _l1_class_number_bulk(D[miss])
         if cache is not None:
-            cache.store_l1(D[miss], L1[miss], L1_DIGITS)
+            cache.store_l1(D[miss], L1[miss])
     return L1
 
 
 def build_terms(alpha, S: PlaceSet, X: int, cache=None) -> Terms:
     """All summands of xi^S(.; alpha) with |fundamental discriminant| <= X,
     ordered by |D| then d.  The cache, if given, needs lookup_l1(D array)
-    and store_l1(D array, L1 array, digits) as cli.JsonlCache."""
+    and store_l1(D array, L1 array) as cli.JsonlCache."""
     S.require_2("the Shintani zeta function")
     a_val = alpha.value if isinstance(alpha, SquareClassRep) else squarefree_kernel(alpha)
     d = np.asarray(disc_classes(S, a_val, X=X, kind="Q_S").entries, dtype=np.int64)

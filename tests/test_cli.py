@@ -136,9 +136,6 @@ def test_shintani_exit_codes(capsys, alpha, X, code, S):
         assert json.loads(out)["result"]["unstable"] is False
 
 
-METHOD = "class-number-formula"  # the method of every record held
-
-
 X_TOO_SMALL = ('{\n  "error": {\n    "code": "usage",\n'
                '    "message": "X must be at least 10^3"\n  }\n}\n')
 
@@ -153,38 +150,44 @@ def test_X_below_10_to_3_is_a_usage_error(capsys, argv):
 
 
 def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "cache.jsonl")
+    path = str(tmp_path / "cache.bin")
     c = JsonlCache(path)
-    c.put({"D": -4, "L1": 0.7853981633974483, "method": METHOD, "digits": 15})
-    c.put({"D": 8, "L1": 1.2, "method": METHOD, "digits": 15})
+    c.put(-4, 0.7853981633974483)
+    c.put(8, 1.2)
     with pytest.raises(ValueError):
-        c.put({"D": 5, "L1": 0.43, "method": "x", "digits": 15})
+        c.put(5, -0.43)
     c2 = JsonlCache(path)
-    assert c2.get(-4)["L1"] == 0.7853981633974483
-    assert c2.get(8) == {"D": 8, "L1": 1.2, "digits": 15, "method": METHOD}
+    assert c2.get(-4) == 0.7853981633974483 and type(c2.get(8)) is float
+    assert c2.get(8) == 1.2
     assert c2.get(5) is None and c2.get(-3) is None
 
 
-def test_cache_highest_digits_wins(tmp_path, capsys):
-    path = tmp_path / "cache.bin"
-    path.write_bytes(l1cache.batch([(-4, 0.78, 10)]) + l1cache.batch([(-4, 0.785398, 20)])
-                     + l1cache.batch([(-4, 0.79, 10)]) + b"not a batch at all\n"
-                     + l1cache.batch([(8, 1.1, 10), (8, 1.2, 10)]))
-    c = JsonlCache(str(path))
-    assert c.get(-4)["L1"] == 0.785398  # highest digits wins
-    assert c.get(8)["L1"] == 1.2        # ties: last wins
-    assert capsys.readouterr().err.count("skipping 1 corrupt") == 1
-    # an in-memory put with fewer digits must not clobber
-    c.put({"D": -4, "L1": 0.7, "digits": 5, "method": METHOD})
-    assert c.get(-4)["L1"] == 0.785398
+def test_cache_first_plausible_record_wins(tmp_path, capsys):
+    """Of the records of one D, the first plausible one is held, whatever the
+    batching of the file: records in one batch, or one batch each with bytes
+    that are no batch among them (one warning).  A put of a D held neither
+    replaces it nor appends."""
+    recs = [(-4, 0.78), (-4, 0.785398), (-4, 0.79), (8, -1.1), (8, 1.2), (8, 1.3),
+            (5, math.nan), (5, 0.43)]
+    for name, data, skipped in (
+            ("one", l1cache.batch(recs), 0),
+            ("each", b"".join(l1cache.batch([r]) for r in recs[:3]) + b"not a batch at all\n"
+             + b"".join(l1cache.batch([r]) for r in recs[3:]), 1)):
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        c = JsonlCache(str(path))
+        assert [c.get(D) for D in (-4, 8, 5)] == [0.78, 1.2, 0.43]
+        assert capsys.readouterr().err.count("skipping 1 corrupt") == skipped
+        c.put(-4, 0.7)
+        assert c.get(-4) == 0.78 and path.read_bytes() == data
 
 
 def test_cache_store_l1_same_bytes_as_put(tmp_path):
     """One bulk append writes the records that the sequential puts write,
-    column bytes for column bytes, with the same digits precedence applied to
-    each record: one batch against one batch per put."""
-    seed = l1cache.batch([(-4, 0.785398, 20)])
-    Ds, L1s = [-4, 5, 8, 5], [0.7, 0.43, 0.62, 0.4304]  # -4: fewer digits, skipped; 5: tie, wins
+    column bytes for column bytes: the first record of each D not held, one
+    batch against one batch per put."""
+    seed = l1cache.batch([(-4, 0.785398)])
+    Ds, L1s = [-4, 5, 8, 5], [0.7, 0.43, 0.62, 0.4304]  # -4: held, skipped; 5: the first wins
     appended = []
     for name in ("put", "store_l1"):
         path = tmp_path / f"{name}.bin"
@@ -192,75 +195,50 @@ def test_cache_store_l1_same_bytes_as_put(tmp_path):
         c = JsonlCache(str(path))
         if name == "put":
             for D, L1 in zip(Ds, L1s):
-                c.put({"D": D, "L1": L1, "method": METHOD, "digits": 15})
+                c.put(D, L1)
         else:
-            c.store_l1(Ds, L1s, 15)
-        assert c.get(-4)["L1"] == 0.785398 and c.get(5)["L1"] == 0.4304
+            c.store_l1(Ds, L1s)
+        assert c.get(-4) == 0.785398 and c.get(5) == 0.43
         appended.append(l1cache.batches(path.read_bytes()[len(seed):]))
     assert appended[0] == [[rec] for rec in appended[1][0]]
-    assert appended[1] == [[(5, 0.43, 15), (8, 0.62, 15), (5, 0.4304, 15)]]
+    assert appended[1] == [[(5, 0.43), (8, 0.62)]]
 
 
 def test_cache_rejects_non_finite_record(tmp_path):
-    """An L1 that is not finite is refused, not stored as a string, and
-    nothing of its batch reaches the file."""
-    path = tmp_path / "cache.jsonl"
+    """An L1 that is not a finite float > 0 is refused, and nothing of its
+    batch reaches the file or the records held."""
+    path = tmp_path / "cache.bin"
     c = JsonlCache(str(path))
-    for bad in (float("nan"), float("inf")):
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.5):
         with pytest.raises(ValueError):
-            c.store_l1([5, 8], [0.43, bad], 15)
+            c.store_l1([5, 8], [0.43, bad])
         with pytest.raises(ValueError):
-            c.put({"D": 8, "L1": bad, "method": METHOD, "digits": 15})
+            c.put(8, bad)
     assert not path.exists()
     assert c.get(5) is None and c.get(8) is None
 
 
-RECORDS = st.fixed_dictionaries({
-    "D": st.integers(-10**12, 10**12),
-    "L1": st.floats(allow_nan=False, allow_infinity=False),
-    "method": st.one_of(st.just(METHOD), st.just(METHOD), st.text(max_size=30)),
-    "digits": st.integers(-10**6, 10**6),
-})
-OTHER_RECORDS = st.one_of(
-    RECORDS.map(lambda r: {**r, "D": bool(r["D"] % 2)}),
-    RECORDS.map(lambda r: {**r, "D": r["D"] + 2**63}),
-    RECORDS.map(lambda r: {**r, "digits": -r["digits"] - 2**63 - 1}),
-    RECORDS.map(lambda r: {**r, "L1": r["D"]}),
-    RECORDS.map(lambda r: {**r, "method": None}),
-    RECORDS.map(lambda r: {**r, "extra": None}),
-    RECORDS.map(lambda r: {k: v for k, v in r.items() if k != "method"}),
-    RECORDS.map(lambda r: [r["D"], r["L1"]]),
-)
-
-
-def _is_l1_record(rec) -> bool:
-    return (isinstance(rec, dict) and rec.keys() == {"D", "L1", "digits", "method"}
-            and type(rec["D"]) is int and type(rec["digits"]) is int
-            and -2**63 <= rec["D"] < 2**63 and -2**63 <= rec["digits"] < 2**63
-            and type(rec["L1"]) is float and rec["method"] == METHOD)
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(RECORDS, OTHER_RECORDS), max_size=8,
-                unique_by=lambda r: int(r["D"] if isinstance(r, dict) else r[0])))
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), st.floats()),
+                max_size=8))
 def test_cache_lines_are_the_encoder_bytes(recs):
-    """put appends exactly the batch that tests/l1cache.py encodes for an
-    L(1) record of METHOD, and refuses any other shape or method with
-    ValueError, writing nothing and holding nothing of it."""
+    """put appends exactly the batch that tests/l1cache.py encodes for the
+    record (D, L1) of a D not held, nothing for a D held, and refuses an
+    implausible L1 with ValueError, writing nothing and holding nothing of it."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cache.bin"
         c = JsonlCache(str(path))
-        for rec in recs:
-            if _is_l1_record(rec):
-                c.put(rec)
+        for D, L1 in recs:
+            if 0 < L1 < math.inf:
+                c.put(D, L1)
             else:
                 with pytest.raises(ValueError):
-                    c.put(rec)
+                    c.put(D, L1)
         got = path.read_bytes() if path.exists() else b""
-        held = sum(map(len, c._cols.values()))
-    want = [rec for rec in recs if _is_l1_record(rec)]
-    assert got == b"".join(l1cache.batch([(r["D"], r["L1"], r["digits"])]) for r in want)
-    assert held == 3 * len(want)
+        held = {D: c.get(D) for D, _ in recs if c.get(D) is not None}
+    want = l1cache.first_plausible(recs)
+    assert got == b"".join(l1cache.batch([rec]) for rec in want.items())
+    assert held == want
 
 
 def test_cache_names_perfbench_wraps(tmp_path):
@@ -276,33 +254,32 @@ def test_cache_names_perfbench_wraps(tmp_path):
         import spans
     finally:
         sys.path.pop(0)
-    cache = JsonlCache(str(tmp_path / "cache.jsonl"))
-    cache.put({"D": -4, "L1": 0.7853981633974483, "method": METHOD, "digits": 15})
+    cache = JsonlCache(str(tmp_path / "cache.bin"))
     rec = spans.Recorder()
     rec.install()
     try:
-        assert cache.get(-4) == {"D": -4, "L1": 0.7853981633974483, "digits": 15,
-                                 "method": METHOD}
+        cache.put(-4, 0.7853981633974483)
+        assert cache.get(-4) == 0.7853981633974483
     finally:
         rec.uninstall()
     assert rec.counts["cli.cache.gets"] == 1 and rec.counts["cli.cache.hits"] == 1
 
 
-HELD = st.lists(st.tuples(st.integers(-12, 12), st.floats(), st.integers(10, 20)), max_size=12)
+HELD = st.lists(st.tuples(st.integers(-12, 12), st.floats()), max_size=12)
 
 
 @settings(max_examples=150, deadline=None)
 @given(held=st.lists(HELD, max_size=3),
        batch=st.lists(st.tuples(st.integers(-12, 12),
-                                st.floats(allow_nan=False, allow_infinity=False)), max_size=12),
-       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
-       digits=st.integers(12, 18))
-def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, digits):
+                                st.floats(0, exclude_min=True, allow_infinity=False)),
+                      max_size=12),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf, 0.0, -1.5]))
+def test_cache_bulk_agrees_with_get_and_put(held, batch, bad):
     """lookup_l1 and store_l1 against get and sequential puts, on files of
-    batches that hold records with more digits, implausible L1s (nan, inf
-    and <= 0 among them, which only a file written by hand can hold) and
-    duplicate D: the same values served, the same records held, the same
-    records appended; a batch with a non-finite L1 is refused whole."""
+    batches that hold implausible L1s (nan, inf and <= 0 among them, which
+    only a file written by hand can hold) and duplicate D: the same values
+    served, the same records held, the same records appended; a batch with
+    an implausible L1 is refused whole."""
     Ds, L1s = [D for D, _ in batch], [L1 for _, L1 in batch]
     if bad is not None:
         Ds, L1s = Ds + [0], L1s + [bad]
@@ -312,42 +289,36 @@ def test_cache_bulk_agrees_with_get_and_put(held, batch, bad, digits):
         for path in paths:
             path.write_bytes(seed)
         seq, bulk = (JsonlCache(str(path)) for path in paths)
-
-        def served(rec):
-            if rec is None:
-                return None
-            assert rec["method"] == METHOD and type(rec["L1"]) is float
-            return rec["L1"] if 0 < rec["L1"] < math.inf else None
-        want = [served(seq.get(D)) for D in Ds]
         with contextlib.redirect_stderr(io.StringIO()):
+            want = [seq.get(D) for D in Ds]
             assert [None if x != x else x for x in bulk.lookup_l1(Ds)] == want
         if bad is None:
             for D, L1 in zip(Ds, L1s):
-                seq.put({"D": D, "L1": L1, "method": METHOD, "digits": digits})
-            bulk.store_l1(Ds, L1s, digits)
+                seq.put(D, L1)
+            bulk.store_l1(Ds, L1s)
         else:
             with pytest.raises(ValueError):
-                seq.put({"D": 0, "L1": bad, "method": METHOD, "digits": digits})
+                seq.put(0, bad)
             with pytest.raises(ValueError):
-                bulk.store_l1(Ds, L1s, digits)
-        # repr: a held nan L1 is unequal to itself
-        assert all(repr(seq.get(D)) == repr(bulk.get(D)) for D in range(-12, 13))
-        appended = [repr(l1cache.records(p.read_bytes()[len(seed):])) for p in paths]
+                bulk.store_l1(Ds, L1s)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert [seq.get(D) for D in range(-12, 13)] == [bulk.get(D) for D in range(-12, 13)]
+        appended = [l1cache.records(p.read_bytes()[len(seed):]) for p in paths]
         assert appended[0] == appended[1]
 
 
 def _with_L1(data: bytes, D: int, L1: float) -> bytes:
     """The batches of data with the L1 of D replaced."""
-    return b"".join(l1cache.batch([(d, L1 if d == D else x, n) for d, x, n in recs])
+    return b"".join(l1cache.batch([(d, L1 if d == D else x) for d, x in recs])
                     for recs in l1cache.batches(data))
 
 
 def test_implausible_records_are_recomputed(tmp_path, capsys):
     """A cached L1 that is infinite or negative is not served: the document
     prints what a cold run prints, warns once, and appends a batch of that
-    record that wins on the next read.  A batch that fails its CRC loses all
-    its records: they are recomputed and appended too, and the corrupt batch
-    warns on every read."""
+    record that is held on the next read.  A batch that fails its CRC loses
+    all its records: they are recomputed and appended too, and the corrupt
+    batch warns on every read."""
     path = tmp_path / "cache.bin"
     argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "10000", "--json"]
 
@@ -380,12 +351,12 @@ def test_implausible_records_are_recomputed(tmp_path, capsys):
             assert run("--cache", str(path)) == (0, clean, "")
 
 
-def test_plausible_record_outranks_implausible_one_with_more_digits(tmp_path, capsys):
-    """An implausible record with more digits does not block the plausible
-    one recomputed for it: the first run warns and appends, the second reads
-    the new record without a warning."""
+def test_plausible_record_outranks_implausible_one(tmp_path, capsys):
+    """An implausible record does not block the plausible one recomputed for
+    it: the first run warns and appends, the second reads the new record
+    without a warning."""
     path = tmp_path / "cache.bin"
-    path.write_bytes(l1cache.batch([(-4, -0.5, 20)]))
+    path.write_bytes(l1cache.batch([(-4, -0.5)]))
     argv = ["shintani", "--alpha", "-1", "--S", "2", "--X", "2000", "--cache", str(path)]
 
     def run():
@@ -394,22 +365,7 @@ def test_plausible_record_outranks_implausible_one_with_more_digits(tmp_path, ca
     code, out, err = run()
     assert code == 0 and err.count("recomputing 1 implausible") == 1
     assert run() == (0, out, "")
-    assert abs(JsonlCache(str(path)).get(-4)["L1"] - math.pi / 4) < 1e-15
-
-
-def test_cache_one_parse_keeps_the_digits_rule(tmp_path, capsys):
-    """A file is read in one pass, whatever its batching: records in one
-    batch, or one batch each, are held by the same rule (most digits wins,
-    ties go to the last), with no warning."""
-    recs = [(-4, 0.78, 10), (-4, 0.785398, 20), (-4, 0.79, 10), (8, 1.1, 15), (8, 1.2, 15),
-            (5, -0.43, 30), (5, 0.43, 15)]
-    for name, data in (("one", l1cache.batch(recs)),
-                       ("each", b"".join(l1cache.batch([r]) for r in recs))):
-        path = tmp_path / f"{name}.bin"
-        path.write_bytes(data)
-        c = JsonlCache(str(path))
-        assert [c.get(D)["L1"] for D in (-4, 8, 5)] == [0.785398, 1.2, 0.43]
-    assert capsys.readouterr().err == ""
+    assert abs(JsonlCache(str(path)).get(-4) - math.pi / 4) < 1e-15
 
 
 def test_parser_reused_without_leaking_options(capsys):
@@ -442,7 +398,7 @@ def test_cache_env_default(tmp_path, monkeypatch, capsys):
     assert code == 0
     with open(path, "rb") as fh:
         recs = l1cache.records(fh.read())
-    assert any(D == -4 for D, _, _ in recs)
+    assert any(D == -4 for D, _ in recs)
 
 
 def test_render_json_deterministic_types():
@@ -460,6 +416,45 @@ def test_selftest_subset(capsys):
     doc = json.loads(out)
     assert doc["result"]["all_passed"]
     assert [c["id"] for c in doc["result"]["criteria"]] == [1, 3, 7, 10]
+
+
+KNOWN_IDS = list(range(1, 12))
+
+
+@pytest.mark.parametrize("criteria, ids", [("11", [11]), ("1,11", [1, 11]), ("99", [99]),
+                                           ("1,99", [99]), ("0,11,12", [0, 12])])
+def test_selftest_criteria_ids(capsys, criteria, ids):
+    """--criteria runs the criteria it names, the determinism check (11)
+    among them, and refuses unknown ids with a usage error that names the
+    valid ones."""
+    code, out = run_cli(capsys, "selftest", "--quick", "--criteria", criteria, "--json")
+    doc = json.loads(out)
+    if max(ids) <= 11 and min(ids) >= 1:
+        assert code == 0 and [c["id"] for c in doc["result"]["criteria"]] == ids
+    else:
+        message = f"--criteria: unknown ids {ids}; the valid ids are {KNOWN_IDS}"
+        assert code == 2 and doc["error"] == {"code": "usage", "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coeff", "--group=sp2", "--form=1,2"], "--form needs the entries a,b,c, got '1,2'"),
+    (["coeff", "--group=gsp2", "--form=1,0,-3,4"],
+     "--form needs the entries a,b,c, got '1,0,-3,4'"),
+    (["diff", "--orbit=sub", "--form=1,0"], "--form needs the entries a,b,c, got '1,0'"),
+    (["weights", "--which=m0", "--nu=3,1,1,1", "--T=1"],
+     "--T needs the entries T1,T2, got '1'"),
+    (["weights", "--which=m0", "--nu=3,1,1,1", "--T=0,0,0"],
+     "--T needs the entries T1,T2, got '0,0,0'"),
+    (["weights", "--which=m0", "--nu=3,1,1"],
+     "--nu needs the entries n12,n13,n14,n24, got '3,1,1'"),
+    (["weights", "--which=gl3-m0", "--nu=2,-1,3,1"],
+     "--nu needs the entries n12,n13,n23, got '2,-1,3,1'"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_wrong_number_of_entries_names_the_flag(capsys, argv, message):
+    """A list flag with the wrong number of entries exits 2 with a usage
+    error that names the flag and what it needs."""
+    code, out = run_cli(capsys, *argv, "--json")
+    assert (code, json.loads(out)) == (2, {"error": {"code": "usage", "message": message}})
 
 
 def test_coeff_sub_orbit_via_alpha(capsys):

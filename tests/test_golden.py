@@ -18,8 +18,11 @@
   round-trip repr, which keeps its bits, and digits, in the order written).
   The binary file is decoded by tests/l1cache.py and compared with them;
   the two warm runs after the cold run must leave its bytes as they are.
-  `golden/l1cache-shintani-alpha-1-S2.bin` pins the bytes of the first,
-  written by the first version with the binary cache.
+  `golden/l1cache-shintani-alpha-1-S2.bin` pins the bytes of the first.
+  It was reprinted when the digits column left the batch (batch 2): the
+  same 250 D and L1, bit for bit, in the same order, in 4056 bytes
+  instead of 6056.  The JSON lines keep the digits 15 and the method that
+  the JSON-lines version stored with every record.
 - `descent_coeff` of the semisimple kinds z and sigma1-sigma6 at S = {oo,2}
   and {oo,2,3}: one line per case in `golden/descent.jsonl`, holding the
   compact JSON of the coefficient document or the name of the exception

@@ -639,10 +639,10 @@ class DictCache:
         self.hits += sum(rec is not None for rec in recs)
         return [math.nan if rec is None else rec["L1"] for rec in recs]
 
-    def store_l1(self, Ds, L1s, digits):
+    def store_l1(self, Ds, L1s):
         self.batches += 1
         for D, L1 in zip(Ds, L1s):
-            self.stored[D] = {"D": D, "L1": L1, "digits": digits}
+            self.stored[D] = {"D": D, "L1": L1}
 
 
 def test_cache_consumed_and_filled():
@@ -657,23 +657,18 @@ def test_cache_consumed_and_filled():
 
 def test_cache_record_of_other_method_not_served(tmp_path, capsys):
     """A batch of smoothed-character-sum records, as a cache of another
-    method would write it, later and with more digits than the class-number
-    record of its D, is never served nor held: its magic is not the cache's,
-    so it is skipped with one warning, and put refuses such a record."""
+    method would write it, later than the class-number record of its D, is
+    never served nor held: its magic is not the cache's, so it is skipped
+    with one warning."""
     path = tmp_path / "cache.bin"
-    smoothed = {"D": -4, "L1": 0.5, "digits": 20, "method": "smoothed-character-sum"}
-    other = l1cache.batch([(-4, 0.5, 20)]).replace(l1cache.METHOD.encode(),
-                                                   b"smoothed-character-sum")
-    path.write_bytes(l1cache.batch([(-4, 123.0, 15)]) + other)
+    other = l1cache.batch([(-4, 0.5), (-3, 0.6)]).replace(l1cache.METHOD.encode(),
+                                                          b"smoothed-character-sum")
+    path.write_bytes(l1cache.batch([(-4, 123.0)]) + other)
     c = JsonlCache(str(path))
     L1 = c.lookup_l1([-4, -3])
     assert L1[0] == 123.0 and math.isnan(L1[1])
-    assert c.get(-4) == {"D": -4, "L1": 123.0, "digits": 15, "method": "class-number-formula"}
+    assert c.get(-4) == 123.0
     assert capsys.readouterr().err == "warning: skipping 1 corrupt or cut-short L(1) cache batches\n"
-    data = path.read_bytes()
-    with pytest.raises(ValueError):
-        c.put(smoothed)
-    assert path.read_bytes() == data and c.get(-4)["L1"] == 123.0
     terms = build_terms(-1, S2, 2000, cache=c)
     (L1S,) = terms.L1S[terms.D == -4]  # chi_-4(2) = 0: L^S(1) = L(1)
     assert L1S == 123.0

@@ -163,23 +163,35 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_first_plausible_record_wins(tmp_path, capsys):
-    """Of the records of one D, the first plausible one is held, whatever the
-    batching of the file: records in one batch, or one batch each with bytes
-    that are no batch among them (one warning).  A put of a D held neither
-    replaces it nor appends."""
+    """Of the records of one D, the first plausible one is held, across
+    batches with bytes that are no batch between them (one warning).  A put
+    of a D held neither replaces it nor appends."""
+    path = tmp_path / "cache.bin"
+    data = (l1cache.batch([(-4, 0.78)]) + l1cache.batch([(-4, 0.785398)])
+            + l1cache.batch([(-4, 0.79)]) + b"not a batch at all\n"
+            + l1cache.batch([(8, -1.1), (8, 1.2), (8, 1.3)]))
+    path.write_bytes(data)
+    c = JsonlCache(str(path))
+    assert c.get(-4) == 0.78   # the first wins
+    assert c.get(8) == 1.2     # the implausible first record is passed over
+    assert capsys.readouterr().err.count("skipping 1 corrupt") == 1
+    c.put(-4, 0.7)
+    assert c.get(-4) == 0.78 and path.read_bytes() == data
+
+
+def test_cache_one_parse_keeps_the_first_plausible_rule(tmp_path, capsys):
+    """A file is read in one pass, whatever its batching: records in one
+    batch, or one batch each, are held by the same rule (the first plausible
+    record of each D), with no warning."""
     recs = [(-4, 0.78), (-4, 0.785398), (-4, 0.79), (8, -1.1), (8, 1.2), (8, 1.3),
             (5, math.nan), (5, 0.43)]
-    for name, data, skipped in (
-            ("one", l1cache.batch(recs), 0),
-            ("each", b"".join(l1cache.batch([r]) for r in recs[:3]) + b"not a batch at all\n"
-             + b"".join(l1cache.batch([r]) for r in recs[3:]), 1)):
+    for name, data in (("one", l1cache.batch(recs)),
+                       ("each", b"".join(l1cache.batch([r]) for r in recs))):
         path = tmp_path / f"{name}.bin"
         path.write_bytes(data)
         c = JsonlCache(str(path))
         assert [c.get(D) for D in (-4, 8, 5)] == [0.78, 1.2, 0.43]
-        assert capsys.readouterr().err.count("skipping 1 corrupt") == skipped
-        c.put(-4, 0.7)
-        assert c.get(-4) == 0.78 and path.read_bytes() == data
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_store_l1_same_bytes_as_put(tmp_path):
